@@ -104,7 +104,6 @@ pub fn adler_load_scale(n: u32, r: u32) -> f64 {
 }
 
 /// Everything the harness prints for one spec, bundled.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy)]
 pub struct Predictions {
     /// Single-choice gap scale.

@@ -6,7 +6,6 @@
 //! against `m/n` itself should be poor. This module provides the fit.
 
 /// Result of fitting `y ≈ intercept + slope · x` by least squares.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Fitted intercept.

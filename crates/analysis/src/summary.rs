@@ -2,7 +2,6 @@
 
 /// Summary of a sample of `f64` measurements (e.g. the gap over 30 seeded
 /// runs).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     values: Vec<f64>, // kept sorted

@@ -2,19 +2,17 @@
 //!
 //! Distributes a balanced-allocation run over shard workers that own
 //! disjoint, contiguous bin ranges and communicate over **real message
-//! passing**: checksummed binary frames (default) or line-delimited JSON
-//! (`--wire json`, the debug/compat path) over stdin/stdout pipes (child
+//! passing**: checksummed binary frames over stdin/stdout pipes (child
 //! processes), TCP/Unix-domain sockets (`shard-worker --listen`), or
 //! in-memory pipes with identical semantics (threads). The papers'
 //! synchronous-rounds model becomes literal: each round is a request
 //! wave, a reply wave, and a commit wave, with a barrier at the
-//! orchestrator between waves — and with overlapped sends (default on),
-//! wave `k+1` is serialized and written while the workers still chew on
-//! wave `k`, without moving any barrier.
+//! orchestrator between waves — and sends are overlapped: wave `k+1` is
+//! serialized and written while the workers still chew on wave `k`,
+//! without moving any barrier.
 //!
-//! * [`wire`] — the frame vocabulary and its two codecs (binary frames
-//!   on [`pba_core::wire`], JSON lines on [`pba_core::json`]; both
-//!   checksummed, no external dependencies).
+//! * [`wire`] — the frame vocabulary and its binary codec (checksummed
+//!   messages on [`pba_core::wire`], no external dependencies).
 //! * [`transport`] — the [`Transport`] trait (local threads, child
 //!   processes, sockets) and [`ShardLink`]: wire accounting, overlapped
 //!   sender threads, and real dead-pipe failure modes.
@@ -57,4 +55,4 @@ pub mod worker;
 
 pub use orchestrator::{shard_lo, shard_of, ClusterConfig, ClusterOutcome};
 pub use transport::{ShardLink, Transport};
-pub use wire::{Frame, Hello, WireFormat};
+pub use wire::{Frame, Hello};

@@ -40,7 +40,7 @@ use pba_protocols::{visit_protocol, ProtocolVisitor};
 use pba_stream::{PolicyKind, StreamAllocator, Workload, WorkloadCfg};
 
 use crate::transport::ShardLink;
-use crate::wire::{Frame, Hello, WireFormat};
+use crate::wire::{Frame, Hello};
 
 /// First bin of shard `s` among `n` bins and `shards` shards.
 ///
@@ -80,8 +80,6 @@ pub struct ClusterConfig {
     kill: Option<(u32, u64)>,
     worker_exe: Option<PathBuf>,
     validate: bool,
-    wire: WireFormat,
-    overlap: bool,
 }
 
 /// What a cluster run produced.
@@ -134,8 +132,6 @@ impl ClusterConfig {
             kill: None,
             worker_exe: None,
             validate: false,
-            wire: WireFormat::Binary,
-            overlap: true,
         }
     }
 
@@ -157,8 +153,6 @@ impl ClusterConfig {
             kill: None,
             worker_exe: None,
             validate: false,
-            wire: WireFormat::Binary,
-            overlap: true,
         }
     }
 
@@ -214,25 +208,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Pick the frame codec: [`WireFormat::Binary`] (default) or
-    /// [`WireFormat::Json`] as the debug/compat path. Runs are
-    /// bit-identical either way; only the bytes on the wire differ.
-    pub fn with_wire(mut self, wire: WireFormat) -> Self {
-        self.wire = wire;
-        self
-    }
-
-    /// Enable/disable overlapped sends (default on). When on, each link
-    /// serializes and writes wave `k+1` on a dedicated sender thread
-    /// (bounded [`crate::transport::SEND_QUEUE_DEPTH`]-slot queue) while
-    /// the worker still runs wave `k`, and ack collection is deferred one
-    /// wave. Barrier semantics and results are unchanged — only wall
-    /// time moves. `false` restores strict send-all-then-wait waves.
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
     fn bins(&self) -> u32 {
         match &self.mode {
             ModeCfg::Engine { spec, .. } => spec.bins(),
@@ -254,9 +229,7 @@ impl ClusterConfig {
     /// pipes, identical wire protocol). The default for tests and the
     /// baseline the process transport is verified against.
     pub fn run_local(self) -> Result<ClusterOutcome> {
-        let links = (0..self.shards)
-            .map(|s| ShardLink::local(s, self.wire, self.overlap))
-            .collect();
+        let links = (0..self.shards).map(ShardLink::local).collect();
         self.run(links)
     }
 
@@ -265,7 +238,7 @@ impl ClusterConfig {
     pub fn run_process(self) -> Result<ClusterOutcome> {
         let exe = self.exe()?;
         let links = (0..self.shards)
-            .map(|s| ShardLink::process(s, &exe, self.wire, self.overlap))
+            .map(|s| ShardLink::process(s, &exe))
             .collect::<Result<Vec<_>>>()?;
         self.run(links)
     }
@@ -277,7 +250,7 @@ impl ClusterConfig {
     pub fn run_socket(self) -> Result<ClusterOutcome> {
         let exe = self.exe()?;
         let links = (0..self.shards)
-            .map(|s| ShardLink::socket(s, &exe, self.wire, self.overlap))
+            .map(|s| ShardLink::socket(s, &exe))
             .collect::<Result<Vec<_>>>()?;
         self.run(links)
     }
@@ -300,7 +273,7 @@ impl ClusterConfig {
         let links = addrs
             .iter()
             .enumerate()
-            .map(|(s, addr)| ShardLink::socket_connect(s as u32, addr, self.wire, self.overlap))
+            .map(|(s, addr)| ShardLink::socket_connect(s as u32, addr))
             .collect::<Result<Vec<_>>>()?;
         self.run(links)
     }
@@ -473,7 +446,6 @@ impl ClusterConfig {
             shards: self.shards,
             shadow: vec![0u32; n as usize],
             barriers: 1, // the hello wave
-            overlap: self.overlap,
             pending_commit: None,
         };
         let visitor = ClusterRunVisitor { sim, delegate };
@@ -483,7 +455,7 @@ impl ClusterConfig {
             });
         };
         let run = run?;
-        // Overlap defers the last round's commit acks; settle them
+        // The last round's commit acks are still deferred; settle them
         // before the drain wave reuses the links.
         delegate.collect_pending_commit()?;
         let loads: Vec<u64> = run.loads.iter().map(|&l| u64::from(l)).collect();
@@ -551,9 +523,10 @@ impl ClusterConfig {
         }
         let mut workload = Workload::new(workload_cfg, self.seed);
         let mut shadow = vec![0u64; bins as usize];
-        let mut barriers = 1u64; // the hello wave
-                                 // Per-shard delta ack still owed from the previous batch
-                                 // (overlap mode defers collection one batch).
+        // The hello wave is the first barrier.
+        let mut barriers = 1u64;
+        // Per-shard delta ack still owed from the previous batch: each
+        // batch's acks are collected one batch late.
         let mut pending: Vec<Option<PendingDelta>> = (0..links.len()).map(|_| None).collect();
         for t in 0..batches {
             if let Some((shard, batch)) = self.kill {
@@ -578,8 +551,7 @@ impl ClusterConfig {
             }
             // Settle the previous batch's acks only now — the workers
             // chewed on batch t-1 while the mirror ingested and routed
-            // batch t above. (Without overlap this is a no-op: acks were
-            // collected inside the previous wave.)
+            // batch t above.
             collect_delta_acks(&mut links, &mut pending)?;
             // Delta wave out. A just-killed shard is discovered here:
             // the send fails on the dead pipe and the shard is marked
@@ -616,13 +588,9 @@ impl ClusterConfig {
                     Err(e) => return Err(e),
                 }
             }
-            if !self.overlap {
-                // Strict waves: block on this batch's acks right away.
-                collect_delta_acks(&mut links, &mut pending)?;
-            }
             barriers += 1;
         }
-        // Overlap leaves the final batch's acks outstanding.
+        // The final batch's acks are still outstanding.
         collect_delta_acks(&mut links, &mut pending)?;
         let loads = mirror.bin_state().load_vector();
         let shard_records = self.teardown(
@@ -697,10 +665,8 @@ struct EngineDelegate {
     /// Loads as last shipped to the workers; commit diffs against it.
     shadow: Vec<u32>,
     barriers: u64,
-    /// Defer commit acks one wave (collected while the next round's
-    /// grants are already on the wire).
-    overlap: bool,
-    /// Outstanding commit wave: `(round, expected per-shard load sums)`.
+    /// Outstanding commit wave: `(round, expected per-shard load sums)`,
+    /// collected while the next round's grants are already on the wire.
     pending_commit: Option<(u32, Vec<u64>)>,
 }
 
@@ -852,13 +818,9 @@ impl GrantDelegate for EngineDelegate {
                 loads[lo..hi].iter().map(|&l| u64::from(l)).sum()
             })
             .collect();
-        if self.overlap {
-            // Defer the ack barrier one wave: the workers apply this
-            // commit while the engine resolves the next round.
-            self.pending_commit = Some((ctx.round, wants));
-        } else {
-            self.collect_commit_acks(ctx.round, &wants)?;
-        }
+        // Defer the ack barrier one wave: the workers apply this commit
+        // while the engine resolves the next round.
+        self.pending_commit = Some((ctx.round, wants));
         self.barriers += 1;
         Ok(())
     }

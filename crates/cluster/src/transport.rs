@@ -2,7 +2,7 @@
 //! worker, one overlapped send path.
 //!
 //! A [`ShardLink`] is the orchestrator's channel to one shard worker.
-//! It speaks either wire codec (see [`crate::wire`]) over any
+//! It speaks the binary frame format (see [`crate::wire`]) over any
 //! transport:
 //!
 //! * [`LocalTransport`] — run [`crate::worker::serve`] on a thread over
@@ -24,7 +24,7 @@
 //!
 //! ## Overlapped send
 //!
-//! By default each link owns a **sender thread** behind a bounded
+//! Each link owns a **sender thread** behind a bounded
 //! two-slot queue: [`ShardLink::send`] serializes the frame, enqueues
 //! the bytes, and returns immediately, so the orchestrator can
 //! serialize wave *k+1* (and run its own half of the kernel) while wave
@@ -48,7 +48,7 @@ use std::time::Duration;
 
 use pba_core::{CoreError, Result};
 
-use crate::wire::{read_frame, Frame, WireFormat};
+use crate::wire::{read_frame, Frame};
 use crate::worker;
 
 /// Depth of the per-link send queue: the wave in flight plus one being
@@ -480,23 +480,15 @@ impl Transport for SocketTransport {
     }
 }
 
-/// The write side of a link: either direct blocking writes, or the
-/// bounded overlapped sender thread.
-enum SendHalf {
-    Sync(Box<dyn Write + Send>),
-    Overlapped {
-        tx: Option<SyncSender<Vec<u8>>>,
-        err: Arc<Mutex<Option<String>>>,
-        handle: Option<JoinHandle<()>>,
-    },
-    Closed,
-}
-
 /// The orchestrator's channel to one shard worker, with wire accounting.
 pub struct ShardLink {
     shard: u32,
-    wire: WireFormat,
-    sender: SendHalf,
+    /// Queue to the sender thread; `None` once the send half is closed.
+    tx: Option<SyncSender<Vec<u8>>>,
+    /// A write failure parked by the sender thread.
+    send_err: Arc<Mutex<Option<String>>>,
+    /// The sender thread, joined when the send half closes.
+    sender: Option<JoinHandle<()>>,
     reader: Box<dyn BufRead + Send>,
     transport: Box<dyn Transport>,
     alive: bool,
@@ -504,7 +496,7 @@ pub struct ShardLink {
     pub frames_sent: u64,
     /// Frames the orchestrator received over this link.
     pub frames_recv: u64,
-    /// Bytes sent (complete frames, envelope/newline included).
+    /// Bytes sent (complete frames, envelope included).
     pub bytes_sent: u64,
     /// Bytes received.
     pub bytes_recv: u64,
@@ -513,51 +505,37 @@ pub struct ShardLink {
 }
 
 impl ShardLink {
-    /// Wrap a connected transport. `overlap` arms the two-slot sender
-    /// thread; without it every send is a blocking write.
-    pub fn new(
-        shard: u32,
-        mut transport: Box<dyn Transport>,
-        wire: WireFormat,
-        overlap: bool,
-    ) -> ShardLink {
+    /// Wrap a connected transport and start its two-slot sender thread.
+    pub fn new(shard: u32, mut transport: Box<dyn Transport>) -> ShardLink {
         let mut writer = transport.take_writer();
         let reader = transport.take_reader();
-        let sender = if overlap {
-            let err = Arc::new(Mutex::new(None::<String>));
-            let err_slot = err.clone();
-            let (tx, rx) = sync_channel::<Vec<u8>>(SEND_QUEUE_DEPTH);
-            let handle = std::thread::Builder::new()
-                .name(format!("pba-send-{shard}"))
-                .spawn(move || {
-                    let mut failed = false;
-                    // Keep draining after a failure so enqueuers never
-                    // block on a dead link; the error is already parked.
-                    for buf in rx {
-                        if failed {
-                            continue;
-                        }
-                        if let Err(e) = writer.write_all(&buf).and_then(|()| writer.flush()) {
-                            *err_slot.lock().unwrap() = Some(e.to_string());
-                            failed = true;
-                        }
+        let send_err = Arc::new(Mutex::new(None::<String>));
+        let err_slot = send_err.clone();
+        let (tx, rx) = sync_channel::<Vec<u8>>(SEND_QUEUE_DEPTH);
+        let sender = std::thread::Builder::new()
+            .name(format!("pba-send-{shard}"))
+            .spawn(move || {
+                let mut failed = false;
+                // Keep draining after a failure so enqueuers never block
+                // on a dead link; the error is already parked.
+                for buf in rx {
+                    if failed {
+                        continue;
                     }
-                    // Dropping the writer here closes the worker's stdin
-                    // (EOF) once everything queued has been written.
-                })
-                .expect("spawn link sender thread");
-            SendHalf::Overlapped {
-                tx: Some(tx),
-                err,
-                handle: Some(handle),
-            }
-        } else {
-            SendHalf::Sync(writer)
-        };
+                    if let Err(e) = writer.write_all(&buf).and_then(|()| writer.flush()) {
+                        *err_slot.lock().unwrap() = Some(e.to_string());
+                        failed = true;
+                    }
+                }
+                // Dropping the writer here closes the worker's stdin
+                // (EOF) once everything queued has been written.
+            })
+            .expect("spawn link sender thread");
         ShardLink {
             shard,
-            wire,
-            sender,
+            tx: Some(tx),
+            send_err,
+            sender: Some(sender),
             reader,
             transport,
             alive: true,
@@ -570,55 +548,39 @@ impl ShardLink {
     }
 
     /// Worker thread over in-memory pipes (tests, `--local` runs).
-    pub fn local(shard: u32, wire: WireFormat, overlap: bool) -> ShardLink {
-        ShardLink::new(shard, Box::new(LocalTransport::spawn(shard)), wire, overlap)
+    pub fn local(shard: u32) -> ShardLink {
+        ShardLink::new(shard, Box::new(LocalTransport::spawn(shard)))
     }
 
     /// Worker child process over stdin/stdout pipes.
-    pub fn process(shard: u32, exe: &Path, wire: WireFormat, overlap: bool) -> Result<ShardLink> {
+    pub fn process(shard: u32, exe: &Path) -> Result<ShardLink> {
         Ok(ShardLink::new(
             shard,
             Box::new(PipeTransport::spawn(shard, exe)?),
-            wire,
-            overlap,
         ))
     }
 
     /// Managed socket worker: spawn `exe shard-worker --listen` on a
     /// fresh Unix-domain socket and connect.
-    pub fn socket(shard: u32, exe: &Path, wire: WireFormat, overlap: bool) -> Result<ShardLink> {
+    pub fn socket(shard: u32, exe: &Path) -> Result<ShardLink> {
         Ok(ShardLink::new(
             shard,
             Box::new(SocketTransport::spawn(shard, exe)?),
-            wire,
-            overlap,
         ))
     }
 
     /// Pre-started socket worker at `addr` (TCP `host:port`, or a
     /// Unix-domain socket path).
-    pub fn socket_connect(
-        shard: u32,
-        addr: &str,
-        wire: WireFormat,
-        overlap: bool,
-    ) -> Result<ShardLink> {
+    pub fn socket_connect(shard: u32, addr: &str) -> Result<ShardLink> {
         Ok(ShardLink::new(
             shard,
             Box::new(SocketTransport::connect(shard, addr)?),
-            wire,
-            overlap,
         ))
     }
 
     /// This link's shard index.
     pub fn shard(&self) -> u32 {
         self.shard
-    }
-
-    /// The codec this link speaks.
-    pub fn wire(&self) -> WireFormat {
-        self.wire
     }
 
     /// The transport flavor ("local", "pipe", "socket").
@@ -640,68 +602,34 @@ impl ShardLink {
 
     /// A write failure parked by the sender thread, if any.
     fn parked_error(&self) -> Option<String> {
-        match &self.sender {
-            SendHalf::Overlapped { err, .. } => err.lock().unwrap().clone(),
-            _ => None,
-        }
+        self.send_err.lock().unwrap().clone()
     }
 
-    /// Send one frame: serialize, then either write through (sync) or
-    /// enqueue on the sender thread (overlapped — returns as soon as a
-    /// queue slot is free, at most [`SEND_QUEUE_DEPTH`] waves ahead).
+    /// Send one frame: serialize and enqueue it on the sender thread.
+    /// Returns as soon as a queue slot is free, at most
+    /// [`SEND_QUEUE_DEPTH`] waves ahead of the writes.
     pub fn send(&mut self, frame: &Frame) -> Result<()> {
-        let bytes = frame.encode_wire(self.wire);
+        let bytes = frame.encode();
         let len = bytes.len();
-        match &mut self.sender {
-            SendHalf::Sync(writer) => {
-                writer
-                    .write_all(&bytes)
-                    .and_then(|()| writer.flush())
-                    .map_err(|e| {
-                        self.alive = false;
-                        CoreError::ClusterTransport {
-                            shard: self.shard,
-                            detail: format!("send {} failed: {e}", frame.tag()),
-                        }
-                    })?;
-            }
-            SendHalf::Overlapped { tx, err, .. } => {
-                let parked = err.lock().unwrap().clone();
-                if let Some(detail) = parked {
-                    self.alive = false;
-                    return Err(CoreError::ClusterTransport {
-                        shard: self.shard,
-                        detail: format!("send {} failed: {detail}", frame.tag()),
-                    });
-                }
-                let sent = tx
-                    .as_ref()
-                    .map(|tx| tx.send(bytes).is_ok())
-                    .unwrap_or(false);
-                if !sent {
-                    self.alive = false;
-                    return Err(CoreError::ClusterTransport {
-                        shard: self.shard,
-                        detail: format!("send {} failed: sender gone", frame.tag()),
-                    });
-                }
-            }
-            SendHalf::Closed => {
-                self.alive = false;
-                return Err(CoreError::ClusterTransport {
-                    shard: self.shard,
-                    detail: format!("send {} on closed link", frame.tag()),
-                });
-            }
+        let failure = match (self.parked_error(), &self.tx) {
+            (Some(detail), _) => Some(format!("send {} failed: {detail}", frame.tag())),
+            (None, None) => Some(format!("send {} on closed link", frame.tag())),
+            (None, Some(tx)) => tx
+                .send(bytes)
+                .err()
+                .map(|_| format!("send {} failed: sender gone", frame.tag())),
+        };
+        if let Some(detail) = failure {
+            self.alive = false;
+            return Err(self.transport_err(detail));
         }
         self.frames_sent += 1;
         self.bytes_sent += len as u64;
         Ok(())
     }
 
-    /// Receive one frame (either codec — the lead byte disambiguates).
-    /// EOF, unreadable frames, and worker-reported `error` frames all
-    /// surface as [`CoreError::ClusterTransport`].
+    /// Receive one frame. EOF, unreadable frames, and worker-reported
+    /// `error` frames all surface as [`CoreError::ClusterTransport`].
     pub fn recv(&mut self) -> Result<Frame> {
         let got = read_frame(self.reader.as_mut()).map_err(|e| {
             self.alive = false;
@@ -714,7 +642,7 @@ impl ShardLink {
                 detail: format!("unreadable reply: {e}{parked}"),
             }
         })?;
-        let Some((frame, bytes, _)) = got else {
+        let Some((frame, bytes)) = got else {
             self.alive = false;
             let parked = self
                 .parked_error()
@@ -743,16 +671,10 @@ impl ShardLink {
     /// Drop the send half: joins the sender thread (flushing anything
     /// queued) and closes the peer's input so it sees EOF.
     fn close_sender(&mut self) {
-        match &mut self.sender {
-            SendHalf::Overlapped { tx, handle, .. } => {
-                tx.take();
-                if let Some(h) = handle.take() {
-                    let _ = h.join();
-                }
-            }
-            SendHalf::Sync(_) | SendHalf::Closed => {}
+        self.tx.take();
+        if let Some(h) = self.sender.take() {
+            let _ = h.join();
         }
-        self.sender = SendHalf::Closed;
     }
 
     /// Clean teardown: `shutdown` → `bye`, then reap the worker. Errors
@@ -848,7 +770,7 @@ mod tests {
     fn overlapped_sender_parks_write_errors() {
         // A local link whose pipes are severed under the sender thread:
         // the enqueue succeeds, the error surfaces on the next call.
-        let mut link = ShardLink::local(0, WireFormat::Binary, true);
+        let mut link = ShardLink::local(0);
         link.transport.kill();
         link.send(&Frame::Drain).ok(); // may or may not observe it yet
         let mut saw_error = false;

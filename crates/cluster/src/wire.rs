@@ -1,4 +1,4 @@
-//! The cluster wire protocol: one frame vocabulary, two codecs.
+//! The cluster wire protocol: one frame vocabulary, one binary codec.
 //!
 //! ## Conversation (engine mode)
 //!
@@ -20,27 +20,18 @@
 //! `delta_ok` exchange per batch (absolute loads for changed bins; the
 //! reply carries the shard's total and max for verification).
 //!
-//! ## Codecs
+//! ## Frame format
 //!
-//! The default codec is **binary**: each frame is a
-//! [`pba_core::wire`] message — one `0xB5` magic byte, a type tag, a
-//! `u32` payload length, the payload, and a trailing FNV-1a 64
-//! checksum. Payload integers are LEB128 varints; sparse `(bin, value)`
-//! lists delta-encode the bin ids (zigzag, since routing order is not
-//! guaranteed ascending); seeds are fixed-width `u64` — all 64 bits
-//! survive the wire natively, no decimal-string workaround.
+//! Each frame is a [`pba_core::wire`] message: one `0xB5` magic byte, a
+//! type tag, a `u32` payload length, the payload, and a trailing FNV-1a
+//! 64 checksum. Payload integers are LEB128 varints; sparse `(bin,
+//! value)` lists delta-encode the bin ids (zigzag, since routing order is
+//! not guaranteed ascending); seeds are fixed-width `u64`, so all 64 bits
+//! survive the wire.
 //!
-//! The **JSON compat codec** (`--wire json`) keeps the original
-//! line-delimited dialect for debugging with a text `tee`: one JSON
-//! object per line with a `"t"` type key, now hardened with the same
-//! FNV-1a checksum carried as a trailing `"sum"` field over the rest of
-//! the object text. Seeds ride as plain JSON integers — the parser's
-//! [`Json::UInt`](pba_core::json::Json) variant keeps full `u64`
-//! fidelity, so the compat path is bit-identical to binary.
-//!
-//! A reader never needs to be told which codec a peer speaks:
-//! [`read_frame`] sniffs the first byte of each frame (`0xB5` is not
-//! valid ASCII, `{` starts every JSON frame) and decodes accordingly.
+//! A peer that does not speak this format is refused at its first byte:
+//! [`read_frame`] reports the lead byte it found (`0x7b` for a `{`-led
+//! JSON line) instead of guessing at a dialect.
 //!
 //! A malformed, truncated, or bit-flipped frame is a protocol error
 //! with a diagnostic message — never a silently wrong decode: the
@@ -48,41 +39,10 @@
 //! orchestrator surfaces
 //! [`CoreError::ClusterTransport`](pba_core::CoreError).
 
-use std::io::BufRead;
+use std::io::Read;
 
-use pba_core::json::{parse, u64_array, Json, JsonObject};
 use pba_core::wire::{self, WireError, WireReader, WireWriter};
 use pba_core::{MessageStats, RoundRecord};
-
-/// Which codec a link speaks. Binary is the default; JSON is the
-/// debug/compat path. Both carry identical frame contents (enforced by
-/// the cross-codec bit-identity tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireFormat {
-    /// Checksummed binary messages with varint payloads (default).
-    Binary,
-    /// Line-delimited JSON objects with a trailing checksum field.
-    Json,
-}
-
-impl WireFormat {
-    /// Parse a `--wire` flag value.
-    pub fn parse_flag(s: &str) -> Result<Self, String> {
-        match s {
-            "binary" => Ok(WireFormat::Binary),
-            "json" => Ok(WireFormat::Json),
-            other => Err(format!("unknown wire format '{other}' (binary|json)")),
-        }
-    }
-
-    /// The flag spelling, for display.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireFormat::Binary => "binary",
-            WireFormat::Json => "json",
-        }
-    }
-}
 
 /// Everything the worker needs to set up its shard, sent first.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +61,7 @@ pub struct Hello {
     pub n: u32,
     /// Total balls (engine mode; 0 for stream).
     pub m: u64,
-    /// Run seed (full-width u64, exact on both codecs).
+    /// Run seed (full-width u64).
     pub seed: u64,
     /// Protocol name (engine) or policy name (stream).
     pub workload: String,
@@ -216,19 +176,7 @@ const TAG_SHUTDOWN: u8 = 11;
 const TAG_BYE: u8 = 12;
 const TAG_ERROR: u8 = 13;
 
-/// Flatten `(k, v)` pairs as `[k, v, k, v, …]` (JSON codec).
-fn pairs_array(pairs: &[(u32, u64)]) -> String {
-    let flat: Vec<u64> = pairs.iter().flat_map(|&(k, v)| [u64::from(k), v]).collect();
-    u64_array(&flat)
-}
-
-/// Flatten a `u32` list through the shared `u64_array` helper.
-fn u32_array(values: &[u32]) -> String {
-    let wide: Vec<u64> = values.iter().map(|&v| u64::from(v)).collect();
-    u64_array(&wide)
-}
-
-/// Sparse `(bin, value)` pairs, binary layout: varint count, then per
+/// Sparse `(bin, value)` pairs: varint count, then per
 /// pair a zigzag-varint bin delta from the previous bin (routing order
 /// is usually ascending, so deltas stay small, but it is not a format
 /// requirement) and a varint value.
@@ -256,7 +204,7 @@ fn read_pairs(r: &mut WireReader<'_>) -> Result<Vec<(u32, u64)>, WireError> {
     Ok(out)
 }
 
-/// A `u32` id list, binary layout: varint count + zigzag bin deltas.
+/// A `u32` id list: varint count + zigzag bin deltas.
 fn write_u32s(w: &mut WireWriter, values: &[u32]) {
     w.varint(values.len() as u64);
     let mut prev: i64 = 0;
@@ -281,220 +229,8 @@ fn read_u32s(r: &mut WireReader<'_>) -> Result<Vec<u32>, WireError> {
 }
 
 impl Frame {
-    /// Encode in the given format, ready for the wire: binary frames
-    /// are self-delimiting, JSON frames end with `\n`.
-    pub fn encode_wire(&self, format: WireFormat) -> Vec<u8> {
-        match format {
-            WireFormat::Binary => self.encode_binary(),
-            WireFormat::Json => {
-                let mut line = self.encode().into_bytes();
-                line.push(b'\n');
-                line
-            }
-        }
-    }
-
-    /// Encode as a single checksummed JSON line (no trailing newline).
-    pub fn encode(&self) -> String {
-        let body = self.encode_json_body();
-        let sum = wire::fnv1a(body.as_bytes());
-        // Splice the checksum in as the last field: the sum covers the
-        // complete object text *without* it, so the decoder can strip
-        // the fixed-width suffix and verify what remains.
-        format!("{},\"sum\":\"{sum:016x}\"}}", &body[..body.len() - 1])
-    }
-
-    fn encode_json_body(&self) -> String {
-        match self {
-            Frame::Hello(h) => JsonObject::new()
-                .str("t", "hello")
-                .str("mode", &h.mode)
-                .u64("shard", u64::from(h.shard))
-                .u64("shards", u64::from(h.shards))
-                .u64("lo", u64::from(h.lo))
-                .u64("hi", u64::from(h.hi))
-                .u64("n", u64::from(h.n))
-                .u64("m", h.m)
-                .u64("seed", h.seed)
-                .str("workload", &h.workload)
-                .f64("straggle_prob", h.straggle_prob)
-                .u64("straggle_us", h.straggle_us)
-                .u64("fault_seed", h.fault_seed)
-                .finish(),
-            Frame::Ready { shard } => JsonObject::new()
-                .str("t", "ready")
-                .u64("shard", u64::from(*shard))
-                .finish(),
-            Frame::Grants {
-                round,
-                active,
-                placed,
-                counts,
-                crashed,
-            } => JsonObject::new()
-                .str("t", "grants")
-                .u64("round", u64::from(*round))
-                .u64("active", *active)
-                .u64("placed", *placed)
-                .raw("counts", &pairs_array(counts))
-                .raw("crashed", &u32_array(crashed))
-                .finish(),
-            Frame::GrantsOk {
-                round,
-                accept,
-                underloaded,
-                unfilled,
-            } => JsonObject::new()
-                .str("t", "grants_ok")
-                .u64("round", u64::from(*round))
-                .raw("accept", &pairs_array(accept))
-                .u64("underloaded", u64::from(*underloaded))
-                .u64("unfilled", *unfilled)
-                .finish(),
-            Frame::Commit {
-                round,
-                loads,
-                record,
-            } => JsonObject::new()
-                .str("t", "commit")
-                .u64("round", u64::from(*round))
-                .raw("loads", &pairs_array(loads))
-                .raw("record", &encode_record(record))
-                .finish(),
-            Frame::CommitOk { round, sum } => JsonObject::new()
-                .str("t", "commit_ok")
-                .u64("round", u64::from(*round))
-                .u64("sum", *sum)
-                .finish(),
-            Frame::Delta { batch, loads } => JsonObject::new()
-                .str("t", "delta")
-                .u64("batch", *batch)
-                .raw("loads", &pairs_array(loads))
-                .finish(),
-            Frame::DeltaOk { batch, total, max } => JsonObject::new()
-                .str("t", "delta_ok")
-                .u64("batch", *batch)
-                .u64("total", *total)
-                .u64("max", *max)
-                .finish(),
-            Frame::Drain => JsonObject::new().str("t", "drain").finish(),
-            Frame::Loads { loads } => JsonObject::new()
-                .str("t", "loads")
-                .raw("loads", &u64_array(loads))
-                .finish(),
-            Frame::Shutdown => JsonObject::new().str("t", "shutdown").finish(),
-            Frame::Bye { shard } => JsonObject::new()
-                .str("t", "bye")
-                .u64("shard", u64::from(*shard))
-                .finish(),
-            Frame::Error { detail } => JsonObject::new()
-                .str("t", "error")
-                .str("detail", detail)
-                .finish(),
-        }
-    }
-
-    /// Decode one JSON line. The trailing `"sum"` checksum field is
-    /// mandatory and verified before the object is parsed. Errors are
-    /// human-readable descriptions suitable for an `error` frame or a
-    /// transport error.
-    pub fn decode(line: &str) -> Result<Frame, String> {
-        let line = line.trim_end();
-        // `,"sum":"<16 hex>"}` is a fixed-width 26-char suffix.
-        const SUFFIX: usize = 26;
-        let body = if line.len() >= SUFFIX
-            && line.ends_with("\"}")
-            && line.is_char_boundary(line.len() - SUFFIX)
-        {
-            let (head, tail) = line.split_at(line.len() - SUFFIX);
-            let sum = tail
-                .strip_prefix(",\"sum\":\"")
-                .and_then(|t| t.strip_suffix("\"}"))
-                .ok_or_else(|| {
-                    "malformed frame: missing checksum (no trailing sum field)".to_string()
-                })?;
-            let sum = u64::from_str_radix(sum, 16)
-                .map_err(|_| format!("frame checksum is not 16 hex digits: '{sum}'"))?;
-            let body = format!("{head}}}");
-            if wire::fnv1a(body.as_bytes()) != sum {
-                return Err("frame checksum mismatch: bytes corrupted".into());
-            }
-            body
-        } else {
-            return Err("malformed frame: missing checksum (no trailing sum field)".into());
-        };
-        let v = parse(&body).map_err(|e| format!("malformed frame: {e}"))?;
-        Self::from_json(&v)
-    }
-
-    fn from_json(v: &Json) -> Result<Frame, String> {
-        let t = req_str(v, "t")?;
-        Ok(match t.as_str() {
-            "hello" => Frame::Hello(Hello {
-                mode: req_str(v, "mode")?,
-                shard: req_u32(v, "shard")?,
-                shards: req_u32(v, "shards")?,
-                lo: req_u32(v, "lo")?,
-                hi: req_u32(v, "hi")?,
-                n: req_u32(v, "n")?,
-                m: req_u64(v, "m")?,
-                seed: req_u64(v, "seed")?,
-                workload: req_str(v, "workload")?,
-                straggle_prob: req_f64(v, "straggle_prob")?,
-                straggle_us: req_u64(v, "straggle_us")?,
-                fault_seed: req_u64(v, "fault_seed")?,
-            }),
-            "ready" => Frame::Ready {
-                shard: req_u32(v, "shard")?,
-            },
-            "grants" => Frame::Grants {
-                round: req_u32(v, "round")?,
-                active: req_u64(v, "active")?,
-                placed: req_u64(v, "placed")?,
-                counts: req_pairs(v, "counts")?,
-                crashed: req_u32s(v, "crashed")?,
-            },
-            "grants_ok" => Frame::GrantsOk {
-                round: req_u32(v, "round")?,
-                accept: req_pairs(v, "accept")?,
-                underloaded: req_u32(v, "underloaded")?,
-                unfilled: req_u64(v, "unfilled")?,
-            },
-            "commit" => Frame::Commit {
-                round: req_u32(v, "round")?,
-                loads: req_pairs(v, "loads")?,
-                record: decode_record(v.get("record").ok_or("missing key 'record'")?)?,
-            },
-            "commit_ok" => Frame::CommitOk {
-                round: req_u32(v, "round")?,
-                sum: req_u64(v, "sum")?,
-            },
-            "delta" => Frame::Delta {
-                batch: req_u64(v, "batch")?,
-                loads: req_pairs(v, "loads")?,
-            },
-            "delta_ok" => Frame::DeltaOk {
-                batch: req_u64(v, "batch")?,
-                total: req_u64(v, "total")?,
-                max: req_u64(v, "max")?,
-            },
-            "drain" => Frame::Drain,
-            "loads" => Frame::Loads {
-                loads: req_u64s(v, "loads")?,
-            },
-            "shutdown" => Frame::Shutdown,
-            "bye" => Frame::Bye {
-                shard: req_u32(v, "shard")?,
-            },
-            "error" => Frame::Error {
-                detail: req_str(v, "detail")?,
-            },
-            other => return Err(format!("unknown frame type '{other}'")),
-        })
-    }
-
-    /// Encode as one self-delimiting checksummed binary message.
-    pub fn encode_binary(&self) -> Vec<u8> {
+    /// Encode as one self-delimiting checksummed message.
+    pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::unframed();
         let tag = match self {
             Frame::Hello(h) => {
@@ -589,20 +325,20 @@ impl Frame {
         wire::encode_msg(tag, &w.finish())
     }
 
-    /// Decode one complete binary message (envelope included).
-    pub fn decode_binary(bytes: &[u8]) -> Result<Frame, String> {
+    /// Decode one complete message (envelope included).
+    pub fn decode(bytes: &[u8]) -> Result<Frame, String> {
         let (tag, payload) = wire::decode_msg(bytes).map_err(|e| e.to_string())?;
-        Self::from_binary_payload(tag, payload)
+        Self::from_payload(tag, payload)
     }
 
-    fn from_binary_payload(tag: u8, payload: &[u8]) -> Result<Frame, String> {
+    fn from_payload(tag: u8, payload: &[u8]) -> Result<Frame, String> {
         let mut r = WireReader::unframed(payload);
-        let frame = Self::read_binary_fields(tag, &mut r).map_err(|e| e.to_string())?;
+        let frame = Self::read_fields(tag, &mut r).map_err(|e| e.to_string())?;
         r.finish().map_err(|e| format!("frame tag {tag}: {e}"))?;
         Ok(frame)
     }
 
-    fn read_binary_fields(tag: u8, r: &mut WireReader<'_>) -> Result<Frame, WireError> {
+    fn read_fields(tag: u8, r: &mut WireReader<'_>) -> Result<Frame, WireError> {
         Ok(match tag {
             TAG_HELLO => Frame::Hello(Hello {
                 mode: r.str()?.to_owned(),
@@ -696,45 +432,15 @@ impl Frame {
     }
 }
 
-/// Read one frame from a buffered stream, sniffing the codec from the
-/// first byte: `0xB5` starts a binary message, anything else is read as
-/// one JSON line. Returns the frame, the bytes consumed (wire
-/// accounting), and the codec it arrived in; `Ok(None)` on clean EOF at
-/// a frame boundary.
-pub fn read_frame(
-    reader: &mut (impl BufRead + ?Sized),
-) -> Result<Option<(Frame, usize, WireFormat)>, String> {
-    let lead = loop {
-        match reader.fill_buf() {
-            Ok(buf) => break buf.first().copied(),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(format!("transport read failed: {e}")),
-        }
+/// Read one frame from a byte stream. Returns the frame and the bytes
+/// consumed (wire accounting); `Ok(None)` on clean EOF at a frame
+/// boundary.
+pub fn read_frame(reader: &mut (impl Read + ?Sized)) -> Result<Option<(Frame, usize)>, String> {
+    let Some((tag, payload)) = wire::read_msg(reader).map_err(|e| e.to_string())? else {
+        return Ok(None);
     };
-    match lead {
-        None => Ok(None),
-        Some(wire::MSG_MAGIC) => {
-            let (tag, payload) = match wire::read_msg(reader) {
-                Ok(Some(msg)) => msg,
-                Ok(None) => return Ok(None),
-                Err(e) => return Err(e.to_string()),
-            };
-            let bytes = wire::MSG_OVERHEAD + payload.len();
-            let frame = Frame::from_binary_payload(tag, &payload)?;
-            Ok(Some((frame, bytes, WireFormat::Binary)))
-        }
-        Some(_) => {
-            let mut line = String::new();
-            let n = reader
-                .read_line(&mut line)
-                .map_err(|e| format!("transport read failed: {e}"))?;
-            if n == 0 {
-                return Ok(None);
-            }
-            let frame = Frame::decode(&line)?;
-            Ok(Some((frame, n, WireFormat::Json)))
-        }
-    }
+    let frame = Frame::from_payload(tag, &payload)?;
+    Ok(Some((frame, wire::MSG_OVERHEAD + payload.len())))
 }
 
 fn varint_u32(r: &mut WireReader<'_>) -> Result<u32, WireError> {
@@ -742,46 +448,8 @@ fn varint_u32(r: &mut WireReader<'_>) -> Result<u32, WireError> {
     u32::try_from(raw).map_err(|_| WireError::Malformed(format!("value out of u32 range: {raw}")))
 }
 
-/// The round record, flattened into one nested object (drives the
-/// worker's `after_round` replica; every field is below the wire limit).
-fn encode_record(r: &RoundRecord) -> String {
-    JsonObject::new()
-        .u64("round", u64::from(r.round))
-        .u64("active_before", r.active_before)
-        .u64("requests", r.requests)
-        .u64("granted", r.granted)
-        .u64("committed", r.committed)
-        .u64("wasted_grants", r.wasted_grants)
-        .u64("underloaded_bins", u64::from(r.underloaded_bins))
-        .u64("unfilled_want", r.unfilled_want)
-        .u64("max_load", u64::from(r.max_load))
-        .u64("msg_requests", r.messages.requests)
-        .u64("msg_responses", r.messages.responses)
-        .u64("msg_commits", r.messages.commits)
-        .finish()
-}
-
-fn decode_record(v: &Json) -> Result<RoundRecord, String> {
-    Ok(RoundRecord {
-        round: req_u32(v, "round")?,
-        active_before: req_u64(v, "active_before")?,
-        requests: req_u64(v, "requests")?,
-        granted: req_u64(v, "granted")?,
-        committed: req_u64(v, "committed")?,
-        wasted_grants: req_u64(v, "wasted_grants")?,
-        underloaded_bins: req_u32(v, "underloaded_bins")?,
-        unfilled_want: req_u64(v, "unfilled_want")?,
-        max_load: req_u32(v, "max_load")?,
-        messages: MessageStats {
-            requests: req_u64(v, "msg_requests")?,
-            responses: req_u64(v, "msg_responses")?,
-            commits: req_u64(v, "msg_commits")?,
-        },
-    })
-}
-
-/// The round record, binary layout: the same 12 fields as varints in
-/// declaration order.
+/// The round record: its 12 fields as varints in declaration order
+/// (drives the worker's `after_round` replica).
 fn write_record(w: &mut WireWriter, r: &RoundRecord) {
     w.varint(u64::from(r.round));
     w.varint(r.active_before);
@@ -814,63 +482,6 @@ fn read_record(r: &mut WireReader<'_>) -> Result<RoundRecord, WireError> {
             commits: r.varint()?,
         },
     })
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer key '{key}'"))
-}
-
-fn req_u32(v: &Json, key: &str) -> Result<u32, String> {
-    let raw = req_u64(v, key)?;
-    u32::try_from(raw).map_err(|_| format!("key '{key}' out of u32 range: {raw}"))
-}
-
-fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric key '{key}'"))
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string key '{key}'"))
-}
-
-fn req_u64s(v: &Json, key: &str) -> Result<Vec<u64>, String> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing or non-array key '{key}'"))?
-        .iter()
-        .map(|e| {
-            e.as_u64()
-                .ok_or_else(|| format!("non-integer element in '{key}'"))
-        })
-        .collect()
-}
-
-fn req_u32s(v: &Json, key: &str) -> Result<Vec<u32>, String> {
-    req_u64s(v, key)?
-        .into_iter()
-        .map(|raw| u32::try_from(raw).map_err(|_| format!("element of '{key}' out of u32 range")))
-        .collect()
-}
-
-fn req_pairs(v: &Json, key: &str) -> Result<Vec<(u32, u64)>, String> {
-    let flat = req_u64s(v, key)?;
-    if flat.len() % 2 != 0 {
-        return Err(format!("pair array '{key}' has odd length"));
-    }
-    flat.chunks_exact(2)
-        .map(|kv| {
-            let bin =
-                u32::try_from(kv[0]).map_err(|_| format!("bin id in '{key}' out of u32 range"))?;
-            Ok((bin, kv[1]))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -950,73 +561,33 @@ mod tests {
     }
 
     #[test]
-    fn every_frame_roundtrips_on_both_codecs() {
+    fn every_frame_roundtrips() {
         for f in sample_frames() {
-            let line = f.encode();
-            assert!(!line.contains('\n'), "frames must be single lines");
-            let back = Frame::decode(&line).unwrap_or_else(|e| panic!("{e} in {line}"));
-            assert_eq!(f, back, "json codec mangled {}", f.tag());
-
-            let bytes = f.encode_binary();
-            let back = Frame::decode_binary(&bytes)
-                .unwrap_or_else(|e| panic!("{e} decoding binary {}", f.tag()));
-            assert_eq!(f, back, "binary codec mangled {}", f.tag());
+            let back =
+                Frame::decode(&f.encode()).unwrap_or_else(|e| panic!("{e} decoding {}", f.tag()));
+            assert_eq!(f, back, "codec mangled {}", f.tag());
         }
     }
 
     #[test]
-    fn read_frame_sniffs_the_codec_per_frame() {
+    fn read_frame_accounts_every_byte_of_a_stream() {
         let frames = sample_frames();
-        let mut mixed = Vec::new();
-        for (i, f) in frames.iter().enumerate() {
-            let format = if i % 2 == 0 {
-                WireFormat::Binary
-            } else {
-                WireFormat::Json
-            };
-            mixed.extend_from_slice(&f.encode_wire(format));
-        }
-        let mut reader = std::io::BufReader::new(&mixed[..]);
+        let stream: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        let mut reader = std::io::BufReader::new(&stream[..]);
         let mut total = 0usize;
         for (i, want) in frames.iter().enumerate() {
-            let (got, bytes, format) = read_frame(&mut reader)
+            let (got, bytes) = read_frame(&mut reader)
                 .unwrap_or_else(|e| panic!("frame {i}: {e}"))
                 .expect("frame present");
             assert_eq!(&got, want);
-            assert_eq!(
-                format,
-                if i % 2 == 0 {
-                    WireFormat::Binary
-                } else {
-                    WireFormat::Json
-                }
-            );
             total += bytes;
         }
-        assert_eq!(total, mixed.len(), "byte accounting must be exact");
+        assert_eq!(total, stream.len(), "byte accounting must be exact");
         assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF");
     }
 
     #[test]
-    fn binary_is_smaller_than_json_for_wave_frames() {
-        for f in sample_frames() {
-            if matches!(
-                f,
-                Frame::Grants { .. } | Frame::Commit { .. } | Frame::Delta { .. }
-            ) {
-                let json = f.encode_wire(WireFormat::Json).len();
-                let binary = f.encode_wire(WireFormat::Binary).len();
-                assert!(
-                    binary * 3 <= json,
-                    "{}: binary {binary}B not ≥3× smaller than json {json}B",
-                    f.tag()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn full_width_seeds_survive_both_codecs() {
+    fn full_width_seeds_survive_the_wire() {
         let f = Frame::Hello(Hello {
             mode: "stream".into(),
             shard: 0,
@@ -1031,52 +602,17 @@ mod tests {
             straggle_us: 0,
             fault_seed: (1 << 60) + 7,
         });
-        for bytes in [
-            f.encode_wire(WireFormat::Json),
-            f.encode_wire(WireFormat::Binary),
-        ] {
-            let mut reader = std::io::BufReader::new(&bytes[..]);
-            let (got, _, _) = read_frame(&mut reader).unwrap().expect("frame");
-            let Frame::Hello(h) = got else {
-                panic!("wrong frame");
-            };
-            assert_eq!(h.seed, 0xFFFF_FFFF_FFFF_FFFE);
-            assert_eq!(h.fault_seed, (1 << 60) + 7);
-        }
-    }
-
-    #[test]
-    fn malformed_frames_are_described() {
-        assert!(Frame::decode("not json").unwrap_err().contains("checksum"));
-        assert!(Frame::decode("{\"x\":1}").unwrap_err().contains("checksum"));
-        // With a valid checksum spliced on, content errors surface.
-        let stamp = |body: &str| {
-            let sum = wire::fnv1a(body.as_bytes());
-            format!("{},\"sum\":\"{sum:016x}\"}}", &body[..body.len() - 1])
+        let bytes = f.encode();
+        let (got, _) = read_frame(&mut &bytes[..]).unwrap().expect("frame");
+        let Frame::Hello(h) = got else {
+            panic!("wrong frame");
         };
-        assert!(Frame::decode(&stamp("{\"x\":1}"))
-            .unwrap_err()
-            .contains("'t'"));
-        assert!(Frame::decode(&stamp("{\"t\":\"warp\"}"))
-            .unwrap_err()
-            .contains("unknown frame type"));
-        assert!(Frame::decode(&stamp("{\"t\":\"ready\"}"))
-            .unwrap_err()
-            .contains("shard"));
-        assert!(Frame::decode(&stamp(
-            "{\"t\":\"grants_ok\",\"round\":1,\"accept\":[1],\"underloaded\":0,\"unfilled\":0}"
-        ))
-        .unwrap_err()
-        .contains("odd length"));
-        // Tampering with a checksummed line is caught by the sum, not
-        // the parser.
-        let good = Frame::CommitOk { round: 2, sum: 980 }.encode();
-        let tampered = good.replace("980", "981");
-        assert!(Frame::decode(&tampered).unwrap_err().contains("checksum"));
+        assert_eq!(h.seed, 0xFFFF_FFFF_FFFF_FFFE);
+        assert_eq!(h.fault_seed, (1 << 60) + 7);
     }
 
     #[test]
-    fn binary_frame_corruption_is_always_rejected() {
+    fn frame_corruption_is_always_rejected() {
         let good = Frame::Grants {
             round: 3,
             active: 64,
@@ -1084,20 +620,20 @@ mod tests {
             counts: vec![(5, 2), (9, 1)],
             crashed: vec![],
         }
-        .encode_binary();
+        .encode();
         for byte in 0..good.len() {
             for bit in 0..8 {
                 let mut bad = good.clone();
                 bad[byte] ^= 1 << bit;
                 assert!(
-                    Frame::decode_binary(&bad).is_err(),
+                    Frame::decode(&bad).is_err(),
                     "flip of byte {byte} bit {bit} went undetected"
                 );
             }
         }
         for len in 0..good.len() {
             assert!(
-                Frame::decode_binary(&good[..len]).is_err(),
+                Frame::decode(&good[..len]).is_err(),
                 "truncation to {len} went undetected"
             );
         }

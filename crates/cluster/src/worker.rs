@@ -11,14 +11,10 @@
 //!
 //! Errors are fail-fast: any malformed or out-of-order frame gets an
 //! `error` frame in reply and the worker exits nonzero (its caller maps
-//! `Err` to a nonzero process exit).
-//!
-//! The worker never needs to be told which codec the orchestrator
-//! speaks: every read sniffs the frame's lead byte (binary messages
-//! start with `0xB5`, JSON lines with `{`), and replies are pinned to
-//! the codec the `hello` frame arrived in.
+//! `Err` to a nonzero process exit). A peer that is not speaking the
+//! binary frame format at all is named by its lead byte in that error.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Read, Write};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
 
@@ -29,34 +25,21 @@ use pba_core::{ProblemSpec, RoundProtocol};
 use pba_protocols::{visit_protocol, ProtocolVisitor};
 
 use crate::transport::is_unix_addr;
-use crate::wire::{read_frame as sniff_frame, Frame, Hello, WireFormat};
+use crate::wire::{self, Frame, Hello};
 
 /// Serve one orchestrator connection until `shutdown` (or an error).
 ///
 /// On error the detail has already been written to `writer` as an
 /// `error` frame (best effort); the caller should exit nonzero.
-pub fn serve(mut reader: impl BufRead, mut writer: impl Write) -> Result<(), String> {
-    // Until a frame arrives, error replies use the JSON compat codec —
-    // garbage input is more likely to come from something line-shaped.
-    let mut wire = WireFormat::Json;
+pub fn serve(mut reader: impl Read, mut writer: impl Write) -> Result<(), String> {
     let hello = match read_frame(&mut reader) {
-        Ok((Frame::Hello(h), f)) => {
-            wire = f;
-            h
-        }
-        Ok((other, f)) => {
-            return fail(
-                &mut writer,
-                f,
-                format!("expected hello, got {}", other.tag()),
-            )
-        }
-        Err(e) => return fail(&mut writer, wire, e),
+        Ok(Frame::Hello(h)) => h,
+        Ok(other) => return fail(&mut writer, format!("expected hello, got {}", other.tag())),
+        Err(e) => return fail(&mut writer, e),
     };
     if hello.lo > hello.hi || hello.hi > hello.n {
         return fail(
             &mut writer,
-            wire,
             format!(
                 "bad shard range [{}, {}) of {}",
                 hello.lo, hello.hi, hello.n
@@ -67,26 +50,25 @@ pub fn serve(mut reader: impl BufRead, mut writer: impl Write) -> Result<(), Str
         "engine" => {
             let spec = match ProblemSpec::new(hello.m, hello.n) {
                 Ok(s) => s,
-                Err(e) => return fail(&mut writer, wire, format!("bad spec: {e}")),
+                Err(e) => return fail(&mut writer, format!("bad spec: {e}")),
             };
             let v = EngineWorker {
                 reader: &mut reader,
                 writer: &mut writer,
                 hello: &hello,
                 spec,
-                wire,
             };
             match visit_protocol(&hello.workload, spec, v) {
                 Some(r) => r,
                 None => Err(format!("unknown protocol '{}'", hello.workload)),
             }
         }
-        "stream" => serve_stream(&mut reader, &mut writer, &hello, wire),
+        "stream" => serve_stream(&mut reader, &mut writer, &hello),
         other => Err(format!("unknown mode '{other}'")),
     };
     match outcome {
         Ok(()) => Ok(()),
-        Err(e) => fail(&mut writer, wire, e),
+        Err(e) => fail(&mut writer, e),
     }
 }
 
@@ -140,25 +122,25 @@ pub fn serve_listen(addr: &str) -> Result<(), String> {
     }
 }
 
-fn fail(writer: &mut impl Write, wire: WireFormat, detail: String) -> Result<(), String> {
+fn fail(writer: &mut impl Write, detail: String) -> Result<(), String> {
     let frame = Frame::Error {
         detail: detail.clone(),
     };
-    let _ = writer.write_all(&frame.encode_wire(wire));
+    let _ = writer.write_all(&frame.encode());
     let _ = writer.flush();
     Err(detail)
 }
 
-fn read_frame(reader: &mut impl BufRead) -> Result<(Frame, WireFormat), String> {
-    match sniff_frame(reader)? {
-        Some((frame, _, format)) => Ok((frame, format)),
+fn read_frame(reader: &mut impl Read) -> Result<Frame, String> {
+    match wire::read_frame(reader)? {
+        Some((frame, _)) => Ok(frame),
         None => Err("orchestrator closed the pipe (EOF)".into()),
     }
 }
 
-fn send_frame(writer: &mut impl Write, frame: &Frame, wire: WireFormat) -> Result<(), String> {
+fn send_frame(writer: &mut impl Write, frame: &Frame) -> Result<(), String> {
     writer
-        .write_all(&frame.encode_wire(wire))
+        .write_all(&frame.encode())
         .and_then(|()| writer.flush())
         .map_err(|e| format!("write failed: {e}"))
 }
@@ -188,10 +170,9 @@ struct EngineWorker<'a, R, W> {
     writer: &'a mut W,
     hello: &'a Hello,
     spec: ProblemSpec,
-    wire: WireFormat,
 }
 
-impl<R: BufRead, W: Write> ProtocolVisitor for EngineWorker<'_, R, W> {
+impl<R: Read, W: Write> ProtocolVisitor for EngineWorker<'_, R, W> {
     type Output = Result<(), String>;
 
     fn visit<P: RoundProtocol + 'static>(self, mut protocol: P) -> Self::Output {
@@ -200,7 +181,6 @@ impl<R: BufRead, W: Write> ProtocolVisitor for EngineWorker<'_, R, W> {
             writer,
             hello,
             spec,
-            wire,
         } = self;
         let len = (hello.hi - hello.lo) as usize;
         let lo = hello.lo;
@@ -210,9 +190,9 @@ impl<R: BufRead, W: Write> ProtocolVisitor for EngineWorker<'_, R, W> {
         // Context of the round whose grants we answered last; `commit`
         // replays `after_round` against it.
         let mut open_round: Option<RoundContext> = None;
-        send_frame(writer, &Frame::Ready { shard: hello.shard }, wire)?;
+        send_frame(writer, &Frame::Ready { shard: hello.shard })?;
         loop {
-            match read_frame(reader)?.0 {
+            match read_frame(reader)? {
                 Frame::Grants {
                     round,
                     active,
@@ -254,7 +234,6 @@ impl<R: BufRead, W: Write> ProtocolVisitor for EngineWorker<'_, R, W> {
                             underloaded,
                             unfilled,
                         },
-                        wire,
                     )?;
                 }
                 Frame::Commit {
@@ -283,14 +262,14 @@ impl<R: BufRead, W: Write> ProtocolVisitor for EngineWorker<'_, R, W> {
                     // decision to make.
                     let _ = protocol.after_round(&ctx, &record);
                     let sum: u64 = loads.iter().map(|&l| u64::from(l)).sum();
-                    send_frame(writer, &Frame::CommitOk { round, sum }, wire)?;
+                    send_frame(writer, &Frame::CommitOk { round, sum })?;
                 }
                 Frame::Drain => {
                     let dense: Vec<u64> = loads.iter().map(|&l| u64::from(l)).collect();
-                    send_frame(writer, &Frame::Loads { loads: dense }, wire)?;
+                    send_frame(writer, &Frame::Loads { loads: dense })?;
                 }
                 Frame::Shutdown => {
-                    send_frame(writer, &Frame::Bye { shard: hello.shard }, wire)?;
+                    send_frame(writer, &Frame::Bye { shard: hello.shard })?;
                     return Ok(());
                 }
                 other => {
@@ -304,17 +283,16 @@ impl<R: BufRead, W: Write> ProtocolVisitor for EngineWorker<'_, R, W> {
 /// Stream-mode loop: the worker is pure bin state — it applies absolute
 /// load updates for its range and answers with verification totals.
 fn serve_stream(
-    reader: &mut impl BufRead,
+    reader: &mut impl Read,
     writer: &mut impl Write,
     hello: &Hello,
-    wire: WireFormat,
 ) -> Result<(), String> {
     let len = (hello.hi - hello.lo) as usize;
     let lo = hello.lo;
     let mut loads = vec![0u64; len];
-    send_frame(writer, &Frame::Ready { shard: hello.shard }, wire)?;
+    send_frame(writer, &Frame::Ready { shard: hello.shard })?;
     loop {
-        match read_frame(reader)?.0 {
+        match read_frame(reader)? {
             Frame::Delta {
                 batch,
                 loads: pairs,
@@ -328,7 +306,7 @@ fn serve_stream(
                 maybe_straggle(hello, batch);
                 let total: u64 = loads.iter().sum();
                 let max: u64 = loads.iter().copied().max().unwrap_or(0);
-                send_frame(writer, &Frame::DeltaOk { batch, total, max }, wire)?;
+                send_frame(writer, &Frame::DeltaOk { batch, total, max })?;
             }
             Frame::Drain => {
                 send_frame(
@@ -336,11 +314,10 @@ fn serve_stream(
                     &Frame::Loads {
                         loads: loads.clone(),
                     },
-                    wire,
                 )?;
             }
             Frame::Shutdown => {
-                send_frame(writer, &Frame::Bye { shard: hello.shard }, wire)?;
+                send_frame(writer, &Frame::Bye { shard: hello.shard })?;
                 return Ok(());
             }
             other => {
@@ -358,18 +335,22 @@ fn in_range(bin: u32, lo: u32, len: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn run_lines(lines: &[String]) -> (Result<(), String>, Vec<Frame>) {
-        let input = lines.join("\n") + "\n";
+    /// Serve `input` and decode every frame the worker wrote back.
+    fn run_bytes(input: &[u8]) -> (Result<(), String>, Vec<Frame>) {
         let mut out: Vec<u8> = Vec::new();
-        let r = serve(BufReader::new(input.as_bytes()), &mut out);
-        let frames = String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .map(|l| Frame::decode(l).unwrap())
-            .collect();
+        let r = serve(input, &mut out);
+        let mut reader = &out[..];
+        let mut frames = Vec::new();
+        while let Some((frame, _)) = wire::read_frame(&mut reader).unwrap() {
+            frames.push(frame);
+        }
         (r, frames)
+    }
+
+    fn run_frames(frames: &[Frame]) -> (Result<(), String>, Vec<Frame>) {
+        let input: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        run_bytes(&input)
     }
 
     fn hello(mode: &str) -> Hello {
@@ -395,25 +376,32 @@ mod tests {
 
     #[test]
     fn garbage_first_frame_yields_error_and_err() {
-        let (r, frames) = run_lines(&["this is not a frame".into()]);
-        assert!(r.is_err());
-        assert!(matches!(&frames[..], [Frame::Error { detail }]
-            if detail.contains("malformed")));
+        // A line-delimited JSON hello (the retired text dialect) and plain
+        // line garbage are both refused by their lead byte, with the
+        // diagnosis in a binary error frame.
+        let json_hello = b"{\"t\":\"hello\",\"mode\":\"engine\",\"shard\":0}\n";
+        for (input, lead) in [
+            (&json_hello[..], "0x7b"),
+            (b"this is not a frame\n", "0x74"),
+        ] {
+            let (r, frames) = run_bytes(input);
+            assert!(r.unwrap_err().contains(lead));
+            assert!(matches!(&frames[..], [Frame::Error { detail }]
+                if detail.contains(&format!("lead byte {lead}"))));
+        }
     }
 
     #[test]
     fn stream_worker_applies_deltas_and_drains() {
-        let lines = vec![
-            Frame::Hello(hello("stream")).encode(),
+        let (r, frames) = run_frames(&[
+            Frame::Hello(hello("stream")),
             Frame::Delta {
                 batch: 0,
                 loads: vec![(1, 5), (7, 2)],
-            }
-            .encode(),
-            Frame::Drain.encode(),
-            Frame::Shutdown.encode(),
-        ];
-        let (r, frames) = run_lines(&lines);
+            },
+            Frame::Drain,
+            Frame::Shutdown,
+        ]);
         assert!(r.is_ok(), "{r:?}");
         assert_eq!(frames[0], Frame::Ready { shard: 0 });
         assert_eq!(
@@ -437,18 +425,16 @@ mod tests {
     fn engine_worker_rejects_out_of_range_bins() {
         let mut h = hello("engine");
         h.hi = 4; // shard owns [0, 4) of 8 bins
-        let lines = vec![
-            Frame::Hello(h).encode(),
+        let (r, frames) = run_frames(&[
+            Frame::Hello(h),
             Frame::Grants {
                 round: 0,
                 active: 64,
                 placed: 0,
                 counts: vec![(6, 3)],
                 crashed: vec![],
-            }
-            .encode(),
-        ];
-        let (r, frames) = run_lines(&lines);
+            },
+        ]);
         assert!(r.unwrap_err().contains("outside shard range"));
         assert!(matches!(frames.last(), Some(Frame::Error { .. })));
     }
@@ -457,7 +443,7 @@ mod tests {
     fn unknown_protocol_is_an_error_frame() {
         let mut h = hello("engine");
         h.workload = "nope".into();
-        let (r, frames) = run_lines(&[Frame::Hello(h).encode()]);
+        let (r, frames) = run_frames(&[Frame::Hello(h)]);
         assert!(r.unwrap_err().contains("unknown protocol"));
         assert!(matches!(&frames[..], [Frame::Error { .. }]));
     }

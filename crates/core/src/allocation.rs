@@ -8,7 +8,6 @@ use crate::model::ProblemSpec;
 /// The load vector is always present. The per-ball assignment is optional
 /// (it costs `O(m)` memory and is only needed when a caller wants to route
 /// actual items, e.g. the DHT example).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone)]
 pub struct Allocation {
     spec: ProblemSpec,

@@ -568,7 +568,7 @@ mod tests {
             tracking,
             track_assignment,
             None,
-            Tuning::legacy(),
+            Tuning::Fixed(ChunkPlan::default()),
             true,
         )
     }
@@ -694,7 +694,7 @@ mod tests {
             }
             (state.loads.clone(), round)
         };
-        let base = run(Tuning::legacy(), false);
+        let base = run(Tuning::Fixed(ChunkPlan::default()), false);
         assert_eq!(base, run(tuned, true), "tuned parallel diverged");
         assert_eq!(base, run(tuned, false), "tuned serial diverged");
     }

@@ -90,10 +90,6 @@ pub struct ChunkPlan {
     pub par_cutoff: usize,
 }
 
-/// Legacy name for [`ChunkPlan`], kept so downstream code and older
-/// call sites keep compiling.
-pub type ExecTuning = ChunkPlan;
-
 impl Default for ChunkPlan {
     fn default() -> Self {
         Self {
@@ -127,12 +123,6 @@ impl Tuning {
             min_chunk: min_chunk.max(1),
             par_cutoff,
         })
-    }
-
-    /// The engine's historical compile-time defaults (16 Ki / 64 Ki),
-    /// as a pinned plan.
-    pub fn legacy() -> Self {
-        Tuning::Fixed(ChunkPlan::default())
     }
 
     /// The auto plan for a round-kernel pass over `work` items on
@@ -712,11 +702,14 @@ mod tests {
 
     #[test]
     fn tuning_defaults_match_constants() {
-        let t = ExecTuning::default();
+        let t = ChunkPlan::default();
         assert_eq!(t.min_chunk, DEFAULT_MIN_CHUNK);
         assert_eq!(t.par_cutoff, DEFAULT_PAR_CUTOFF);
         assert_eq!(Tuning::default(), Tuning::Auto);
-        assert_eq!(Tuning::legacy().plan(1 << 30, 8), ChunkPlan::default());
+        assert_eq!(
+            Tuning::Fixed(ChunkPlan::default()).plan(1 << 30, 8),
+            ChunkPlan::default()
+        );
     }
 
     #[test]

@@ -1,22 +1,20 @@
 //! Minimal hand-rolled JSON: emission *and* parsing.
 //!
-//! The default workspace builds with **zero external dependencies** (no
-//! serde), so every machine-readable artifact — the `--trace` JSONL
-//! stream, the `pba-run bench` `BENCH_*.json` files, `pba-run verify
-//! --json`, and the cluster wire protocol (`pba-cluster`) — goes through
-//! this one escaping/formatting/parsing module. The emission half
-//! ([`escape`], [`number`], [`JsonObject`], [`u64_array`]) grew up in
-//! `crates/runner`; the recursive-descent parser ([`parse`], [`Json`])
-//! was promoted out of the trace round-trip test when the wire codec
-//! needed to *read* frames, not just write them.
+//! The workspace builds with **zero external dependencies** (no serde),
+//! so every machine-readable artifact — the `--trace` JSONL stream, the
+//! `pba-run bench` `BENCH_*.json` files and `pba-run verify --json` —
+//! goes through this one escaping/formatting module ([`escape`],
+//! [`number`], [`JsonObject`], [`u64_array`]). The recursive-descent
+//! parser ([`parse`], [`Json`]) reads those artifacts back, as the trace
+//! round-trip test does.
 //!
 //! ## Number fidelity
 //!
 //! Unsigned integer tokens (all digits, no sign/fraction/exponent) are
 //! stored as [`Json::UInt`] and round-trip exactly across the full
-//! `u64` range — seeds ride the wire natively, with no decimal-string
-//! workaround. Every other numeric token falls back to `f64`
-//! ([`Json::Num`]), where integers are exact only up to 2^53.
+//! `u64` range — seeds survive with no decimal-string workaround. Every
+//! other numeric token falls back to `f64` ([`Json::Num`]), where
+//! integers are exact only up to 2^53.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -175,19 +173,6 @@ impl Json {
         match self {
             Json::Num(x) => Some(*x),
             Json::UInt(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// The number as a `u64`. [`UInt`](Json::UInt) tokens are exact over
-    /// the full range; an `f64` qualifies only when it is a
-    /// non-negative integer small enough to be exact (≤ 2^53).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::UInt(v) => Some(*v),
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 9_007_199_254_740_992.0 => {
-                Some(*x as u64)
-            }
             _ => None,
         }
     }
@@ -406,7 +391,7 @@ mod tests {
             .finish();
         let v = parse(&s).unwrap();
         assert_eq!(v.get("t").unwrap().as_str(), Some("hello\nworld"));
-        assert_eq!(v.get("n").unwrap().as_u64(), Some(42));
+        assert_eq!(v.get("n"), Some(&Json::UInt(42)));
         assert_eq!(v.get("x").unwrap().as_f64(), Some(-0.5));
         assert_eq!(v.get("flag"), Some(&Json::Bool(true)));
         assert_eq!(v.get("nil"), Some(&Json::Null));
@@ -436,24 +421,17 @@ mod tests {
     }
 
     #[test]
-    fn u64_accessor_guards_fidelity() {
-        assert_eq!(parse("42").unwrap().as_u64(), Some(42));
-        assert_eq!(parse("-1").unwrap().as_u64(), None);
-        assert_eq!(parse("1.5").unwrap().as_u64(), None);
-        assert_eq!(
-            parse("9007199254740992").unwrap().as_u64(),
-            Some(9_007_199_254_740_992)
-        );
+    fn unsigned_tokens_keep_full_u64_fidelity() {
+        assert_eq!(parse("42").unwrap(), Json::UInt(42));
+        assert_eq!(parse("-1").unwrap(), Json::Num(-1.0));
+        assert_eq!(parse("1.5").unwrap(), Json::Num(1.5));
         // Above 2^53 an f64 would drift; the UInt variant keeps every
         // bit, all the way to u64::MAX.
         assert_eq!(
-            parse("9007199254740993").unwrap().as_u64(),
-            Some(9_007_199_254_740_993)
+            parse("9007199254740993").unwrap(),
+            Json::UInt(9_007_199_254_740_993)
         );
-        assert_eq!(
-            parse("18446744073709551615").unwrap().as_u64(),
-            Some(u64::MAX)
-        );
+        assert_eq!(parse("18446744073709551615").unwrap(), Json::UInt(u64::MAX));
         // But a float-shaped token stays a float even when integral.
         assert_eq!(parse("4.0").unwrap(), Json::Num(4.0));
         assert_eq!(parse("1e3").unwrap(), Json::Num(1000.0));

@@ -36,11 +36,10 @@
 //! * [`binstate`] — the [`BinState`] load-accounting trait shared by the
 //!   one-shot engine and the streaming allocator (`pba-stream`).
 //! * [`json`] — the zero-dependency JSON emitter + parser behind the
-//!   runner's JSONL traces and the cluster wire protocol.
+//!   runner's JSONL traces, bench reports and `verify --json`.
 //! * [`wire`] — the hand-rolled binary wire toolkit (little-endian
 //!   primitives, LEB128 varints, FNV-1a-checksummed frames) shared by
-//!   snapshots, the cluster shard protocol, and the socket ingest path;
-//!   usable without the `serde` feature.
+//!   snapshots, the cluster shard protocol, and the socket ingest path.
 //! * [`snapshot`] — allocator checkpoint/restore framing for the
 //!   service facade, a thin façade over [`wire`].
 //! * [`load`], [`messages`], [`allocation`], [`trace`] — statistics and
@@ -76,7 +75,7 @@ pub use allocation::Allocation;
 pub use binstate::BinState;
 pub use delegate::GrantDelegate;
 pub use error::{CoreError, Result};
-pub use exec::{Backend, ChunkPlan, ExecTuning, Tuning, DEFAULT_MIN_CHUNK, DEFAULT_PAR_CUTOFF};
+pub use exec::{Backend, ChunkPlan, Tuning, DEFAULT_MIN_CHUNK, DEFAULT_PAR_CUTOFF};
 pub use faults::{FaultPlan, FaultRecord, FaultStats, StragglerSpec};
 pub use load::LoadStats;
 pub use messages::{MessageStats, MessageTracking};

@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 /// between the maximum load and the optimum `⌈m/n⌉`. The naive single-choice
 /// allocation has gap `Θ(√((m/n)·log n))` for `m ≥ n log n`; the protocols
 /// reproduced here push it to `O(1)`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadStats {
     max: u32,

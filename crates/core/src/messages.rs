@@ -14,7 +14,6 @@
 //! and are opt-in via [`MessageTracking::Full`].
 
 /// Granularity of message accounting.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MessageTracking {
     /// Only workspace-wide totals.
@@ -27,7 +26,6 @@ pub enum MessageTracking {
 }
 
 /// Aggregate message totals for a run.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MessageStats {
     /// Ball → bin allocation requests.

@@ -23,7 +23,6 @@ pub const MAX_BINS: u64 = u32::MAX as u64;
 /// assert_eq!(spec.ceil_avg(), 1000);
 /// assert!(spec.is_heavily_loaded());
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProblemSpec {
     m: u64,

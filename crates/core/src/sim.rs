@@ -21,7 +21,6 @@ use crate::protocol::{Flow, RoundProtocol};
 use crate::trace::{RoundRecord, RunTrace};
 
 /// Which executor runs the rounds.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
     /// One thread, bit-for-bit deterministic given the seed.
@@ -204,9 +203,9 @@ impl RunConfig {
     /// Set the chunk-geometry policy. [`Tuning::Auto`] (the default)
     /// derives the chunk plan per round from the live work size and lane
     /// count; [`Tuning::fixed`] pins `min_chunk`/`par_cutoff` for the
-    /// whole run; [`Tuning::legacy`] reproduces the historical constants
-    /// (16 Ki / 64 Ki). Results are bit-identical for every setting —
-    /// only scheduling granularity changes.
+    /// whole run; `Tuning::Fixed(ChunkPlan::default())` reproduces the
+    /// historical constants (16 Ki / 64 Ki). Results are bit-identical
+    /// for every setting — only scheduling granularity changes.
     pub fn with_tuning(mut self, tuning: Tuning) -> Self {
         self.tuning = tuning;
         self

@@ -3,9 +3,8 @@
 //! The service facade (`pba-run serve`) checkpoints a live
 //! `StreamAllocator` to bytes and restores it later — possibly in a
 //! different process. The workspace builds with **zero** external
-//! dependencies by default (the vendored `serde` is a no-op stub behind a
-//! default-off feature), so the snapshot format is encoded by hand on
-//! the shared [`wire`](crate::wire) toolkit:
+//! dependencies, so the snapshot format is encoded by hand on the shared
+//! [`wire`](crate::wire) toolkit:
 //!
 //! * little-endian fixed-width integers (`u8`/`u32`/`u64`) and `f64` as
 //!   its IEEE-754 bit pattern — bit-exact round-trips, which the

@@ -9,7 +9,6 @@
 use crate::messages::MessageStats;
 
 /// What happened in one synchronous round.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoundRecord {
     /// Round index (0-based).
@@ -37,7 +36,6 @@ pub struct RoundRecord {
 }
 
 /// The full per-round history of a run.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Default)]
 pub struct RunTrace {
     records: Vec<RoundRecord>,

@@ -12,9 +12,7 @@
 //!   its IEEE-754 bit pattern — bit-exact round-trips, which every
 //!   determinism argument in this workspace depends on;
 //! * LEB128 [varints](WireWriter::varint) and zigzag-signed
-//!   [deltas](WireWriter::varint_signed) for sparse id/load lists, the
-//!   reason binary frames are several times smaller than the JSON
-//!   debug path;
+//!   [deltas](WireWriter::varint_signed) for sparse id/load lists;
 //! * length-prefixed byte strings (UTF-8 validated on read for
 //!   [`str`](WireReader::str));
 //! * two envelope flavors: the snapshot file frame (4-byte magic +
@@ -25,10 +23,9 @@
 //!   it). Either way a truncated or corrupted frame fails loudly with
 //!   a [`WireError`] instead of decoding into a silently wrong value.
 //!
-//! The message-frame magic `0xB5` is deliberately not valid ASCII and
-//! in particular not `b'{'`: a reader can sniff the first byte of a
-//! connection and fall back to the line-delimited JSON compat codec
-//! when a peer speaks the old dialect.
+//! The message-frame magic `0xB5` is deliberately not valid ASCII, so a
+//! text peer (a JSON line, a stray shell `echo`) is refused at its first
+//! byte with [`WireError::BadFrameMagic`] naming the byte it sent.
 
 use std::fmt;
 use std::io::Read;
@@ -138,7 +135,7 @@ pub fn unzigzag(v: u64) -> i64 {
 }
 
 /// Lead byte of every binary message frame. Chosen outside ASCII so a
-/// reader can distinguish binary frames from `{`-led JSON lines.
+/// text peer is refused at its first byte.
 pub const MSG_MAGIC: u8 = 0xB5;
 
 /// Sanity cap on a message frame's payload length (64 MiB). A corrupt
@@ -202,25 +199,24 @@ pub fn decode_msg(bytes: &[u8]) -> Result<(u8, &[u8]), WireError> {
     Ok((tag, &body[HEADER..]))
 }
 
-/// Read one message frame from a byte stream after the caller has
-/// already committed to the binary dialect (it peeked [`MSG_MAGIC`], or
-/// the protocol is binary-only). Returns `Ok(None)` on a clean EOF
-/// *before* the first byte; EOF anywhere inside a frame is
-/// [`WireError::Truncated`].
+/// Read one message frame from a byte stream. Returns `Ok(None)` on a
+/// clean EOF *before* the first byte. A first byte other than
+/// [`MSG_MAGIC`] is [`WireError::BadFrameMagic`]; EOF anywhere inside a
+/// frame is [`WireError::Truncated`], counting the bytes that did arrive.
 pub fn read_msg<R: Read + ?Sized>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
     let mut header = [0u8; 6];
-    match read_exact_or_eof(r, &mut header)? {
-        Filled::Eof => return Ok(None),
-        Filled::Partial(got) => {
-            return Err(WireError::Truncated {
-                wanted: 6,
-                left: got,
-            })
-        }
-        Filled::Full => {}
+    let got = read_up_to(r, &mut header)?;
+    if got == 0 {
+        return Ok(None);
     }
     if header[0] != MSG_MAGIC {
         return Err(WireError::BadFrameMagic { found: header[0] });
+    }
+    if got < header.len() {
+        return Err(WireError::Truncated {
+            wanted: header.len(),
+            left: got,
+        });
     }
     let tag = header[1];
     let len = u32::from_le_bytes(header[2..6].try_into().expect("4 bytes"));
@@ -231,14 +227,12 @@ pub fn read_msg<R: Read + ?Sized>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, Wi
         });
     }
     let mut rest = vec![0u8; len as usize + 8];
-    match read_exact_or_eof(r, &mut rest)? {
-        Filled::Full => {}
-        Filled::Eof | Filled::Partial(_) => {
-            return Err(WireError::Truncated {
-                wanted: len as usize + 8,
-                left: 0,
-            })
-        }
+    let got = read_up_to(r, &mut rest)?;
+    if got < rest.len() {
+        return Err(WireError::Truncated {
+            wanted: rest.len(),
+            left: got,
+        });
     }
     let (payload, sum_bytes) = rest.split_at(len as usize);
     let sum = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
@@ -255,24 +249,19 @@ pub fn read_msg<R: Read + ?Sized>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, Wi
     Ok(Some((tag, out)))
 }
 
-enum Filled {
-    Full,
-    Eof,
-    Partial(usize),
-}
-
-fn read_exact_or_eof<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> Result<Filled, WireError> {
+/// Fill `buf` from `r` until it is full or the stream ends; returns the
+/// bytes read.
+fn read_up_to<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> Result<usize, WireError> {
     let mut got = 0;
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
-            Ok(0) if got == 0 => return Ok(Filled::Eof),
-            Ok(0) => return Ok(Filled::Partial(got)),
+            Ok(0) => break,
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(WireError::Io(e.to_string())),
         }
     }
-    Ok(Filled::Full)
+    Ok(got)
 }
 
 /// Push-style binary encoder.
@@ -642,6 +631,22 @@ mod tests {
     }
 
     #[test]
+    fn msg_truncated_body_reports_the_bytes_that_arrived() {
+        let good = encode_msg(3, b"the quick brown fox");
+        let body = good.len() - 6;
+        for arrived in [1, 5, body - 1] {
+            let mut cursor = std::io::Cursor::new(good[..6 + arrived].to_vec());
+            assert_eq!(
+                read_msg(&mut cursor),
+                Err(WireError::Truncated {
+                    wanted: body,
+                    left: arrived
+                })
+            );
+        }
+    }
+
+    #[test]
     fn msg_wrong_lead_byte_is_diagnosed() {
         let mut bad = encode_msg(1, b"x");
         bad[0] = b'{';
@@ -649,5 +654,14 @@ mod tests {
             decode_msg(&bad),
             Err(WireError::BadFrameMagic { found: b'{' })
         );
+        // A stream names the byte even when the garbage is shorter than
+        // a frame header.
+        for garbage in [&bad[..], b"{}\n", b"x"] {
+            let mut cursor = std::io::Cursor::new(garbage.to_vec());
+            assert_eq!(
+                read_msg(&mut cursor),
+                Err(WireError::BadFrameMagic { found: garbage[0] })
+            );
+        }
     }
 }

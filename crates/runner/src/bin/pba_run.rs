@@ -21,10 +21,11 @@ use std::sync::Arc;
 
 use pba_cluster::ClusterConfig;
 use pba_conformance::{Claim, VerifyOptions, VerifyScale};
+use pba_core::json::{escape as json_escape, u64_array, JsonObject};
 use pba_core::metrics::{EngineMetrics, FanoutSink, MetricsSink, Phase};
-use pba_core::{ExecutorKind, ProblemSpec, RunConfig, Tuning};
+use pba_core::{ExecutorKind, FaultPlan, ProblemSpec, RunConfig, Tuning};
 use pba_protocols::{protocol_names, run_by_name};
-use pba_runner::json::{escape as json_escape, executor_str, u64_array, JsonObject};
+use pba_runner::json::executor_str;
 use pba_runner::{
     all_experiments, describe_fault_plan, experiment_by_id, parse_fault_spec, JsonlTrace,
     RunOptions, Scale, Table,
@@ -68,12 +69,12 @@ const USAGE: &str = "usage:
   pba-run serve --send ADDR [--policy P] [--n N] [--batch B | Kn] [--batches K]
                  [--workload W] [--churn F] [--seed S]
   pba-run cluster protocol <name> --m M --n N [--shards S] [--seed S]
-                 [--local | --socket | --connect A1,A2,…] [--wire binary|json]
-                 [--no-overlap] [--faults SPEC] [--trace FILE.jsonl]
+                 [--local | --socket | --connect A1,A2,…] [--faults SPEC]
+                 [--trace FILE.jsonl]
   pba-run cluster stream [--policy P] [--n N] [--batch B | Kn] [--batches K]
                  [--workload W] [--churn F] [--shards S] [--seed S] [--kill S@B]
-                 [--local | --socket | --connect A1,A2,…] [--wire binary|json]
-                 [--no-overlap] [--faults SPEC] [--trace FILE.jsonl]
+                 [--local | --socket | --connect A1,A2,…] [--faults SPEC]
+                 [--trace FILE.jsonl]
   pba-run shard-worker [--listen ADDR]   (internal: spawned per shard by
                  `cluster`; --listen serves one orchestrator over TCP/UDS)
   pba-run bench [--tier small|medium|large|xl | --scale smoke|default|full]
@@ -104,11 +105,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "all" => {
             let flags = RunFlags::parse(&args[1..])?;
-            let trace = flags.open_trace()?;
+            let trace = Trace::open(flags.trace.clone())?;
             for e in all_experiments() {
-                run_experiment(e.as_ref(), &flags, trace.clone())?;
+                run_experiment(e.as_ref(), &flags, trace.jsonl.clone())?;
             }
-            flush_trace(trace).map(done)
+            trace.flush().map(done)
         }
         "protocol" => run_protocol(&args[1..]).map(done),
         "stream" => run_stream_cmd(&args[1..]).map(done),
@@ -117,14 +118,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         // The child mode `cluster` spawns per shard. Errors go to stderr
         // without the usage banner: the orchestrator is the audience.
         "shard-worker" => {
-            let served = match args.get(1).map(String::as_str) {
+            let mut listen: Option<String> = None;
+            let served = parse_flags(
+                &args[1..],
+                &mut [("--listen", &mut listen)],
+                " (--listen ADDR)",
+            )
+            .and_then(|()| match &listen {
                 None => pba_cluster::worker::serve_stdio(),
-                Some("--listen") => match args.get(2) {
-                    Some(addr) => pba_cluster::worker::serve_listen(addr),
-                    None => Err("--listen needs an address".into()),
-                },
-                Some(other) => Err(format!("unknown flag '{other}' (--listen ADDR)")),
-            };
+                Some(addr) => pba_cluster::worker::serve_listen(addr),
+            });
             match served {
                 Ok(()) => Ok(ExitCode::SUCCESS),
                 Err(detail) => {
@@ -141,9 +144,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         id => {
             let e = experiment_by_id(id).ok_or_else(|| unknown_command_message(id))?;
             let flags = RunFlags::parse(&args[1..])?;
-            let trace = flags.open_trace()?;
-            run_experiment(e.as_ref(), &flags, trace.clone())?;
-            flush_trace(trace).map(done)
+            let trace = Trace::open(flags.trace.clone())?;
+            run_experiment(e.as_ref(), &flags, trace.jsonl.clone())?;
+            trace.flush().map(done)
         }
     }
 }
@@ -198,11 +201,308 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
+/// Where one flag's argument lands. [`parse_flags`] walks the command
+/// line and hands each flag's argument to its slot.
+trait Slot {
+    /// Whether `flag` consumes the next argument.
+    fn takes_value(&self, _flag: &str) -> bool {
+        true
+    }
+
+    /// Store `flag`'s argument (empty for a bare switch).
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), String>;
+}
+
+/// A flag argument's type: how it parses and how a bad one reads.
+trait FlagValue: Sized {
+    fn parse_flag(flag: &str, value: &str) -> Result<Self, String>;
+}
+
+impl<T: FlagValue> Slot for T {
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        *self = T::parse_flag(flag, value)?;
+        Ok(())
+    }
+}
+
+impl<T: FlagValue> Slot for Option<T> {
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        *self = Some(T::parse_flag(flag, value)?);
+        Ok(())
+    }
+}
+
+/// A bare switch.
+impl Slot for bool {
+    fn takes_value(&self, _flag: &str) -> bool {
+        false
+    }
+
+    fn set(&mut self, _flag: &str, _value: &str) -> Result<(), String> {
+        *self = true;
+        Ok(())
+    }
+}
+
+/// Bare words, in order (the slot named `""`).
+impl Slot for Vec<String> {
+    fn set(&mut self, _flag: &str, value: &str) -> Result<(), String> {
+        self.push(value.to_owned());
+        Ok(())
+    }
+}
+
+/// A switch a command refuses outright, with its reason.
+struct Refused(&'static str);
+
+impl Slot for Refused {
+    fn takes_value(&self, _flag: &str) -> bool {
+        false
+    }
+
+    fn set(&mut self, _flag: &str, _value: &str) -> Result<(), String> {
+        Err(self.0.into())
+    }
+}
+
+macro_rules! from_str_flag_values {
+    ($($t:ty),*) => {$(
+        impl FlagValue for $t {
+            fn parse_flag(flag: &str, value: &str) -> Result<Self, String> {
+                value.parse().map_err(|_| format!("bad {flag}"))
+            }
+        }
+    )*};
+}
+from_str_flag_values!(u32, u64, usize, f64);
+
+impl FlagValue for String {
+    fn parse_flag(_flag: &str, value: &str) -> Result<Self, String> {
+        Ok(value.to_owned())
+    }
+}
+
+impl FlagValue for Scale {
+    fn parse_flag(_flag: &str, value: &str) -> Result<Self, String> {
+        Scale::parse(value).ok_or_else(|| format!("bad scale '{value}'"))
+    }
+}
+
+impl FlagValue for VerifyScale {
+    fn parse_flag(_flag: &str, value: &str) -> Result<Self, String> {
+        VerifyScale::parse(value).ok_or_else(|| format!("bad verify scale '{value}' (ci or full)"))
+    }
+}
+
+impl FlagValue for FaultPlan {
+    fn parse_flag(_flag: &str, value: &str) -> Result<Self, String> {
+        parse_fault_spec(value)
+    }
+}
+
+impl FlagValue for PolicyKind {
+    fn parse_flag(_flag: &str, value: &str) -> Result<Self, String> {
+        PolicyKind::parse(value).ok_or_else(|| {
+            let names: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
+            format!(
+                "unknown policy '{value}' (choose from: {})",
+                names.join(", ")
+            )
+        })
+    }
+}
+
+/// `serve --listen` and `serve --send` name an unknown policy without
+/// listing the choices.
+struct TersePolicy(PolicyKind);
+
+impl FlagValue for TersePolicy {
+    fn parse_flag(_flag: &str, value: &str) -> Result<Self, String> {
+        PolicyKind::parse(value)
+            .map(TersePolicy)
+            .ok_or_else(|| format!("unknown policy '{value}'"))
+    }
+}
+
+/// `--kill SHARD@BATCH`, e.g. `2@5`.
+impl FlagValue for (u32, u64) {
+    fn parse_flag(_flag: &str, value: &str) -> Result<Self, String> {
+        let (s, b) = value
+            .split_once('@')
+            .ok_or_else(|| format!("bad --kill '{value}' (expected SHARD@BATCH, e.g. 2@5)"))?;
+        let shard = s.parse().map_err(|_| format!("bad --kill shard '{s}'"))?;
+        let batch = b.parse().map_err(|_| format!("bad --kill batch '{b}'"))?;
+        Ok((shard, batch))
+    }
+}
+
+/// A flag table: each row names a flag and the slot its argument lands
+/// in. A name may list aliases sharing one slot (`--local|--socket`);
+/// the name `""` takes bare words, which are otherwise unknown flags.
+/// Every slot type owns its data, hence `'static`.
+type FlagTable<'a> = [(&'a str, &'a mut (dyn Slot + 'static))];
+
+/// The one flag parser. It walks `args` in order and feeds each flag's
+/// argument to its slot in `table`, so errors surface in argv order.
+/// `unknown_hint` is appended to the unknown-flag message.
+fn parse_flags(
+    args: &[String],
+    table: &mut FlagTable<'_>,
+    unknown_hint: &str,
+) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let key = if arg.starts_with('-') {
+            arg.as_str()
+        } else {
+            ""
+        };
+        let Some((_, slot)) = table
+            .iter_mut()
+            .find(|(names, _)| names.split('|').any(|name| name == key))
+        else {
+            return Err(format!("unknown flag '{arg}'{unknown_hint}"));
+        };
+        let value = if key.is_empty() {
+            arg
+        } else if slot.takes_value(key) {
+            let what = match key {
+                "--listen" | "--send" => "an address",
+                "--connect" => "addresses",
+                _ => "a value",
+            };
+            it.next().ok_or_else(|| format!("{key} needs {what}"))?
+        } else {
+            ""
+        };
+        slot.set(key, value)?;
+    }
+    Ok(())
+}
+
+/// The stream-workload flags of `stream`, `serve --replay` and `cluster
+/// stream`: their defaults and range checks.
+struct StreamFlags {
+    policy: PolicyKind,
+    n: u32,
+    batch: String,
+    batches: u64,
+    workload: String,
+    churn: f64,
+    seed: u64,
+}
+
+impl Default for StreamFlags {
+    fn default() -> Self {
+        StreamFlags {
+            policy: PolicyKind::BatchedTwoChoice,
+            n: 1 << 10,
+            batch: "4n".into(),
+            batches: 32,
+            workload: "uniform".into(),
+            churn: 0.0,
+            seed: 0,
+        }
+    }
+}
+
+impl StreamFlags {
+    /// Parse `args` against this group plus the command's `extra` flags,
+    /// then check the group's ranges.
+    fn parse(&mut self, args: &[String], extra: &mut FlagTable<'_>) -> Result<(), String> {
+        let group: [(&str, &mut (dyn Slot + 'static)); 7] = [
+            ("--policy", &mut self.policy),
+            ("--n", &mut self.n),
+            ("--batch", &mut self.batch),
+            ("--batches", &mut self.batches),
+            ("--workload", &mut self.workload),
+            ("--churn", &mut self.churn),
+            ("--seed", &mut self.seed),
+        ];
+        let mut table: Vec<_> = group
+            .into_iter()
+            .chain(extra.iter_mut().map(|(flag, slot)| (*flag, &mut **slot)))
+            .collect();
+        parse_flags(args, &mut table, "")?;
+        if self.n == 0 {
+            return Err("--n must be at least 1".into());
+        }
+        if self.batches == 0 {
+            return Err("--batches must be at least 1".into());
+        }
+        if !(0.0..=1.0).contains(&self.churn) {
+            return Err("--churn must be in [0, 1]".into());
+        }
+        Ok(())
+    }
+
+    /// The workload over `n` bins: its batch size and generator config.
+    fn workload_cfg(&self, n: u32) -> Result<(u64, WorkloadCfg), String> {
+        let batch = parse_batch_size(&self.batch, n)?;
+        let cfg = WorkloadCfg {
+            kind: parse_workload_kind(&self.workload)?,
+            batch,
+            churn: self.churn,
+            weights: WeightDist::Constant(1),
+        };
+        Ok((batch, cfg))
+    }
+}
+
+/// `--trace FILE.jsonl`: the JSONL sink, fanned out beside the run's
+/// [`EngineMetrics`] and flushed at the end.
+struct Trace {
+    path: Option<String>,
+    jsonl: Option<Arc<JsonlTrace>>,
+    metrics: Arc<EngineMetrics>,
+}
+
+impl Trace {
+    fn open(path: Option<String>) -> Result<Trace, String> {
+        let jsonl = match &path {
+            None => None,
+            Some(p) => Some(Arc::new(
+                JsonlTrace::create(p).map_err(|e| format!("--trace {p}: {e}"))?,
+            )),
+        };
+        Ok(Trace {
+            path,
+            jsonl,
+            metrics: Arc::new(EngineMetrics::new()),
+        })
+    }
+
+    /// The run's sink: the metrics, plus the trace when one is open.
+    fn sink(&self) -> Arc<dyn MetricsSink> {
+        match &self.jsonl {
+            None => self.metrics.clone(),
+            Some(t) => Arc::new(FanoutSink::new(vec![
+                self.metrics.clone() as Arc<dyn MetricsSink>,
+                t.clone() as Arc<dyn MetricsSink>,
+            ])),
+        }
+    }
+
+    fn flush(&self) -> Result<(), String> {
+        if let Some(t) = &self.jsonl {
+            t.flush().map_err(|e| format!("trace flush: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// The `trace:` line that closes a run summary.
+    fn print_path(&self) {
+        if let Some(path) = &self.path {
+            println!("trace:      {path}");
+        }
+    }
+}
+
 /// Flags shared by the experiment-running commands.
 struct RunFlags {
     scale: Scale,
     out_dir: Option<String>,
-    trace_path: Option<String>,
+    trace: Option<String>,
 }
 
 impl RunFlags {
@@ -210,43 +510,19 @@ impl RunFlags {
         let mut flags = RunFlags {
             scale: Scale::Default,
             out_dir: None,
-            trace_path: None,
+            trace: None,
         };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--scale" => {
-                    let v = it.next().ok_or("--scale needs a value")?;
-                    flags.scale = Scale::parse(v).ok_or_else(|| format!("bad scale '{v}'"))?;
-                }
-                "--out" => {
-                    flags.out_dir = Some(it.next().ok_or("--out needs a value")?.clone());
-                }
-                "--trace" => {
-                    flags.trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-                }
-                other => return Err(format!("unknown flag '{other}'")),
-            }
-        }
+        parse_flags(
+            args,
+            &mut [
+                ("--scale", &mut flags.scale),
+                ("--out", &mut flags.out_dir),
+                ("--trace", &mut flags.trace),
+            ],
+            "",
+        )?;
         Ok(flags)
     }
-
-    /// Open the JSONL trace sink, when requested.
-    fn open_trace(&self) -> Result<Option<Arc<JsonlTrace>>, String> {
-        match &self.trace_path {
-            None => Ok(None),
-            Some(path) => JsonlTrace::create(path)
-                .map(|t| Some(Arc::new(t)))
-                .map_err(|e| format!("--trace {path}: {e}")),
-        }
-    }
-}
-
-fn flush_trace(trace: Option<Arc<JsonlTrace>>) -> Result<(), String> {
-    if let Some(t) = trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
-    }
-    Ok(())
 }
 
 fn run_experiment(
@@ -285,43 +561,19 @@ fn run_protocol(args: &[String]) -> Result<(), String> {
     let mut seed = 0u64;
     let mut parallel = false;
     let mut trace_path: Option<String> = None;
-    let mut faults = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            "--m" => {
-                m = it
-                    .next()
-                    .ok_or("--m needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --m")?
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?
-            }
-            "--parallel" => parallel = true,
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
+    let mut faults: Option<FaultPlan> = None;
+    parse_flags(
+        &args[1..],
+        &mut [
+            ("--faults", &mut faults),
+            ("--m", &mut m),
+            ("--n", &mut n),
+            ("--seed", &mut seed),
+            ("--parallel", &mut parallel),
+            ("--trace", &mut trace_path),
+        ],
+        "",
+    )?;
     let spec = ProblemSpec::new(m, n).map_err(|e| e.to_string())?;
     let mut cfg = RunConfig::seeded(seed);
     if parallel {
@@ -330,30 +582,16 @@ fn run_protocol(args: &[String]) -> Result<(), String> {
     if let Some(plan) = faults {
         cfg = cfg.with_faults(plan);
     }
-    let metrics = Arc::new(EngineMetrics::new());
-    let trace = match &trace_path {
-        None => None,
-        Some(path) => Some(Arc::new(
-            JsonlTrace::create(path).map_err(|e| format!("--trace {path}: {e}"))?,
-        )),
-    };
-    cfg = match &trace {
-        None => cfg.with_metrics(metrics.clone()),
-        Some(t) => cfg.with_metrics(Arc::new(FanoutSink::new(vec![
-            metrics.clone() as Arc<dyn MetricsSink>,
-            t.clone() as Arc<dyn MetricsSink>,
-        ]))),
-    };
+    let trace = Trace::open(trace_path)?;
+    cfg = cfg.with_metrics(trace.sink());
     let started = std::time::Instant::now();
     let out = run_by_name(name, spec, cfg)
         .ok_or_else(|| format!("unknown protocol '{name}' (try `pba-run protocols`)"))?
         .map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
-    if let Some(t) = &trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
-    }
+    trace.flush()?;
     let stats = out.load_stats();
-    let report = metrics.report();
+    let report = trace.metrics.report();
     println!("protocol:   {}", out.protocol);
     println!("spec:       {spec}");
     println!("rounds:     {}", out.rounds);
@@ -408,9 +646,7 @@ fn run_protocol(args: &[String]) -> Result<(), String> {
             std::time::Duration::from_nanos(pool.total_busy_nanos())
         );
     }
-    if let Some(path) = &trace_path {
-        println!("trace:      {path}");
-    }
+    trace.print_path();
     Ok(())
 }
 
@@ -470,111 +706,34 @@ fn parse_workload_kind(name: &str) -> Result<WorkloadKind, String> {
 /// [`StreamAllocator`] and print a paper-style checkpoint table plus a
 /// throughput summary.
 fn run_stream_cmd(args: &[String]) -> Result<(), String> {
-    let mut policy = PolicyKind::BatchedTwoChoice;
-    let mut n: u32 = 1 << 10;
-    let mut batch_spec = "4n".to_string();
-    let mut batches: u64 = 32;
-    let mut workload = "uniform".to_string();
-    let mut churn = 0.0f64;
+    let mut flags = StreamFlags::default();
     let mut shards: usize = 1;
-    let mut seed = 0u64;
     let mut parallel = false;
     let mut trace_path: Option<String> = None;
-    let mut faults = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                policy = PolicyKind::parse(v).ok_or_else(|| {
-                    let names: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
-                    format!("unknown policy '{v}' (choose from: {})", names.join(", "))
-                })?;
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?;
-            }
-            "--batch" => batch_spec = it.next().ok_or("--batch needs a value")?.clone(),
-            "--batches" => {
-                batches = it
-                    .next()
-                    .ok_or("--batches needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --batches")?;
-            }
-            "--workload" => workload = it.next().ok_or("--workload needs a value")?.clone(),
-            "--churn" => {
-                churn = it
-                    .next()
-                    .ok_or("--churn needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --churn")?;
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --shards")?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?;
-            }
-            "--parallel" => parallel = true,
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if n == 0 {
-        return Err("--n must be at least 1".into());
-    }
-    if batches == 0 {
-        return Err("--batches must be at least 1".into());
-    }
-    if !(0.0..=1.0).contains(&churn) {
-        return Err("--churn must be in [0, 1]".into());
-    }
-    let b = parse_batch_size(&batch_spec, n)?;
-    let kind = parse_workload_kind(&workload)?;
-    let cfg = WorkloadCfg {
-        kind,
-        batch: b,
+    let mut faults: Option<FaultPlan> = None;
+    flags.parse(
+        args,
+        &mut [
+            ("--faults", &mut faults),
+            ("--shards", &mut shards),
+            ("--parallel", &mut parallel),
+            ("--trace", &mut trace_path),
+        ],
+    )?;
+    let StreamFlags {
+        policy,
+        n,
+        batches,
         churn,
-        weights: WeightDist::Constant(1),
-    };
+        seed,
+        ..
+    } = flags;
+    let (b, cfg) = flags.workload_cfg(n)?;
 
-    let metrics = Arc::new(EngineMetrics::new());
-    let trace = match &trace_path {
-        None => None,
-        Some(path) => Some(Arc::new(
-            JsonlTrace::create(path).map_err(|e| format!("--trace {path}: {e}"))?,
-        )),
-    };
-    let sink: Arc<dyn MetricsSink> = match &trace {
-        None => metrics.clone(),
-        Some(t) => Arc::new(FanoutSink::new(vec![
-            metrics.clone() as Arc<dyn MetricsSink>,
-            t.clone() as Arc<dyn MetricsSink>,
-        ])),
-    };
+    let trace = Trace::open(trace_path)?;
     let mut alloc = StreamAllocator::new(n, seed, policy)
         .with_shards(shards)
-        .with_metrics(sink);
+        .with_metrics(trace.sink());
     if parallel {
         alloc = alloc.parallel();
     }
@@ -589,15 +748,14 @@ fn run_stream_cmd(args: &[String]) -> Result<(), String> {
         .map(|_| alloc.ingest(&traffic.next_batch()).record)
         .collect();
     let elapsed = started.elapsed();
-    if let Some(t) = &trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
-    }
+    trace.flush()?;
 
     let mut table = Table::new(
         format!(
-            "Streaming {}: {batches} batches of b = {batch_spec} ({b} arrivals), \
+            "Streaming {}: {batches} batches of b = {} ({b} arrivals), \
              n = {n}, churn {churn}",
-            policy.name()
+            policy.name(),
+            flags.batch
         ),
         &[
             "batch",
@@ -624,11 +782,14 @@ fn run_stream_cmd(args: &[String]) -> Result<(), String> {
     }
     println!("{}", table.to_markdown());
 
-    let report = metrics.report();
+    let report = trace.metrics.report();
     let last = records.last().expect("batches >= 1");
     let mode = if parallel { ", parallel" } else { "" };
     println!("policy:     {} ({shards} shard(s){mode})", policy.name());
-    println!("workload:   {workload}, b = {b}, churn {churn}, seed {seed}");
+    println!(
+        "workload:   {}, b = {b}, churn {churn}, seed {seed}",
+        flags.workload
+    );
     if let Some(plan) = &faults {
         let redirects: u64 = records.iter().map(|r| r.fault_redirects).sum();
         let faulted = records.iter().filter(|r| r.failed_domains > 0).count();
@@ -647,9 +808,7 @@ fn run_stream_cmd(args: &[String]) -> Result<(), String> {
         report.batches_per_sec(),
         report.stream_balls_per_sec()
     );
-    if let Some(path) = &trace_path {
-        println!("trace:      {path}");
-    }
+    trace.print_path();
     Ok(())
 }
 
@@ -679,14 +838,8 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--send") {
         return run_serve_send(args);
     }
-    let mut policy = PolicyKind::BatchedTwoChoice;
-    let mut n: u32 = 1 << 10;
-    let mut batch_spec = "4n".to_string();
-    let mut batches: u64 = 32;
-    let mut workload = "uniform".to_string();
-    let mut churn = 0.0f64;
+    let mut flags = StreamFlags::default();
     let mut shards: usize = 1;
-    let mut seed = 0u64;
     let mut parallel = false;
     let mut rate = 0.0f64;
     let mut queue: usize = 4;
@@ -695,113 +848,27 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let mut snapshot_path: Option<String> = None;
     let mut restore_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut faults = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            // The only mode today; named so `serve` can grow ingestion
-            // modes later without breaking scripts.
-            "--replay" => {}
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                policy = PolicyKind::parse(v).ok_or_else(|| {
-                    let names: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
-                    format!("unknown policy '{v}' (choose from: {})", names.join(", "))
-                })?;
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?;
-            }
-            "--batch" => batch_spec = it.next().ok_or("--batch needs a value")?.clone(),
-            "--batches" => {
-                batches = it
-                    .next()
-                    .ok_or("--batches needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --batches")?;
-            }
-            "--workload" => workload = it.next().ok_or("--workload needs a value")?.clone(),
-            "--churn" => {
-                churn = it
-                    .next()
-                    .ok_or("--churn needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --churn")?;
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --shards")?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?;
-            }
-            "--parallel" => parallel = true,
-            "--rate" => {
-                rate = it
-                    .next()
-                    .ok_or("--rate needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --rate")?;
-            }
-            "--queue" => {
-                queue = it
-                    .next()
-                    .ok_or("--queue needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --queue")?;
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = it
-                    .next()
-                    .ok_or("--checkpoint-every needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --checkpoint-every")?;
-            }
-            "--snapshot-at" => {
-                snapshot_at = Some(
-                    it.next()
-                        .ok_or("--snapshot-at needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --snapshot-at")?,
-                );
-            }
-            "--snapshot" => {
-                snapshot_path = Some(it.next().ok_or("--snapshot needs a value")?.clone());
-            }
-            "--restore" => {
-                restore_path = Some(it.next().ok_or("--restore needs a value")?.clone());
-            }
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if n == 0 {
-        return Err("--n must be at least 1".into());
-    }
-    if batches == 0 {
-        return Err("--batches must be at least 1".into());
-    }
-    if !(0.0..=1.0).contains(&churn) {
-        return Err("--churn must be in [0, 1]".into());
-    }
+    let mut faults: Option<FaultPlan> = None;
+    // `--replay` is the only mode today; it is named so `serve` can grow
+    // ingestion modes later without breaking scripts.
+    let mut replay_mode = false;
+    flags.parse(
+        args,
+        &mut [
+            ("--replay", &mut replay_mode),
+            ("--faults", &mut faults),
+            ("--shards", &mut shards),
+            ("--parallel", &mut parallel),
+            ("--rate", &mut rate),
+            ("--queue", &mut queue),
+            ("--checkpoint-every", &mut checkpoint_every),
+            ("--snapshot-at", &mut snapshot_at),
+            ("--snapshot", &mut snapshot_path),
+            ("--restore", &mut restore_path),
+            ("--trace", &mut trace_path),
+        ],
+    )?;
+    let batches = flags.batches;
     if !rate.is_finite() || rate < 0.0 {
         return Err("--rate must be a finite rate >= 0 (0 = unthrottled)".into());
     }
@@ -824,38 +891,20 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 StreamAllocator::restore(&bytes).map_err(|e| format!("--restore {path}: {e}"))?;
             (alloc, bytes.len() as u64)
         }
-        None => (StreamAllocator::new(n, seed, policy).with_shards(shards), 0),
+        None => (
+            StreamAllocator::new(flags.n, flags.seed, flags.policy).with_shards(shards),
+            0,
+        ),
     };
     // From here on the allocator is authoritative: on restore its meta
     // (bins, seed, policy, shards) comes from the snapshot, not the flags.
     let meta = alloc.meta();
     let (n, seed, shards, policy_name) = (meta.bins, meta.seed, meta.shards, meta.policy);
     let start_batch = alloc.batches();
+    let (b, cfg) = flags.workload_cfg(n)?;
 
-    let b = parse_batch_size(&batch_spec, n)?;
-    let kind = parse_workload_kind(&workload)?;
-    let cfg = WorkloadCfg {
-        kind,
-        batch: b,
-        churn,
-        weights: WeightDist::Constant(1),
-    };
-
-    let metrics = Arc::new(EngineMetrics::new());
-    let trace = match &trace_path {
-        None => None,
-        Some(path) => Some(Arc::new(
-            JsonlTrace::create(path).map_err(|e| format!("--trace {path}: {e}"))?,
-        )),
-    };
-    let sink: Arc<dyn MetricsSink> = match &trace {
-        None => metrics.clone(),
-        Some(t) => Arc::new(FanoutSink::new(vec![
-            metrics.clone() as Arc<dyn MetricsSink>,
-            t.clone() as Arc<dyn MetricsSink>,
-        ])),
-    };
-    let mut alloc = alloc.with_metrics(sink);
+    let trace = Trace::open(trace_path)?;
+    let mut alloc = alloc.with_metrics(trace.sink());
     if parallel {
         alloc = alloc.parallel();
     }
@@ -881,9 +930,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let started = std::time::Instant::now();
     let (alloc, report) = replay(alloc, &mut traffic, batches, service_cfg);
     let elapsed = started.elapsed();
-    if let Some(t) = &trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
-    }
+    trace.flush()?;
 
     // `--snapshot FILE` writes the mid-replay capture when `--snapshot-at`
     // named one, the final state otherwise.
@@ -899,8 +946,9 @@ fn run_serve(args: &[String]) -> Result<(), String> {
 
     let mut table = Table::new(
         format!(
-            "Replay service {policy_name}: {batches} batches of b = {batch_spec} \
-             ({b} arrivals), n = {n}, queue {queue}"
+            "Replay service {policy_name}: {batches} batches of b = {} \
+             ({b} arrivals), n = {n}, queue {queue}",
+            flags.batch
         ),
         &[
             "ckpt", "batches", "balls", "resident", "gap", "p50 µs", "p99 µs", "p999 µs",
@@ -922,7 +970,10 @@ fn run_serve(args: &[String]) -> Result<(), String> {
 
     let mode = if parallel { ", parallel" } else { "" };
     println!("policy:     {policy_name} ({shards} shard(s){mode})");
-    println!("workload:   {workload}, b = {b}, churn {churn}, seed {seed}");
+    println!(
+        "workload:   {}, b = {b}, churn {}, seed {seed}",
+        flags.workload, flags.churn
+    );
     let pacing = if rate > 0.0 {
         format!("{rate:.0} balls/s target")
     } else {
@@ -967,9 +1018,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         "throughput: {:.0} balls/s through the service",
         report.balls as f64 / elapsed.as_secs_f64().max(1e-9)
     );
-    if let Some(path) = &trace_path {
-        println!("trace:      {path}");
-    }
+    trace.print_path();
     Ok(())
 }
 
@@ -1003,47 +1052,27 @@ fn connect_ingest(addr: &str) -> Result<IngestHalves, String> {
 /// that ingested the same batches.
 fn run_serve_listen(args: &[String]) -> Result<(), String> {
     let mut addr = String::new();
-    let mut policy = PolicyKind::BatchedTwoChoice;
+    let mut policy = TersePolicy(PolicyKind::BatchedTwoChoice);
     let mut n: u32 = 1 << 10;
     let mut shards: usize = 1;
     let mut seed = 0u64;
     let mut parallel = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--listen" => addr = it.next().ok_or("--listen needs an address")?.clone(),
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                policy = PolicyKind::parse(v).ok_or_else(|| format!("unknown policy '{v}'"))?;
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?;
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --shards")?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?;
-            }
-            "--parallel" => parallel = true,
-            other => return Err(format!("unknown flag '{other}' for serve --listen")),
-        }
-    }
+    parse_flags(
+        args,
+        &mut [
+            ("--listen", &mut addr),
+            ("--policy", &mut policy),
+            ("--n", &mut n),
+            ("--shards", &mut shards),
+            ("--seed", &mut seed),
+            ("--parallel", &mut parallel),
+        ],
+        " for serve --listen",
+    )?;
     if n == 0 {
         return Err("--n must be at least 1".into());
     }
+    let policy = policy.0;
     let mut alloc = StreamAllocator::new(n, seed, policy).with_shards(shards);
     if parallel {
         alloc = alloc.parallel();
@@ -1095,75 +1124,39 @@ fn run_serve_listen(args: &[String]) -> Result<(), String> {
 /// the listening allocator as framed batches, verifying every ack.
 fn run_serve_send(args: &[String]) -> Result<(), String> {
     let mut addr = String::new();
-    let mut policy = PolicyKind::BatchedTwoChoice;
-    let mut n: u32 = 1 << 10;
-    let mut batch_spec = "4n".to_string();
-    let mut batches: u64 = 32;
-    let mut workload = "uniform".to_string();
-    let mut churn = 0.0f64;
-    let mut seed = 0u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--send" => addr = it.next().ok_or("--send needs an address")?.clone(),
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                policy = PolicyKind::parse(v).ok_or_else(|| format!("unknown policy '{v}'"))?;
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?;
-            }
-            "--batch" => batch_spec = it.next().ok_or("--batch needs a value")?.clone(),
-            "--batches" => {
-                batches = it
-                    .next()
-                    .ok_or("--batches needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --batches")?;
-            }
-            "--workload" => workload = it.next().ok_or("--workload needs a value")?.clone(),
-            "--churn" => {
-                churn = it
-                    .next()
-                    .ok_or("--churn needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --churn")?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?;
-            }
-            other => return Err(format!("unknown flag '{other}' for serve --send")),
-        }
-    }
+    let mut policy = TersePolicy(PolicyKind::BatchedTwoChoice);
+    // The stream group's storage and workload builder; `--send` has no
+    // `--shards`, and takes `--batches 0`.
+    let mut flags = StreamFlags::default();
+    parse_flags(
+        args,
+        &mut [
+            ("--send", &mut addr),
+            ("--policy", &mut policy),
+            ("--n", &mut flags.n),
+            ("--batch", &mut flags.batch),
+            ("--batches", &mut flags.batches),
+            ("--workload", &mut flags.workload),
+            ("--churn", &mut flags.churn),
+            ("--seed", &mut flags.seed),
+        ],
+        " for serve --send",
+    )?;
+    let (n, batches, seed) = (flags.n, flags.batches, flags.seed);
     if n == 0 {
         return Err("--n must be at least 1".into());
     }
-    if !(0.0..=1.0).contains(&churn) {
+    if !(0.0..=1.0).contains(&flags.churn) {
         return Err("--churn must be in [0, 1]".into());
     }
-    let b = parse_batch_size(&batch_spec, n)?;
-    let kind = parse_workload_kind(&workload)?;
-    let cfg = WorkloadCfg {
-        kind,
-        batch: b,
-        churn,
-        weights: WeightDist::Constant(1),
-    };
+    let (b, cfg) = flags.workload_cfg(n)?;
     // Same workload salt as `pba-run serve --replay`: a listen/send pair
     // with these flags reproduces the local replay bit for bit.
     let mut traffic = Workload::new(cfg, seed ^ 0x57AEA3);
     let hello = pba_stream::IngestFrame::Hello {
         n,
         seed,
-        policy: policy.name().to_owned(),
+        policy: policy.0.name().to_owned(),
     };
     let started = std::time::Instant::now();
     let (mut reader, mut writer) = connect_ingest(&addr)?;
@@ -1184,11 +1177,9 @@ fn run_serve_send(args: &[String]) -> Result<(), String> {
 /// (stdin/stdout pipes by default; `--socket` swaps in Unix-domain
 /// sockets, `--connect` targets already-listening workers, `--local`
 /// worker threads over in-memory pipes). All transports speak the same
-/// checksummed wire frames — binary by default, `--wire json` for the
-/// human-readable compat path. Runs are bit-identical to the
-/// single-process equivalent for the same seed regardless of transport,
-/// codec, or `--no-overlap`; the orchestrator verifies per-wave checksums
-/// and a final drain.
+/// checksummed binary frames. Runs are bit-identical to the
+/// single-process equivalent for the same seed regardless of transport;
+/// the orchestrator verifies per-wave checksums and a final drain.
 fn run_cluster(args: &[String]) -> Result<(), String> {
     let Some(mode) = args.first() else {
         return Err("cluster: missing mode ('protocol' or 'stream')".into());
@@ -1214,6 +1205,23 @@ enum ClusterTransport {
     Connect(Vec<String>),
 }
 
+/// `--local`, `--socket` and `--connect A1,A2,…` share one slot; the
+/// last one given wins.
+impl Slot for ClusterTransport {
+    fn takes_value(&self, flag: &str) -> bool {
+        flag == "--connect"
+    }
+
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        *self = match flag {
+            "--local" => ClusterTransport::Local,
+            "--socket" => ClusterTransport::Socket,
+            _ => ClusterTransport::Connect(value.split(',').map(str::to_owned).collect()),
+        };
+        Ok(())
+    }
+}
+
 impl ClusterTransport {
     fn describe(&self) -> &'static str {
         match self {
@@ -1232,31 +1240,6 @@ impl ClusterTransport {
             ClusterTransport::Connect(addrs) => cfg.run_connect(addrs),
         }
         .map_err(|e| e.to_string())
-    }
-}
-
-/// Parse `--kill SHARD@BATCH`, e.g. `2@5`.
-fn parse_kill(v: &str) -> Result<(u32, u64), String> {
-    let (s, b) = v
-        .split_once('@')
-        .ok_or_else(|| format!("bad --kill '{v}' (expected SHARD@BATCH, e.g. 2@5)"))?;
-    let shard = s.parse().map_err(|_| format!("bad --kill shard '{s}'"))?;
-    let batch = b.parse().map_err(|_| format!("bad --kill batch '{b}'"))?;
-    Ok((shard, batch))
-}
-
-/// The metrics sink for a cluster run: the aggregator, fanned out to the
-/// JSONL trace when one was requested.
-fn cluster_sink(
-    metrics: &Arc<EngineMetrics>,
-    trace: &Option<Arc<JsonlTrace>>,
-) -> Arc<dyn MetricsSink> {
-    match trace {
-        None => metrics.clone(),
-        Some(t) => Arc::new(FanoutSink::new(vec![
-            metrics.clone() as Arc<dyn MetricsSink>,
-            t.clone() as Arc<dyn MetricsSink>,
-        ])),
     }
 }
 
@@ -1294,64 +1277,21 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
     let mut seed = 0u64;
     let mut shards = 2u32;
     let mut transport = ClusterTransport::Process;
-    let mut wire = pba_cluster::WireFormat::Binary;
-    let mut overlap = true;
     let mut trace_path: Option<String> = None;
-    let mut faults = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            "--m" => {
-                m = it
-                    .next()
-                    .ok_or("--m needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --m")?
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --shards")?
-            }
-            "--local" => transport = ClusterTransport::Local,
-            "--socket" => transport = ClusterTransport::Socket,
-            "--connect" => {
-                let addrs = it.next().ok_or("--connect needs addresses")?;
-                transport =
-                    ClusterTransport::Connect(addrs.split(',').map(str::to_owned).collect());
-            }
-            "--wire" => {
-                wire =
-                    pba_cluster::WireFormat::parse_flag(it.next().ok_or("--wire needs a value")?)?;
-            }
-            "--no-overlap" => overlap = false,
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
+    let mut faults: Option<FaultPlan> = None;
+    parse_flags(
+        &args[1..],
+        &mut [
+            ("--faults", &mut faults),
+            ("--m", &mut m),
+            ("--n", &mut n),
+            ("--seed", &mut seed),
+            ("--shards", &mut shards),
+            ("--local|--socket|--connect", &mut transport),
+            ("--trace", &mut trace_path),
+        ],
+        "",
+    )?;
     if !protocol_names().contains(&name.as_str()) {
         return Err(format!(
             "unknown protocol '{name}' (try `pba-run protocols`)"
@@ -1361,35 +1301,23 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
         return Err(format!("--shards must be in 1..={n} (the bin count)"));
     }
     let spec = ProblemSpec::new(m, n).map_err(|e| e.to_string())?;
-    let metrics = Arc::new(EngineMetrics::new());
-    let trace = match &trace_path {
-        None => None,
-        Some(path) => Some(Arc::new(
-            JsonlTrace::create(path).map_err(|e| format!("--trace {path}: {e}"))?,
-        )),
-    };
+    let trace = Trace::open(trace_path)?;
     let mut cfg = ClusterConfig::engine(name, spec, seed)
         .with_shards(shards)
-        .with_wire(wire)
-        .with_overlap(overlap)
-        .with_metrics(cluster_sink(&metrics, &trace));
+        .with_metrics(trace.sink());
     if let Some(plan) = faults {
         cfg = cfg.with_faults(plan);
     }
     let started = std::time::Instant::now();
     let out = transport.run(cfg)?;
     let elapsed = started.elapsed();
-    if let Some(t) = &trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
-    }
+    trace.flush()?;
     let run = out.run.as_ref().expect("engine outcome");
     let stats = run.load_stats();
     println!(
-        "protocol:   {} (cluster: {shards} shard(s) as {}, {} wire{})",
+        "protocol:   {} (cluster: {shards} shard(s) as {}, binary wire)",
         run.protocol,
-        transport.describe(),
-        wire.name(),
-        if overlap { "" } else { ", no overlap" }
+        transport.describe()
     );
     println!("spec:       {spec}");
     println!("rounds:     {}", run.rounds);
@@ -1410,133 +1338,37 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
     );
     print_cluster_wire(&out);
     println!("wall time:  {elapsed:.2?}");
-    if let Some(path) = &trace_path {
-        println!("trace:      {path}");
-    }
+    trace.print_path();
     Ok(())
 }
 
 fn run_cluster_stream(args: &[String]) -> Result<(), String> {
-    let mut policy = PolicyKind::BatchedTwoChoice;
-    let mut n: u32 = 1 << 10;
-    let mut batch_spec = "4n".to_string();
-    let mut batches: u64 = 32;
-    let mut workload = "uniform".to_string();
-    let mut churn = 0.0f64;
+    let mut flags = StreamFlags::default();
     let mut shards = 2u32;
-    let mut seed = 0u64;
     let mut kill: Option<(u32, u64)> = None;
     let mut transport = ClusterTransport::Process;
-    let mut wire = pba_cluster::WireFormat::Binary;
-    let mut overlap = true;
     let mut trace_path: Option<String> = None;
-    let mut faults = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a value")?;
-                policy = PolicyKind::parse(v).ok_or_else(|| {
-                    let names: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
-                    format!("unknown policy '{v}' (choose from: {})", names.join(", "))
-                })?;
-            }
-            "--n" => {
-                n = it
-                    .next()
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --n")?;
-            }
-            "--batch" => batch_spec = it.next().ok_or("--batch needs a value")?.clone(),
-            "--batches" => {
-                batches = it
-                    .next()
-                    .ok_or("--batches needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --batches")?;
-            }
-            "--workload" => workload = it.next().ok_or("--workload needs a value")?.clone(),
-            "--churn" => {
-                churn = it
-                    .next()
-                    .ok_or("--churn needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --churn")?;
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --shards")?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --seed")?;
-            }
-            "--kill" => {
-                kill = Some(parse_kill(it.next().ok_or("--kill needs a value")?)?);
-            }
-            "--local" => transport = ClusterTransport::Local,
-            "--socket" => transport = ClusterTransport::Socket,
-            "--connect" => {
-                let addrs = it.next().ok_or("--connect needs addresses")?;
-                transport =
-                    ClusterTransport::Connect(addrs.split(',').map(str::to_owned).collect());
-            }
-            "--wire" => {
-                wire =
-                    pba_cluster::WireFormat::parse_flag(it.next().ok_or("--wire needs a value")?)?;
-            }
-            "--no-overlap" => overlap = false,
-            "--trace" => {
-                trace_path = Some(it.next().ok_or("--trace needs a value")?.clone());
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if n == 0 {
-        return Err("--n must be at least 1".into());
-    }
-    if batches == 0 {
-        return Err("--batches must be at least 1".into());
-    }
-    if !(0.0..=1.0).contains(&churn) {
-        return Err("--churn must be in [0, 1]".into());
-    }
+    let mut faults: Option<FaultPlan> = None;
+    flags.parse(
+        args,
+        &mut [
+            ("--faults", &mut faults),
+            ("--shards", &mut shards),
+            ("--kill", &mut kill),
+            ("--local|--socket|--connect", &mut transport),
+            ("--trace", &mut trace_path),
+        ],
+    )?;
+    let n = flags.n;
     if shards == 0 || shards > n {
         return Err(format!("--shards must be in 1..={n} (the bin count)"));
     }
-    let b = parse_batch_size(&batch_spec, n)?;
-    let kind = parse_workload_kind(&workload)?;
-    let cfg = WorkloadCfg {
-        kind,
-        batch: b,
-        churn,
-        weights: WeightDist::Constant(1),
-    };
-    let metrics = Arc::new(EngineMetrics::new());
-    let trace = match &trace_path {
-        None => None,
-        Some(path) => Some(Arc::new(
-            JsonlTrace::create(path).map_err(|e| format!("--trace {path}: {e}"))?,
-        )),
-    };
-    let mut cluster = ClusterConfig::stream(policy, n, seed, batches, b)
+    let (b, cfg) = flags.workload_cfg(n)?;
+    let trace = Trace::open(trace_path)?;
+    let mut cluster = ClusterConfig::stream(flags.policy, n, flags.seed, flags.batches, b)
         .with_workload(cfg)
         .with_shards(shards)
-        .with_wire(wire)
-        .with_overlap(overlap)
-        .with_metrics(cluster_sink(&metrics, &trace));
+        .with_metrics(trace.sink());
     if let Some(plan) = faults {
         cluster = cluster.with_faults(plan);
     }
@@ -1546,19 +1378,18 @@ fn run_cluster_stream(args: &[String]) -> Result<(), String> {
     let started = std::time::Instant::now();
     let out = transport.run(cluster)?;
     let elapsed = started.elapsed();
-    if let Some(t) = &trace {
-        t.flush().map_err(|e| format!("trace flush: {e}"))?;
-    }
+    trace.flush()?;
     let resident: u64 = out.loads.iter().sum();
     let max_load = out.loads.iter().copied().max().unwrap_or(0);
     println!(
-        "policy:     {} (cluster: {shards} shard(s) as {}, {} wire{})",
+        "policy:     {} (cluster: {shards} shard(s) as {}, binary wire)",
         out.workload,
-        transport.describe(),
-        wire.name(),
-        if overlap { "" } else { ", no overlap" }
+        transport.describe()
     );
-    println!("workload:   {workload}, b = {b}, churn {churn}, seed {seed}");
+    println!(
+        "workload:   {}, b = {b}, churn {}, seed {}",
+        flags.workload, flags.churn, flags.seed
+    );
     if let Some((s, t)) = kill {
         println!(
             "chaos:      shard {s} killed before batch {t}; placements redirected to live domains"
@@ -1574,9 +1405,7 @@ fn run_cluster_stream(args: &[String]) -> Result<(), String> {
     );
     print_cluster_wire(&out);
     println!("wall time:  {elapsed:.2?}");
-    if let Some(path) = &trace_path {
-        println!("trace:      {path}");
-    }
+    trace.print_path();
     Ok(())
 }
 
@@ -1717,21 +1546,16 @@ fn run_bench(args: &[String]) -> Result<(), String> {
     let mut tier_name: Option<String> = None;
     let mut scale: Option<Scale> = None;
     let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tier" => {
-                tier_name = Some(it.next().ok_or("--tier needs a value")?.clone());
-            }
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                scale = Some(Scale::parse(v).ok_or_else(|| format!("bad scale '{v}'"))?);
-            }
-            "--out" => out_dir = Some(it.next().ok_or("--out needs a value")?.clone()),
-            "--trace" => return Err("bench does not take --trace".into()),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
+    parse_flags(
+        args,
+        &mut [
+            ("--tier", &mut tier_name),
+            ("--scale", &mut scale),
+            ("--out", &mut out_dir),
+            ("--trace", &mut Refused("bench does not take --trace")),
+        ],
+        "",
+    )?;
     if tier_name.is_some() && scale.is_some() {
         return Err("bench takes --tier or --scale, not both".into());
     }
@@ -1892,103 +1716,46 @@ fn run_bench(args: &[String]) -> Result<(), String> {
     }
 
     // Cluster mode (small-shaped tiers): wire cost and throughput of the
-    // sharded orchestration at 1/2/4 shards. Worker threads over
-    // in-memory pipes carry the identical wire protocol; spawning real
-    // processes here would benchmark the OS, not the waves. The rows lack
-    // the protocol/executor and policy/ingest keys `bench_diff.sh`
-    // matches on, so the section rides along outside the regression gate.
+    // sharded orchestration at 1/2/4 shards, plus a 4-shard run at
+    // n = 2^20 regardless of the tier size, where bytes per wave are
+    // representative of a real fan-out. Worker threads over in-memory
+    // pipes carry the identical wire protocol; spawning real processes
+    // here would benchmark the OS, not the waves. The rows lack the
+    // protocol/executor and policy/ingest keys `bench_diff.sh` matches
+    // on, so the section rides along outside the regression gate.
     let mut cluster_entries = Vec::new();
     if tier.stream {
-        eprintln!("benchmarking cluster mode at m = n = {n}, shards 1/2/4, both codecs…");
+        eprintln!("benchmarking cluster mode at m = n = {n}, shards 1/2/4, and at 2^20…");
         println!();
         println!(
             "{:<22} {:>7} {:>7} {:>12} {:>12} {:>12} {:>12}",
             "cluster", "shards", "wire", "balls/s", "frames", "bytes", "bytes/wave"
         );
-        for shards in [1u32, 2, 4] {
-            for wire in [
-                pba_cluster::WireFormat::Binary,
-                pba_cluster::WireFormat::Json,
-            ] {
-                let started = std::time::Instant::now();
-                let out = ClusterConfig::engine("collision", spec, 93_000)
-                    .with_shards(shards)
-                    .with_wire(wire)
-                    .run_local()
-                    .map_err(|e| {
-                        format!("cluster bench ({shards} shards, {}): {e}", wire.name())
-                    })?;
-                let nanos = started.elapsed().as_nanos() as u64;
-                let run = out.run.as_ref().expect("engine outcome");
-                let bps = run.placed as f64 / (nanos as f64 / 1e9);
-                // Every shard crosses the same barriers; shard 0's count
-                // is the wave count of the whole run.
-                let waves = out.shard_records.first().map_or(0, |r| r.barriers);
-                let bytes_per_wave = out.total_bytes() / waves.max(1);
-                println!(
-                    "{:<22} {:>7} {:>7} {:>12.0} {:>12} {:>12} {:>12}",
-                    "engine/collision",
-                    shards,
-                    wire.name(),
-                    bps,
-                    out.total_frames(),
-                    out.total_bytes(),
-                    bytes_per_wave
-                );
-                cluster_entries.push(
-                    JsonObject::new()
-                        .str("mode", "engine")
-                        .str("workload", out.workload)
-                        .str("wire", wire.name())
-                        .u64("n", u64::from(n))
-                        .u64("shards", u64::from(shards))
-                        .u64("rounds", u64::from(run.rounds))
-                        .u64("placed", run.placed)
-                        .u64("messages", run.messages.total())
-                        .u64("frames", out.total_frames())
-                        .u64("bytes", out.total_bytes())
-                        .u64("waves", waves)
-                        .u64("wire_bytes_per_wave", bytes_per_wave)
-                        .u64("wall_nanos", nanos)
-                        .f64("balls_per_sec", bps)
-                        .finish(),
-                );
-            }
-        }
-
-        // The headline wire claim is measured at n = 2^20 regardless of
-        // the tier size: binary frames must cut bytes per wave by >= 3x
-        // against JSON lines on the identical run. Shards 4 keeps the
-        // run representative of a real fan-out without benchmarking the
-        // scheduler.
         let wide_n = 1u32 << 20;
         let wide_spec = ProblemSpec::new(u64::from(wide_n), wide_n).map_err(|e| e.to_string())?;
-        eprintln!("benchmarking wire codecs at m = n = 2^20, 4 shards…");
-        let mut per_wave = [0u64; 2];
-        for (slot, wire) in [
-            pba_cluster::WireFormat::Binary,
-            pba_cluster::WireFormat::Json,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (label, spec, shards) in [
+            ("engine/collision", spec, 1u32),
+            ("engine/collision", spec, 2),
+            ("engine/collision", spec, 4),
+            ("engine/collision 2^20", wide_spec, 4),
+        ] {
             let started = std::time::Instant::now();
-            let out = ClusterConfig::engine("collision", wide_spec, 93_000)
-                .with_shards(4)
-                .with_wire(wire)
+            let out = ClusterConfig::engine("collision", spec, 93_000)
+                .with_shards(shards)
                 .run_local()
-                .map_err(|e| format!("wire bench ({}): {e}", wire.name()))?;
+                .map_err(|e| format!("cluster bench ({label}, {shards} shards): {e}"))?;
             let nanos = started.elapsed().as_nanos() as u64;
             let run = out.run.as_ref().expect("engine outcome");
             let bps = run.placed as f64 / (nanos as f64 / 1e9);
+            // Every shard crosses the same barriers; shard 0's count is
+            // the wave count of the whole run.
             let waves = out.shard_records.first().map_or(0, |r| r.barriers);
             let bytes_per_wave = out.total_bytes() / waves.max(1);
-            per_wave[slot] = bytes_per_wave;
             println!(
                 "{:<22} {:>7} {:>7} {:>12.0} {:>12} {:>12} {:>12}",
-                "engine/collision 2^20",
-                4,
-                wire.name(),
+                label,
+                shards,
+                "binary",
                 bps,
                 out.total_frames(),
                 out.total_bytes(),
@@ -1998,9 +1765,9 @@ fn run_bench(args: &[String]) -> Result<(), String> {
                 JsonObject::new()
                     .str("mode", "engine")
                     .str("workload", out.workload)
-                    .str("wire", wire.name())
-                    .u64("n", u64::from(wide_n))
-                    .u64("shards", 4)
+                    .str("wire", "binary")
+                    .u64("n", u64::from(spec.bins()))
+                    .u64("shards", u64::from(shards))
                     .u64("rounds", u64::from(run.rounds))
                     .u64("placed", run.placed)
                     .u64("messages", run.messages.total())
@@ -2011,12 +1778,6 @@ fn run_bench(args: &[String]) -> Result<(), String> {
                     .u64("wall_nanos", nanos)
                     .f64("balls_per_sec", bps)
                     .finish(),
-            );
-        }
-        if per_wave[0] > 0 {
-            println!(
-                "wire ratio at n = 2^20:  json/binary = {:.2}x bytes per wave",
-                per_wave[1] as f64 / per_wave[0] as f64
             );
         }
     }
@@ -2172,14 +1933,11 @@ fn tune_ingest_point(n: u32, b: u64, parallel: bool, tuning: Tuning, reps: u64) 
 fn run_tune(args: &[String]) -> Result<(), String> {
     let mut tier_name = "medium".to_string();
     let mut out_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tier" => tier_name = it.next().ok_or("--tier needs a value")?.clone(),
-            "--out" => out_dir = Some(it.next().ok_or("--out needs a value")?.clone()),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
+    parse_flags(
+        args,
+        &mut [("--tier", &mut tier_name), ("--out", &mut out_dir)],
+        "",
+    )?;
     let tier = bench_tier(&tier_name)?;
     let n = tier.n;
     let reps = tier.reps.max(2);
@@ -2393,26 +2151,18 @@ fn unknown_claim_message(id: &str) -> String {
 fn run_verify(args: &[String]) -> Result<ExitCode, String> {
     let mut scale = VerifyScale::Ci;
     let mut json = false;
-    let mut faults = None;
+    let mut faults: Option<FaultPlan> = None;
     let mut requested: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                scale = VerifyScale::parse(v)
-                    .ok_or_else(|| format!("bad verify scale '{v}' (ci or full)"))?;
-            }
-            "--json" => json = true,
-            "--faults" => {
-                faults = Some(parse_fault_spec(
-                    it.next().ok_or("--faults needs a value")?,
-                )?);
-            }
-            other if other.starts_with('-') => return Err(format!("unknown flag '{other}'")),
-            claim => requested.push(claim.to_string()),
-        }
-    }
+    parse_flags(
+        args,
+        &mut [
+            ("--scale", &mut scale),
+            ("--json", &mut json),
+            ("--faults", &mut faults),
+            ("", &mut requested),
+        ],
+        "",
+    )?;
     let claims: Vec<Box<dyn Claim>> = if requested.is_empty() {
         pba_conformance::all_claims()
     } else {

@@ -1,11 +1,6 @@
-//! JSON artifacts for the runner: re-exported codec plus the JSONL sink.
-//!
-//! The escaping/formatting/parsing primitives themselves live in
-//! [`pba_core::json`] (they started here, then moved down so the cluster
-//! wire protocol in `pba-cluster` could share them without a dependency
-//! cycle); this module re-exports them so existing
-//! `pba_runner::json::{escape, JsonObject, …}` imports keep working, and
-//! adds the runner-specific [`JsonlTrace`] sink behind `--trace`.
+//! JSON artifacts for the runner: the [`JsonlTrace`] sink behind
+//! `--trace`. The escaping/formatting primitives live in
+//! [`pba_core::json`].
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -20,7 +15,7 @@ use pba_core::trace::RoundRecord;
 use pba_core::{ExecutorKind, FaultRecord};
 use pba_par::PoolStats;
 
-pub use pba_core::json::{escape, number, parse, u64_array, Json, JsonObject, ParseError};
+use pba_core::json::{u64_array, JsonObject};
 
 /// Stable textual form of an executor for JSON fields.
 pub fn executor_str(executor: ExecutorKind) -> String {
@@ -227,15 +222,6 @@ impl MetricsSink for JsonlTrace {
 mod tests {
     use super::*;
     use pba_core::ProblemSpec;
-
-    #[test]
-    fn reexported_codec_is_the_core_one() {
-        // The runner path and the core path must be the same items; a
-        // round-trip through both proves the re-export is live.
-        let s = JsonObject::new().str("k", "v\n").finish();
-        let parsed = pba_core::json::parse(&s).unwrap();
-        assert_eq!(parsed.get("k").and_then(Json::as_str), Some("v\n"));
-    }
 
     #[test]
     fn jsonl_trace_writes_one_line_per_event() {

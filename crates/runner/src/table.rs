@@ -1,7 +1,6 @@
 //! Minimal table model with markdown and CSV rendering.
 
 /// A rectangular results table.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     title: String,

@@ -6,6 +6,8 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
+use pba_cluster::wire::{read_frame, Frame};
+
 fn pba_run(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_pba-run"))
         .args(args)
@@ -84,9 +86,8 @@ fn cluster_processes_match_single_process_run_at_every_shard_count() {
 
 #[test]
 fn transport_and_codec_matrix_is_bit_identical() {
-    // {pipe, unix socket, local threads} x {binary, json} x overlap
-    // on/off: every cell must print the same outcome lines. The pipe +
-    // binary + overlap cell is the baseline (the defaults).
+    // {pipe, unix socket, local threads}: every cell must print the same
+    // outcome lines. The pipe cell is the baseline (the default).
     let base = [
         "cluster",
         "protocol",
@@ -109,13 +110,7 @@ fn transport_and_codec_matrix_is_bit_identical() {
     let want = outcome_lines(&String::from_utf8_lossy(&baseline.stdout));
     assert_eq!(want.len(), 4, "baseline must print all four outcome lines");
 
-    let cells: [&[&str]; 5] = [
-        &["--wire", "json"],
-        &["--socket"],
-        &["--socket", "--wire", "json"],
-        &["--local", "--no-overlap"],
-        &["--wire", "json", "--no-overlap"],
-    ];
+    let cells: [&[&str]; 2] = [&["--socket"], &["--local"]];
     for cell in cells {
         let mut argv: Vec<&str> = base.to_vec();
         argv.extend_from_slice(cell);
@@ -129,7 +124,7 @@ fn transport_and_codec_matrix_is_bit_identical() {
         assert_eq!(
             outcome_lines(&stdout),
             want,
-            "{cell:?} diverged from the pipe/binary baseline:\n{stdout}"
+            "{cell:?} diverged from the pipe baseline:\n{stdout}"
         );
     }
 }
@@ -266,34 +261,42 @@ fn cluster_stream_kill_chaos_reports_the_dead_shard() {
 
 #[test]
 fn shard_worker_rejects_garbage_with_nonzero_exit() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pba-run"))
-        .arg("shard-worker")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn shard-worker");
-    child
-        .stdin
-        .take()
-        .expect("stdin piped")
-        .write_all(b"this is not a wire frame\n")
-        .expect("write garbage");
-    let out = child.wait_with_output().expect("reap shard-worker");
-    assert!(
-        !out.status.success(),
-        "shard-worker must exit nonzero on a malformed frame"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("shard-worker:") && stderr.contains("malformed"),
-        "stderr must describe the bad frame:\n{stderr}"
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("\"t\":\"error\""),
-        "an error frame must go out on the wire before exit:\n{stdout}"
-    );
+    // A JSON hello line (the retired text dialect) and plain line garbage
+    // are both refused by their lead byte.
+    let json_hello = b"{\"t\":\"hello\",\"mode\":\"engine\",\"shard\":0,\"shards\":1}\n";
+    for (input, lead) in [
+        (&json_hello[..], "lead byte 0x7b"),
+        (b"this is not a wire frame\n", "lead byte 0x74"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pba-run"))
+            .arg("shard-worker")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn shard-worker");
+        child
+            .stdin
+            .take()
+            .expect("stdin piped")
+            .write_all(input)
+            .expect("write garbage");
+        let out = child.wait_with_output().expect("reap shard-worker");
+        assert!(
+            !out.status.success(),
+            "shard-worker must exit nonzero on a malformed frame"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("shard-worker:") && stderr.contains(lead),
+            "stderr must name the bad lead byte:\n{stderr}"
+        );
+        // The diagnosis goes out on the wire as a binary error frame.
+        match read_frame(&mut &out.stdout[..]) {
+            Ok(Some((Frame::Error { detail }, _))) => assert!(detail.contains(lead), "{detail}"),
+            other => panic!("expected a binary error frame, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -7,7 +7,6 @@ use pba_core::BatchRecord;
 /// Identities let a later batch depart the ball; unit-weight workloads set
 /// `weight = 1` and recover the classic unweighted model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ball {
     /// Caller-assigned identity, unique among resident balls.
     pub id: u64,
@@ -33,7 +32,6 @@ impl Ball {
 /// epoch in which freed capacity is visible to the placement decisions of
 /// the same epoch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Batch {
     /// Balls arriving in this batch.
     pub arrivals: Vec<Ball>,

@@ -24,7 +24,6 @@ use crate::batch::{Ball, Batch};
 /// the weighted-balls experiment (E17) can put the theory axis (weight
 /// variance) next to the measured gap.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WeightDist {
     /// Every ball weighs exactly `w`.
     Constant(u64),
@@ -125,7 +124,6 @@ impl WeightDist {
 
 /// Arrival pattern across batches.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WorkloadKind {
     /// Constant batch size, weights from the configured distribution.
     Uniform,
@@ -148,7 +146,6 @@ pub enum WorkloadKind {
 
 /// Full workload description.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadCfg {
     /// Arrival pattern.
     pub kind: WorkloadKind,

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: every build surface the workspace supports must stay
-# green — formatting, clippy lints (as errors), the default
-# zero-dependency build, the test suite, the no-default-features build,
-# and the serde-feature build (which compiles the cfg_attr derive sites
-# against the vendored no-op serde stub).
+# green — formatting, clippy lints (as errors), the zero-dependency
+# build, the test suite, the no-default-features build, and the
+# benchmark package's own tests (perfbench/ builds against the public
+# API, so deleting an item it uses must fail here, not in the bench).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +20,7 @@ run cargo clippy --workspace --all-targets -- -D warnings \
     -D unsafe_op_in_unsafe_fn -D clippy::undocumented-unsafe-blocks
 run cargo build --release
 run cargo test -q --workspace
+run cargo test --offline -q --manifest-path perfbench/Cargo.toml
 run cargo test -q --test chaos --test golden_loads
 # Differential fuzzer: fixed-seed corpus + explorer, serial vs pool
 # bit-identity with the in-engine invariant checker armed. The corpus
@@ -46,15 +47,15 @@ run scripts/bench_diff.sh --tier small --gate 60
 # this exercises the shipping binary spawning itself as `shard-worker`.
 PBA=target/release/pba-run
 outcome() { "$@" | grep -E '^(rounds|placed|max load|messages):'; }
-echo "==> cluster smoke: transport x codec bit-identity matrix (seed 11)"
+echo "==> cluster smoke: transport bit-identity matrix (seed 11)"
 want=$(outcome "$PBA" protocol collision --m 65536 --n 4096 --seed 11)
 for shards in 2 4; do
-    for cell in "" "--wire json" "--socket" "--socket --wire json"; do
+    for cell in "" "--socket"; do
         # shellcheck disable=SC2086  # $cell is a flag list, splitting wanted
         got=$(outcome "$PBA" cluster protocol collision \
             --m 65536 --n 4096 --seed 11 --shards "$shards" $cell)
         if [ "$got" != "$want" ]; then
-            echo "cluster --shards $shards ${cell:-(pipe/binary)} diverged from the single-process run:" >&2
+            echo "cluster --shards $shards ${cell:-(pipe)} diverged from the single-process run:" >&2
             diff <(echo "$want") <(echo "$got") >&2 || true
             exit 1
         fi
@@ -118,6 +119,5 @@ if [ "$got" != "$want" ]; then
     exit 1
 fi
 run cargo build --no-default-features
-run cargo build --workspace --features serde
 
 echo "==> all checks passed"

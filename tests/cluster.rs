@@ -8,7 +8,7 @@
 //! transport end to end.
 
 use pba::cluster::wire::Frame;
-use pba::cluster::{ClusterConfig, WireFormat};
+use pba::cluster::ClusterConfig;
 use pba::prelude::*;
 
 const SEED: u64 = 1105;
@@ -185,40 +185,10 @@ fn misbehaving_worker_surfaces_a_clear_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Splice a valid FNV-1a checksum onto a JSON body so content-level
-/// decode errors are reachable past the checksum gate.
-fn stamped(body: &str) -> String {
-    let sum = pba::core::wire::fnv1a(body.as_bytes());
-    format!("{},\"sum\":\"{sum:016x}\"}}", &body[..body.len() - 1])
-}
-
-#[test]
-fn wire_decode_errors_are_descriptive() {
-    // Unchecksummed or mangled lines die at the checksum gate with a
-    // diagnostic; a correctly stamped line surfaces the content error.
-    for (line, needle) in [
-        ("not json".to_string(), "checksum"),
-        ("{\"x\":1}".to_string(), "checksum"),
-        (stamped("{\"x\":1}"), "missing"),
-        (stamped("{\"t\":\"warp\"}"), "warp"),
-    ] {
-        let err = Frame::decode(&line).unwrap_err();
-        assert!(
-            err.to_lowercase().contains(needle),
-            "{line}: error should mention '{needle}', got: {err}"
-        );
-    }
-    // A tampered-but-well-formed line is rejected by the sum before any
-    // content parsing happens.
-    let good = Frame::CommitOk { round: 4, sum: 77 }.encode();
-    let tampered = good.replace("\"round\":4", "\"round\":5");
-    assert!(Frame::decode(&tampered).unwrap_err().contains("checksum"));
-}
-
 #[test]
 fn huge_seeds_round_trip_exactly_on_both_codecs() {
-    // Seeds above 2^53 do not fit a JSON double; both codecs must carry
-    // the native u64 exactly, giving the same run as a single process.
+    // Seeds above 2^53 do not fit a JSON double; the wire must carry the
+    // native u64 exactly, giving the same run as a single process.
     let seed = (1u64 << 60) + 3_141_592_653;
     let spec = ProblemSpec::new(1 << 10, 1 << 6).unwrap();
     let single = pba::protocols::run_by_name(
@@ -228,17 +198,14 @@ fn huge_seeds_round_trip_exactly_on_both_codecs() {
     )
     .expect("registry name")
     .expect("run succeeds");
-    for wire in [WireFormat::Binary, WireFormat::Json] {
-        let out = ClusterConfig::engine("collision", spec, seed)
-            .with_shards(2)
-            .with_wire(wire)
-            .run_local()
-            .unwrap();
-        let run = out.run.expect("engine outcome");
-        assert_eq!(run.loads, single.loads, "loads on {} wire", wire.name());
-        assert_eq!(run.rounds, single.rounds, "rounds on {} wire", wire.name());
-    }
-    // And the frame itself is exact: a hello through either codec keeps
+    let out = ClusterConfig::engine("collision", spec, seed)
+        .with_shards(2)
+        .run_local()
+        .unwrap();
+    let run = out.run.expect("engine outcome");
+    assert_eq!(run.loads, single.loads, "loads");
+    assert_eq!(run.rounds, single.rounds, "rounds");
+    // And the frame itself is exact: a hello through the codec keeps
     // every bit of the seed.
     let hello = Frame::Hello(pba::cluster::Hello {
         mode: "engine".into(),
@@ -255,7 +222,6 @@ fn huge_seeds_round_trip_exactly_on_both_codecs() {
         fault_seed: (1 << 57) + 5,
     });
     assert_eq!(Frame::decode(&hello.encode()).unwrap(), hello);
-    assert_eq!(Frame::decode_binary(&hello.encode_binary()).unwrap(), hello);
 }
 
 /// Tiny deterministic generator for the corruption fuzzer.
@@ -317,12 +283,12 @@ fn mangled_frames_are_rejected_never_misread() {
     // Satellite guarantee: a corrupted frame (bit flip, truncation, or a
     // lying length header) must decode to a diagnostic error or to the
     // original frame (when the flip lands in redundant encoding space) —
-    // never to a *different* valid frame. Both codecs, seeded fuzz.
+    // never to a *different* valid frame. Seeded fuzz.
     let mut rng = XorShift(0xBADC_0FFE_E0DD_F00D);
     for frame in fuzz_frames() {
-        // Binary codec: flips, truncations, and length lies.
-        let bytes = frame.encode_binary();
-        for _ in 0..200 {
+        // Flips, truncations, and length lies.
+        let bytes = frame.encode();
+        for _ in 0..400 {
             let mut mangled = bytes.clone();
             match rng.next() % 3 {
                 0 => {
@@ -343,33 +309,8 @@ fn mangled_frames_are_rejected_never_misread() {
             if mangled == bytes {
                 continue;
             }
-            match Frame::decode_binary(&mangled) {
+            match Frame::decode(&mangled) {
                 Err(err) => assert!(!err.is_empty(), "empty diagnostic for mangled frame"),
-                Ok(decoded) => assert_eq!(
-                    decoded, frame,
-                    "corruption decoded to a different frame: {decoded:?}"
-                ),
-            }
-        }
-        // JSON codec: flips and truncations on the line.
-        let line = frame.encode();
-        for _ in 0..200 {
-            let mut mangled = line.clone().into_bytes();
-            if rng.next().is_multiple_of(2) {
-                let bit = rng.next() as usize % (mangled.len() * 8);
-                mangled[bit / 8] ^= 1 << (bit % 8);
-            } else {
-                let keep = rng.next() as usize % mangled.len();
-                mangled.truncate(keep);
-            }
-            if mangled == line.as_bytes() {
-                continue;
-            }
-            let Ok(text) = String::from_utf8(mangled) else {
-                continue; // a reader would reject non-UTF-8 upstream
-            };
-            match Frame::decode(&text) {
-                Err(err) => assert!(!err.is_empty(), "empty diagnostic for mangled line"),
                 Ok(decoded) => assert_eq!(
                     decoded, frame,
                     "corruption decoded to a different frame: {decoded:?}"
@@ -381,35 +322,26 @@ fn mangled_frames_are_rejected_never_misread() {
 
 #[test]
 fn codec_and_overlap_matrix_is_bit_identical() {
-    // The full {binary, json} x {overlap, strict} matrix lands on the
-    // single-process run for both the engine and the stream mirror.
+    // The binary codec over overlapped sends lands on the single-process
+    // run for both the engine and the stream mirror.
     let spec = ProblemSpec::new(1 << 11, 1 << 7).unwrap();
     let single = single_process("collision", spec, None);
     let (bins, batches) = (96u32, 4u64);
     let cfg = WorkloadCfg::uniform(4 * u64::from(bins)).with_churn(0.2);
     let want = stream_reference(PolicyKind::BatchedTwoChoice, bins, cfg, batches, None);
-    for wire in [WireFormat::Binary, WireFormat::Json] {
-        for overlap in [true, false] {
-            let cell = format!("{} wire, overlap {overlap}", wire.name());
-            let out = ClusterConfig::engine("collision", spec, SEED)
-                .with_shards(4)
-                .with_wire(wire)
-                .with_overlap(overlap)
-                .run_local()
-                .unwrap();
-            let run = out.run.expect("engine outcome");
-            assert_eq!(run.loads, single.loads, "engine loads ({cell})");
-            assert_eq!(run.rounds, single.rounds, "engine rounds ({cell})");
-            assert_eq!(run.messages, single.messages, "engine messages ({cell})");
+    let out = ClusterConfig::engine("collision", spec, SEED)
+        .with_shards(4)
+        .run_local()
+        .unwrap();
+    let run = out.run.expect("engine outcome");
+    assert_eq!(run.loads, single.loads, "engine loads");
+    assert_eq!(run.rounds, single.rounds, "engine rounds");
+    assert_eq!(run.messages, single.messages, "engine messages");
 
-            let out = ClusterConfig::stream(PolicyKind::BatchedTwoChoice, bins, SEED, batches, 1)
-                .with_workload(cfg)
-                .with_shards(4)
-                .with_wire(wire)
-                .with_overlap(overlap)
-                .run_local()
-                .unwrap();
-            assert_eq!(out.loads, want, "stream loads ({cell})");
-        }
-    }
+    let out = ClusterConfig::stream(PolicyKind::BatchedTwoChoice, bins, SEED, batches, 1)
+        .with_workload(cfg)
+        .with_shards(4)
+        .run_local()
+        .unwrap();
+    assert_eq!(out.loads, want, "stream loads");
 }

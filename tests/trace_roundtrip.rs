@@ -7,9 +7,9 @@
 
 use std::sync::Arc;
 
+use pba::core::json::{parse, Json};
 use pba::core::{ProblemSpec, RunConfig};
 use pba::prelude::*;
-use pba::runner::json::{parse, Json};
 use pba::runner::JsonlTrace;
 
 fn obj(v: &Json) -> &std::collections::BTreeMap<String, Json> {

@@ -61,7 +61,7 @@ fn auto_plans_respect_floors_and_cutoffs() {
     let plan = Tuning::fixed(123, 456).plan(1 << 20, 4);
     assert_eq!((plan.min_chunk, plan.par_cutoff), (123, 456));
     // Legacy is the historical default geometry.
-    let plan = Tuning::legacy().plan(1 << 20, 4);
+    let plan = Tuning::Fixed(ChunkPlan::default()).plan(1 << 20, 4);
     assert_eq!(
         (plan.min_chunk, plan.par_cutoff),
         (DEFAULT_MIN_CHUNK, DEFAULT_PAR_CUTOFF)
@@ -87,7 +87,7 @@ fn tuning_matrix_is_bit_identical() {
     let executors = [ExecutorKind::Sequential, ExecutorKind::ParallelWith(4)];
     let tunings = [
         Tuning::Auto,
-        Tuning::legacy(),
+        Tuning::Fixed(ChunkPlan::default()),
         Tuning::fixed(64, 1),
         Tuning::fixed(1 << 20, 1 << 30),
         Tuning::Fixed(ChunkPlan {
@@ -150,7 +150,7 @@ fn stream_placements_are_tuning_invariant() {
     };
     let auto = run(Tuning::Auto);
     let fixed = run(Tuning::fixed(64, 1));
-    let legacy = run(Tuning::legacy());
+    let legacy = run(Tuning::Fixed(ChunkPlan::default()));
     assert_eq!(auto, fixed);
     assert_eq!(auto, legacy);
 }
