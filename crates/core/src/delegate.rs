@@ -1,14 +1,15 @@
 //! The [`GrantDelegate`] seam: externalized bin-side grant decisions.
 //!
 //! In the papers' model the *bins* are independent agents: they see their
-//! arrivals, decide how many to accept, and answer. The in-process engine
-//! runs that decision in [`crate::exec::grant_range`] over all bins;
-//! cluster mode (`pba-cluster`) instead ships each round's arrival counts
-//! to shard processes owning disjoint bin ranges and collects their grant
-//! replies. This trait is the cut point: when a delegate is attached
-//! (via [`Simulator::run_mut_with_delegate`](crate::Simulator)), the
-//! engine skips its local grant phase and asks the delegate, then
-//! reports the committed round back so remote bin state can follow.
+//! arrivals, decide how many to accept, and answer. Both executors run
+//! that decision in [`crate::exec::grant_slice`], once per bin range: the
+//! in-process engine over the chunks of its bin chunking, cluster mode
+//! (`pba-cluster`) in shard processes owning disjoint bin ranges, whose
+//! grant replies the orchestrator collects. This trait is the cut point:
+//! when a delegate is attached (via
+//! [`Simulator::run_mut_with_delegate`](crate::Simulator)), the engine
+//! skips its local grant phase and asks the delegate, then reports the
+//! committed round back so remote bin state can follow.
 //!
 //! ## Contract (bit-identity)
 //!
@@ -22,7 +23,8 @@
 //!   delegate does not touch stay 0 — correct for bins with no arrivals.
 //! * Return the `(underloaded_bins, unfilled_want)` totals with the
 //!   crashed-bin adjustment already applied (a crashed bin contributes
-//!   to neither; see `SimState::apply_crash_grants` for the arithmetic).
+//!   to neither; [`grant_slice`](crate::exec::grant_slice) computes
+//!   exactly these totals for one bin range).
 //! * Apply the protocol's `begin_round`/`after_round` state evolution on
 //!   whatever protocol replicas it holds, in the same order the
 //!   simulator does: `begin_round` before the grants of round `r`,

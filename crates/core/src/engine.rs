@@ -1,7 +1,7 @@
 //! Round execution: gather requests, count arrivals, grant, resolve,
 //! commit.
 //!
-//! One backend-parameterized [`SimState::round`] drives every round
+//! One backend-parameterized `SimState::round` drives every round
 //! through the unified kernels in [`crate::exec`]:
 //!
 //! * The active set is split into deterministic chunks
@@ -17,18 +17,23 @@
 //!   same choices; fault decisions are counter streams too (see
 //!   [`crate::faults`]), which is what lets the chunked kernel reproduce
 //!   the faulty path bit-for-bit at any lane count.
+//! * Grants split the bins the same way and run [`grant_slice`] per
+//!   chunk, summing the chunks' underload counters — the arithmetic the
+//!   cluster orchestrator applies to its shards' replies.
 //!
-//! `SimState` owns the per-chunk [`LaneScratch`] arenas and all workhorse
+//! `SimState` owns the per-chunk `LaneScratch` arenas and all workhorse
 //! buffers, reused across rounds: after the first (warm-up) round, a
 //! steady-state round performs **zero heap allocations** on either
 //! backend — enforced by `tests/alloc_steady_state.rs`.
+
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use pba_par::{as_atomic_u32, DisjointClaims, DisjointIndexMut};
 
 use crate::delegate::GrantDelegate;
 use crate::error::{CoreError, Result};
 use crate::exec::{
-    gather_chunk, grant_range, resolve_chunk, Backend, ChunkPlan, Faulty, GatherShared,
+    gather_chunk, grant_slice, resolve_chunk, Backend, ChunkPlan, Faulty, GatherShared,
     LaneScratch, NoFaults, ResolveShared, Tuning,
 };
 use crate::faults::{FaultPlan, FaultRecord, FaultSession, FaultStats};
@@ -45,6 +50,11 @@ use crate::validate::ValidatorState;
 /// disabled path — the executor then constructs no [`RoundTimer`] and
 /// performs no clock reads.
 pub(crate) type Observer<'a> = Option<(&'a dyn MetricsSink, &'a RunMeta)>;
+
+/// Run-level crashed bins: empty without a fault session.
+fn crashed_bins(faults: &Option<FaultSession>) -> &[u32] {
+    faults.as_ref().map_or(&[], FaultSession::crashed_bins)
+}
 
 /// Mutable simulation state: loads, active set, per-ball protocol state,
 /// message ledger, and reusable scratch arenas.
@@ -82,7 +92,6 @@ pub(crate) struct SimState<P: RoundProtocol> {
     hot_bins: Vec<u32>,
     counts: Vec<u32>,
     accept: Vec<u32>,
-    want: Vec<u32>,
     taken: Vec<u32>,
     /// Load snapshot at round start, populated only for protocols with
     /// `NEEDS_COMMIT_CHOICE` (GREEDY-style height information).
@@ -119,7 +128,6 @@ impl<P: RoundProtocol> SimState<P> {
             hot_bins: Vec::with_capacity(n),
             counts: vec![0; n],
             accept: vec![0; n],
-            want: vec![0; n],
             taken: vec![0; n],
             loads_before: Vec::new(),
         }
@@ -128,24 +136,6 @@ impl<P: RoundProtocol> SimState<P> {
     /// Injected-fault totals, `Some` iff the run is fault-injected.
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.faults.as_ref().map(FaultSession::stats)
-    }
-
-    /// Crashed bins accept nothing and want nothing: zero their grants and
-    /// back their (always-unfilled) demand out of the underload counters.
-    /// No-op without faults; called after the grant phase.
-    fn apply_crash_grants(&mut self, underloaded: &mut u32, unfilled: &mut u64) {
-        if let Some(session) = self.faults.as_ref() {
-            for &bin in session.crashed_bins() {
-                let b = bin as usize;
-                let arrivals = self.counts[b];
-                if arrivals < self.want[b] {
-                    *underloaded -= 1;
-                    *unfilled -= (self.want[b] - arrivals) as u64;
-                }
-                self.accept[b] = 0;
-                self.want[b] = 0;
-            }
-        }
     }
 
     /// Close the round on the fault session (fold tallies into totals) and
@@ -309,10 +299,7 @@ impl<P: RoundProtocol> SimState<P> {
                 // The delegate fills only the bins it grants; every other
                 // bin (no arrivals, or crashed) must read 0.
                 self.accept.fill(0);
-                let crashed = self
-                    .faults
-                    .as_ref()
-                    .map_or(&[][..], FaultSession::crashed_bins);
+                let crashed = crashed_bins(&self.faults);
                 d.round_grants(
                     &ctx,
                     &self.counts,
@@ -321,11 +308,7 @@ impl<P: RoundProtocol> SimState<P> {
                     &mut self.accept,
                 )?
             }
-            None => {
-                let (mut ub, mut uw) = self.grants(protocol, &ctx, eff, plan);
-                self.apply_crash_grants(&mut ub, &mut uw);
-                (ub, uw)
-            }
+            None => self.grants(protocol, &ctx, eff, plan),
         };
         // Granted = first min(arrivals, grant) arrivals per bin.
         for ((t, &a), &c) in self.taken.iter_mut().zip(&self.accept).zip(&self.counts) {
@@ -385,10 +368,7 @@ impl<P: RoundProtocol> SimState<P> {
         );
         let fault_record = self.end_fault_round(round);
         if let Some(v) = self.validator.as_mut() {
-            let crashed = self
-                .faults
-                .as_ref()
-                .map_or(&[][..], FaultSession::crashed_bins);
+            let crashed = crashed_bins(&self.faults);
             v.check_round(
                 &record,
                 P::MAY_REDIRECT,
@@ -416,9 +396,10 @@ impl<P: RoundProtocol> SimState<P> {
         Ok(record)
     }
 
-    /// Grant phase: serial below the cutoff (or on the serial backend),
-    /// chunked `par_reduce` over bins otherwise. Both paths run
-    /// [`grant_range`].
+    /// Grant phase: [`grant_slice`] over each chunk of the round's bin
+    /// chunking, one task per chunk on `backend`, with the chunks'
+    /// `(underloaded, unfilled)` summed. The serial backend is one chunk
+    /// over all bins.
     fn grants(
         &mut self,
         protocol: &P,
@@ -426,25 +407,30 @@ impl<P: RoundProtocol> SimState<P> {
         backend: Backend<'_>,
         plan: ChunkPlan,
     ) -> (u32, u64) {
-        let n = self.spec.bins() as usize;
-        let counts = &self.counts;
-        let loads = &self.loads;
+        let chunking = backend.chunking(self.counts.len(), plan.min_chunk);
+        let crashed = crashed_bins(&self.faults);
+        let (counts, loads) = (&self.counts, &self.loads);
         let accept = DisjointIndexMut::new(&mut self.accept);
-        let want = DisjointIndexMut::new(&mut self.want);
-        match backend.pool() {
-            Some(pool) if n >= plan.par_cutoff => pba_par::par_reduce(
-                pool,
-                n,
-                plan.min_chunk,
-                || (0u32, 0u64),
-                |acc, r| {
-                    let (ub, uw) = grant_range(protocol, ctx, r, counts, loads, &accept, &want);
-                    (acc.0 + ub, acc.1 + uw)
-                },
-                |a, b| (a.0 + b.0, a.1 + b.1),
-            ),
-            _ => grant_range(protocol, ctx, 0..n, counts, loads, &accept, &want),
-        }
+        let underloaded = AtomicU32::new(0);
+        let unfilled = AtomicU64::new(0);
+        backend.run(chunking.chunks(), |ci| {
+            let r = chunking.range(ci);
+            // SAFETY: the chunk ranges partition the bins and `run` hands
+            // each chunk index to exactly one task.
+            let accept = unsafe { accept.slice_mut(r.clone()) };
+            let (ub, uw) = grant_slice(
+                protocol,
+                ctx,
+                r.start as u32,
+                &counts[r.clone()],
+                &loads[r],
+                crashed,
+                accept,
+            );
+            underloaded.fetch_add(ub, Ordering::Relaxed);
+            unfilled.fetch_add(uw, Ordering::Relaxed);
+        });
+        (underloaded.into_inner(), unfilled.into_inner())
     }
 
     /// Shared bookkeeping after resolution: ledger updates, active-set

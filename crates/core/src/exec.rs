@@ -10,9 +10,14 @@
 //!   chunks over a [`ThreadPool`]. The sequential path is literally the
 //!   one-chunk instance of the chunked kernel, which is why the two are
 //!   bit-identical by construction rather than by parallel maintenance.
-//! * [`Admission`] — *what* filters requests: [`NoFaults`] is a zero-sized
-//!   passthrough whose branches constant-fold away, [`Faulty`] routes every
+//! * `Admission` — *what* filters requests: `NoFaults` is a zero-sized
+//!   passthrough whose branches constant-fold away, `Faulty` routes every
 //!   ball through the fault session's admit/deliver filters.
+//!
+//! Ball-side phases split the active set; the grant phase splits the bins
+//! and runs [`grant_slice`] once per chunk — the same kernel, on the same
+//! kind of bin range, that a cluster shard worker runs over the bins it
+//! owns.
 //!
 //! ```text
 //!             ┌────────────────────── one round ──────────────────────┐
@@ -30,7 +35,7 @@
 //! traffic on large bin counts.
 //! ```
 //!
-//! Each chunk writes exclusively into its own [`LaneScratch`] arena, owned
+//! Each chunk writes exclusively into its own `LaneScratch` arena, owned
 //! by `SimState` and reused across rounds, so the steady-state round
 //! performs **zero heap allocations** (pinned by
 //! `tests/alloc_steady_state.rs`). Cross-array per-ball writes (protocol
@@ -191,15 +196,6 @@ impl<'p> Backend<'p> {
         match self {
             Backend::Serial => 1,
             Backend::Pool(pool) => pool.lanes(),
-        }
-    }
-
-    /// The pool, if this backend has one.
-    #[inline]
-    pub fn pool(&self) -> Option<&'p ThreadPool> {
-        match self {
-            Backend::Serial => None,
-            Backend::Pool(pool) => Some(pool),
         }
     }
 
@@ -476,10 +472,7 @@ pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
     }
 }
 
-/// The bin-side decision for one bin: `(clamped accept, want)`. Shared
-/// by the in-process grant phase ([`grant_range`]) and the shard-range
-/// mirror ([`grant_slice`]) so both compute identical grants by
-/// construction.
+/// The bin-side decision for one bin: `(clamped accept, want)`.
 #[inline]
 fn bin_decision<P: RoundProtocol>(
     protocol: &P,
@@ -492,50 +485,20 @@ fn bin_decision<P: RoundProtocol>(
     (g.accept.min(arrivals), g.want)
 }
 
-/// One task's slice of the grant phase: query the protocol for every bin
-/// in `range`, record the clamped accept and the want, and return this
-/// range's `(underloaded bins, unfilled want)` contribution.
-pub(crate) fn grant_range<P: RoundProtocol>(
-    protocol: &P,
-    ctx: &RoundContext,
-    range: Range<usize>,
-    counts: &[u32],
-    loads: &[u32],
-    accept: &DisjointIndexMut<'_, u32>,
-    want: &DisjointIndexMut<'_, u32>,
-) -> (u32, u64) {
-    let mut underloaded = 0u32;
-    let mut unfilled = 0u64;
-    for i in range {
-        let arrivals = counts[i];
-        let (a, w) = bin_decision(protocol, ctx, i as u32, loads[i], arrivals);
-        // SAFETY: callers partition bin indices over tasks, so no other
-        // task writes these slots.
-        unsafe {
-            *accept.index_mut(i) = a;
-            *want.index_mut(i) = w;
-        }
-        if arrivals < w {
-            underloaded += 1;
-            unfilled += (w - arrivals) as u64;
-        }
-    }
-    (underloaded, unfilled)
-}
-
-/// The grant phase for a contiguous shard of the bin space — the
-/// computation a cluster shard worker (`pba-cluster`) performs for the
-/// bins it owns.
+/// THE grant kernel: the grant phase for one contiguous range of the bin
+/// space. The engine runs it once per chunk of its bin chunking, and a
+/// cluster shard worker (`pba-cluster`) once over the bins it owns; in
+/// the papers' model every bin decides alone, so any partition of
+/// `[0, n)` into ranges yields the same round.
 ///
-/// `counts`, `loads`, and `accept` are the shard's dense slices for
+/// `counts`, `loads`, and `accept` are the range's dense slices for
 /// global bins `[lo, lo + counts.len())`, indexed relative to `lo`;
-/// `crashed` lists run-level crashed bins by global id (ids outside the
-/// shard are ignored). Writes clamped accepts (0 for crashed bins) and
-/// returns the shard's `(underloaded bins, unfilled want)` contribution
-/// with the crashed-bin demand already backed out — exactly the
-/// arithmetic of the engine's local grant phase plus its crash sweep, so
-/// summing shard contributions over a partition of `[0, n)` reproduces
-/// the in-process totals bit for bit.
+/// `crashed` lists run-level crashed bins by global id, each at most once
+/// (ids outside the range are ignored). Writes clamped accepts (0 for
+/// crashed bins) and returns the range's `(underloaded bins, unfilled
+/// want)` contribution with the crashed-bin demand already backed out, so
+/// summing the contributions over a partition of `[0, n)` gives the
+/// round's totals.
 pub fn grant_slice<P: RoundProtocol>(
     protocol: &P,
     ctx: &RoundContext,
@@ -560,7 +523,7 @@ pub fn grant_slice<P: RoundProtocol>(
     }
     // Crashed bins accept nothing and want nothing: recompute the (pure)
     // decision to back their unfilled demand out of the counters, then
-    // zero the grant — the engine's `apply_crash_grants` sweep, shard-local.
+    // zero the grant.
     for &bin in crashed {
         let Some(i) = bin.checked_sub(lo).map(|d| d as usize) else {
             continue;
@@ -699,6 +662,128 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ProblemSpec;
+    use crate::protocol::{BinGrant, NoBallState};
+    use crate::rng::SplitMix64;
+
+    /// Grants keyed on the bin id, so one sweep covers every case: bins
+    /// that want more than their arrivals (underloaded), bins that accept
+    /// fewer than they receive, and `accept != want`.
+    struct Patchwork;
+
+    impl RoundProtocol for Patchwork {
+        type BallState = NoBallState;
+        fn name(&self) -> &'static str {
+            "patchwork"
+        }
+        fn round_budget(&self, _spec: &ProblemSpec) -> u32 {
+            1
+        }
+        fn ball_choices(
+            &self,
+            _ctx: &RoundContext,
+            _ball: BallContext,
+            _state: &mut NoBallState,
+            _rng: &mut SplitMix64,
+            _out: &mut ChoiceSink<'_>,
+        ) {
+        }
+        fn bin_grant(&self, _ctx: &RoundContext, bin: u32, load: u32, _arrivals: u32) -> BinGrant {
+            let want = (bin % 9).saturating_sub(load);
+            BinGrant {
+                accept: want + bin % 3,
+                want,
+            }
+        }
+    }
+
+    /// Run `grant_slice` over each range of `partition` (which must tile
+    /// `0..counts.len()`) and sum the contributions, as the engine does
+    /// per chunk and the cluster orchestrator per shard.
+    fn grant_partition(
+        ctx: &RoundContext,
+        counts: &[u32],
+        loads: &[u32],
+        crashed: &[u32],
+        partition: &[Range<usize>],
+    ) -> (Vec<u32>, (u32, u64)) {
+        let mut accept = vec![u32::MAX; counts.len()];
+        let (mut underloaded, mut unfilled) = (0u32, 0u64);
+        for r in partition {
+            let (ub, uw) = grant_slice(
+                &Patchwork,
+                ctx,
+                r.start as u32,
+                &counts[r.clone()],
+                &loads[r.clone()],
+                crashed,
+                &mut accept[r.clone()],
+            );
+            underloaded += ub;
+            unfilled += uw;
+        }
+        (accept, (underloaded, unfilled))
+    }
+
+    #[test]
+    fn grant_slice_sums_identically_over_every_partition() {
+        const N: usize = 96;
+        let ctx = RoundContext {
+            spec: ProblemSpec::new(1000, N as u32).unwrap(),
+            round: 2,
+            active: 1000,
+            placed: 0,
+            seed: 5,
+        };
+        let counts: Vec<u32> = (0..N as u32).map(|b| (b * 7 + 3) % 11).collect();
+        let loads: Vec<u32> = (0..N as u32).map(|b| b % 4).collect();
+        // Crashed bins inside the 12-bin chunks below (5, 30, 77) and on
+        // their edges (0, 11, 12, 23, 95), listed out of order: the kernel
+        // must not depend on it.
+        let crashed = [30u32, 0, 11, 12, 5, 95, 23, 77];
+
+        // Reference: every bin decides alone.
+        let mut want_accept = vec![0u32; N];
+        let (mut want_ub, mut want_uw) = (0u32, 0u64);
+        let mut crashed_underloaded = 0;
+        for b in 0..N {
+            let g = Patchwork.bin_grant(&ctx, b as u32, loads[b], counts[b]);
+            let under = counts[b] < g.want;
+            if crashed.contains(&(b as u32)) {
+                crashed_underloaded += usize::from(under);
+                continue;
+            }
+            want_accept[b] = g.accept.min(counts[b]);
+            if under {
+                want_ub += 1;
+                want_uw += u64::from(g.want - counts[b]);
+            }
+        }
+        // The fixture must exercise both the clamp and the crash back-out.
+        assert!(want_ub > 0 && crashed_underloaded > 0);
+        assert!((0..N).any(|b| want_accept[b] > 0 && want_accept[b] == counts[b]));
+
+        let one: Vec<_> = Backend::Serial.chunking(N, 1).ranges().collect();
+        let equal: Vec<_> = Chunking::new(N, 1, 8).ranges().collect();
+        assert!(equal.iter().all(|r| r.len() == 12));
+        let edges = [0, 1, 13, 14, 50, 95, N];
+        let ragged: Vec<_> = edges.windows(2).map(|w| w[0]..w[1]).collect();
+        let single: Vec<_> = (0..N).map(|b| b..b + 1).collect();
+        for (name, partition) in [
+            ("one range", one),
+            ("equal chunks", equal),
+            ("ragged chunks", ragged),
+            ("single bins", single),
+        ] {
+            let (accept, totals) = grant_partition(&ctx, &counts, &loads, &crashed, &partition);
+            assert_eq!(accept, want_accept, "{name}: accept");
+            assert_eq!(
+                totals,
+                (want_ub, want_uw),
+                "{name}: (underloaded, unfilled)"
+            );
+        }
+    }
 
     #[test]
     fn tuning_defaults_match_constants() {
@@ -758,7 +843,6 @@ mod tests {
     fn serial_backend_is_one_chunk() {
         let b = Backend::Serial;
         assert_eq!(b.lanes(), 1);
-        assert!(b.pool().is_none());
         let c = b.chunking(1_000_000, 16);
         assert_eq!(c.chunks(), 1);
         assert_eq!(c.range(0), 0..1_000_000);

@@ -40,8 +40,6 @@
 //! * [`wire`] — the hand-rolled binary wire toolkit (little-endian
 //!   primitives, LEB128 varints, FNV-1a-checksummed frames) shared by
 //!   snapshots, the cluster shard protocol, and the socket ingest path.
-//! * [`snapshot`] — allocator checkpoint/restore framing for the
-//!   service facade, a thin façade over [`wire`].
 //! * [`load`], [`messages`], [`allocation`], [`trace`] — statistics and
 //!   run records.
 //! * `validate` — the in-engine invariant checker armed by
@@ -66,7 +64,6 @@ pub mod model;
 pub mod protocol;
 pub mod rng;
 pub mod sim;
-pub mod snapshot;
 pub mod trace;
 pub(crate) mod validate;
 pub mod wire;
@@ -89,6 +86,5 @@ pub use protocol::{
 };
 pub use rng::{ball_stream, RoundStreams, SplitMix64, Xoshiro256pp};
 pub use sim::{ExecutorKind, RunConfig, RunOutcome, Simulator};
-pub use snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 pub use trace::{RoundRecord, RunTrace};
 pub use wire::{WireError, WireReader, WireWriter};

@@ -19,7 +19,7 @@
 //!   is self-contained and a sink shared by concurrent runs (e.g. seed
 //!   replication) never sees torn per-round state.
 //! * **Zero-cost when disabled**: with no sink configured the engine's
-//!   round loop performs *no clock reads at all* — the [`RoundTimer`] is
+//!   round loop performs *no clock reads at all* — the `RoundTimer` is
 //!   simply never constructed (verified by the cross-executor determinism
 //!   tests and the `None`-sink branch shape in `engine.rs`).
 //! * Pool counters ([`PoolStats`]) are snapshotted before and after the
@@ -136,7 +136,7 @@ pub struct RunSummary {
 
 /// Identity of the streaming allocator a batch callback belongs to.
 ///
-/// The streaming analogue of [`RunMeta`]: long-lived [`StreamAllocator`]
+/// The streaming analogue of [`RunMeta`]: long-lived `StreamAllocator`
 /// sessions (crate `pba-stream`) have no fixed `m`, so their events carry
 /// bin count, policy, and sharding instead of a [`ProblemSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

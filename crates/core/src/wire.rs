@@ -3,8 +3,7 @@
 //!
 //! Three subsystems encode bytes by hand because the workspace builds
 //! with **zero** external dependencies by default: allocator snapshots
-//! (`pba_core::snapshot`, which re-exports these types under its
-//! historical names), the cluster shard protocol
+//! (`pba_stream::snapshot`), the cluster shard protocol
 //! (`pba_cluster::wire`), and the streaming socket ingest
 //! (`pba_stream::ingest`). They all share the same foundation:
 //!
@@ -518,6 +517,116 @@ impl<'a> WireReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const MAGIC: [u8; 4] = *b"TEST";
+
+    fn sample() -> Vec<u8> {
+        let mut w = WireWriter::framed(MAGIC, 3);
+        w.u8(7);
+        w.u32(0xDEAD_BEEF);
+        w.u64(u64::MAX - 1);
+        w.f64(2.0 / 3.0);
+        w.bytes(&[1, 2, 3]);
+        w.str("déjà vu");
+        w.finish()
+    }
+
+    #[test]
+    fn framed_roundtrip_is_exact() {
+        let bytes = sample();
+        let mut r = WireReader::framed(&bytes, MAGIC, 3).unwrap();
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
+        assert_eq!(r.f64().unwrap().to_bits(), (2.0f64 / 3.0).to_bits());
+        assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
+        assert_eq!(r.str().unwrap(), "déjà vu");
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn f64_roundtrip_preserves_every_bit_pattern() {
+        for v in [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e-308,
+        ] {
+            let mut w = WireWriter::unframed();
+            w.f64(v);
+            let bytes = w.finish();
+            let got = WireReader::unframed(&bytes).f64().unwrap();
+            assert_eq!(got.to_bits(), v.to_bits());
+        }
+    }
+
+    #[test]
+    fn wrong_magic_and_version_are_rejected() {
+        let bytes = sample();
+        assert!(matches!(
+            WireReader::framed(&bytes, *b"NOPE", 3),
+            Err(WireError::BadMagic { .. })
+        ));
+        assert_eq!(
+            WireReader::framed(&bytes, MAGIC, 4).err(),
+            Some(WireError::BadVersion {
+                found: 3,
+                expected: 4
+            })
+        );
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        let good = sample();
+        for byte in 0..good.len() {
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[byte] ^= 1 << bit;
+                let result = WireReader::framed(&bad, MAGIC, 3);
+                assert!(
+                    result.is_err(),
+                    "flip of byte {byte} bit {bit} went undetected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn truncation_is_detected() {
+        let good = sample();
+        for len in 0..good.len() {
+            assert!(
+                WireReader::framed(&good[..len], MAGIC, 3).is_err(),
+                "truncation to {len} bytes went undetected"
+            );
+        }
+    }
+
+    #[test]
+    fn over_reads_and_trailing_bytes_error() {
+        let mut w = WireWriter::unframed();
+        w.u32(5);
+        let bytes = w.finish();
+        let mut r = WireReader::unframed(&bytes);
+        assert_eq!(r.u32().unwrap(), 5);
+        assert!(matches!(r.u64(), Err(WireError::Truncated { .. })));
+
+        let mut r = WireReader::unframed(&bytes);
+        assert_eq!(r.u8().unwrap(), 5);
+        assert_eq!(r.finish(), Err(WireError::TrailingBytes(3)));
+    }
+
+    #[test]
+    fn absurd_byte_string_length_is_truncation_not_allocation() {
+        let mut w = WireWriter::unframed();
+        w.u64(u64::MAX); // length prefix far beyond the buffer
+        let bytes = w.finish();
+        let mut r = WireReader::unframed(&bytes);
+        assert!(matches!(r.bytes(), Err(WireError::Truncated { .. })));
+    }
 
     #[test]
     fn varint_roundtrips_boundary_values() {

@@ -1,8 +1,8 @@
 //! Chunk geometry: deterministic partitioning of an index range.
 //!
-//! Every parallel primitive in this crate splits `0..len` into chunks whose
-//! boundaries depend only on `len`, the minimum chunk size, and the number
-//! of execution lanes — never on runtime timing. This is what makes
+//! [`Chunking`] is the one way the workspace splits `0..len` for a
+//! parallel pass: its boundaries depend only on `len`, the minimum chunk
+//! size, and the chunk cap — never on runtime timing. This is what makes
 //! chunk-local outputs deterministic.
 
 use std::ops::Range;
@@ -60,7 +60,7 @@ impl Chunking {
 /// a maximum chunk count. Returns at least 1 for nonempty inputs and 0 for
 /// empty ones.
 #[inline]
-pub fn chunk_count(len: usize, min_chunk: usize, max_chunks: usize) -> usize {
+fn chunk_count(len: usize, min_chunk: usize, max_chunks: usize) -> usize {
     if len == 0 {
         return 0;
     }
@@ -74,7 +74,7 @@ pub fn chunk_count(len: usize, min_chunk: usize, max_chunks: usize) -> usize {
 /// The first `len % chunks` ranges get one extra element, so sizes differ by
 /// at most one.
 #[inline]
-pub fn chunk_range(len: usize, chunks: usize, i: usize) -> Range<usize> {
+fn chunk_range(len: usize, chunks: usize, i: usize) -> Range<usize> {
     debug_assert!(i < chunks, "chunk index {i} out of {chunks}");
     let base = len / chunks;
     let extra = len % chunks;

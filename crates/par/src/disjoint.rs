@@ -5,8 +5,9 @@
 //! items' slots in several parallel arrays. Rust's borrow checker cannot
 //! see that the index sets are disjoint, so this module provides the one
 //! audited escape hatch: [`DisjointIndexMut`] erases a `&mut [T]` into a
-//! shareable handle whose `index_mut` is `unsafe` with exactly one proof
-//! obligation — *no two concurrent tasks touch the same index*.
+//! shareable handle whose `index_mut` (one slot) and `slice_mut` (one
+//! contiguous range) are `unsafe` with exactly one proof obligation — *no
+//! two concurrent tasks touch the same index*.
 //!
 //! [`DisjointClaims`] backs that obligation with a runtime check in debug
 //! builds: each task claims every item index it owns once per epoch, and a
@@ -14,6 +15,7 @@
 //! table away entirely, so the check costs nothing in benchmarks.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 
 #[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -24,7 +26,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 ///
 /// The handle borrows the slice for `'a`, so the underlying storage cannot
 /// be moved, resized, or otherwise aliased while tasks hold the view. All
-/// aliasing discipline is concentrated in [`DisjointIndexMut::index_mut`].
+/// aliasing discipline is concentrated in [`DisjointIndexMut::index_mut`]
+/// and [`DisjointIndexMut::slice_mut`].
 pub struct DisjointIndexMut<'a, T> {
     ptr: *mut T,
     len: usize,
@@ -33,12 +36,13 @@ pub struct DisjointIndexMut<'a, T> {
 
 // SAFETY: the handle is only a pointer + length over a uniquely borrowed
 // slice; sending or sharing it across threads is sound because every
-// dereference goes through `index_mut`, whose contract requires disjoint
-// indices across concurrent users. `T: Send` is required because a task on
-// another thread obtains `&mut T` (i.e. ownership-like access) to slots.
+// dereference goes through `index_mut` or `slice_mut`, whose contracts
+// require disjoint indices across concurrent users. `T: Send` is required
+// because a task on another thread obtains `&mut T` (i.e. ownership-like
+// access) to slots.
 unsafe impl<T: Send> Send for DisjointIndexMut<'_, T> {}
-// SAFETY: as above — `&DisjointIndexMut` only enables `index_mut`, which is
-// itself `unsafe` with a disjointness contract.
+// SAFETY: as above — `&DisjointIndexMut` only enables `index_mut` and
+// `slice_mut`, which are themselves `unsafe` with a disjointness contract.
 unsafe impl<T: Send> Sync for DisjointIndexMut<'_, T> {}
 
 impl<'a, T> DisjointIndexMut<'a, T> {
@@ -81,6 +85,33 @@ impl<'a, T> DisjointIndexMut<'a, T> {
         // borrow; `index` is in bounds (checked above) and the caller
         // guarantees no concurrent access to this slot.
         unsafe { &mut *self.ptr.add(index) }
+    }
+
+    /// Mutable access to the contiguous slots in `range`.
+    ///
+    /// # Safety
+    ///
+    /// The same one-task-per-slot contract as [`index_mut`]: callers must
+    /// guarantee that no two concurrently running tasks obtain overlapping
+    /// ranges (or a slot inside `range` through [`index_mut`]), and that
+    /// the caller holds no other reference into `range`. In the engine
+    /// this is discharged by handing each chunk of one
+    /// [`Chunking`](crate::Chunking) to exactly one task. A range with
+    /// `start > end` or `end > len` is rejected in all builds.
+    ///
+    /// [`index_mut`]: DisjointIndexMut::index_mut
+    #[inline]
+    #[allow(clippy::mut_from_ref)] // as `index_mut`: disjoint &mut from a shared handle
+    pub unsafe fn slice_mut(&self, range: Range<usize>) -> &mut [T] {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "DisjointIndexMut: range {range:?} out of bounds for length {}",
+            self.len
+        );
+        // SAFETY: `ptr` covers `len` initialized slots of a live `&mut`
+        // borrow; `range` lies within them (checked above) and the caller
+        // guarantees no concurrent access to any slot in it.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
     }
 }
 
@@ -151,8 +182,7 @@ impl DisjointClaims {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ThreadPool;
-    use crate::{chunk_range, Chunking};
+    use crate::{Chunking, ThreadPool};
 
     #[test]
     fn disjoint_writes_land() {
@@ -174,6 +204,25 @@ mod tests {
     }
 
     #[test]
+    fn disjoint_range_writes_land() {
+        let pool = ThreadPool::new(3);
+        let mut data = vec![0u64; 10_000];
+        let chunking = Chunking::new(data.len(), 128, 16);
+        let view = DisjointIndexMut::new(&mut data);
+        pool.run_indexed(chunking.chunks(), |ci| {
+            let range = chunking.range(ci);
+            // SAFETY: chunk ranges partition 0..len disjointly.
+            let slots = unsafe { view.slice_mut(range.clone()) };
+            for (slot, i) in slots.iter_mut().zip(range) {
+                *slot = i as u64 * 3;
+            }
+        });
+        for (i, &v) in data.iter().enumerate() {
+            assert_eq!(v, i as u64 * 3);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_is_rejected_in_all_builds() {
         let mut data = vec![0u8; 4];
@@ -182,6 +231,16 @@ mod tests {
         unsafe {
             *view.index_mut(4) = 1;
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_bounds_range_is_rejected_in_all_builds() {
+        let mut data = vec![0u8; 4];
+        let view = DisjointIndexMut::new(&mut data);
+        // SAFETY: single-threaded access; the call must panic on bounds.
+        let slots = unsafe { view.slice_mut(2..5) };
+        slots.fill(1);
     }
 
     #[test]
@@ -216,7 +275,7 @@ mod tests {
         };
         let chunking = Chunking::new(1000, 64, 7);
         for ci in 0..chunking.chunks() {
-            for i in chunk_range(1000, chunking.chunks(), ci) {
+            for i in chunking.range(ci) {
                 claims.claim(i);
             }
         }

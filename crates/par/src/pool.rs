@@ -3,9 +3,10 @@
 //! The pool intentionally exposes a *single* execution primitive,
 //! [`ThreadPool::run_indexed`]: run a `Sync` closure once for each index in
 //! `0..tasks`, distributing indices over the workers *and* the calling
-//! thread, and return only when every index has completed. All higher-level
-//! primitives (chunked iteration, map, reduce) are built on top of it in
-//! sibling modules. Keeping the unsafe lifetime-erasure confined to this one
+//! thread, and return only when every index has completed. Callers build
+//! their passes on it directly: `pba-core`'s `Backend` runs one index per
+//! [`Chunking`](crate::Chunking) chunk, and seed replication runs one index
+//! per seed. Keeping the unsafe lifetime-erasure confined to this one
 //! entry point makes the soundness argument short: the caller blocks until
 //! the job's completion latch fires *and* every late-waking worker has left
 //! the job slot, so every borrow smuggled to a worker is dead before

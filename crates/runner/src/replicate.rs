@@ -2,12 +2,15 @@
 //! parallel across the pool (each individual run stays on the
 //! deterministic sequential executor so replications are reproducible).
 
+use std::sync::Mutex;
+
 use pba_core::{ProblemSpec, Result, RoundProtocol, RunOutcome, Simulator};
 use pba_par::global_pool;
 
 use crate::experiment::RunOptions;
 
-/// Run `f(seed)` for `reps` seeds derived from `base_seed`, in parallel.
+/// Run `f(seed)` for `reps` seeds derived from `base_seed`, in parallel
+/// (one pool task per seed), returning the results in seed order.
 ///
 /// Seeds are `base_seed, base_seed+1, …` — simple, collision-free, and
 /// stable across machines.
@@ -16,7 +19,21 @@ where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    pba_par::par_map_indexed(global_pool(), reps, 1, |i| f(base_seed + i as u64))
+    let slots: Vec<Mutex<Option<T>>> = (0..reps).map(|_| Mutex::new(None)).collect();
+    global_pool().run_indexed(reps, |i| {
+        let out = f(base_seed + i as u64);
+        *slots[i]
+            .lock()
+            .expect("a slot is locked only to store its result") = Some(out);
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("a slot is locked only to store its result")
+                .expect("run_indexed runs every seed")
+        })
+        .collect()
 }
 
 /// Replicate a protocol run over seeds; panics on simulation errors (an

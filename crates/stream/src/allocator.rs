@@ -249,10 +249,10 @@ impl StreamAllocator {
 
     /// Snapshot path: decide every arrival against the batch-start loads
     /// (read-only, so decisions parallelize), then apply the commutative
-    /// adds. Both stages run on the same [`Backend`] the engine uses —
-    /// [`Backend::Serial`] below the cutoff (or when parallel ingestion is
-    /// off), the global pool otherwise. Placements are identical either
-    /// way.
+    /// adds. Both stages run over one chunking of the batch on the same
+    /// [`Backend`] the engine uses — [`Backend::Serial`] below the cutoff
+    /// (or when parallel ingestion is off), the global pool otherwise.
+    /// Placements are identical either way.
     fn place_snapshot(
         &mut self,
         arrivals: &[crate::Ball],
@@ -306,7 +306,7 @@ impl StreamAllocator {
             .zip(arrivals)
             .map(|(&bin, ball)| (bin, ball.weight))
             .collect();
-        self.loads.apply(backend, &pairs, touches);
+        self.loads.apply(backend, chunking, &pairs, touches);
         placements
     }
 }

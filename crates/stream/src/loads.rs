@@ -4,16 +4,16 @@
 //! the one-shot engine it cannot hand a single `&mut Vec` to one executor
 //! invocation and forget it. Instead the `n` bins are range-partitioned
 //! into `s` shards, each shard owning a contiguous `Vec<u64>` of loads.
-//! During parallel batch application every pool lane reinterprets the
+//! During parallel batch application every pool task reinterprets the
 //! shard vectors as atomic slices (via [`pba_par::as_atomic_u64`]) and
-//! applies its slice of placements with relaxed `fetch_add`s — commutative,
+//! applies one chunk of placements with relaxed `fetch_add`s — commutative,
 //! so the resulting loads are identical for **any** shard count and any
 //! lane interleaving. A [`pba_par::ShardedCounters`] alongside tallies how
 //! many placements landed in each shard's range: the per-batch
 //! shard-contention signal reported through metrics.
 
 use pba_core::{Backend, BinState};
-use pba_par::{as_atomic_u64, CachePadded, ShardedCounters};
+use pba_par::{as_atomic_u64, CachePadded, Chunking, ShardedCounters};
 use std::sync::atomic::Ordering;
 
 /// Per-bin `u64` loads, range-partitioned into shards.
@@ -91,36 +91,45 @@ impl ShardedLoads {
         self.shards[s][i] = self.shards[s][i].saturating_sub(weight);
     }
 
-    /// Apply a batch of `(bin, weight)` placements on the given backend.
+    /// Apply a batch of `(bin, weight)` placements on the given backend,
+    /// one task per chunk of `chunking` (a partition of
+    /// `0..placements.len()`).
     ///
-    /// On [`Backend::Pool`] every pool lane handles its own placements,
-    /// adding through atomic views of the shard vectors; on
-    /// [`Backend::Serial`] the same loop runs inline on the calling
-    /// thread. `touches` (when sized to [`Self::shards`]) receives one
-    /// count per placement keyed by the *owning shard* — the contention
-    /// distribution. Additions are relaxed `fetch_add`s, so the final
-    /// loads are identical for any backend, lane count or shard count.
+    /// On [`Backend::Pool`] chunks run concurrently, adding through atomic
+    /// views of the shard vectors; on [`Backend::Serial`] the same loop
+    /// runs inline on the calling thread. `touches` (when sized to
+    /// [`Self::shards`]) receives one count per placement keyed by the
+    /// *owning shard* — the contention distribution. Additions are
+    /// relaxed `fetch_add`s, so the final loads are identical for any
+    /// backend, chunking, lane count or shard count.
     pub fn apply(
         &mut self,
         backend: Backend<'_>,
+        chunking: Chunking,
         placements: &[(u32, u64)],
         touches: &ShardedCounters,
     ) {
+        assert_eq!(
+            chunking.len(),
+            placements.len(),
+            "chunking must cover the batch"
+        );
         let starts = &self.starts;
         let bins = self.bins;
         let shards = self.shards.len();
         let views: Vec<&[std::sync::atomic::AtomicU64]> =
             self.shards.iter_mut().map(|v| as_atomic_u64(v)).collect();
-        backend.run(placements.len(), |i| {
-            let (bin, weight) = placements[i];
-            let mut s = (bin as u64 * shards as u64 / bins as u64) as usize;
-            if bin < starts[s] {
-                s -= 1;
-            } else if bin >= starts[s + 1] {
-                s += 1;
+        backend.run(chunking.chunks(), |ci| {
+            for &(bin, weight) in &placements[chunking.range(ci)] {
+                let mut s = (bin as u64 * shards as u64 / bins as u64) as usize;
+                if bin < starts[s] {
+                    s -= 1;
+                } else if bin >= starts[s + 1] {
+                    s += 1;
+                }
+                views[s][(bin - starts[s]) as usize].fetch_add(weight, Ordering::Relaxed);
+                touches.add(s, 1);
             }
-            views[s][(bin - starts[s]) as usize].fetch_add(weight, Ordering::Relaxed);
-            touches.add(s, 1);
         });
     }
 }
@@ -211,8 +220,19 @@ mod tests {
         let mut par = ShardedLoads::new(97, 4);
         let t_seq = ShardedCounters::new(4);
         let t_par = ShardedCounters::new(4);
-        seq.apply(Backend::Serial, &placements, &t_seq);
-        par.apply(Backend::Pool(&pool), &placements, &t_par);
+        let (serial, pooled) = (Backend::Serial, Backend::Pool(&pool));
+        seq.apply(
+            serial,
+            serial.chunking(placements.len(), 1),
+            &placements,
+            &t_seq,
+        );
+        par.apply(
+            pooled,
+            pooled.chunking(placements.len(), 64),
+            &placements,
+            &t_par,
+        );
         assert_eq!(seq.load_vector(), par.load_vector());
         assert_eq!(t_seq.values(), t_par.values());
         assert_eq!(t_seq.total(), 10_000);

@@ -23,7 +23,7 @@
 //! count and lane scheduling (see the crate docs on determinism).
 
 use pba_core::rng::{Rand64, SplitMix64};
-use pba_core::snapshot::{SnapshotReader, SnapshotWriter};
+use pba_core::wire::{WireReader, WireWriter};
 use pba_core::BinState;
 use pba_protocols::UndershootSchedule;
 
@@ -204,7 +204,7 @@ impl PlacementPolicy for Threshold {
     /// persisted bit-exactly (`m̃` directly, *not* via `ratio()` — see
     /// [`UndershootSchedule::mass`]).
     fn state_snapshot(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::unframed();
+        let mut w = WireWriter::unframed();
         w.f64(self.schedule.gamma());
         w.f64(self.schedule.mass());
         w.u64(self.threshold);
@@ -213,7 +213,7 @@ impl PlacementPolicy for Threshold {
 
     fn state_restore(&mut self, bytes: &[u8]) -> Result<(), String> {
         let err = |e| format!("threshold policy state: {e}");
-        let mut r = SnapshotReader::unframed(bytes);
+        let mut r = WireReader::unframed(bytes);
         let gamma = r.f64().map_err(err)?;
         let mass = r.f64().map_err(err)?;
         let threshold = r.u64().map_err(err)?;
@@ -379,7 +379,7 @@ mod tests {
     fn threshold_rejects_corrupt_state() {
         let mut policy = Threshold::new(8);
         assert!(policy.state_restore(&[0u8; 3]).is_err(), "truncated");
-        let mut w = pba_core::snapshot::SnapshotWriter::unframed();
+        let mut w = pba_core::wire::WireWriter::unframed();
         w.f64(1.5); // gamma out of range
         w.f64(64.0);
         w.u64(0);

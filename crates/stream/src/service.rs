@@ -21,7 +21,8 @@
 //!   every ball of the batch in a log₂ [`LatencyHistogram`]. Every
 //!   `checkpoint_every` batches the window closes into a
 //!   [`ServiceRecord`] (p50/p99/p999/max latency, gap, window wall time)
-//!   delivered to the allocator's [`MetricsSink`] via `on_service`.
+//!   delivered to the allocator's [`MetricsSink`](pba_core::MetricsSink)
+//!   via `on_service`.
 //! * **Snapshot at a checkpoint**: [`ServiceConfig::snapshot_at`] makes
 //!   the worker serialize the allocator right after the named batch —
 //!   between batches, so the captured state is exactly what the next

@@ -3,9 +3,9 @@
 //! The replay service checkpoints a live allocator to bytes
 //! ([`StreamAllocator::snapshot`]) and later rebuilds it
 //! ([`StreamAllocator::restore`]) — in the same process or another one.
-//! The format rides on the framed binary codec of
-//! [`pba_core::snapshot`] (magic `PBAS`, version 1, FNV-1a checksum), so
-//! it works in the default zero-dependency build.
+//! The format rides on the framed envelope of [`pba_core::wire`] (magic
+//! `PBAS`, version 1, FNV-1a checksum), so it works in the default
+//! zero-dependency build.
 //!
 //! ## What is captured
 //!
@@ -37,7 +37,7 @@
 
 use std::collections::HashMap;
 
-use pba_core::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use pba_core::wire::{WireError, WireReader, WireWriter};
 use pba_core::{BinState, Tuning};
 
 use crate::allocator::StreamAllocator;
@@ -54,7 +54,7 @@ impl StreamAllocator {
     /// Serialize the complete allocator state to a framed, checksummed
     /// byte vector. See the module docs for the exact coverage.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::framed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+        let mut w = WireWriter::framed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         w.u32(self.bins);
         w.u64(self.seed);
         w.str(self.policy.name());
@@ -91,9 +91,9 @@ impl StreamAllocator {
     /// perturb placements except a *different* fault plan). Decoding
     /// validates structure, checksum, and the load/resident-weight
     /// conservation invariant before returning.
-    pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let malformed = |why: String| SnapshotError::Malformed(why);
-        let mut r = SnapshotReader::framed(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+    pub fn restore(bytes: &[u8]) -> Result<Self, WireError> {
+        let malformed = |why: String| WireError::Malformed(why);
+        let mut r = WireReader::framed(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
         let bins = r.u32()?;
         if bins == 0 {
             return Err(malformed("zero bins".into()));
@@ -153,9 +153,7 @@ impl StreamAllocator {
         r.finish()?;
 
         let mut policy = kind.build(bins);
-        policy
-            .state_restore(&state)
-            .map_err(SnapshotError::Malformed)?;
+        policy.state_restore(&state).map_err(WireError::Malformed)?;
 
         Ok(StreamAllocator {
             bins,
@@ -288,7 +286,7 @@ mod tests {
 
         // A conservation violation is rejected even with a valid frame:
         // hand-build a snapshot whose loads do not match its residents.
-        let mut w = SnapshotWriter::framed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+        let mut w = WireWriter::framed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         w.u32(2); // bins
         w.u64(0); // seed
         w.str("one-choice");

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full local gate: every build surface the workspace supports must stay
-# green — formatting, clippy lints (as errors), the zero-dependency
-# build, the test suite, the no-default-features build, and the
-# benchmark package's own tests (perfbench/ builds against the public
-# API, so deleting an item it uses must fail here, not in the bench).
+# green — formatting, clippy lints (as errors), rustdoc links (as
+# errors), the zero-dependency build, the test suite, the
+# no-default-features build, and the benchmark package's own tests
+# (perfbench/ builds against the public API, so deleting an item it
+# uses must fail here, not in the bench).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,9 @@ run cargo fmt --all --check
 # explicit even if a crate opts out of the shared lint table.
 run cargo clippy --workspace --all-targets -- -D warnings \
     -D unsafe_op_in_unsafe_fn -D clippy::undocumented-unsafe-blocks
+# Doc links are checked like code: a link to a deleted, renamed or
+# private item fails here instead of going stale in the rendered docs.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 run cargo build --release
 run cargo test -q --workspace
 run cargo test --offline -q --manifest-path perfbench/Cargo.toml
