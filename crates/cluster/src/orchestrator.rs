@@ -717,28 +717,32 @@ impl GrantDelegate for EngineDelegate {
         &mut self,
         ctx: &RoundContext,
         counts: &[u32],
-        hot_bins: &[u32],
         crashed: &[u32],
         accept: &mut [u32],
     ) -> Result<(u32, u64)> {
-        // Route the sparse arrival counts and crashed ids to their shards.
-        let mut per_counts: Vec<Vec<(u32, u64)>> = vec![Vec::new(); self.links.len()];
-        for &b in hot_bins {
-            per_counts[shard_of(b, self.n, self.shards) as usize]
-                .push((b, u64::from(counts[b as usize])));
-        }
         let mut per_crashed: Vec<Vec<u32>> = vec![Vec::new(); self.links.len()];
         for &b in crashed {
             per_crashed[shard_of(b, self.n, self.shards) as usize].push(b);
         }
-        // Request wave out…
-        for (s, link) in self.links.iter_mut().enumerate() {
+        // Request wave out: each shard's nonzero arrival counts, read off
+        // the dense counts of its contiguous bin range (so ascending).
+        for link in self.links.iter_mut() {
+            let s = link.shard();
+            let (lo, hi) = (
+                shard_lo(s, self.n, self.shards),
+                shard_lo(s + 1, self.n, self.shards),
+            );
+            let pairs = (lo..hi)
+                .zip(&counts[lo as usize..hi as usize])
+                .filter(|&(_, &c)| c > 0)
+                .map(|(b, &c)| (b, u64::from(c)))
+                .collect();
             link.send(&Frame::Grants {
                 round: ctx.round,
                 active: ctx.active,
                 placed: ctx.placed,
-                counts: std::mem::take(&mut per_counts[s]),
-                crashed: std::mem::take(&mut per_crashed[s]),
+                counts: pairs,
+                crashed: std::mem::take(&mut per_crashed[s as usize]),
             })?;
         }
         // Settle the previous round's deferred commit acks only now —
@@ -749,6 +753,7 @@ impl GrantDelegate for EngineDelegate {
         let mut underloaded = 0u32;
         let mut unfilled = 0u64;
         for link in self.links.iter_mut() {
+            let s = link.shard();
             match link.recv()? {
                 Frame::GrantsOk {
                     round,
@@ -756,24 +761,39 @@ impl GrantDelegate for EngineDelegate {
                     underloaded: ub,
                     unfilled: uw,
                 } if round == ctx.round => {
+                    // A shard may grant only its own bins, and no more
+                    // than the arrivals it was sent: the engine counts
+                    // `accept` as accepted requests.
+                    let (lo, hi) = (
+                        shard_lo(s, self.n, self.shards),
+                        shard_lo(s + 1, self.n, self.shards),
+                    );
                     for (bin, a) in pairs {
-                        let slot = accept.get_mut(bin as usize).ok_or_else(|| {
-                            CoreError::ClusterTransport {
-                                shard: link.shard(),
-                                detail: format!("grant for bin {bin} out of range"),
-                            }
-                        })?;
-                        *slot = u32::try_from(a).map_err(|_| CoreError::ClusterTransport {
-                            shard: link.shard(),
-                            detail: format!("grant for bin {bin} exceeds u32"),
-                        })?;
+                        if !(lo..hi).contains(&bin) {
+                            return Err(CoreError::ClusterTransport {
+                                shard: s,
+                                detail: format!(
+                                    "grant for bin {bin} outside the shard's bins [{lo}, {hi})"
+                                ),
+                            });
+                        }
+                        let arrivals = counts[bin as usize];
+                        if a > u64::from(arrivals) {
+                            return Err(CoreError::ClusterTransport {
+                                shard: s,
+                                detail: format!(
+                                    "grant of {a} for bin {bin} exceeds its {arrivals} arrivals"
+                                ),
+                            });
+                        }
+                        accept[bin as usize] = a as u32;
                     }
                     underloaded += ub;
                     unfilled += uw;
                 }
                 other => {
                     return Err(CoreError::ClusterTransport {
-                        shard: link.shard(),
+                        shard: s,
                         detail: format!(
                             "expected grants_ok for round {}, got {}",
                             ctx.round,
@@ -847,6 +867,143 @@ impl ProtocolVisitor for ClusterRunVisitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::thread::JoinHandle;
+
+    use crate::transport::{mem_pipe, PipeReader, PipeWriter, Transport};
+
+    /// The orchestrator's halves of a pair of in-memory pipes to a
+    /// scripted worker thread.
+    struct Scripted {
+        writer: Option<PipeWriter>,
+        reader: Option<PipeReader>,
+    }
+
+    impl Transport for Scripted {
+        fn kind(&self) -> &'static str {
+            "scripted"
+        }
+        fn take_writer(&mut self) -> Box<dyn Write + Send> {
+            Box::new(self.writer.take().expect("writer taken once"))
+        }
+        fn take_reader(&mut self) -> Box<dyn BufRead + Send> {
+            Box::new(BufReader::new(
+                self.reader.take().expect("reader taken once"),
+            ))
+        }
+        fn kill(&mut self) {}
+        fn reap(&mut self, _killed: bool) -> std::result::Result<(), String> {
+            Ok(())
+        }
+    }
+
+    /// A link to a worker thread that answers one `grants` request with
+    /// `reply` as its accept pairs and returns the request's arrival
+    /// pairs.
+    fn scripted_link(
+        shard: u32,
+        reply: Vec<(u32, u64)>,
+    ) -> (ShardLink, JoinHandle<Vec<(u32, u64)>>) {
+        let (orch_w, worker_r) = mem_pipe();
+        let (mut worker_w, orch_r) = mem_pipe();
+        let worker = std::thread::spawn(move || {
+            let mut reader = BufReader::new(worker_r);
+            let Ok(Some((Frame::Grants { round, counts, .. }, _))) =
+                crate::wire::read_frame(&mut reader)
+            else {
+                panic!("shard {shard}: expected a grants request");
+            };
+            let reply = Frame::GrantsOk {
+                round,
+                accept: reply,
+                underloaded: 0,
+                unfilled: 0,
+            };
+            worker_w.write_all(&reply.encode()).unwrap();
+            counts
+        });
+        let transport = Scripted {
+            writer: Some(orch_w),
+            reader: Some(orch_r),
+        };
+        (ShardLink::new(shard, Box::new(transport)), worker)
+    }
+
+    #[test]
+    fn grant_replies_are_checked_against_range_and_arrivals() {
+        // Two shards over 16 bins: shard 0 owns [0, 8), shard 1 [8, 16).
+        const N: u32 = 16;
+        // Bins `lo + 1` and `lo + 3` of each shard hold 0 and 2 arrivals.
+        let counts: Vec<u32> = vec![3, 0, 1, 2, 0, 0, 5, 1, 4, 0, 1, 2, 0, 7, 0, 2];
+        let ctx = RoundContext {
+            spec: ProblemSpec::new(64, N).unwrap(),
+            round: 0,
+            active: 64,
+            placed: 0,
+            seed: 1,
+        };
+        // An honest shard grants at most two of each bin's arrivals.
+        let honest = |s: u32| -> Vec<(u32, u64)> {
+            (shard_lo(s, N, 2)..shard_lo(s + 1, N, 2))
+                .filter(|&b| counts[b as usize] > 0)
+                .map(|b| (b, u64::from(counts[b as usize].min(2))))
+                .collect()
+        };
+        let grants = |replies: [Vec<(u32, u64)>; 2]| {
+            let (links, workers): (Vec<_>, Vec<_>) = replies
+                .into_iter()
+                .enumerate()
+                .map(|(s, reply)| scripted_link(s as u32, reply))
+                .unzip();
+            let mut delegate = EngineDelegate {
+                links,
+                n: N,
+                shards: 2,
+                shadow: vec![0; N as usize],
+                barriers: 0,
+                pending_commit: None,
+            };
+            let mut accept = vec![0u32; N as usize];
+            let out = delegate.round_grants(&ctx, &counts, &[], &mut accept);
+            let seen: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+            (out.map(|_| accept), seen)
+        };
+
+        // Honest replies land in `accept`, and each shard was sent its
+        // own nonzero counts in ascending bin order.
+        let (accept, seen) = grants([honest(0), honest(1)]);
+        let want: Vec<u32> = counts.iter().map(|&c| c.min(2)).collect();
+        assert_eq!(accept.unwrap(), want);
+        for (s, pairs) in seen.iter().enumerate() {
+            let want: Vec<(u32, u64)> = (shard_lo(s as u32, N, 2)..shard_lo(s as u32 + 1, N, 2))
+                .filter(|&b| counts[b as usize] > 0)
+                .map(|b| (b, u64::from(counts[b as usize])))
+                .collect();
+            assert_eq!(pairs, &want, "shard {s} request");
+        }
+
+        for bad_shard in [0u32, 1] {
+            let own = shard_lo(bad_shard, N, 2);
+            let other = shard_lo(1 - bad_shard, N, 2);
+            for (what, pair, needle) in [
+                ("another shard's bin", (other, 1), "outside the shard"),
+                ("a bin past n", (N, 1), "outside the shard"),
+                ("a bin with no arrivals", (own + 1, 1), "its 0 arrivals"),
+                ("more than arrived", (own + 3, 3), "its 2 arrivals"),
+                ("a grant past u32", (own, u64::MAX), "exceeds"),
+            ] {
+                let mut replies = [honest(0), honest(1)];
+                replies[bad_shard as usize].push(pair);
+                match grants(replies).0 {
+                    Err(CoreError::ClusterTransport { shard, detail }) => {
+                        assert_eq!(shard, bad_shard, "{what}: {detail}");
+                        assert!(detail.contains(needle), "{what}: {detail}");
+                    }
+                    other => panic!("{what} from shard {bad_shard} accepted: {other:?}"),
+                }
+            }
+        }
+    }
 
     #[test]
     fn partition_covers_and_matches_domain_striping() {

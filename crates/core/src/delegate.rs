@@ -16,11 +16,13 @@
 //! A delegate must reproduce exactly what the local grant phase would
 //! have computed:
 //!
-//! * For every bin `b` with `counts[b] > 0` (the bins listed in
-//!   `hot_bins`) **and** every crashed bin, write
-//!   `accept[b] = grant.accept.min(counts[b])` (0 for crashed bins) into
-//!   the dense `accept` array, which arrives zero-filled. Bins the
+//! * For every bin `b` with `counts[b] > 0` **and** every crashed bin,
+//!   write `accept[b] = grant.accept.min(counts[b])` (0 for crashed bins)
+//!   into the dense `accept` array, which arrives zero-filled. Bins the
 //!   delegate does not touch stay 0 — correct for bins with no arrivals.
+//!   The engine counts `accept[b]` as the requests bin `b` accepted, so
+//!   it must never exceed `counts[b]`: a delegate that relays grants from
+//!   elsewhere rejects any that do.
 //! * Return the `(underloaded_bins, unfilled_want)` totals with the
 //!   crashed-bin adjustment already applied (a crashed bin contributes
 //!   to neither; [`grant_slice`](crate::exec::grant_slice) computes
@@ -47,16 +49,14 @@ use crate::trace::RoundRecord;
 pub trait GrantDelegate {
     /// Decide this round's grants.
     ///
-    /// `counts` is the dense per-bin arrival count; `hot_bins` lists the
-    /// bins with nonzero counts (each exactly once, unordered); `crashed`
-    /// lists the run-level crashed bins. `accept` arrives zero-filled
-    /// and must be populated per the contract. Returns
+    /// `counts` is the dense per-bin arrival count; `crashed` lists the
+    /// run-level crashed bins. `accept` arrives zero-filled and must be
+    /// populated per the contract. Returns
     /// `(underloaded_bins, unfilled_want)`.
     fn round_grants(
         &mut self,
         ctx: &RoundContext,
         counts: &[u32],
-        hot_bins: &[u32],
         crashed: &[u32],
         accept: &mut [u32],
     ) -> Result<(u32, u64)>;

@@ -8,18 +8,21 @@
 //!   ([`Backend::chunking`]); the serial backend is the one-chunk instance
 //!   of the identical code, so sequential and parallel execution are
 //!   **bit-identical by construction**. Acceptance is resolved by *global
-//!   arrival rank* (a serial exclusive scan over per-chunk per-bin counts
-//!   gives each chunk a rank base): a request is accepted iff its rank is
-//!   below the bin's grant — exactly the canonical-request-order
+//!   arrival rank* (an exclusive scan over per-chunk per-bin counts, in
+//!   chunk order, gives each chunk a rank base): a request is accepted iff
+//!   its rank is below the bin's grant — exactly the canonical-request-order
 //!   first-`grant`-arrivals rule, a legitimate instance of the papers'
 //!   "bins accept an arbitrary subset".
 //! * Per-ball RNG streams are counter-based, so any lane regenerates the
 //!   same choices; fault decisions are counter streams too (see
 //!   [`crate::faults`]), which is what lets the chunked kernel reproduce
 //!   the faulty path bit-for-bit at any lane count.
-//! * Grants split the bins the same way and run [`grant_slice`] per
-//!   chunk, summing the chunks' underload counters — the arithmetic the
-//!   cluster orchestrator applies to its shards' replies.
+//! * The bin side splits the bins into owner ranges of whole 64-bin words,
+//!   as independent agents that see only their own arrivals. Each owner
+//!   scans its range (every chunk's counts, in chunk order, into rank
+//!   bases and totals), then runs [`grant_slice`] over it; the ranges'
+//!   underload counters are summed — the arithmetic the cluster
+//!   orchestrator applies to its shards' replies.
 //!
 //! `SimState` owns the per-chunk `LaneScratch` arenas and all workhorse
 //! buffers, reused across rounds: after the first (warm-up) round, a
@@ -28,13 +31,13 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use pba_par::{as_atomic_u32, DisjointClaims, DisjointIndexMut};
+use pba_par::{as_atomic_u32, as_atomic_u64, Chunking, DisjointClaims, DisjointIndexMut};
 
 use crate::delegate::GrantDelegate;
 use crate::error::{CoreError, Result};
 use crate::exec::{
-    gather_chunk, grant_slice, resolve_chunk, Backend, ChunkPlan, Faulty, GatherShared,
-    LaneScratch, NoFaults, ResolveShared, Tuning,
+    bin_owners, gather_chunk, grant_slice, resolve_chunk, scan_words, word_bins, Backend, Faulty,
+    GatherShared, LaneScratch, NoFaults, ResolveShared, Tuning,
 };
 use crate::faults::{FaultPlan, FaultRecord, FaultSession, FaultStats};
 use crate::messages::{MessageLedger, MessageStats, MessageTracking};
@@ -72,8 +75,8 @@ pub(crate) struct SimState<P: RoundProtocol> {
     /// reads no clocks — decisions come from counter streams only).
     faults: Option<FaultSession>,
     /// Chunk-geometry policy (`RunConfig::with_tuning`); resolved to a
-    /// concrete [`ChunkPlan`] per round from the live active-set size and
-    /// the backend's lane count.
+    /// concrete [`ChunkPlan`](crate::exec::ChunkPlan) per round from the
+    /// live active-set size and the backend's lane count.
     tuning: Tuning,
     /// Invariant checker (`RunConfig::with_validation`); `None` is the
     /// zero-cost path — no snapshots, no checks, like `faults`.
@@ -86,13 +89,15 @@ pub(crate) struct SimState<P: RoundProtocol> {
     /// the `DisjointIndexMut` accesses (no-op in release builds).
     claims: DisjointClaims,
     next_active: Vec<u32>,
-    /// Bins with nonzero global arrival counts this round, each exactly
-    /// once — the round-level union of the arenas' touched lists. Drives
-    /// the sparse zeroing of `counts` at the next round's scan.
-    hot_bins: Vec<u32>,
+    /// Bitmap of the bins with nonzero `counts` (bit `b % 64` of word
+    /// `b / 64`): the OR of the round's arena bitmaps. The next round's
+    /// scan zeroes `counts` under it.
+    hot: Vec<u64>,
+    /// Per-bin arrival totals of the round.
     counts: Vec<u32>,
+    /// Per-bin grants of the round, never above `counts`: the number of
+    /// requests each bin accepted.
     accept: Vec<u32>,
-    taken: Vec<u32>,
     /// Load snapshot at round start, populated only for protocols with
     /// `NEEDS_COMMIT_CHOICE` (GREEDY-style height information).
     loads_before: Vec<u32>,
@@ -125,10 +130,9 @@ impl<P: RoundProtocol> SimState<P> {
             scratch: Vec::new(),
             claims: DisjointClaims::new(m as usize),
             next_active: Vec::with_capacity(m as usize),
-            hot_bins: Vec::with_capacity(n),
+            hot: vec![0; n.div_ceil(64)],
             counts: vec![0; n],
             accept: vec![0; n],
-            taken: vec![0; n],
             loads_before: Vec::new(),
         }
     }
@@ -167,8 +171,8 @@ impl<P: RoundProtocol> SimState<P> {
     /// Rounds whose active set is below the configured `par_cutoff` (or
     /// whose pool has a single lane) run on the serial backend — which is
     /// the same kernel with exactly one chunk, so the fallback cannot
-    /// change results. Only the exclusive scan over per-chunk bin counts
-    /// (`O(chunks·n)`) and the final merge (`O(m')`) are serial.
+    /// change results. Only the final merge (`O(m')`) and the round's
+    /// bookkeeping passes are serial.
     pub fn round(
         &mut self,
         protocol: &P,
@@ -263,30 +267,18 @@ impl<P: RoundProtocol> SimState<P> {
             t.lap(Phase::Gather);
         }
 
-        // --- Exclusive scan (serial, sparse): total arrivals land in
-        // `self.counts`; each chunk's `counts` becomes its per-bin rank
-        // base (the number of arrivals to that bin in earlier chunks).
-        // Only touched bins carry arrivals, so the scan walks the arenas'
-        // touched lists instead of all `chunks × n` slots, and `counts`
-        // is zeroed through last round's hot list instead of a dense
-        // fill. Untouched bins keep a correct 0 in both arrays.
-        for &b in &self.hot_bins {
-            self.counts[b as usize] = 0;
-        }
-        self.hot_bins.clear();
-        for arena in self.scratch[..nchunks].iter_mut() {
-            for &b in &arena.touched {
-                let bu = b as usize;
-                let c = arena.counts[bu];
-                let total = self.counts[bu];
-                if total == 0 {
-                    // First chunk to reach this bin this round (chunk
-                    // arrival counts are nonzero by construction).
-                    self.hot_bins.push(b);
-                }
-                arena.counts[bu] = total;
-                self.counts[bu] = total + c;
-            }
+        // --- Exclusive scan, one task per owner range of whole bitmap
+        // words: each chunk's `counts` become its per-bin rank bases (the
+        // arrivals to that bin in earlier chunks) and the totals land in
+        // `self.counts`. The grant phase reuses the same partition.
+        let owners = bin_owners(&eff, n, plan);
+        {
+            let arenas = &self.scratch[..nchunks];
+            let totals = as_atomic_u32(&mut self.counts);
+            let hot = as_atomic_u64(&mut self.hot);
+            eff.run(owners.chunks(), |oi| {
+                scan_words(arenas, owners.range(oi), totals, hot);
+            });
         }
         if let Some(t) = timer.as_mut() {
             t.lap(Phase::CountScan);
@@ -300,20 +292,10 @@ impl<P: RoundProtocol> SimState<P> {
                 // bin (no arrivals, or crashed) must read 0.
                 self.accept.fill(0);
                 let crashed = crashed_bins(&self.faults);
-                d.round_grants(
-                    &ctx,
-                    &self.counts,
-                    &self.hot_bins,
-                    crashed,
-                    &mut self.accept,
-                )?
+                d.round_grants(&ctx, &self.counts, crashed, &mut self.accept)?
             }
-            None => self.grants(protocol, &ctx, eff, plan),
+            None => self.grants(protocol, &ctx, eff, owners),
         };
-        // Granted = first min(arrivals, grant) arrivals per bin.
-        for ((t, &a), &c) in self.taken.iter_mut().zip(&self.accept).zip(&self.counts) {
-            *t = a.min(c);
-        }
         if let Some(t) = timer.as_mut() {
             t.lap(Phase::Grant);
         }
@@ -376,7 +358,7 @@ impl<P: RoundProtocol> SimState<P> {
                 &self.loads,
                 self.assignment.as_deref(),
                 &self.active,
-                &self.taken,
+                &self.accept,
                 crashed,
                 self.placed,
             )?;
@@ -396,27 +378,27 @@ impl<P: RoundProtocol> SimState<P> {
         Ok(record)
     }
 
-    /// Grant phase: [`grant_slice`] over each chunk of the round's bin
-    /// chunking, one task per chunk on `backend`, with the chunks'
-    /// `(underloaded, unfilled)` summed. The serial backend is one chunk
-    /// over all bins.
+    /// Grant phase: [`grant_slice`] over each owner range of the round's
+    /// bin partition (the scan's), one task per range on `backend`, with
+    /// the ranges' `(underloaded, unfilled)` summed. The serial backend is
+    /// one range over all bins.
     fn grants(
         &mut self,
         protocol: &P,
         ctx: &RoundContext,
         backend: Backend<'_>,
-        plan: ChunkPlan,
+        owners: Chunking,
     ) -> (u32, u64) {
-        let chunking = backend.chunking(self.counts.len(), plan.min_chunk);
+        let n = self.counts.len();
         let crashed = crashed_bins(&self.faults);
         let (counts, loads) = (&self.counts, &self.loads);
         let accept = DisjointIndexMut::new(&mut self.accept);
         let underloaded = AtomicU32::new(0);
         let unfilled = AtomicU64::new(0);
-        backend.run(chunking.chunks(), |ci| {
-            let r = chunking.range(ci);
-            // SAFETY: the chunk ranges partition the bins and `run` hands
-            // each chunk index to exactly one task.
+        backend.run(owners.chunks(), |oi| {
+            let r = word_bins(owners.range(oi), n);
+            // SAFETY: the owner ranges partition the bins and `run` hands
+            // each range index to exactly one task.
             let accept = unsafe { accept.slice_mut(r.clone()) };
             let (ub, uw) = grant_slice(
                 protocol,
@@ -446,12 +428,12 @@ impl<P: RoundProtocol> SimState<P> {
         underloaded_bins: u32,
         unfilled_want: u64,
     ) -> RoundRecord {
-        let granted: u64 = self.taken.iter().map(|&t| t as u64).sum();
+        let granted: u64 = self.accept.iter().map(|&a| a as u64).sum();
         if let Some(recv) = self.ledger.per_bin_received.as_mut() {
             for (bin, r) in recv.iter_mut().enumerate() {
                 // Requests arriving + commit notifications from every ball
                 // this bin accepted.
-                *r += self.counts[bin] as u64 + self.taken[bin] as u64;
+                *r += self.counts[bin] as u64 + self.accept[bin] as u64;
             }
         }
         self.placed += committed;
@@ -480,6 +462,7 @@ impl<P: RoundProtocol> SimState<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ChunkPlan;
     use crate::protocol::{BallContext, BinGrant, ChoiceSink, Flow, NoBallState, RoundProtocol};
     use crate::rng::{Rand64, SplitMix64};
     use pba_par::ThreadPool;

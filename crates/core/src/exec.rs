@@ -14,26 +14,28 @@
 //!   passthrough whose branches constant-fold away, `Faulty` routes every
 //!   ball through the fault session's admit/deliver filters.
 //!
-//! Ball-side phases split the active set; the grant phase splits the bins
-//! and runs [`grant_slice`] once per chunk — the same kernel, on the same
-//! kind of bin range, that a cluster shard worker runs over the bins it
-//! owns.
+//! Ball-side phases split the active set. The bin-side phases split the
+//! bins into owner ranges of whole 64-bin words (`bin_owners`), one
+//! partition for both: `scan_words` turns each chunk's arrival counts
+//! into rank bases for the bins of its range, and [`grant_slice`] decides
+//! the range's grants — the same kernel, on the same kind of bin range,
+//! that a cluster shard worker runs over the bins it owns.
 //!
 //! ```text
 //!             ┌────────────────────── one round ──────────────────────┐
-//!   chunk 0 → │ gather+count │     │ grant  │ │ resolve+commit │      │
-//!   chunk 1 → │ gather+count │ scan│ grant  │ │ resolve+commit │ merge│
-//!   chunk k → │ gather+count │     │ grant  │ │ resolve+commit │      │
+//!   chunk 0 → │ gather+count │ scan │ grant │ │ resolve+commit │      │
+//!   chunk 1 → │ gather+count │ scan │ grant │ │ resolve+commit │ merge│
+//!   chunk k → │ gather+count │ scan │ grant │ │ resolve+commit │      │
 //!             └───────────────────────────────────────────────────────┘
-//!               parallel       serial  parallel   parallel       serial
-//!               (LaneScratch)  sparse  (bins)     (LaneScratch)  O(m')
-//!
-//! The scan and the per-chunk count zeroing are *sparse*: each arena
-//! tracks the bins it touched this round, so both cost `O(Σ distinct
-//! bins touched)` instead of `O(chunks · n)` — the asymmetry that used to
-//! make chunked rounds pay `chunks×` the serial path's per-round memory
-//! traffic on large bin counts.
+//!               parallel       parallel       parallel       serial
+//!               (balls)        (bin ranges)   (balls)        O(m')
 //! ```
+//!
+//! Each arena records the bins it touched in a bitmap, so an owner visits
+//! only the set bits of its words: a round costs O(chunks·n/64 + Σ
+//! distinct bins touched), never the O(chunks·n) of a dense walk — the
+//! cost that would make a chunked round on a drained active set pay
+//! chunks× the serial path's memory traffic on large bin counts.
 //!
 //! Each chunk writes exclusively into its own `LaneScratch` arena, owned
 //! by `SimState` and reused across rounds, so the steady-state round
@@ -44,7 +46,7 @@
 //! debug builds by a [`DisjointClaims`] table.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use pba_par::{Chunking, DisjointClaims, DisjointIndexMut, ThreadPool};
 
@@ -316,16 +318,18 @@ pub(crate) struct LaneScratch {
     pub(crate) bins: Vec<u32>,
     /// Per-ball delivered-request counts, aligned with `active[start..]`.
     pub(crate) degrees: Vec<u32>,
-    /// Per-bin arrival counts of this chunk; the serial exclusive scan
-    /// rewrites the touched entries into the chunk's per-bin global
-    /// arrival-rank bases.
-    pub(crate) counts: Vec<u32>,
-    /// Bins this chunk touched this round, in first-arrival order, each
-    /// exactly once. Everything per-bin on this arena is sparse through
-    /// this list: zeroing `counts` at round start, the exclusive scan,
-    /// and the rank bases resolve reads — all `O(distinct bins touched)`
-    /// instead of `O(n)` per chunk.
-    pub(crate) touched: Vec<u32>,
+    /// Per-bin arrival counts of this chunk; [`scan_words`] rewrites the
+    /// touched entries into the chunk's per-bin global arrival-rank
+    /// bases, and resolve bumps them per request. Atomic so that the scan
+    /// owners can reach every arena's bins of their range through a
+    /// shared `&[LaneScratch]`; gather and resolve hold the arena
+    /// exclusively and use plain `get_mut` access.
+    pub(crate) counts: Vec<AtomicU32>,
+    /// Bitmap of the bins this chunk touched this round: bit `b % 64` of
+    /// word `b / 64`. `counts` is nonzero only under set bits, so zeroing
+    /// at round start and the scan skip untouched words: O(n/64 +
+    /// distinct bins touched) per chunk instead of O(n).
+    pub(crate) touched: Vec<u64>,
     /// Staging buffer for pre-filter choices on the faulty path.
     raw: Vec<u32>,
     /// Commit options for `NEEDS_COMMIT_CHOICE` protocols.
@@ -374,20 +378,91 @@ impl LaneScratch {
         if self.counts.len() != n {
             // Only ever runs on the first round a chunk slot is used (or if
             // the bin count changed, which it cannot mid-run). A fresh
-            // resize is all-zero, so the touched list can start empty.
+            // resize is all-zero, so the bitmap starts clear.
             self.counts.clear();
-            self.counts.resize(n, 0);
+            self.counts.resize_with(n, || AtomicU32::new(0));
             self.touched.clear();
+            self.touched.resize(n.div_ceil(64), 0);
         }
-        // Sparse zero: after last round, this arena's `counts` are nonzero
-        // only at bins on its touched list (counting, the scan's rank-base
-        // rewrite, and resolve's rank bumps all stay within it).
-        for &b in &self.touched {
-            self.counts[b as usize] = 0;
+        // After last round, this arena's `counts` are nonzero only under
+        // its set bits (counting, the scan's rank-base rewrite and
+        // resolve's rank bumps all stay there): zero those words whole.
+        for (w, word) in self.touched.iter_mut().enumerate() {
+            if *word != 0 {
+                for c in &mut self.counts[w * 64..(w * 64 + 64).min(n)] {
+                    *c.get_mut() = 0;
+                }
+                *word = 0;
+            }
         }
-        self.touched.clear();
         self.out_of_range = None;
         self.faults = FaultRecord::default();
+    }
+
+    /// Count this chunk's requests (`bins`) per bin, marking each bin in
+    /// the touched bitmap.
+    fn count_arrivals(&mut self) {
+        for &b in &self.bins {
+            let b = b as usize;
+            *self.counts[b].get_mut() += 1;
+            self.touched[b / 64] |= 1 << (b % 64);
+        }
+    }
+}
+
+/// The bin-side partition of a round: the bitmap words of `n` bins split
+/// into owner ranges with the round's `plan`, so every range is whole
+/// 64-bin words. [`scan_words`] and [`grant_slice`] both run once per
+/// range; [`word_bins`] gives a range's bins.
+pub(crate) fn bin_owners(backend: &Backend<'_>, n: usize, plan: ChunkPlan) -> Chunking {
+    backend.chunking(n.div_ceil(64), plan.min_chunk.div_ceil(64))
+}
+
+/// The bins under bitmap words `words`, clamped to `n`.
+#[inline]
+pub(crate) fn word_bins(words: Range<usize>, n: usize) -> Range<usize> {
+    words.start * 64..(words.end * 64).min(n)
+}
+
+/// THE count-scan kernel, for the bins under bitmap words `words`.
+///
+/// `arenas` are the round's chunks in chunk order. For each set bit of
+/// each arena, the chunk's arrival count becomes its rank base (the
+/// arrivals to that bin in earlier chunks) and `totals` accumulates the
+/// bin's arrivals. `hot` is the round-level bitmap of bins with nonzero
+/// totals: last round's bits say which totals to zero first, and the OR
+/// of the arenas' words replaces them. Only the owner of a word touches
+/// its bins and bits in any of these arrays, so the result is
+/// independent of the partition, and the accesses can be relaxed: no
+/// other task reads them until the pass is joined, which orders every
+/// owner's writes before the grant and resolve phases.
+pub(crate) fn scan_words(
+    arenas: &[LaneScratch],
+    words: Range<usize>,
+    totals: &[AtomicU32],
+    hot: &[AtomicU64],
+) {
+    for w in words {
+        let base = w * 64;
+        let mut stale = hot[w].load(Ordering::Relaxed);
+        while stale != 0 {
+            totals[base + stale.trailing_zeros() as usize].store(0, Ordering::Relaxed);
+            stale &= stale - 1;
+        }
+        let mut any = 0u64;
+        for arena in arenas {
+            let mut bits = arena.touched[w];
+            any |= bits;
+            while bits != 0 {
+                let b = base + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let c = arena.counts[b].load(Ordering::Relaxed);
+                let total = totals[b].load(Ordering::Relaxed);
+                arena.counts[b].store(total, Ordering::Relaxed);
+                totals[b].store(total + c, Ordering::Relaxed);
+            }
+        }
+        hot[w].store(any, Ordering::Relaxed);
     }
 }
 
@@ -463,13 +538,7 @@ pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
             scratch.degrees.push(scratch.raw.len() as u32);
         }
     }
-    for &b in &scratch.bins {
-        let slot = &mut scratch.counts[b as usize];
-        if *slot == 0 {
-            scratch.touched.push(b);
-        }
-        *slot += 1;
-    }
+    scratch.count_arrivals();
 }
 
 /// The bin-side decision for one bin: `(clamped accept, want)`.
@@ -596,8 +665,9 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
             let bin = bins[req_idx];
             req_idx += 1;
             let b = bin as usize;
-            let rank = counts[b];
-            counts[b] = rank + 1;
+            let slot = counts[b].get_mut();
+            let rank = *slot;
+            *slot = rank + 1;
             if rank < shared.accept[b] {
                 accepts += 1;
                 if P::NEEDS_COMMIT_CHOICE {
@@ -664,7 +734,7 @@ mod tests {
     use super::*;
     use crate::model::ProblemSpec;
     use crate::protocol::{BinGrant, NoBallState};
-    use crate::rng::SplitMix64;
+    use crate::rng::{Rand64, SplitMix64};
 
     /// Grants keyed on the bin id, so one sweep covers every case: bins
     /// that want more than their arrivals (underloaded), bins that accept
@@ -782,6 +852,113 @@ mod tests {
                 (want_ub, want_uw),
                 "{name}: (underloaded, unfilled)"
             );
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Arrivals {
+        /// Most bins, with multiplicities, plus the word-edge bins.
+        Dense,
+        /// Two of the word-edge bins only.
+        Sparse,
+    }
+
+    /// Chunk `k`'s requests in `round`, over `n` bins.
+    fn requests(pattern: Arrivals, round: usize, k: usize, n: usize) -> Vec<u32> {
+        let edges = [0, 63, 64, n as u32 - 1];
+        match pattern {
+            Arrivals::Dense => {
+                let mut rng = SplitMix64::new((round * 8 + k) as u64 + 1);
+                let mut bins: Vec<u32> = (0..3 * n / 2).map(|_| rng.below(n as u32)).collect();
+                bins.extend(edges);
+                bins
+            }
+            Arrivals::Sparse => vec![edges[k % 4], edges[(k + 1) % 4], edges[k % 4]],
+        }
+    }
+
+    #[test]
+    fn scan_words_matches_prefix_sums_over_every_partition() {
+        use pba_par::{as_atomic_u32, as_atomic_u64};
+        use Arrivals::{Dense, Sparse};
+        // Not a multiple of 64: the last word is partial.
+        const N: usize = 1000;
+        let words = N.div_ceil(64);
+        let one: Vec<_> = Backend::Serial.chunking(words, 1).ranges().collect();
+        let equal: Vec<_> = Chunking::new(words, 1, 4).ranges().collect();
+        assert!(equal.iter().all(|r| r.len() == 4));
+        let edges = [0, 1, 2, 7, 15, words];
+        let ragged: Vec<_> = edges.windows(2).map(|w| w[0]..w[1]).collect();
+        let single: Vec<_> = (0..words).map(|w| w..w + 1).collect();
+        // Dense, sparse, dense on the same arenas, as `(arrivals, chunks)`
+        // per round: stale counts, bits and totals of a denser round —
+        // including arenas a sparse round leaves idle — must not leak.
+        let mut schedules: Vec<[(Arrivals, usize); 3]> = (1..=4)
+            .map(|chunks| [(Dense, chunks), (Sparse, chunks), (Dense, chunks)])
+            .collect();
+        schedules.push([(Dense, 4), (Sparse, 1), (Dense, 3)]);
+
+        for (name, partition) in [
+            ("one range", one),
+            ("equal ranges", equal),
+            ("ragged ranges", ragged),
+            ("one word per owner", single),
+        ] {
+            for schedule in &schedules {
+                let mut arenas: Vec<LaneScratch> = (0..4).map(|_| LaneScratch::new()).collect();
+                let mut totals = vec![0u32; N];
+                let mut hot = vec![0u64; words];
+                for (round, &(pattern, chunks)) in schedule.iter().enumerate() {
+                    let case = format!("{name}, {schedule:?}, round {round}");
+                    // Reference: per bin, prefix sums over the chunks in
+                    // chunk order.
+                    let mut want_base = vec![vec![0u32; N]; chunks];
+                    let mut want_total = vec![0u32; N];
+                    for (k, arena) in arenas[..chunks].iter_mut().enumerate() {
+                        arena.begin_gather(0, N);
+                        arena.bins = requests(pattern, round, k, N);
+                        arena.count_arrivals();
+                        let mut arrivals = vec![0u32; N];
+                        for &b in &arena.bins {
+                            arrivals[b as usize] += 1;
+                        }
+                        for b in 0..N {
+                            if arrivals[b] > 0 {
+                                want_base[k][b] = want_total[b];
+                            }
+                            want_total[b] += arrivals[b];
+                        }
+                    }
+                    {
+                        let (t, h) = (as_atomic_u32(&mut totals), as_atomic_u64(&mut hot));
+                        for r in &partition {
+                            scan_words(&arenas[..chunks], r.clone(), t, h);
+                        }
+                    }
+                    assert_eq!(totals, want_total, "{case}: totals");
+                    for (k, want) in want_base.iter().enumerate() {
+                        let got: Vec<u32> = arenas[k]
+                            .counts
+                            .iter()
+                            .map(|c| c.load(Ordering::Relaxed))
+                            .collect();
+                        assert_eq!(&got, want, "{case}: rank bases of chunk {k}");
+                    }
+                    for (w, &word) in hot.iter().enumerate() {
+                        let want = (0..64)
+                            .filter(|i| w * 64 + i < N && want_total[w * 64 + i] > 0)
+                            .fold(0u64, |acc, i| acc | 1 << i);
+                        assert_eq!(word, want, "{case}: hot word {w}");
+                    }
+                    // Resolve's rank bumps, which the next gather clears.
+                    for arena in &mut arenas[..chunks] {
+                        let LaneScratch { bins, counts, .. } = arena;
+                        for &b in bins.iter() {
+                            *counts[b as usize].get_mut() += 1;
+                        }
+                    }
+                }
+            }
         }
     }
 

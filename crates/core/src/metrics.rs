@@ -44,8 +44,8 @@ pub const PHASES: usize = 4;
 pub enum Phase {
     /// Balls draw their bin choices (RNG + protocol `ball_choices`).
     Gather = 0,
-    /// Per-bin arrival counting, plus (parallel executor) the serial
-    /// exclusive scan that assigns global arrival ranks.
+    /// The exclusive scan over bin ranges that turns each chunk's
+    /// per-bin arrival counts into global arrival-rank bases and totals.
     CountScan = 1,
     /// Bins decide grants (`bin_grant` over all bins).
     Grant = 2,

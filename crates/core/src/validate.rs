@@ -12,7 +12,8 @@
 //!   ([`crate::protocol::RoundProtocol::replicas`] returning `k`)
 //!   contributes exactly `k`.
 //! * **Bin-capacity respect** — no bin gains more balls than the grant
-//!   phase accepted for it (`taken = min(accept, arrivals)`). Relaxed
+//!   phase accepted for it (`accept`, already clamped to the bin's
+//!   arrivals by the grant kernel or the delegate contract). Relaxed
 //!   for protocols with [`crate::protocol::RoundProtocol::MAY_REDIRECT`],
 //!   whose commits legally land on member bins of the granting leader.
 //! * **Monotone commitment** — a ball's assignment, once written, never
@@ -96,8 +97,8 @@ impl ValidatorState {
 
     /// Cross-check the round's outputs against the pre-round snapshot.
     ///
-    /// `taken[i]` is the number of requests bin `i` accepted this round
-    /// (`min(accept, arrivals)`); `crashed` is the run-level crashed-bin
+    /// `accept[i]` is the number of requests bin `i` accepted this round
+    /// (never above its arrivals); `crashed` is the run-level crashed-bin
     /// list (empty without faults); `may_redirect` relaxes the per-bin
     /// capacity check for superbin protocols; `replicas` is the number of
     /// load units one committed ball contributes
@@ -111,7 +112,7 @@ impl ValidatorState {
         loads: &[u32],
         assignment: Option<&[u32]>,
         active: &[u32],
-        taken: &[u32],
+        accept: &[u32],
         crashed: &[u32],
         placed: u64,
     ) -> Result<()> {
@@ -160,13 +161,13 @@ impl ValidatorState {
             }
             let delta = after - before;
             delta_total += delta as u64;
-            if !may_redirect && delta > taken[bin] {
+            if !may_redirect && delta > accept[bin] {
                 return Err(violation(
                     round,
                     "bin-capacity",
                     format!(
                         "bin {bin} gained {delta} balls but accepted only {} requests",
-                        taken[bin]
+                        accept[bin]
                     ),
                 ));
             }

@@ -65,6 +65,21 @@ for shards in 2 4; do
         fi
     done
 done
+# Split-scan parity: at m = n = 2^18 the --parallel run's dense round 0
+# scans and grants over several owner ranges of bitmap words and its
+# sparse round 1 must clear what round 0 left; the cluster run sends
+# each shard its arrivals as an ascending list. All three must agree.
+echo "==> split-scan parity: sequential, --parallel and 2 shards (seed 11)"
+want=$(outcome "$PBA" protocol collision --m 262144 --n 262144 --seed 11)
+for cell in "protocol collision --parallel" "cluster protocol collision --shards 2"; do
+    # shellcheck disable=SC2086  # $cell is a command line, splitting wanted
+    got=$(outcome "$PBA" $cell --m 262144 --n 262144 --seed 11)
+    if [ "$got" != "$want" ]; then
+        echo "$cell diverged from the sequential run:" >&2
+        diff <(echo "$want") <(echo "$got") >&2 || true
+        exit 1
+    fi
+done
 echo "==> cluster smoke: kill-a-shard chaos"
 # Capture to a file instead of piping into grep -q: quitting grep closes
 # the pipe while pba-run is still printing, and the EPIPE panic (exit

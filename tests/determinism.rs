@@ -91,3 +91,39 @@ fn traces_agree_across_executors() {
         assert_eq!(a, b, "round {} diverged", a.round);
     }
 }
+
+/// Serial against a 4-lane pool at m = n = 2^18 under `Tuning::Auto`,
+/// where the bin side really splits: round 0 is dense and its scan and
+/// grants run as eight owner ranges of 512 bitmap words, and the sparse
+/// rounds after it must clear what it left. (The differential fuzzer
+/// draws n ≤ 255, four bitmap words.) One run adds crash and drop
+/// faults.
+#[test]
+fn split_bin_side_is_bit_identical_at_scale() {
+    let spec = ProblemSpec::new(1 << 18, 1 << 18).unwrap();
+    let crash_drop = FaultPlan::new(0x5CA7)
+        .with_drop_prob(0.1)
+        .with_crashed_bins(0.02);
+    for (name, faults) in [
+        ("collision", None),
+        ("parallel-two-choice", None),
+        ("kd-choice", None),
+        ("collision", Some(crash_drop)),
+    ] {
+        let config = |cfg: RunConfig| {
+            let cfg = cfg.with_validation(true);
+            match faults {
+                Some(plan) => cfg.with_faults(plan),
+                None => cfg,
+            }
+        };
+        let seq = run(name, spec, config(RunConfig::seeded(13)));
+        let par = run(name, spec, config(RunConfig::seeded(13).parallel_with(4)));
+        let case = format!("{name}, faults {}", faults.is_some());
+        assert_eq!(seq.loads, par.loads, "{case}: load vectors diverge");
+        assert_eq!(seq.rounds, par.rounds, "{case}: round counts diverge");
+        assert_eq!(seq.messages, par.messages, "{case}: message totals diverge");
+        assert_eq!(seq.faults, par.faults, "{case}: fault tallies diverge");
+        assert_eq!(seq.faults.is_some(), faults.is_some(), "{case}");
+    }
+}
