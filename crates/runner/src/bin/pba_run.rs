@@ -1336,6 +1336,9 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
         run.messages.responses,
         run.messages.commits
     );
+    if let Some(max_bin) = run.max_bin_received() {
+        println!("max bin rx: {max_bin}");
+    }
     print_cluster_wire(&out);
     println!("wall time:  {elapsed:.2?}");
     trace.print_path();

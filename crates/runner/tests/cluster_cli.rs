@@ -15,15 +15,22 @@ fn pba_run(args: &[&str]) -> std::process::Output {
         .expect("spawn pba-run")
 }
 
-/// The outcome-defining summary lines (loads, rounds, message counts) —
-/// everything that must be bit-identical across process counts.
+/// The outcome-defining summary lines (loads, rounds, message counts, the
+/// busiest bin's received messages) — everything that must be
+/// bit-identical across process counts.
 fn outcome_lines(stdout: &str) -> Vec<String> {
     stdout
         .lines()
         .filter(|l| {
-            ["rounds:", "placed:", "max load:", "messages:"]
-                .iter()
-                .any(|p| l.starts_with(p))
+            [
+                "rounds:",
+                "placed:",
+                "max load:",
+                "messages:",
+                "max bin rx:",
+            ]
+            .iter()
+            .any(|p| l.starts_with(p))
         })
         .map(str::to_owned)
         .collect()
@@ -60,7 +67,7 @@ fn cluster_processes_match_single_process_run_at_every_shard_count() {
     ]);
     assert!(single.status.success());
     let want = outcome_lines(&String::from_utf8_lossy(&single.stdout));
-    assert_eq!(want.len(), 4, "baseline must print all four outcome lines");
+    assert_eq!(want.len(), 5, "baseline must print all five outcome lines");
 
     for shards in ["1", "2", "4"] {
         let argv = args(&["--shards", shards]);
@@ -108,7 +115,7 @@ fn transport_and_codec_matrix_is_bit_identical() {
         String::from_utf8_lossy(&baseline.stderr)
     );
     let want = outcome_lines(&String::from_utf8_lossy(&baseline.stdout));
-    assert_eq!(want.len(), 4, "baseline must print all four outcome lines");
+    assert_eq!(want.len(), 5, "baseline must print all five outcome lines");
 
     let cells: [&[&str]; 2] = [&["--socket"], &["--local"]];
     for cell in cells {

@@ -50,7 +50,10 @@ run scripts/bench_diff.sh --tier small --gate 60
 # reported. The test suite asserts the same thing from inside cargo;
 # this exercises the shipping binary spawning itself as `shard-worker`.
 PBA=target/release/pba-run
-outcome() { "$@" | grep -E '^(rounds|placed|max load|messages):'; }
+# `max bin rx` is the message ledger's maximum: the matrix and the parity
+# step below compare it across the serial, owner-split and delegated
+# (cluster) grant paths.
+outcome() { "$@" | grep -E '^(rounds|placed|max load|messages|max bin rx):'; }
 echo "==> cluster smoke: transport bit-identity matrix (seed 11)"
 want=$(outcome "$PBA" protocol collision --m 65536 --n 4096 --seed 11)
 for shards in 2 4; do

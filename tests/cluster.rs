@@ -41,6 +41,15 @@ fn engine_cluster_is_bit_identical_across_shard_counts() {
             );
             assert_eq!(run.rounds, single.rounds, "{protocol} rounds");
             assert_eq!(run.messages, single.messages, "{protocol} messages");
+            assert_eq!(
+                run.per_bin_received, single.per_bin_received,
+                "{protocol} per-bin message counts at {shards} shards"
+            );
+            assert_eq!(
+                run.trace.as_ref().unwrap().records(),
+                single.trace.as_ref().unwrap().records(),
+                "{protocol} round records at {shards} shards"
+            );
             assert_eq!(run.placed, single.placed);
             assert_eq!(run.unallocated, single.unallocated);
         }
@@ -68,6 +77,15 @@ fn engine_cluster_reproduces_fault_decisions() {
         assert_eq!(run.loads, single.loads, "faulted loads at {shards} shards");
         assert_eq!(run.rounds, single.rounds);
         assert_eq!(run.messages, single.messages);
+        assert_eq!(
+            run.per_bin_received, single.per_bin_received,
+            "faulted per-bin message counts at {shards} shards"
+        );
+        assert_eq!(
+            run.trace.as_ref().unwrap().records(),
+            single.trace.as_ref().unwrap().records(),
+            "faulted round records at {shards} shards"
+        );
         let faults = run.faults.expect("fault stats recorded");
         assert_eq!(faults, single_faults, "fault decisions at {shards} shards");
     }

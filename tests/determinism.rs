@@ -123,6 +123,15 @@ fn split_bin_side_is_bit_identical_at_scale() {
         assert_eq!(seq.loads, par.loads, "{case}: load vectors diverge");
         assert_eq!(seq.rounds, par.rounds, "{case}: round counts diverge");
         assert_eq!(seq.messages, par.messages, "{case}: message totals diverge");
+        assert_eq!(
+            seq.per_bin_received, par.per_bin_received,
+            "{case}: per-bin message counts diverge"
+        );
+        assert_eq!(
+            seq.trace.as_ref().unwrap().records(),
+            par.trace.as_ref().unwrap().records(),
+            "{case}: round records diverge"
+        );
         assert_eq!(seq.faults, par.faults, "{case}: fault tallies diverge");
         assert_eq!(seq.faults.is_some(), faults.is_some(), "{case}");
     }

@@ -9,7 +9,12 @@
 //! which silently invalidates every recorded experiment table. Update
 //! the constants only for an intentional, documented RNG/engine break.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use pba::core::metrics::{RoundTiming, RunMeta};
+use pba::core::RoundRecord;
 use pba::prelude::*;
+use pba::protocols::run_by_name;
 use pba::stream::Batch;
 
 const SEEDS: [u64; 3] = [41, 42, 43];
@@ -168,6 +173,121 @@ fn assignment_matrix_identical_across_executors_and_faults() {
                     run(ExecutorKind::ParallelWith(lanes)),
                     "{name} (faults: {}) diverged from sequential on {lanes} lanes",
                     plan.is_some(),
+                );
+            }
+        }
+    }
+}
+
+/// FNV-1a over little-endian `u64` words: a stable one-line fingerprint
+/// of a long vector.
+fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Every counter of a round record, in field order.
+fn record_words(r: &RoundRecord) -> [u64; 12] {
+    [
+        r.round.into(),
+        r.active_before,
+        r.requests,
+        r.granted,
+        r.committed,
+        r.wasted_grants,
+        r.underloaded_bins.into(),
+        r.unfilled_want,
+        r.max_load.into(),
+        r.messages.requests,
+        r.messages.responses,
+        r.messages.commits,
+    ]
+}
+
+/// Sums the balls that straggled in round 0: each one makes its first
+/// draw in a later round.
+#[derive(Default)]
+struct FirstRoundStragglers(AtomicU64);
+
+impl MetricsSink for FirstRoundStragglers {
+    fn on_round(&self, _meta: &RunMeta, _record: &RoundRecord, _timing: &RoundTiming) {}
+
+    fn on_fault(&self, _meta: &RunMeta, record: &FaultRecord) {
+        if record.round == 0 {
+            self.0.fetch_add(record.straggler_balls, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The message ledger and the round trace at m = n = 2^16, sequential
+/// and on a 4-lane pool (where round 0 fans out and the bin side splits
+/// into four owner ranges): the per-bin received counts, every counter
+/// of every round record (`granted` and `max_load` among them), the
+/// loads and the round count. The cases cover fixed choices drawn in
+/// round 0 (collision, adler-greedy), fixed choices first drawn in round
+/// k (batched two-choice with four batches, so batch k draws in round
+/// k; collision under stragglers and backoff, which defer first draws),
+/// superbin redirects (asymmetric) and k-slot replicas (kd-choice).
+#[test]
+fn golden_ledger_and_round_traces() {
+    // (case, rounds, loads, per-bin received, round records)
+    #[rustfmt::skip]
+    const GOLDEN: [(&str, u32, u64, u64, u64); 6] = [
+        ("collision", 2, 0xf0fe27f18be3a3a5, 0xb6383f5d3ccfdd80, 0x1a35f46444e3bda4),
+        ("adler-greedy", 2, 0x8c8c1f6540e05d87, 0x52e2fecfd986996c, 0xef7983ada052511e),
+        ("batched-two-choice/4", 4, 0xc0c33e9e9aa9d0e7, 0x6cee9cae93fc2475, 0x6ef977aeaa607fac),
+        ("asymmetric", 1, 0x97ce00b6ffa7f6e7, 0x1edfd131538e8f15, 0x4156b6aed166ab08),
+        ("kd-choice", 2, 0xc20b92fe0074e2e7, 0x22f48fbb132cfd2b, 0xe761011e76a5720e),
+        ("collision+straggle", 7, 0x13eb700ae4b00685, 0x2a224507496a94ab, 0x17e30f9623026e29),
+    ];
+    let spec = ProblemSpec::new(1 << 16, 1 << 16).unwrap();
+    let straggle = FaultPlan::new(0x57A6)
+        .with_stragglers(8, 0.25)
+        .with_drop_prob(0.2)
+        .with_max_backoff(4);
+    for (case, rounds, loads, received, records) in GOLDEN {
+        for executor in [ExecutorKind::Sequential, ExecutorKind::ParallelWith(4)] {
+            let stragglers = std::sync::Arc::new(FirstRoundStragglers::default());
+            let cfg = RunConfig::seeded(29)
+                .with_executor(executor)
+                .with_validation(true)
+                .with_metrics(stragglers.clone());
+            let out = match case {
+                "batched-two-choice/4" => Simulator::new(spec, cfg)
+                    .run(BatchedTwoChoice::new(spec, u64::from(spec.bins() / 4))),
+                "collision+straggle" => {
+                    run_by_name("collision", spec, cfg.with_faults(straggle)).unwrap()
+                }
+                name => run_by_name(name, spec, cfg).unwrap(),
+            }
+            .unwrap();
+            let got = (
+                out.rounds,
+                fingerprint(out.loads.iter().map(|&l| u64::from(l))),
+                fingerprint(out.per_bin_received.clone().expect("per-bin tracking")),
+                fingerprint(
+                    out.trace
+                        .as_ref()
+                        .unwrap()
+                        .records()
+                        .iter()
+                        .flat_map(record_words),
+                ),
+            );
+            assert_eq!(
+                got,
+                (rounds, loads, received, records),
+                "{case} on {executor:?}: (rounds, loads, per-bin received, round records) drifted"
+            );
+            if case == "collision+straggle" {
+                assert!(
+                    stragglers.0.load(Ordering::Relaxed) > 0,
+                    "{executor:?}: no ball straggled in round 0"
                 );
             }
         }
