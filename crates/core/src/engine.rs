@@ -20,9 +20,18 @@
 //! * The bin side splits the bins into owner ranges of whole 64-bin words,
 //!   as independent agents that see only their own arrivals. Each owner
 //!   scans its range (every chunk's counts, in chunk order, into rank
-//!   bases and totals), then runs [`grant_slice`] over it; the ranges'
-//!   underload counters are summed — the arithmetic the cluster
-//!   orchestrator applies to its shards' replies.
+//!   bases and totals), then runs [`grant_slice`] over it and, while the
+//!   range is still in cache, `ledger_slice` over the range's hot bins:
+//!   the round's granted sum and the per-bin message ledger. The ranges'
+//!   underload counters and granted sums are summed — the arithmetic the
+//!   cluster orchestrator applies to its shards' replies. Delegated
+//!   grants get the same ledger pass, once per owner range, after the
+//!   delegate returns.
+//! * Per-round passes write a fresh page before they read it: the scan
+//!   stores a bin's first count instead of adding it to a zero total, and
+//!   the first round stores the ledger instead of adding to it. A read of
+//!   a never-written page maps the shared zero page and then faults again
+//!   on the write.
 //!
 //! `SimState` owns the per-chunk `LaneScratch` arenas and all workhorse
 //! buffers, reused across rounds: after the first (warm-up) round, a
@@ -36,8 +45,8 @@ use pba_par::{as_atomic_u32, as_atomic_u64, Chunking, DisjointClaims, DisjointIn
 use crate::delegate::GrantDelegate;
 use crate::error::{CoreError, Result};
 use crate::exec::{
-    bin_owners, gather_chunk, grant_slice, resolve_chunk, scan_words, word_bins, Backend, Faulty,
-    GatherShared, LaneScratch, NoFaults, ResolveShared, Tuning,
+    bin_owners, gather_chunk, grant_slice, ledger_slice, resolve_chunk, scan_words, word_bins,
+    Backend, Faulty, GatherShared, LaneScratch, NoFaults, ResolveShared, Tuning,
 };
 use crate::faults::{FaultPlan, FaultRecord, FaultSession, FaultStats};
 use crate::messages::{MessageLedger, MessageStats, MessageTracking};
@@ -61,6 +70,12 @@ fn crashed_bins(faults: &Option<FaultSession>) -> &[u32] {
 
 /// Mutable simulation state: loads, active set, per-ball protocol state,
 /// message ledger, and reusable scratch arenas.
+///
+/// Heap per ball: the active list and its swap buffer (8 bytes), the
+/// protocol's `BallState` (4 bytes for fixed choices), and the arenas'
+/// requests and degrees (4 bytes per request plus 4). Per bin: loads,
+/// totals and grants (12 bytes), the ledger (8 bytes, when tracked), and
+/// 4 bytes of counts per arena.
 pub(crate) struct SimState<P: RoundProtocol> {
     pub spec: ProblemSpec,
     pub seed: u64,
@@ -166,13 +181,16 @@ impl<P: RoundProtocol> SimState<P> {
         }
     }
 
-    /// Execute one round on `backend`.
+    /// Execute one round on `backend`: gather, scan, grant plus ledger,
+    /// resolve, then the serial merge.
     ///
     /// Rounds whose active set is below the configured `par_cutoff` (or
     /// whose pool has a single lane) run on the serial backend — which is
     /// the same kernel with exactly one chunk, so the fallback cannot
-    /// change results. Only the final merge (`O(m')`) and the round's
-    /// bookkeeping passes are serial.
+    /// change results. The bin side visits only the round's hot bins,
+    /// except for the dense grant pass; the serial remainder is the
+    /// merge of the chunks' survivor lists (`O(m')`) and the max over
+    /// the loads.
     pub fn round(
         &mut self,
         protocol: &P,
@@ -285,14 +303,16 @@ impl<P: RoundProtocol> SimState<P> {
         }
 
         // --- Phase 3: grants — local, or delegated to an external
-        // authority (the cluster orchestrator's request/reply wave).
-        let (underloaded_bins, unfilled_want) = match delegate.as_deref_mut() {
+        // authority (the cluster orchestrator's request/reply wave) — and
+        // the ledger over the round's hot bins.
+        let (underloaded_bins, unfilled_want, granted) = match delegate.as_deref_mut() {
             Some(d) => {
                 // The delegate fills only the bins it grants; every other
                 // bin (no arrivals, or crashed) must read 0.
                 self.accept.fill(0);
                 let crashed = crashed_bins(&self.faults);
-                d.round_grants(&ctx, &self.counts, crashed, &mut self.accept)?
+                let (ub, uw) = d.round_grants(&ctx, &self.counts, crashed, &mut self.accept)?;
+                (ub, uw, self.ledger_pass(&ctx, eff, owners))
             }
             None => self.grants(protocol, &ctx, eff, owners),
         };
@@ -342,6 +362,7 @@ impl<P: RoundProtocol> SimState<P> {
         let record = self.finish_round(
             &ctx,
             requests,
+            granted,
             committed,
             wasted,
             commit_msgs,
@@ -379,24 +400,32 @@ impl<P: RoundProtocol> SimState<P> {
     }
 
     /// Grant phase: [`grant_slice`] over each owner range of the round's
-    /// bin partition (the scan's), one task per range on `backend`, with
-    /// the ranges' `(underloaded, unfilled)` summed. The serial backend is
-    /// one range over all bins.
+    /// bin partition (the scan's), one task per range on `backend`, each
+    /// followed by [`ledger_slice`] over the range while it is still in
+    /// cache. Returns the ranges' `(underloaded, unfilled, granted)`
+    /// summed. The serial backend is one range over all bins.
     fn grants(
         &mut self,
         protocol: &P,
         ctx: &RoundContext,
         backend: Backend<'_>,
         owners: Chunking,
-    ) -> (u32, u64) {
+    ) -> (u32, u64, u64) {
         let n = self.counts.len();
         let crashed = crashed_bins(&self.faults);
-        let (counts, loads) = (&self.counts, &self.loads);
+        let (counts, loads, hot) = (&self.counts, &self.loads, &self.hot);
+        let recv = self
+            .ledger
+            .per_bin_received
+            .as_deref_mut()
+            .map(as_atomic_u64);
         let accept = DisjointIndexMut::new(&mut self.accept);
         let underloaded = AtomicU32::new(0);
         let unfilled = AtomicU64::new(0);
+        let granted = AtomicU64::new(0);
         backend.run(owners.chunks(), |oi| {
-            let r = word_bins(owners.range(oi), n);
+            let words = owners.range(oi);
+            let r = word_bins(words.clone(), n);
             // SAFETY: the owner ranges partition the bins and `run` hands
             // each range index to exactly one task.
             let accept = unsafe { accept.slice_mut(r.clone()) };
@@ -405,37 +434,68 @@ impl<P: RoundProtocol> SimState<P> {
                 ctx,
                 r.start as u32,
                 &counts[r.clone()],
-                &loads[r],
+                &loads[r.clone()],
                 crashed,
                 accept,
             );
+            let g = ledger_slice(
+                &hot[words],
+                &counts[r.clone()],
+                accept,
+                recv.map(|v| &v[r]),
+                ctx.round == 0,
+            );
             underloaded.fetch_add(ub, Ordering::Relaxed);
             unfilled.fetch_add(uw, Ordering::Relaxed);
+            granted.fetch_add(g, Ordering::Relaxed);
         });
-        (underloaded.into_inner(), unfilled.into_inner())
+        (
+            underloaded.into_inner(),
+            unfilled.into_inner(),
+            granted.into_inner(),
+        )
     }
 
-    /// Shared bookkeeping after resolution: ledger updates, active-set
-    /// swap, round record.
+    /// [`ledger_slice`] over each owner range, for grants a delegate
+    /// decided: returns the round's granted requests.
+    fn ledger_pass(&mut self, ctx: &RoundContext, backend: Backend<'_>, owners: Chunking) -> u64 {
+        let n = self.counts.len();
+        let (counts, accept, hot) = (&self.counts, &self.accept, &self.hot);
+        let recv = self
+            .ledger
+            .per_bin_received
+            .as_deref_mut()
+            .map(as_atomic_u64);
+        let granted = AtomicU64::new(0);
+        backend.run(owners.chunks(), |oi| {
+            let words = owners.range(oi);
+            let r = word_bins(words.clone(), n);
+            let g = ledger_slice(
+                &hot[words],
+                &counts[r.clone()],
+                &accept[r.clone()],
+                recv.map(|v| &v[r]),
+                ctx.round == 0,
+            );
+            granted.fetch_add(g, Ordering::Relaxed);
+        });
+        granted.into_inner()
+    }
+
+    /// Shared bookkeeping after resolution: active-set swap, round
+    /// record.
     #[allow(clippy::too_many_arguments)]
     fn finish_round(
         &mut self,
         ctx: &RoundContext,
         requests: u64,
+        granted: u64,
         committed: u64,
         wasted: u64,
         commit_msgs: u64,
         underloaded_bins: u32,
         unfilled_want: u64,
     ) -> RoundRecord {
-        let granted: u64 = self.accept.iter().map(|&a| a as u64).sum();
-        if let Some(recv) = self.ledger.per_bin_received.as_mut() {
-            for (bin, r) in recv.iter_mut().enumerate() {
-                // Requests arriving + commit notifications from every ball
-                // this bin accepted.
-                *r += self.counts[bin] as u64 + self.accept[bin] as u64;
-            }
-        }
         self.placed += committed;
         std::mem::swap(&mut self.active, &mut self.next_active);
         let max_load = self.loads.iter().copied().max().unwrap_or(0);

@@ -16,26 +16,32 @@
 //!
 //! Ball-side phases split the active set. The bin-side phases split the
 //! bins into owner ranges of whole 64-bin words (`bin_owners`), one
-//! partition for both: `scan_words` turns each chunk's arrival counts
-//! into rank bases for the bins of its range, and [`grant_slice`] decides
-//! the range's grants — the same kernel, on the same kind of bin range,
-//! that a cluster shard worker runs over the bins it owns.
+//! partition for all three: `scan_words` turns each chunk's arrival
+//! counts into rank bases for the bins of its range, [`grant_slice`]
+//! decides the range's grants — the same kernel, on the same kind of bin
+//! range, that a cluster shard worker runs over the bins it owns — and
+//! `ledger_slice` sums the range's grants and adds its hot bins' received
+//! messages to the ledger.
 //!
 //! ```text
-//!             ┌────────────────────── one round ──────────────────────┐
-//!   chunk 0 → │ gather+count │ scan │ grant │ │ resolve+commit │      │
-//!   chunk 1 → │ gather+count │ scan │ grant │ │ resolve+commit │ merge│
-//!   chunk k → │ gather+count │ scan │ grant │ │ resolve+commit │      │
-//!             └───────────────────────────────────────────────────────┘
-//!               parallel       parallel       parallel       serial
-//!               (balls)        (bin ranges)   (balls)        O(m')
+//!             ┌─────────────────────── one round ───────────────────────┐
+//!   chunk 0 → │ gather+count │ scan │ grant+ledger │ resolve+commit │     │
+//!   chunk 1 → │ gather+count │ scan │ grant+ledger │ resolve+commit │merge│
+//!   chunk k → │ gather+count │ scan │ grant+ledger │ resolve+commit │     │
+//!             └─────────────────────────────────────────────────────────┘
+//!               parallel       parallel             parallel       serial
+//!               (balls)        (bin ranges)         (balls)        O(m')
 //! ```
 //!
 //! Each arena records the bins it touched in a bitmap, so an owner visits
 //! only the set bits of its words: a round costs O(chunks·n/64 + Σ
 //! distinct bins touched), never the O(chunks·n) of a dense walk — the
 //! cost that would make a chunked round on a drained active set pay
-//! chunks× the serial path's memory traffic on large bin counts.
+//! chunks× the serial path's memory traffic on large bin counts. The
+//! grant pass is the one dense bin-side pass. The bin-side kernels store
+//! before they load wherever the old value is known to be zero (a bin's
+//! first count, the first round's ledger), so a page the run has never
+//! written faults once, on the store, instead of twice.
 //!
 //! Each chunk writes exclusively into its own `LaneScratch` arena, owned
 //! by `SimState` and reused across rounds, so the steady-state round
@@ -430,12 +436,17 @@ pub(crate) fn word_bins(words: Range<usize>, n: usize) -> Range<usize> {
 /// each arena, the chunk's arrival count becomes its rank base (the
 /// arrivals to that bin in earlier chunks) and `totals` accumulates the
 /// bin's arrivals. `hot` is the round-level bitmap of bins with nonzero
-/// totals: last round's bits say which totals to zero first, and the OR
-/// of the arenas' words replaces them. Only the owner of a word touches
-/// its bins and bits in any of these arrays, so the result is
-/// independent of the partition, and the accesses can be relaxed: no
-/// other task reads them until the pass is joined, which orders every
-/// owner's writes before the grant and resolve phases.
+/// totals: the OR of the arenas' words replaces it, and last round's
+/// bits that are not set again say which totals to zero. Only the owner
+/// of a word touches its bins and bits in any of these arrays, so the
+/// result is independent of the partition, and the accesses can be
+/// relaxed: no other task reads them until the pass is joined, which
+/// orders every owner's writes before the grant and resolve phases.
+///
+/// Write first: the first arena to touch a bin stores its count as the
+/// total (rank base 0) without loading the old total, which is stale or
+/// zero. A read of a page the run has never written maps the shared zero
+/// page and then faults again on the write; a store faults once.
 pub(crate) fn scan_words(
     arenas: &[LaneScratch],
     words: Range<usize>,
@@ -444,26 +455,76 @@ pub(crate) fn scan_words(
 ) {
     for w in words {
         let base = w * 64;
-        let mut stale = hot[w].load(Ordering::Relaxed);
-        while stale != 0 {
-            totals[base + stale.trailing_zeros() as usize].store(0, Ordering::Relaxed);
-            stale &= stale - 1;
-        }
-        let mut any = 0u64;
+        let mut seen = 0u64;
         for arena in arenas {
-            let mut bits = arena.touched[w];
-            any |= bits;
-            while bits != 0 {
-                let b = base + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            let bits = arena.touched[w];
+            let mut first = bits & !seen;
+            while first != 0 {
+                let b = base + first.trailing_zeros() as usize;
+                first &= first - 1;
+                totals[b].store(arena.counts[b].load(Ordering::Relaxed), Ordering::Relaxed);
+                arena.counts[b].store(0, Ordering::Relaxed);
+            }
+            let mut again = bits & seen;
+            while again != 0 {
+                let b = base + again.trailing_zeros() as usize;
+                again &= again - 1;
                 let c = arena.counts[b].load(Ordering::Relaxed);
                 let total = totals[b].load(Ordering::Relaxed);
                 arena.counts[b].store(total, Ordering::Relaxed);
                 totals[b].store(total + c, Ordering::Relaxed);
             }
+            seen |= bits;
         }
-        hot[w].store(any, Ordering::Relaxed);
+        let mut stale = hot[w].load(Ordering::Relaxed) & !seen;
+        while stale != 0 {
+            totals[base + stale.trailing_zeros() as usize].store(0, Ordering::Relaxed);
+            stale &= stale - 1;
+        }
+        hot[w].store(seen, Ordering::Relaxed);
     }
+}
+
+/// THE ledger kernel, for one owner range: the range's hot-bit words
+/// `hot` and its dense `counts`, `accept` and received-message counters
+/// `recv`, all indexed from the range's first bin.
+///
+/// Returns the range's granted requests, `Σ accept`, and adds each hot
+/// bin's received messages (its arrivals plus the commit notices of the
+/// balls it accepted) to `recv`, if the run tracks them. Only the hot
+/// bits are visited: a bin without arrivals accepted nothing and
+/// received nothing. `first_round` stores the counts instead of adding
+/// them, since the ledger is all zero before the run's first round (and
+/// a store faults a fresh page once, where a load then store faults it
+/// twice). Only the owner of a range touches its counters, so the
+/// accesses are relaxed, as in [`scan_words`].
+pub(crate) fn ledger_slice(
+    hot: &[u64],
+    counts: &[u32],
+    accept: &[u32],
+    recv: Option<&[AtomicU64]>,
+    first_round: bool,
+) -> u64 {
+    let mut granted = 0u64;
+    for (w, &word) in hot.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let i = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let a = u64::from(accept[i]);
+            granted += a;
+            if let Some(recv) = recv {
+                let rx = u64::from(counts[i]) + a;
+                let old = if first_round {
+                    0
+                } else {
+                    recv[i].load(Ordering::Relaxed)
+                };
+                recv[i].store(old + rx, Ordering::Relaxed);
+            }
+        }
+    }
+    granted
 }
 
 /// Immutable context shared by every gather chunk of a round.

@@ -12,6 +12,12 @@
 //! Totals are always tracked. Per-bin received counts are cheap (`O(n)`
 //! memory) and tracked by default; per-ball sent counts cost `O(m)` memory
 //! and are opt-in via [`MessageTracking::Full`].
+//!
+//! The engine updates the per-bin counts in its bin owner tasks, right
+//! after each range's grants, and only for the round's hot bins (those
+//! with arrivals): a bin that received no request accepted none and
+//! received no commit notice. The per-ball counts are updated in the
+//! resolve pass, by the chunk that owns the ball.
 
 /// Granularity of message accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,6 +67,13 @@ impl MessageStats {
 
 /// Per-entity message counters, allocated according to a
 /// [`MessageTracking`] level.
+///
+/// `per_bin_received` holds the per-bin receive counts that
+/// Lenzen–Wattenhofer bound: each round adds a bin's arrivals plus the
+/// commit notices of the balls it accepted. It starts all zero and the
+/// run's first round stores into it rather than adding, so its pages are
+/// first touched by a write; bins that never receive a request are never
+/// written.
 #[derive(Debug, Clone)]
 pub struct MessageLedger {
     tracking: MessageTracking,

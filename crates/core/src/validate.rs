@@ -16,6 +16,9 @@
 //!   arrivals by the grant kernel or the delegate contract). Relaxed
 //!   for protocols with [`crate::protocol::RoundProtocol::MAY_REDIRECT`],
 //!   whose commits legally land on member bins of the granting leader.
+//! * **Granted sum** — the record's `granted` equals the sum of the
+//!   bins' `accept`. The engine sums it sparsely in the owner tasks,
+//!   over the round's hot bins only; this is the dense cross-check.
 //! * **Monotone commitment** — a ball's assignment, once written, never
 //!   changes; every still-active ball is unassigned; and the per-bin
 //!   count of newly assigned balls matches the bin's load delta exactly
@@ -149,9 +152,12 @@ impl ValidatorState {
             ));
         }
 
-        // --- Load accounting + bin capacity + fault legality (one sweep).
+        // --- Load accounting + bin capacity + the granted sum + fault
+        // legality (one sweep).
         let mut delta_total = 0u64;
+        let mut granted = 0u64;
         for (bin, (&after, &before)) in loads.iter().zip(&self.loads_before).enumerate() {
+            granted += u64::from(accept[bin]);
             if after < before {
                 return Err(violation(
                     round,
@@ -171,6 +177,16 @@ impl ValidatorState {
                     ),
                 ));
             }
+        }
+        if granted != record.granted {
+            return Err(violation(
+                round,
+                "granted-sum",
+                format!(
+                    "the record says {} requests were granted, but the bins accepted {granted}",
+                    record.granted
+                ),
+            ));
         }
         if delta_total != committed * replicas as u64 {
             return Err(violation(
@@ -268,9 +284,11 @@ impl ValidatorState {
 mod tests {
     use super::*;
 
-    fn record(round: u32, committed: u64) -> RoundRecord {
+    /// A record of `committed` balls out of `granted` accepted requests.
+    fn record(round: u32, committed: u64, granted: u64) -> RoundRecord {
         RoundRecord {
             round,
+            granted,
             committed,
             ..RoundRecord::default()
         }
@@ -293,7 +311,7 @@ mod tests {
         let mut v = armed(4, &[0, 0], &[u32::MAX; 4], 0, 4);
         // Balls 0 and 2 land in bins 0 and 1; balls 1 and 3 stay active.
         v.check_round(
-            &record(0, 2),
+            &record(0, 2, 2),
             false,
             1,
             &[1, 1],
@@ -307,11 +325,39 @@ mod tests {
     }
 
     #[test]
+    fn granted_sum_off_by_one_is_caught() {
+        let mut v = armed(4, &[0, 0], &[u32::MAX; 4], 0, 4);
+        // The clean round above, but the record claims one grant more
+        // than the bins' accepts add up to.
+        let err = v
+            .check_round(
+                &record(0, 2, 3),
+                false,
+                1,
+                &[1, 1],
+                Some(&[0, u32::MAX, 1, u32::MAX]),
+                &[1, 3],
+                &[1, 1],
+                &[],
+                2,
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::InvariantViolation {
+                invariant: "granted-sum",
+                round: 0,
+                ..
+            }
+        ));
+    }
+
+    #[test]
     fn overfull_bin_is_caught() {
         let mut v = armed(4, &[0, 0], &[u32::MAX; 4], 0, 4);
         let err = v
             .check_round(
-                &record(0, 2),
+                &record(0, 2, 2),
                 false,
                 1,
                 &[2, 0],
@@ -337,7 +383,7 @@ mod tests {
         // Same shape as above, but the protocol may redirect: the per-bin
         // check is waived while the total-delta check still holds.
         v.check_round(
-            &record(0, 2),
+            &record(0, 2, 2),
             true,
             1,
             &[2, 0],
@@ -355,7 +401,7 @@ mod tests {
         let mut v = armed(2, &[1, 0], &[0, u32::MAX], 1, 1);
         let err = v
             .check_round(
-                &record(3, 1),
+                &record(3, 1, 1),
                 false,
                 1,
                 &[1, 1],
@@ -381,7 +427,7 @@ mod tests {
         let mut v = armed(2, &[0, 0], &[u32::MAX; 2], 0, 2);
         let err = v
             .check_round(
-                &record(1, 1),
+                &record(1, 1, 1),
                 false,
                 1,
                 &[1, 0],
@@ -407,7 +453,7 @@ mod tests {
         // redirect legally lands on a crashed member bin.
         let mut v = armed(2, &[0, 0], &[u32::MAX; 2], 0, 2);
         v.check_round(
-            &record(1, 1),
+            &record(1, 1, 1),
             true,
             1,
             &[1, 0],
@@ -427,7 +473,7 @@ mod tests {
         // and bin 2 legally gains a unit without a fresh primary.
         let mut v = armed(2, &[0, 1, 0], &[u32::MAX; 2], 0, 2);
         v.check_round(
-            &record(0, 1),
+            &record(0, 1, 2),
             false,
             2,
             &[1, 1, 1],
@@ -446,7 +492,7 @@ mod tests {
         let mut v = armed(2, &[0, 0], &[u32::MAX; 2], 0, 2);
         let err = v
             .check_round(
-                &record(0, 1),
+                &record(0, 1, 1),
                 false,
                 2,
                 &[1, 0],
@@ -473,7 +519,7 @@ mod tests {
         let mut v = armed(2, &[0, 0, 0], &[u32::MAX; 2], 0, 2);
         let err = v
             .check_round(
-                &record(0, 1),
+                &record(0, 1, 2),
                 false,
                 2,
                 &[1, 0, 1],
@@ -498,7 +544,7 @@ mod tests {
         let mut v = armed(4, &[0, 0], &[u32::MAX; 4], 0, 4);
         let err = v
             .check_round(
-                &record(0, 2),
+                &record(0, 2, 2),
                 false,
                 1,
                 &[1, 1],

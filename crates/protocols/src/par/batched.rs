@@ -63,14 +63,14 @@ impl RoundProtocol for BatchedTwoChoice {
         ctx: &RoundContext,
         ball: BallContext,
         state: &mut FixedChoices,
-        rng: &mut SplitMix64,
+        _rng: &mut SplitMix64,
         out: &mut ChoiceSink<'_>,
     ) {
         // Only the current batch participates; everyone else stays silent
         // and remains active.
         let batch_index = ball.ball as u64 / self.batch;
         if batch_index == ctx.round as u64 {
-            for &bin in state.ensure(2, ctx.spec.bins(), rng) {
+            for &bin in state.ensure(2, ctx, ball).iter() {
                 out.push(bin);
             }
         }

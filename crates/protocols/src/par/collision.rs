@@ -111,12 +111,12 @@ impl RoundProtocol for Collision {
     fn ball_choices(
         &self,
         ctx: &RoundContext,
-        _ball: BallContext,
+        ball: BallContext,
         state: &mut FixedChoices,
-        rng: &mut SplitMix64,
+        _rng: &mut SplitMix64,
         out: &mut ChoiceSink<'_>,
     ) {
-        for &bin in state.ensure(self.d as usize, ctx.spec.bins(), rng) {
+        for &bin in state.ensure(self.d as usize, ctx, ball).iter() {
             out.push(bin);
         }
     }
