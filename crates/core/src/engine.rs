@@ -46,7 +46,7 @@ use crate::delegate::GrantDelegate;
 use crate::error::{CoreError, Result};
 use crate::exec::{
     bin_owners, gather_chunk, grant_slice, ledger_slice, resolve_chunk, scan_words, word_bins,
-    Backend, Faulty, GatherShared, LaneScratch, NoFaults, ResolveShared, Tuning,
+    Backend, ChunkPlan, Faulty, GatherShared, LaneScratch, NoFaults, ResolveShared,
 };
 use crate::faults::{FaultPlan, FaultRecord, FaultSession, FaultStats};
 use crate::messages::{MessageLedger, MessageStats, MessageTracking};
@@ -89,10 +89,8 @@ pub(crate) struct SimState<P: RoundProtocol> {
     /// fault branch below is gated on this option, and the fault code
     /// reads no clocks — decisions come from counter streams only).
     faults: Option<FaultSession>,
-    /// Chunk-geometry policy (`RunConfig::with_tuning`); resolved to a
-    /// concrete [`ChunkPlan`](crate::exec::ChunkPlan) per round from the
-    /// live active-set size and the backend's lane count.
-    tuning: Tuning,
+    /// Chunk geometry of every round (`RunConfig::with_chunk_plan`).
+    plan: ChunkPlan,
     /// Invariant checker (`RunConfig::with_validation`); `None` is the
     /// zero-cost path — no snapshots, no checks, like `faults`.
     validator: Option<ValidatorState>,
@@ -125,7 +123,7 @@ impl<P: RoundProtocol> SimState<P> {
         tracking: MessageTracking,
         track_assignment: bool,
         faults: Option<FaultPlan>,
-        tuning: Tuning,
+        plan: ChunkPlan,
         validate: bool,
     ) -> Self {
         let n = spec.bins() as usize;
@@ -140,7 +138,7 @@ impl<P: RoundProtocol> SimState<P> {
             ledger: MessageLedger::new(tracking, spec.bins(), m),
             placed: 0,
             faults: faults.map(|plan| FaultSession::new(plan, m, spec.bins())),
-            tuning,
+            plan,
             validator: validate.then(|| ValidatorState::new(m)),
             scratch: Vec::new(),
             claims: DisjointClaims::new(m as usize),
@@ -210,10 +208,7 @@ impl<P: RoundProtocol> SimState<P> {
             );
         }
         self.snapshot_loads();
-        // Resolve the chunk geometry for this round from the live
-        // active-set size and the backend's lanes (auto tuning shrinks
-        // plans as the active set drains; fixed tuning pins one plan).
-        let plan = self.tuning.plan(self.active.len() as u64, backend.lanes());
+        let plan = self.plan;
         let n = self.spec.bins() as usize;
 
         // Effective backend for this round: fall back to serial below the
@@ -522,7 +517,6 @@ impl<P: RoundProtocol> SimState<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ChunkPlan;
     use crate::protocol::{BallContext, BinGrant, ChoiceSink, Flow, NoBallState, RoundProtocol};
     use crate::rng::{Rand64, SplitMix64};
     use pba_par::ThreadPool;
@@ -597,7 +591,7 @@ mod tests {
             tracking,
             track_assignment,
             None,
-            Tuning::Fixed(ChunkPlan::default()),
+            ChunkPlan::default(),
             true,
         )
     }
@@ -694,21 +688,18 @@ mod tests {
     #[test]
     fn custom_chunking_still_matches_defaults_bit_for_bit() {
         // Tiny chunks + a tiny cutoff force genuine fan-out at a size the
-        // default tuning would run serially; results must not move.
+        // default plan would run serially; results must not move.
         let spec = ProblemSpec::new(50_000, 64).unwrap();
         let pool = ThreadPool::new(3);
-        let tuned = Tuning::Fixed(ChunkPlan {
-            min_chunk: 1024,
-            par_cutoff: 2048,
-        });
-        let run = |tuning: Tuning, backend_pool: bool| {
+        let tuned = ChunkPlan::new(1024, 2048);
+        let run = |plan: ChunkPlan, backend_pool: bool| {
             let mut state = SimState::<Uniform2>::new(
                 spec,
                 9,
                 MessageTracking::Totals,
                 false,
                 None,
-                tuning,
+                plan,
                 true,
             );
             let mut round = 0;
@@ -723,7 +714,7 @@ mod tests {
             }
             (state.loads.clone(), round)
         };
-        let base = run(Tuning::Fixed(ChunkPlan::default()), false);
+        let base = run(ChunkPlan::default(), false);
         assert_eq!(base, run(tuned, true), "tuned parallel diverged");
         assert_eq!(base, run(tuned, false), "tuned serial diverged");
     }

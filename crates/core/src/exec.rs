@@ -60,41 +60,17 @@ use crate::faults::{BallFault, FaultCtx, FaultRecord};
 use crate::protocol::{BallContext, ChoiceSink, CommitOption, RoundContext, RoundProtocol};
 use crate::rng::RoundStreams;
 
-/// Default minimum number of active balls assigned to one parallel chunk.
-pub const DEFAULT_MIN_CHUNK: usize = 16 * 1024;
-
-/// Default minimum active-set size for a round to fan out at all; below
-/// it the round runs serially (one chunk) regardless of backend.
-pub const DEFAULT_PAR_CUTOFF: usize = 64 * 1024;
-
-/// Measured per-chunk floor for the round kernel's auto plan: chunks
-/// smaller than this spend more on pool dispatch than on work. Fed by
-/// `pba-run tune` (see `tuning.json`): the 16 Ki floor beat 8 Ki by
-/// 10–15% at both the medium and large tiers in the shipped sweep.
-pub const AUTO_MIN_CHUNK_FLOOR: usize = 16 * 1024;
-
-/// Measured serial→parallel crossover of the round kernel: rounds with
-/// fewer active balls than this run serially under [`Tuning::Auto`]. Fed
-/// by `pba-run tune` (see `tuning.json`).
-pub const AUTO_PAR_CUTOFF: usize = 64 * 1024;
-
-/// Measured per-chunk floor for the streaming snapshot path (two probes
-/// per arrival — much lighter than a protocol round, so chunks can be
-/// smaller). Fed by `pba-run tune`.
-pub const AUTO_INGEST_MIN_CHUNK: usize = 1024;
-
-/// Measured serial→parallel crossover for streaming batch ingestion.
-/// Fed by `pba-run tune`.
-pub const AUTO_INGEST_PAR_CUTOFF: usize = 8 * 1024;
-
-/// A fully resolved chunk-geometry plan for one pass of the round kernel
-/// (or one streamed batch): the two knobs the execution layer actually
-/// consumes. Obtain one from [`Tuning::plan`] / [`Tuning::plan_ingest`],
-/// or pin it directly via [`Tuning::fixed`].
+/// The chunk geometry of a pass of the round kernel (or of one streamed
+/// batch): the minimum items per parallel chunk and the minimum work for
+/// the pass to fan out at all. A run uses one plan for every round
+/// (`RunConfig::with_chunk_plan`); the default is 16 Ki / 64 Ki.
 ///
-/// Plans only change *scheduling* — chunk boundaries and the fan-out
-/// decision — never results: the kernels are bit-identical across every
-/// plan by construction (pinned by the golden/fuzz suites).
+/// A pass on a pool never cuts more than two chunks per lane
+/// ([`Backend::chunking`]), so a plan only decides when a pass fans out
+/// and how small its chunks may get. Plans only change *scheduling* —
+/// chunk boundaries and the fan-out decision — never results: the
+/// kernels are bit-identical across every plan by construction (pinned
+/// by the golden/fuzz suites).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkPlan {
     /// Minimum items per parallel chunk.
@@ -103,82 +79,32 @@ pub struct ChunkPlan {
     pub par_cutoff: usize,
 }
 
+/// The round plan: 16 Ki active balls a chunk, and a round with fewer
+/// than 64 Ki active balls runs serially (one chunk) on any backend.
 impl Default for ChunkPlan {
     fn default() -> Self {
         Self {
-            min_chunk: DEFAULT_MIN_CHUNK,
-            par_cutoff: DEFAULT_PAR_CUTOFF,
+            min_chunk: 16 * 1024,
+            par_cutoff: 64 * 1024,
         }
     }
 }
 
-/// The tuning surface of a run: how chunk geometry is chosen.
-///
-/// [`Tuning::Auto`] (the default) resolves a [`ChunkPlan`] per
-/// workload from the shipped measured tables (`pba-run tune` refreshes
-/// them); [`Tuning::fixed`] pins an exact plan for experiments that
-/// sweep the geometry. Either way results are identical — tuning is
-/// scheduling only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Tuning {
-    /// Derive the plan from the measured auto tables per workload size
-    /// and lane count.
-    #[default]
-    Auto,
-    /// Use exactly this plan everywhere.
-    Fixed(ChunkPlan),
-}
+impl ChunkPlan {
+    /// The plan of a streamed batch: 1 Ki arrivals per chunk, fan-out
+    /// from 8 Ki. An arrival is two probes, far lighter than a ball's
+    /// pass through a protocol round, so dispatch pays for itself on
+    /// smaller chunks and batches than the round default.
+    pub const INGEST: ChunkPlan = ChunkPlan {
+        min_chunk: 1024,
+        par_cutoff: 8 * 1024,
+    };
 
-impl Tuning {
-    /// Pin an exact plan (`min_chunk` clamped to at least 1).
-    pub fn fixed(min_chunk: usize, par_cutoff: usize) -> Self {
-        Tuning::Fixed(ChunkPlan {
+    /// A plan with these two knobs, `min_chunk` clamped to at least 1.
+    pub fn new(min_chunk: usize, par_cutoff: usize) -> Self {
+        Self {
             min_chunk: min_chunk.max(1),
             par_cutoff,
-        })
-    }
-
-    /// The auto plan for a round-kernel pass over `work` items on
-    /// `lanes` lanes: aim for the backend's full fan-out (two chunks per
-    /// lane) without dropping below the measured per-chunk floor.
-    pub fn auto(work: u64, lanes: usize) -> ChunkPlan {
-        let lanes = lanes.max(1) as u64;
-        let per_chunk = usize::try_from((work / (2 * lanes)).max(1)).unwrap_or(usize::MAX);
-        ChunkPlan {
-            min_chunk: per_chunk.max(AUTO_MIN_CHUNK_FLOOR),
-            par_cutoff: AUTO_PAR_CUTOFF,
-        }
-    }
-
-    /// The auto plan for a streaming snapshot batch of `work` arrivals
-    /// on `lanes` lanes — same shape as [`Tuning::auto`], but against
-    /// the ingest tables (an arrival is two probes, far lighter than a
-    /// protocol round, so the floor and cutoff sit lower).
-    pub fn auto_ingest(work: u64, lanes: usize) -> ChunkPlan {
-        let lanes = lanes.max(1) as u64;
-        let per_chunk = usize::try_from((work / (2 * lanes)).max(1)).unwrap_or(usize::MAX);
-        ChunkPlan {
-            min_chunk: per_chunk.max(AUTO_INGEST_MIN_CHUNK),
-            par_cutoff: AUTO_INGEST_PAR_CUTOFF,
-        }
-    }
-
-    /// Resolve the plan for a round-kernel pass: the pinned plan for
-    /// [`Tuning::Fixed`], the measured table otherwise.
-    #[inline]
-    pub fn plan(&self, work: u64, lanes: usize) -> ChunkPlan {
-        match *self {
-            Tuning::Auto => Self::auto(work, lanes),
-            Tuning::Fixed(plan) => plan,
-        }
-    }
-
-    /// Resolve the plan for a streamed batch (ingest tables).
-    #[inline]
-    pub fn plan_ingest(&self, work: u64, lanes: usize) -> ChunkPlan {
-        match *self {
-            Tuning::Auto => Self::auto_ingest(work, lanes),
-            Tuning::Fixed(plan) => plan,
         }
     }
 }
@@ -1024,57 +950,12 @@ mod tests {
     }
 
     #[test]
-    fn tuning_defaults_match_constants() {
-        let t = ChunkPlan::default();
-        assert_eq!(t.min_chunk, DEFAULT_MIN_CHUNK);
-        assert_eq!(t.par_cutoff, DEFAULT_PAR_CUTOFF);
-        assert_eq!(Tuning::default(), Tuning::Auto);
-        assert_eq!(
-            Tuning::Fixed(ChunkPlan::default()).plan(1 << 30, 8),
-            ChunkPlan::default()
-        );
-    }
-
-    #[test]
     fn fixed_tuning_clamps_and_pins() {
-        let t = Tuning::fixed(0, 7);
-        let plan = t.plan(123, 4);
+        let plan = ChunkPlan::new(0, 7);
         assert_eq!(plan.min_chunk, 1, "min_chunk 0 must clamp to 1");
         assert_eq!(plan.par_cutoff, 7);
-        // Fixed plans ignore workload and lanes entirely.
-        assert_eq!(plan, t.plan(1 << 40, 64));
-        assert_eq!(plan, t.plan_ingest(0, 1));
-    }
-
-    #[test]
-    fn auto_plans_are_never_degenerate() {
-        for work in [0u64, 1, 5, 1023, 1 << 10, 1 << 16, 1 << 20, 1 << 26] {
-            for lanes in [0usize, 1, 2, 4, 8, 64] {
-                for plan in [Tuning::auto(work, lanes), Tuning::auto_ingest(work, lanes)] {
-                    assert!(plan.min_chunk >= 1, "work {work} lanes {lanes}: {plan:?}");
-                    assert!(plan.par_cutoff >= 1, "work {work} lanes {lanes}: {plan:?}");
-                    // The resulting chunk geometry must cover the work.
-                    let c = Chunking::new(work as usize, plan.min_chunk, lanes.max(1) * 2);
-                    if work > 0 {
-                        assert!(c.chunks() >= 1);
-                        assert_eq!(c.range(0).start, 0);
-                        assert_eq!(c.range(c.chunks() - 1).end, work as usize);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn auto_plan_respects_floor_and_fanout_target() {
-        // Small work: floor dominates.
-        assert_eq!(Tuning::auto(1 << 10, 4).min_chunk, AUTO_MIN_CHUNK_FLOOR);
-        // Large work: two chunks per lane.
-        let plan = Tuning::auto(1 << 24, 4);
-        assert_eq!(plan.min_chunk, (1 << 24) / 8);
-        assert_eq!(plan.par_cutoff, AUTO_PAR_CUTOFF);
-        // Ingest table sits lower than the round-kernel table.
-        assert!(Tuning::auto_ingest(1 << 10, 4).min_chunk <= Tuning::auto(1 << 10, 4).min_chunk);
+        assert_eq!(ChunkPlan::new(123, 456).min_chunk, 123);
+        assert_eq!(ChunkPlan::default(), ChunkPlan::new(16 * 1024, 64 * 1024));
     }
 
     #[test]

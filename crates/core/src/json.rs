@@ -1,12 +1,11 @@
 //! Minimal hand-rolled JSON: emission *and* parsing.
 //!
 //! The workspace builds with **zero external dependencies** (no serde),
-//! so every machine-readable artifact — the `--trace` JSONL stream, the
-//! `pba-run bench` `BENCH_*.json` files and `pba-run verify --json` —
-//! goes through this one escaping/formatting module ([`escape`],
-//! [`number`], [`JsonObject`], [`u64_array`]). The recursive-descent
-//! parser ([`parse`], [`Json`]) reads those artifacts back, as the trace
-//! round-trip test does.
+//! so every machine-readable artifact — the `--trace` JSONL stream and
+//! `pba-run verify --json` — goes through this one escaping/formatting
+//! module ([`escape`], [`number`], [`JsonObject`], [`u64_array`]). The
+//! recursive-descent parser ([`parse`], [`Json`]) reads those artifacts
+//! back, as the trace round-trip test does.
 //!
 //! ## Number fidelity
 //!

@@ -24,7 +24,7 @@
 //! * [`engine`] — request gathering, per-bin counting, acceptance
 //!   resolution, commits; one backend-parameterized round kernel.
 //! * [`exec`] — the execution substrate behind the engine: [`Backend`]
-//!   (serial vs. pool), chunk-geometry tuning, per-lane scratch arenas,
+//!   (serial vs. pool), chunk plans, per-lane scratch arenas,
 //!   and the fault-admission layer.
 //! * [`sim`] — the user-facing [`Simulator`] / [`RunConfig`] /
 //!   [`RunOutcome`] API.
@@ -36,7 +36,7 @@
 //! * [`binstate`] — the [`BinState`] load-accounting trait shared by the
 //!   one-shot engine and the streaming allocator (`pba-stream`).
 //! * [`json`] — the zero-dependency JSON emitter + parser behind the
-//!   runner's JSONL traces, bench reports and `verify --json`.
+//!   runner's JSONL traces and `verify --json`.
 //! * [`wire`] — the hand-rolled binary wire toolkit (little-endian
 //!   primitives, LEB128 varints, FNV-1a-checksummed frames) shared by
 //!   snapshots, the cluster shard protocol, and the socket ingest path.
@@ -72,7 +72,7 @@ pub use allocation::Allocation;
 pub use binstate::BinState;
 pub use delegate::GrantDelegate;
 pub use error::{CoreError, Result};
-pub use exec::{Backend, ChunkPlan, Tuning, DEFAULT_MIN_CHUNK, DEFAULT_PAR_CUTOFF};
+pub use exec::{Backend, ChunkPlan};
 pub use faults::{FaultPlan, FaultRecord, FaultStats, StragglerSpec};
 pub use load::LoadStats;
 pub use messages::{MessageStats, MessageTracking};

@@ -11,7 +11,7 @@ use crate::binstate::BinState;
 use crate::delegate::GrantDelegate;
 use crate::engine::SimState;
 use crate::error::{CoreError, Result};
-use crate::exec::{Backend, Tuning};
+use crate::exec::{Backend, ChunkPlan};
 use crate::faults::{FaultPlan, FaultStats};
 use crate::load::LoadStats;
 use crate::messages::{MessageStats, MessageTracking};
@@ -77,12 +77,10 @@ pub struct RunConfig {
     /// [`CoreError::InvariantViolation`] on the first breach. `false`
     /// (the default) is the zero-cost path: no snapshots, no checks.
     pub validate: bool,
-    /// Chunk-geometry policy: [`Tuning::Auto`] (the default) derives a
-    /// [`crate::exec::ChunkPlan`] per round from the live work size and
-    /// lane count; [`Tuning::Fixed`] pins one plan for the whole run.
-    /// Results are bit-identical for every setting — only scheduling
+    /// Chunk geometry of every round; the default is 16 Ki / 64 Ki.
+    /// Results are bit-identical for every plan — only scheduling
     /// granularity changes.
-    pub tuning: Tuning,
+    pub chunk_plan: ChunkPlan,
 }
 
 impl RunConfig {
@@ -99,7 +97,7 @@ impl RunConfig {
             metrics: None,
             faults: None,
             validate: false,
-            tuning: Tuning::Auto,
+            chunk_plan: ChunkPlan::default(),
         }
     }
 
@@ -200,14 +198,12 @@ impl RunConfig {
         self
     }
 
-    /// Set the chunk-geometry policy. [`Tuning::Auto`] (the default)
-    /// derives the chunk plan per round from the live work size and lane
-    /// count; [`Tuning::fixed`] pins `min_chunk`/`par_cutoff` for the
-    /// whole run; `Tuning::Fixed(ChunkPlan::default())` reproduces the
-    /// historical constants (16 Ki / 64 Ki). Results are bit-identical
-    /// for every setting — only scheduling granularity changes.
-    pub fn with_tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
+    /// Set the chunk geometry of every round ([`ChunkPlan::new`] pins
+    /// `min_chunk`/`par_cutoff`). Small plans force the pooled path at
+    /// sizes the default would run serially. Results are bit-identical
+    /// for every plan — only scheduling granularity changes.
+    pub fn with_chunk_plan(mut self, plan: ChunkPlan) -> Self {
+        self.chunk_plan = plan;
         self
     }
 }
@@ -231,7 +227,7 @@ impl std::fmt::Debug for RunConfig {
             )
             .field("faults", &self.faults)
             .field("validate", &self.validate)
-            .field("tuning", &self.tuning)
+            .field("chunk_plan", &self.chunk_plan)
             .finish()
     }
 }
@@ -436,7 +432,7 @@ impl Simulator {
             self.config.tracking,
             track_assignment,
             self.config.faults,
-            self.config.tuning,
+            self.config.chunk_plan,
             self.config.validate,
         );
         let budget = self

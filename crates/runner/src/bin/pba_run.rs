@@ -11,8 +11,6 @@
 //! pba-run serve --replay [--rate R] [--snapshot F] …   # replay service facade
 //! pba-run cluster protocol <name> --shards S …   # multi-process shards
 //! pba-run cluster stream --shards S [--kill S@B] …
-//! pba-run bench [--tier small|medium|large|xl] [--out DIR|FILE.json]
-//! pba-run tune [--tier ...] [--out DIR|FILE.json]     # autotune chunk geometry
 //! pba-run verify [CLAIM…] [--scale ci|full] [--json]  # statistical claim oracles
 //! ```
 
@@ -21,11 +19,10 @@ use std::sync::Arc;
 
 use pba_cluster::ClusterConfig;
 use pba_conformance::{Claim, VerifyOptions, VerifyScale};
-use pba_core::json::{escape as json_escape, u64_array, JsonObject};
+use pba_core::json::{escape as json_escape, JsonObject};
 use pba_core::metrics::{EngineMetrics, FanoutSink, MetricsSink, Phase};
-use pba_core::{ExecutorKind, FaultPlan, ProblemSpec, RunConfig, Tuning};
+use pba_core::{FaultPlan, ProblemSpec, RunConfig};
 use pba_protocols::{protocol_names, run_by_name};
-use pba_runner::json::executor_str;
 use pba_runner::{
     all_experiments, describe_fault_plan, experiment_by_id, parse_fault_spec, JsonlTrace,
     RunOptions, Scale, Table,
@@ -77,9 +74,6 @@ const USAGE: &str = "usage:
                  [--trace FILE.jsonl]
   pba-run shard-worker [--listen ADDR]   (internal: spawned per shard by
                  `cluster`; --listen serves one orchestrator over TCP/UDS)
-  pba-run bench [--tier small|medium|large|xl | --scale smoke|default|full]
-                [--out DIR|FILE.json]
-  pba-run tune [--tier small|medium|large|xl] [--out DIR|FILE.json]
   pba-run verify [CLAIM…] [--scale ci|full] [--json] [--faults SPEC]
 
 fault spec: comma-separated key=value clauses, e.g.
@@ -136,8 +130,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 }
             }
         }
-        "bench" => run_bench(&args[1..]).map(done),
-        "tune" => run_tune(&args[1..]).map(done),
         // `verify` owns its exit code: a refuted claim is a nonzero exit
         // with the verdict table printed, not a usage error.
         "verify" => run_verify(&args[1..]),
@@ -154,7 +146,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 /// Error text for an unrecognized first argument: name the valid range
 /// and, when something known is close, suggest it.
 fn unknown_command_message(id: &str) -> String {
-    const COMMANDS: [&str; 10] = [
+    const COMMANDS: [&str; 8] = [
         "list",
         "all",
         "protocol",
@@ -162,8 +154,6 @@ fn unknown_command_message(id: &str) -> String {
         "stream",
         "serve",
         "cluster",
-        "bench",
-        "tune",
         "verify",
     ];
     let lowered = id.to_lowercase();
@@ -249,19 +239,6 @@ impl Slot for Vec<String> {
     fn set(&mut self, _flag: &str, value: &str) -> Result<(), String> {
         self.push(value.to_owned());
         Ok(())
-    }
-}
-
-/// A switch a command refuses outright, with its reason.
-struct Refused(&'static str);
-
-impl Slot for Refused {
-    fn takes_value(&self, _flag: &str) -> bool {
-        false
-    }
-
-    fn set(&mut self, _flag: &str, _value: &str) -> Result<(), String> {
-        Err(self.0.into())
     }
 }
 
@@ -1412,720 +1389,6 @@ fn run_cluster_stream(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One benchmark tier: problem size, rep count, protocol subset, executor
-/// sweep, and tuning mode.
-struct BenchTier {
-    name: &'static str,
-    n: u32,
-    reps: u64,
-    protocols: Vec<&'static str>,
-    executors: Vec<ExecutorKind>,
-    tuning: Tuning,
-    stream: bool,
-}
-
-/// The hot subset measured at medium+ tiers: the paper's headline
-/// protocols plus the single-choice baseline.
-const HOT_PROTOCOLS: [&str; 4] = [
-    "single-choice",
-    "collision",
-    "parallel-two-choice",
-    "stemann-heavy",
-];
-
-/// Small-shaped tier: the full registry plus the stream section, with a
-/// pinned fan-out geometry. The parallel rows need two fixes to report
-/// genuine pool numbers in `BENCH_*.json` instead of `pool_jobs: 0`: a
-/// dedicated 4-lane pool (the global pool collapses to one lane on
-/// single-core runners, and one-lane rounds never fan out), and a chunk
-/// geometry under the bench sizes (m = n ≤ 4096 sits below the auto
-/// fan-out cutoff, which would silently serialize every round).
-fn small_shaped_tier(name: &'static str, n: u32, reps: u64) -> BenchTier {
-    BenchTier {
-        name,
-        n,
-        reps,
-        protocols: protocol_names().to_vec(),
-        executors: vec![ExecutorKind::Sequential, ExecutorKind::ParallelWith(4)],
-        tuning: Tuning::fixed(256, n as usize),
-        stream: true,
-    }
-}
-
-/// Medium+ tier: the hot subset across a lane sweep under [`Tuning::Auto`]
-/// so lane-scaling curves come out of one invocation.
-fn lane_sweep_tier(name: &'static str, n: u32, reps: u64) -> BenchTier {
-    BenchTier {
-        name,
-        n,
-        reps,
-        protocols: HOT_PROTOCOLS.to_vec(),
-        executors: vec![
-            ExecutorKind::Sequential,
-            ExecutorKind::ParallelWith(2),
-            ExecutorKind::ParallelWith(4),
-        ],
-        tuning: Tuning::Auto,
-        stream: false,
-    }
-}
-
-/// The named bench/tune tiers, in size order.
-const TIER_NAMES: [&str; 4] = ["small", "medium", "large", "xl"];
-
-fn bench_tier(tier: &str) -> Result<BenchTier, String> {
-    Ok(match tier {
-        "small" => small_shaped_tier("small", 1 << 10, 5),
-        "medium" => lane_sweep_tier("medium", 1 << 16, 3),
-        "large" => lane_sweep_tier("large", 1 << 20, 2),
-        "xl" => lane_sweep_tier("xl", 1 << 24, 1),
-        other => return Err(unknown_tier_message(other)),
-    })
-}
-
-/// Error text for an unrecognized `--tier` value: list the tiers and,
-/// when something known is close, suggest it — same treatment experiment
-/// ids and verify claims get.
-fn unknown_tier_message(tier: &str) -> String {
-    let lowered = tier.to_lowercase();
-    let best = TIER_NAMES
-        .iter()
-        .map(|t| (edit_distance(&lowered, t), *t))
-        .min()
-        .filter(|&(d, _)| d <= 2);
-    let hint = match best {
-        Some((_, t)) => format!("did you mean '{t}'? "),
-        None => String::new(),
-    };
-    format!(
-        "unknown tier '{tier}': {hint}choose from: {}",
-        TIER_NAMES.join(", ")
-    )
-}
-
-/// Lanes an executor actually runs with (reported in every bench row).
-fn executor_lanes(executor: ExecutorKind) -> usize {
-    match executor {
-        ExecutorKind::Sequential => 1,
-        ExecutorKind::Parallel => pba_par::global_pool().lanes(),
-        ExecutorKind::ParallelWith(lanes) => lanes.max(1),
-    }
-}
-
-fn tuning_mode(tuning: Tuning) -> &'static str {
-    match tuning {
-        Tuning::Auto => "auto",
-        Tuning::Fixed(_) => "fixed",
-    }
-}
-
-/// Resolve `--out` into a file path: a value ending in `.json` names the
-/// file exactly (for side-by-side baseline comparisons via
-/// `scripts/bench_diff.sh`); anything else is a directory receiving
-/// `default_name`.
-fn resolve_out_path(out: Option<&str>, default_name: &str) -> Result<String, String> {
-    let out = out.unwrap_or(".");
-    if out.ends_with(".json") {
-        if let Some(parent) = std::path::Path::new(out).parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
-            }
-        }
-        Ok(out.to_string())
-    } else {
-        std::fs::create_dir_all(out).map_err(|e| e.to_string())?;
-        Ok(format!("{out}/{default_name}"))
-    }
-}
-
-/// Criterion-free self-timing benchmark of the protocol registry at one
-/// tier: each tier's protocol subset at `m = n` across its executor
-/// sweep, `reps` seeds each, measured by the engine's own
-/// [`EngineMetrics`]; the small-shaped tiers additionally time every
-/// streaming placement policy ingesting 32n-ball batches. Every JSON row
-/// carries the actual lane count and the resolved tuning, and the doc is
-/// written to `BENCH_<tier>.json`.
-fn run_bench(args: &[String]) -> Result<(), String> {
-    let mut tier_name: Option<String> = None;
-    let mut scale: Option<Scale> = None;
-    let mut out_dir: Option<String> = None;
-    parse_flags(
-        args,
-        &mut [
-            ("--tier", &mut tier_name),
-            ("--scale", &mut scale),
-            ("--out", &mut out_dir),
-            ("--trace", &mut Refused("bench does not take --trace")),
-        ],
-        "",
-    )?;
-    if tier_name.is_some() && scale.is_some() {
-        return Err("bench takes --tier or --scale, not both".into());
-    }
-    // `--scale` is the legacy spelling of the small-shaped tiers (smoke
-    // and full keep their historical sizes); `--tier` adds the lane-sweep
-    // campaign sizes. The default is the small tier — the committed
-    // BENCH_small.json baseline and the CI throughput gate.
-    let tier = match (tier_name.as_deref(), scale) {
-        (Some(t), None) => bench_tier(t)?,
-        (None, Some(Scale::Smoke)) => {
-            small_shaped_tier("smoke", 1 << 8, Scale::Smoke.reps() as u64)
-        }
-        (None, Some(Scale::Full)) => small_shaped_tier("full", 1 << 12, Scale::Full.reps() as u64),
-        (None, _) => small_shaped_tier("small", 1 << 10, Scale::Default.reps() as u64),
-        (Some(_), Some(_)) => unreachable!("rejected above"),
-    };
-
-    let n = tier.n;
-    let reps = tier.reps;
-    let spec = ProblemSpec::new(n as u64, n).map_err(|e| e.to_string())?;
-    eprintln!(
-        "benchmarking {} protocol(s) at m = n = {n} ({} tier), {reps} seed(s), {} executor(s)…",
-        tier.protocols.len(),
-        tier.name,
-        tier.executors.len()
-    );
-    let mut entries = Vec::new();
-    println!(
-        "{:<22} {:<12} {:>6} {:>12} {:>12} {:>9}",
-        "protocol", "executor", "lanes", "balls/s", "rounds/s", "rounds"
-    );
-    for &name in &tier.protocols {
-        for &executor in &tier.executors {
-            let lanes = executor_lanes(executor);
-            let metrics = Arc::new(EngineMetrics::new());
-            for rep in 0..reps {
-                let cfg = RunConfig::seeded(90_000 + rep)
-                    .with_executor(executor)
-                    .with_tuning(tier.tuning)
-                    .with_trace(false)
-                    .with_metrics(metrics.clone());
-                run_by_name(name, spec, cfg)
-                    .expect("registry name")
-                    .map_err(|e| format!("{name} ({}): {e}", executor_str(executor)))?;
-            }
-            let report = metrics.report();
-            println!(
-                "{:<22} {:<12} {:>6} {:>12.0} {:>12.1} {:>9}",
-                name,
-                executor_str(executor),
-                lanes,
-                report.balls_per_sec(),
-                report.rounds_per_sec(),
-                report.rounds
-            );
-            // The resolved plan for a full-size round (under auto tuning
-            // later rounds re-resolve as the active set drains).
-            let plan = tier.tuning.plan(spec.balls(), lanes);
-            let mut entry = JsonObject::new()
-                .str("protocol", name)
-                .str("executor", &executor_str(executor))
-                .u64("lanes", lanes as u64)
-                .str("tuning", tuning_mode(tier.tuning))
-                .u64("min_chunk", plan.min_chunk as u64)
-                .u64("par_cutoff", plan.par_cutoff as u64)
-                .u64("runs", report.runs)
-                .u64("rounds", report.rounds)
-                .u64("placed", report.placed)
-                .u64("run_nanos", report.run_nanos)
-                .u64("round_nanos", report.round_nanos)
-                .f64("balls_per_sec", report.balls_per_sec())
-                .f64("rounds_per_sec", report.rounds_per_sec())
-                .raw("phase_nanos", &u64_array(&report.phase_nanos));
-            if let Some(pool) = &report.pool {
-                entry = entry
-                    .u64("pool_jobs", pool.jobs)
-                    .u64("pool_tasks", pool.tasks)
-                    .u64("pool_busy_nanos", pool.total_busy_nanos());
-            }
-            entries.push(entry.finish());
-        }
-    }
-
-    // Streaming throughput (small-shaped tiers): every placement policy
-    // ingesting 32n-ball batches (32n ≥ the ingest parallel cutoff at
-    // every scale), so the parallel rows genuinely exercise the pool.
-    let stream_b = 32 * n as u64;
-    let stream_batches = 8u64;
-    let mut stream_entries = Vec::new();
-    if tier.stream {
-        eprintln!(
-            "benchmarking {} stream policies at n = {n}, b = 32n, {reps} seeds…",
-            PolicyKind::ALL.len()
-        );
-        println!();
-        println!(
-            "{:<22} {:<12} {:>12} {:>12} {:>14}",
-            "stream policy", "ingest", "batches/s", "balls/s", "balls/s/lane"
-        );
-        for kind in PolicyKind::ALL {
-            for parallel in [false, true] {
-                // Live-load two-choice is defined by sequential ingestion;
-                // a "parallel" row would just repeat the sequential
-                // numbers.
-                if parallel && matches!(kind, PolicyKind::TwoChoice) {
-                    continue;
-                }
-                let lanes = if parallel {
-                    pba_par::global_pool().lanes() as u64
-                } else {
-                    1
-                };
-                let metrics = Arc::new(EngineMetrics::new());
-                for rep in 0..reps {
-                    let mut alloc = StreamAllocator::new(n, 91_000 + rep, kind)
-                        .with_shards(lanes as usize)
-                        .with_metrics(metrics.clone());
-                    if parallel {
-                        alloc = alloc.parallel();
-                    }
-                    let mut traffic = Workload::new(WorkloadCfg::uniform(stream_b), 92_000 + rep);
-                    for _ in 0..stream_batches {
-                        alloc.ingest(&traffic.next_batch());
-                    }
-                }
-                let report = metrics.report();
-                let ingest = if parallel { "parallel" } else { "sequential" };
-                let balls_per_sec = report.stream_balls_per_sec();
-                println!(
-                    "{:<22} {:<12} {:>12.1} {:>12.0} {:>14.0}",
-                    kind.name(),
-                    ingest,
-                    report.batches_per_sec(),
-                    balls_per_sec,
-                    balls_per_sec / lanes as f64
-                );
-                // The allocator runs Tuning::Auto; report the plan it
-                // resolves for a full-size batch.
-                let plan = Tuning::Auto.plan_ingest(stream_b, lanes as usize);
-                stream_entries.push(
-                    JsonObject::new()
-                        .str("policy", kind.name())
-                        .str("ingest", ingest)
-                        .u64("lanes", lanes)
-                        .str("tuning", "auto")
-                        .u64("min_chunk", plan.min_chunk as u64)
-                        .u64("par_cutoff", plan.par_cutoff as u64)
-                        .u64("batches", report.batches)
-                        .u64("balls", report.batch_arrivals)
-                        .u64("batch_nanos", report.batch_nanos)
-                        .f64("batches_per_sec", report.batches_per_sec())
-                        .f64("balls_per_sec", balls_per_sec)
-                        .f64("balls_per_sec_per_lane", balls_per_sec / lanes as f64)
-                        .finish(),
-                );
-            }
-        }
-    }
-
-    // Cluster mode (small-shaped tiers): wire cost and throughput of the
-    // sharded orchestration at 1/2/4 shards, plus a 4-shard run at
-    // n = 2^20 regardless of the tier size, where bytes per wave are
-    // representative of a real fan-out. Worker threads over in-memory
-    // pipes carry the identical wire protocol; spawning real processes
-    // here would benchmark the OS, not the waves. The rows lack the
-    // protocol/executor and policy/ingest keys `bench_diff.sh` matches
-    // on, so the section rides along outside the regression gate.
-    let mut cluster_entries = Vec::new();
-    if tier.stream {
-        eprintln!("benchmarking cluster mode at m = n = {n}, shards 1/2/4, and at 2^20…");
-        println!();
-        println!(
-            "{:<22} {:>7} {:>7} {:>12} {:>12} {:>12} {:>12}",
-            "cluster", "shards", "wire", "balls/s", "frames", "bytes", "bytes/wave"
-        );
-        let wide_n = 1u32 << 20;
-        let wide_spec = ProblemSpec::new(u64::from(wide_n), wide_n).map_err(|e| e.to_string())?;
-        for (label, spec, shards) in [
-            ("engine/collision", spec, 1u32),
-            ("engine/collision", spec, 2),
-            ("engine/collision", spec, 4),
-            ("engine/collision 2^20", wide_spec, 4),
-        ] {
-            let started = std::time::Instant::now();
-            let out = ClusterConfig::engine("collision", spec, 93_000)
-                .with_shards(shards)
-                .run_local()
-                .map_err(|e| format!("cluster bench ({label}, {shards} shards): {e}"))?;
-            let nanos = started.elapsed().as_nanos() as u64;
-            let run = out.run.as_ref().expect("engine outcome");
-            let bps = run.placed as f64 / (nanos as f64 / 1e9);
-            // Every shard crosses the same barriers; shard 0's count is
-            // the wave count of the whole run.
-            let waves = out.shard_records.first().map_or(0, |r| r.barriers);
-            let bytes_per_wave = out.total_bytes() / waves.max(1);
-            println!(
-                "{:<22} {:>7} {:>7} {:>12.0} {:>12} {:>12} {:>12}",
-                label,
-                shards,
-                "binary",
-                bps,
-                out.total_frames(),
-                out.total_bytes(),
-                bytes_per_wave
-            );
-            cluster_entries.push(
-                JsonObject::new()
-                    .str("mode", "engine")
-                    .str("workload", out.workload)
-                    .str("wire", "binary")
-                    .u64("n", u64::from(spec.bins()))
-                    .u64("shards", u64::from(shards))
-                    .u64("rounds", u64::from(run.rounds))
-                    .u64("placed", run.placed)
-                    .u64("messages", run.messages.total())
-                    .u64("frames", out.total_frames())
-                    .u64("bytes", out.total_bytes())
-                    .u64("waves", waves)
-                    .u64("wire_bytes_per_wave", bytes_per_wave)
-                    .u64("wall_nanos", nanos)
-                    .f64("balls_per_sec", bps)
-                    .finish(),
-            );
-        }
-    }
-
-    // Replay-service latency (small-shaped tiers): each workload shape
-    // replayed unthrottled through the service facade, reporting
-    // queue-to-placement latency percentiles per ball. Entries carry no
-    // `ingest` key, so they ride outside the `bench_diff.sh` gate like
-    // the cluster section.
-    let serve_b = 4 * n as u64;
-    let serve_batches = 12u64;
-    let mut service_entries = Vec::new();
-    if tier.stream {
-        eprintln!("benchmarking replay service at n = {n}, b = 4n, 3 workloads…");
-        println!();
-        println!(
-            "{:<22} {:>12} {:>10} {:>10} {:>10}",
-            "serve workload", "balls/s", "p50 µs", "p99 µs", "p999 µs"
-        );
-        for workload in ["uniform", "zipf", "burst"] {
-            let kind = parse_workload_kind(workload)?;
-            let cfg = WorkloadCfg {
-                kind,
-                batch: serve_b,
-                churn: 0.0,
-                weights: WeightDist::Constant(1),
-            };
-            let alloc = StreamAllocator::new(n, 94_000, PolicyKind::BatchedTwoChoice);
-            let mut traffic = Workload::new(cfg, 94_500);
-            let service_cfg = ServiceConfig::default()
-                .with_queue_capacity(4)
-                .with_checkpoint_every(4);
-            let started = std::time::Instant::now();
-            let (_, report) = replay(alloc, &mut traffic, serve_batches, service_cfg);
-            let nanos = started.elapsed().as_nanos() as u64;
-            let bps = report.balls as f64 / (nanos as f64 / 1e9);
-            println!(
-                "{:<22} {:>12.0} {:>10.1} {:>10.1} {:>10.1}",
-                workload,
-                bps,
-                report.total.p50() as f64 / 1e3,
-                report.total.p99() as f64 / 1e3,
-                report.total.p999() as f64 / 1e3
-            );
-            service_entries.push(
-                JsonObject::new()
-                    .str("workload", workload)
-                    .str("policy", "batched-two-choice")
-                    .u64("queue", 4)
-                    .u64("batches", report.batches)
-                    .u64("balls", report.balls)
-                    .u64("checkpoints", report.checkpoints.len() as u64)
-                    .u64("p50_nanos", report.total.p50())
-                    .u64("p99_nanos", report.total.p99())
-                    .u64("p999_nanos", report.total.p999())
-                    .u64("max_nanos", report.total.max())
-                    .u64("wall_nanos", nanos)
-                    .f64("balls_per_sec", bps)
-                    .finish(),
-            );
-        }
-    }
-
-    let mut doc = JsonObject::new()
-        .str("bench", "pba protocol registry")
-        .str("tier", tier.name)
-        .str("scale", tier.name)
-        .u64("m", spec.balls())
-        .u64("n", spec.bins() as u64)
-        .u64("reps", reps)
-        .str("tuning", tuning_mode(tier.tuning))
-        .raw("phases", &phase_names_json())
-        .raw("entries", &format!("[{}]", entries.join(",")));
-    if tier.stream {
-        doc = doc
-            .u64("stream_batch", stream_b)
-            .u64("stream_batches", stream_batches)
-            .raw("stream_entries", &format!("[{}]", stream_entries.join(",")))
-            .raw(
-                "cluster_entries",
-                &format!("[{}]", cluster_entries.join(",")),
-            )
-            .u64("service_batch", serve_b)
-            .u64("service_batches", serve_batches)
-            .raw(
-                "service_entries",
-                &format!("[{}]", service_entries.join(",")),
-            );
-    }
-    let doc = doc.finish();
-    let path = resolve_out_path(out_dir.as_deref(), &format!("BENCH_{}.json", tier.name))?;
-    std::fs::write(&path, format!("{doc}\n")).map_err(|e| e.to_string())?;
-    eprintln!("wrote {path}");
-    Ok(())
-}
-
-/// Measure one registry protocol's throughput (balls/s) at `m = n` with
-/// a pinned executor and tuning, aggregated over `reps` seeded runs.
-fn tune_point(
-    name: &str,
-    n: u32,
-    executor: ExecutorKind,
-    tuning: Tuning,
-    reps: u64,
-) -> Result<f64, String> {
-    let spec = ProblemSpec::new(n as u64, n).map_err(|e| e.to_string())?;
-    let metrics = Arc::new(EngineMetrics::new());
-    for rep in 0..reps {
-        let cfg = RunConfig::seeded(95_000 + rep)
-            .with_executor(executor)
-            .with_tuning(tuning)
-            .with_trace(false)
-            .with_metrics(metrics.clone());
-        run_by_name(name, spec, cfg)
-            .expect("registry name")
-            .map_err(|e| format!("{name}: {e}"))?;
-    }
-    Ok(metrics.report().balls_per_sec())
-}
-
-/// Measure streaming ingest throughput (balls/s) for one batch size.
-fn tune_ingest_point(n: u32, b: u64, parallel: bool, tuning: Tuning, reps: u64) -> f64 {
-    let metrics = Arc::new(EngineMetrics::new());
-    for rep in 0..reps {
-        let mut alloc = StreamAllocator::new(n, 96_000 + rep, PolicyKind::BatchedTwoChoice)
-            .with_shards(4)
-            .with_tuning(tuning)
-            .with_metrics(metrics.clone());
-        if parallel {
-            alloc = alloc.parallel();
-        }
-        let mut traffic = Workload::new(WorkloadCfg::uniform(b), 97_000 + rep);
-        for _ in 0..4 {
-            alloc.ingest(&traffic.next_batch());
-        }
-    }
-    metrics.report().stream_balls_per_sec()
-}
-
-/// `pba-run tune` — sweep the chunk-geometry knobs at one tier and write
-/// `tuning.json`: the measurements that feed the shipped `Tuning::Auto`
-/// tables (`AUTO_*` constants in `pba_core::exec`). Three sweeps:
-///
-/// 1. **min_chunk** — parallel(4) single-choice at the tier size with the
-///    fan-out forced, across per-chunk floors; the best floor is the
-///    `AUTO_MIN_CHUNK_FLOOR` candidate.
-/// 2. **crossover** — sequential vs parallel(4) across geometric problem
-///    sizes up to the tier size; the smallest size where parallel wins is
-///    the `AUTO_PAR_CUTOFF` candidate (absent on hardware where parallel
-///    never wins — single-core runners — in which case the shipped
-///    default is kept and reported as such).
-/// 3. **ingest** — the same two sweeps for the streaming snapshot path.
-fn run_tune(args: &[String]) -> Result<(), String> {
-    let mut tier_name = "medium".to_string();
-    let mut out_dir: Option<String> = None;
-    parse_flags(
-        args,
-        &mut [("--tier", &mut tier_name), ("--out", &mut out_dir)],
-        "",
-    )?;
-    let tier = bench_tier(&tier_name)?;
-    let n = tier.n;
-    let reps = tier.reps.max(2);
-    let par4 = ExecutorKind::ParallelWith(4);
-
-    // --- Sweep 1: per-chunk floor at the tier size, fan-out forced.
-    eprintln!("tune: min_chunk sweep at m = n = {n} ({tier_name} tier)…");
-    println!("{:<14} {:>14}", "min_chunk", "par(4) balls/s");
-    let mut mc_rows = Vec::new();
-    let mut best_mc = (pba_core::exec::AUTO_MIN_CHUNK_FLOOR, 0.0f64);
-    for mc in [1usize << 10, 1 << 12, 1 << 13, 1 << 14, 1 << 16] {
-        if mc > n as usize {
-            continue;
-        }
-        let bps = tune_point("single-choice", n, par4, Tuning::fixed(mc, 1), reps)?;
-        println!("{:<14} {:>14.0}", mc, bps);
-        if bps > best_mc.1 {
-            best_mc = (mc, bps);
-        }
-        mc_rows.push(
-            JsonObject::new()
-                .u64("min_chunk", mc as u64)
-                .f64("balls_per_sec", bps)
-                .finish(),
-        );
-    }
-
-    // --- Sweep 2: serial→parallel crossover over geometric sizes.
-    eprintln!("tune: crossover sweep (sequential vs parallel(4))…");
-    println!();
-    println!(
-        "{:<12} {:>14} {:>14} {:>8}",
-        "work", "seq balls/s", "par(4) balls/s", "winner"
-    );
-    let mut cross_rows = Vec::new();
-    let mut crossover: Option<u64> = None;
-    let mut w = 1u32 << 12;
-    loop {
-        let seq = tune_point(
-            "single-choice",
-            w,
-            ExecutorKind::Sequential,
-            Tuning::Auto,
-            reps,
-        )?;
-        let par = tune_point(
-            "single-choice",
-            w,
-            par4,
-            Tuning::fixed(best_mc.0.min(w as usize), 1),
-            reps,
-        )?;
-        let winner = if par > seq { "parallel" } else { "serial" };
-        if par > seq && crossover.is_none() {
-            crossover = Some(w as u64);
-        }
-        println!("{:<12} {:>14.0} {:>14.0} {:>8}", w, seq, par, winner);
-        cross_rows.push(
-            JsonObject::new()
-                .u64("work", w as u64)
-                .f64("seq_balls_per_sec", seq)
-                .f64("par_balls_per_sec", par)
-                .str("winner", winner)
-                .finish(),
-        );
-        if w >= n {
-            break;
-        }
-        w = (w << 2).min(n);
-    }
-
-    // --- Sweep 3: ingest crossover + floor for the streaming path.
-    let ingest_n = n.min(1 << 12);
-    eprintln!("tune: ingest sweep at n = {ingest_n} (batched-two-choice)…");
-    println!();
-    println!(
-        "{:<12} {:>14} {:>14} {:>8}",
-        "batch", "seq balls/s", "par balls/s", "winner"
-    );
-    let mut ingest_rows = Vec::new();
-    let mut ingest_crossover: Option<u64> = None;
-    for b in [1u64 << 11, 1 << 13, 1 << 15, 1 << 17] {
-        let seq = tune_ingest_point(ingest_n, b, false, Tuning::Auto, reps);
-        let par = tune_ingest_point(
-            ingest_n,
-            b,
-            true,
-            Tuning::fixed(pba_core::exec::AUTO_INGEST_MIN_CHUNK, 1),
-            reps,
-        );
-        let winner = if par > seq { "parallel" } else { "serial" };
-        if par > seq && ingest_crossover.is_none() {
-            ingest_crossover = Some(b);
-        }
-        println!("{:<12} {:>14.0} {:>14.0} {:>8}", b, seq, par, winner);
-        ingest_rows.push(
-            JsonObject::new()
-                .u64("batch", b)
-                .f64("seq_balls_per_sec", seq)
-                .f64("par_balls_per_sec", par)
-                .str("winner", winner)
-                .finish(),
-        );
-    }
-
-    // Shipped constants, and what this box's measurements suggest. A null
-    // crossover means parallel never won (expected on single-core
-    // runners): the shipped cutoff is kept rather than disabling fan-out
-    // for the hardware the binary was tuned on elsewhere.
-    let suggested_cutoff = crossover.unwrap_or(pba_core::exec::AUTO_PAR_CUTOFF as u64);
-    let suggested_ingest_cutoff =
-        ingest_crossover.unwrap_or(pba_core::exec::AUTO_INGEST_PAR_CUTOFF as u64);
-    println!();
-    println!(
-        "suggested: min_chunk_floor {} (measured best), par_cutoff {} ({}), \
-         ingest_par_cutoff {} ({})",
-        best_mc.0,
-        suggested_cutoff,
-        if crossover.is_some() {
-            "measured crossover"
-        } else {
-            "no crossover measured; shipped default kept"
-        },
-        suggested_ingest_cutoff,
-        if ingest_crossover.is_some() {
-            "measured crossover"
-        } else {
-            "no crossover measured; shipped default kept"
-        },
-    );
-
-    let doc = JsonObject::new()
-        .str("tool", "pba-run tune")
-        .str("tier", tier.name)
-        .u64("n", n as u64)
-        .u64("reps", reps)
-        .raw("min_chunk_sweep", &format!("[{}]", mc_rows.join(",")))
-        .u64("best_min_chunk", best_mc.0 as u64)
-        .raw("crossover_sweep", &format!("[{}]", cross_rows.join(",")))
-        .raw(
-            "measured_par_crossover",
-            &crossover.map_or("null".into(), |c| c.to_string()),
-        )
-        .raw("ingest_sweep", &format!("[{}]", ingest_rows.join(",")))
-        .raw(
-            "measured_ingest_crossover",
-            &ingest_crossover.map_or("null".into(), |c| c.to_string()),
-        )
-        .raw(
-            "suggested",
-            &JsonObject::new()
-                .u64("min_chunk_floor", best_mc.0 as u64)
-                .u64("par_cutoff", suggested_cutoff)
-                .u64(
-                    "ingest_min_chunk",
-                    pba_core::exec::AUTO_INGEST_MIN_CHUNK as u64,
-                )
-                .u64("ingest_par_cutoff", suggested_ingest_cutoff)
-                .finish(),
-        )
-        .raw(
-            "shipped",
-            &JsonObject::new()
-                .u64(
-                    "min_chunk_floor",
-                    pba_core::exec::AUTO_MIN_CHUNK_FLOOR as u64,
-                )
-                .u64("par_cutoff", pba_core::exec::AUTO_PAR_CUTOFF as u64)
-                .u64(
-                    "ingest_min_chunk",
-                    pba_core::exec::AUTO_INGEST_MIN_CHUNK as u64,
-                )
-                .u64(
-                    "ingest_par_cutoff",
-                    pba_core::exec::AUTO_INGEST_PAR_CUTOFF as u64,
-                )
-                .finish(),
-        )
-        .finish();
-    let path = resolve_out_path(out_dir.as_deref(), "tuning.json")?;
-    std::fs::write(&path, format!("{doc}\n")).map_err(|e| e.to_string())?;
-    eprintln!("wrote {path}");
-    Ok(())
-}
-
 /// Error text for an unrecognized claim id: list the registry and, when
 /// something known is close, suggest it — same treatment experiment ids
 /// get in [`unknown_command_message`].
@@ -2277,13 +1540,4 @@ fn run_verify(args: &[String]) -> Result<ExitCode, String> {
     } else {
         ExitCode::FAILURE
     })
-}
-
-/// The phase-name legend for `phase_nanos` arrays in `BENCH_*.json`.
-fn phase_names_json() -> String {
-    let names: Vec<String> = Phase::ALL
-        .iter()
-        .map(|p| format!("\"{}\"", p.name()))
-        .collect();
-    format!("[{}]", names.join(","))
 }

@@ -18,7 +18,7 @@ use pba_par::PoolStats;
 use pba_core::json::{u64_array, JsonObject};
 
 /// Stable textual form of an executor for JSON fields.
-pub fn executor_str(executor: ExecutorKind) -> String {
+fn executor_str(executor: ExecutorKind) -> String {
     match executor {
         ExecutorKind::Sequential => "sequential".into(),
         ExecutorKind::Parallel => "parallel".into(),

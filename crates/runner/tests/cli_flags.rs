@@ -162,21 +162,9 @@ const CASES: &[(&str, &str)] = &[
     // `shard-worker` reports on stderr without the usage banner.
     ("shard-worker --bogus", "shard-worker: unknown flag '--bogus' (--listen ADDR)"),
     ("shard-worker --listen", "shard-worker: --listen needs an address"),
-    // `bench`.
-    ("bench --bogus", "error: unknown flag '--bogus'"),
-    ("bench --tier", "error: --tier needs a value"),
-    ("bench --scale", "error: --scale needs a value"),
-    ("bench --out", "error: --out needs a value"),
-    ("bench --trace", "error: bench does not take --trace"),
-    ("bench --trace out.jsonl", "error: bench does not take --trace"),
-    ("bench --scale huge", "error: bad scale 'huge'"),
-    ("bench --tier smal", "error: unknown tier 'smal': did you mean 'small'? choose from: small, medium, large, xl"),
-    ("bench --tier small --scale smoke", "error: bench takes --tier or --scale, not both"),
-    // `tune`.
-    ("tune --bogus", "error: unknown flag '--bogus'"),
-    ("tune --tier", "error: --tier needs a value"),
-    ("tune --out", "error: --out needs a value"),
-    ("tune --tier smal", "error: unknown tier 'smal': did you mean 'small'? choose from: small, medium, large, xl"),
+    // `bench` and `tune` are not commands: perfbench is the benchmark.
+    ("bench --tier small", "error: unknown experiment or command 'bench': valid experiment ids are e01..e25 (see `pba-run list`)"),
+    ("tune", "error: unknown experiment or command 'tune': valid experiment ids are e01..e25 (see `pba-run list`)"),
     // `verify`: bare words are claim ids, so only dashed words are flags.
     ("verify --bogus", "error: unknown flag '--bogus'"),
     ("verify --scale", "error: --scale needs a value"),

@@ -322,18 +322,3 @@ fn cluster_rejects_unknown_protocol_and_bad_kill_spec() {
         "bad --kill must name the expected shape"
     );
 }
-
-#[test]
-fn bench_unknown_tier_gets_did_you_mean() {
-    let out = pba_run(&["bench", "--tier", "smal"]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("did you mean 'small'?"),
-        "expected a did-you-mean suggestion:\n{stderr}"
-    );
-    assert!(
-        stderr.contains("small, medium, large, xl"),
-        "error should list the tiers:\n{stderr}"
-    );
-}

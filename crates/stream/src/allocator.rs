@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pba_core::{Backend, BatchRecord, BinState, FaultPlan, MetricsSink, StreamMeta, Tuning};
+use pba_core::{Backend, BatchRecord, BinState, ChunkPlan, FaultPlan, MetricsSink, StreamMeta};
 use pba_par::{global_pool, DisjointIndexMut, ShardedCounters};
 
 use crate::arrival_stream;
@@ -51,11 +51,6 @@ pub struct StreamAllocator {
     pub(crate) batch_seq: u64,
     pub(crate) metrics: Option<Arc<dyn MetricsSink>>,
     pub(crate) parallel: bool,
-    /// Chunk-geometry policy for the snapshot ingest path, resolved per
-    /// batch through [`Tuning::plan_ingest`] (the ingest table has a
-    /// lower fan-out cutoff than the round engine — two probes per ball
-    /// amortize dispatch sooner than a full round pass does).
-    pub(crate) tuning: Tuning,
     /// Fault injection; only the shard-domain failure component applies
     /// to streaming. `None` is the zero-overhead path.
     pub(crate) faults: Option<FaultPlan>,
@@ -73,7 +68,6 @@ impl StreamAllocator {
             batch_seq: 0,
             metrics: None,
             parallel: false,
-            tuning: Tuning::Auto,
             faults: None,
         }
     }
@@ -100,16 +94,6 @@ impl StreamAllocator {
     /// Ingest snapshot-policy batches on the global thread pool.
     pub fn parallel(mut self) -> Self {
         self.parallel = true;
-        self
-    }
-
-    /// Set the chunk-geometry policy for snapshot ingestion.
-    /// [`Tuning::Auto`] (the default) sizes chunks per batch from the
-    /// arrival count and pool lanes; [`Tuning::fixed`] pins the geometry.
-    /// Placements are identical for every setting — only throughput
-    /// changes.
-    pub fn with_tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
         self
     }
 
@@ -276,12 +260,7 @@ impl StreamAllocator {
             }
             live
         };
-        let lanes = if self.parallel {
-            global_pool().lanes()
-        } else {
-            1
-        };
-        let plan = self.tuning.plan_ingest(arrivals.len() as u64, lanes);
+        let plan = ChunkPlan::INGEST;
         let backend = if self.parallel && arrivals.len() >= plan.par_cutoff {
             Backend::Pool(global_pool())
         } else {

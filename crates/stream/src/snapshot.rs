@@ -20,8 +20,8 @@
 //!
 //! ## What is deliberately not captured
 //!
-//! Runtime configuration: metrics sinks, parallel ingestion, chunk
-//! tuning, and the fault plan. The first three never affect placements;
+//! Runtime configuration: metrics sinks, parallel ingestion, and the
+//! fault plan. The first two never affect placements;
 //! the fault plan does, but it is *configuration* (derived from the CLI
 //! `--faults` spec), not evolved state — its per-batch decisions are a
 //! pure function of `(plan seed, batch)`, so a caller re-arming the same
@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 
 use pba_core::wire::{WireError, WireReader, WireWriter};
-use pba_core::{BinState, Tuning};
+use pba_core::BinState;
 
 use crate::allocator::StreamAllocator;
 use crate::loads::ShardedLoads;
@@ -82,11 +82,9 @@ impl StreamAllocator {
 
     /// Rebuild an allocator from [`snapshot`](Self::snapshot) bytes.
     ///
-    /// The restored allocator ingests sequentially with no metrics sink,
-    /// no tuning override, and no fault plan — re-apply
-    /// [`parallel`](Self::parallel) /
+    /// The restored allocator ingests sequentially with no metrics sink
+    /// and no fault plan — re-apply [`parallel`](Self::parallel) /
     /// [`with_metrics`](Self::with_metrics) /
-    /// [`with_tuning`](Self::with_tuning) /
     /// [`with_faults`](Self::with_faults) as needed (none of which
     /// perturb placements except a *different* fault plan). Decoding
     /// validates structure, checksum, and the load/resident-weight
@@ -164,7 +162,6 @@ impl StreamAllocator {
             batch_seq,
             metrics: None,
             parallel: false,
-            tuning: Tuning::Auto,
             faults: None,
         })
     }

@@ -4,7 +4,7 @@
 # errors), the zero-dependency build, the test suite, the
 # no-default-features build, and the benchmark package's own tests
 # (perfbench/ builds against the public API, so deleting an item it
-# uses must fail here, not in the bench).
+# uses must fail here, not in the bench), and the benchmark's A/B gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,11 +39,6 @@ run cargo run --release -q -p pba-runner --bin pba-run -- verify --scale ci
 # above; their negative controls live in verify_cli.rs).
 run cargo run --release -q -p pba-runner --bin pba-run -- \
     verify e24-kd-load e25-retries --scale ci
-# Throughput gate: fresh small-tier bench vs the committed baseline.
-# The 60% allowance is deliberately loose — shared single-core runners
-# are noisy — so only order-of-magnitude regressions trip it. Medium+
-# tiers stay manual (scripts/bench_diff.sh --tier large).
-run scripts/bench_diff.sh --tier small --gate 60
 # Cluster smoke gate: 2- and 4-shard runs over real worker processes
 # must be bit-identical to the single-process engine on a pinned seed,
 # and a kill-a-shard chaos run must survive with the dead shard
@@ -141,5 +136,9 @@ if [ "$got" != "$want" ]; then
     exit 1
 fi
 run cargo build --no-default-features
+# Performance gate, last because it is the slow one (~11 minutes of
+# runs): perfbench on the working tree against HEAD, alternating on this
+# host, judged by the end_to_end bounds in BENCHMARK.json.
+run scripts/bench_ab.sh
 
 echo "==> all checks passed"

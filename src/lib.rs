@@ -44,7 +44,7 @@ pub mod prelude {
     pub use pba_core::{
         Allocation, ChunkPlan, EngineMetrics, ExecutorKind, FanoutSink, FaultPlan, FaultRecord,
         FaultStats, LoadStats, MessageStats, MetricsReport, MetricsSink, Phase, ProblemSpec,
-        RoundProtocol, RunConfig, RunOutcome, Simulator, StragglerSpec, Tuning,
+        RoundProtocol, RunConfig, RunOutcome, Simulator, StragglerSpec,
     };
     pub use pba_protocols::{
         ALight, AdlerGreedy, Asymmetric, BatchedTwoChoice, Collision, EstimatedAverage,

@@ -97,7 +97,7 @@ fn engine_rounds_allocate_nothing_after_warmup() {
     let sink = Arc::new(AllocSnapshots::new());
     let cfg = RunConfig::seeded(7)
         .with_executor(ExecutorKind::ParallelWith(4))
-        .with_tuning(Tuning::fixed(512, 1024))
+        .with_chunk_plan(ChunkPlan::new(512, 1024))
         .with_trace(false)
         .with_metrics(sink.clone());
     let out = Simulator::new(spec, cfg).run(Collision::new(spec)).unwrap();

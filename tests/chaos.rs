@@ -52,7 +52,7 @@ fn faulted_run_at(
     executor: ExecutorKind,
     plan: FaultPlan,
     spec: ProblemSpec,
-    tuning: Option<Tuning>,
+    chunk_plan: Option<ChunkPlan>,
 ) -> (RunOutcome, Vec<FaultRecord>) {
     let rec = Arc::new(FaultRecorder::default());
     // Validation armed: every chaos run doubles as an invariant audit
@@ -63,8 +63,8 @@ fn faulted_run_at(
         .with_faults(plan)
         .with_validation(true)
         .with_metrics(rec.clone());
-    if let Some(t) = tuning {
-        cfg = cfg.with_tuning(t);
+    if let Some(p) = chunk_plan {
+        cfg = cfg.with_chunk_plan(p);
     }
     let out = pba::protocols::run_by_name(name, spec, cfg)
         .expect("known protocol")
@@ -126,16 +126,17 @@ fn new_families_chaos_is_bit_identical_and_validated() {
         .with_stragglers(8, 0.2);
     let big = ProblemSpec::new(1 << 17, 1 << 17).unwrap();
     let mid = ProblemSpec::new(1 << 14, 1 << 14).unwrap();
-    for (name, plan, spec, tuning) in [
+    for (name, plan, spec, chunk_plan) in [
         ("kd-choice", rich_plan(), big, None),
         (
             "estimated-average",
             drop_straggler_plan,
             mid,
-            Some(Tuning::fixed(1024, 2048)),
+            Some(ChunkPlan::new(1024, 2048)),
         ),
     ] {
-        let (seq, seq_events) = faulted_run_at(name, ExecutorKind::Sequential, plan, spec, tuning);
+        let (seq, seq_events) =
+            faulted_run_at(name, ExecutorKind::Sequential, plan, spec, chunk_plan);
         assert!(
             !seq_events.is_empty(),
             "{name}: a 15% drop plan must inject something"
@@ -146,7 +147,7 @@ fn new_families_chaos_is_bit_identical_and_validated() {
             ExecutorKind::ParallelWith(2),
             ExecutorKind::ParallelWith(8),
         ] {
-            let (par, par_events) = faulted_run_at(name, lanes, plan, spec, tuning);
+            let (par, par_events) = faulted_run_at(name, lanes, plan, spec, chunk_plan);
             assert_eq!(seq.loads, par.loads, "{name} {lanes:?}: loads diverge");
             assert_eq!(seq.rounds, par.rounds, "{name} {lanes:?}: rounds diverge");
             assert_eq!(

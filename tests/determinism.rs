@@ -92,7 +92,7 @@ fn traces_agree_across_executors() {
     }
 }
 
-/// Serial against a 4-lane pool at m = n = 2^18 under `Tuning::Auto`,
+/// Serial against a 4-lane pool at m = n = 2^18 under the default plan,
 /// where the bin side really splits: round 0 is dense and its scan and
 /// grants run as eight owner ranges of 512 bitmap words, and the sparse
 /// rounds after it must clear what it left. (The differential fuzzer

@@ -110,7 +110,7 @@ impl FuzzCase {
             .with_executor(executor)
             .with_assignment(true)
             .with_validation(true)
-            .with_tuning(Tuning::fixed(self.min_chunk, self.par_cutoff));
+            .with_chunk_plan(ChunkPlan::new(self.min_chunk, self.par_cutoff));
         if let Some(plan) = self.faults {
             cfg = cfg.with_faults(plan);
         }

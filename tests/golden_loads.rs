@@ -150,7 +150,7 @@ fn assignment_matrix_identical_across_executors_and_faults() {
                     .with_executor(executor)
                     .with_assignment(true)
                     .with_validation(true)
-                    .with_tuning(Tuning::fixed(256, 512))
+                    .with_chunk_plan(ChunkPlan::new(256, 512))
                     .with_trace(false);
                 if let Some(p) = plan {
                     cfg = cfg.with_faults(p);
