@@ -224,33 +224,40 @@ impl MetricsSink for FirstRoundStragglers {
     }
 }
 
-/// The message ledger and the round trace at m = n = 2^16, sequential
-/// and on a 4-lane pool (where round 0 fans out and the bin side splits
-/// into four owner ranges): the per-bin received counts, every counter
-/// of every round record (`granted` and `max_load` among them), the
-/// loads and the round count. The cases cover fixed choices drawn in
-/// round 0 (collision, adler-greedy), fixed choices first drawn in round
-/// k (batched two-choice with four batches, so batch k draws in round
-/// k; collision under stragglers and backoff, which defer first draws),
-/// superbin redirects (asymmetric) and k-slot replicas (kd-choice).
+/// The message ledger and the round trace, sequential and on a 4-lane
+/// pool (where round 0 fans out and the bin side splits into owner
+/// ranges): the per-bin received counts, every counter of every round
+/// record (`granted` and `max_load` among them), the loads and the round
+/// count. Most cases run at m = n = 2^16. They cover fixed choices drawn
+/// in round 0 (collision, adler-greedy), fixed choices first drawn in
+/// round k (batched two-choice with four batches, so batch k draws in
+/// round k; collision under stragglers and backoff, which defer first
+/// draws), superbin redirects (asymmetric) and k-slot replicas
+/// (kd-choice). Threshold-heavy runs heavily loaded, at m = 2^20 and
+/// n = 2^12: its threshold moves every round, and its round 0 commits
+/// most of a million balls into few bins. Estimated-average reads each
+/// accepting bin's round-start load to choose its commit, and declines
+/// rounds with an empty pick set.
 #[test]
 fn golden_ledger_and_round_traces() {
-    // (case, rounds, loads, per-bin received, round records)
+    // (case, log2 m, log2 n, rounds, loads, per-bin received, round records)
     #[rustfmt::skip]
-    const GOLDEN: [(&str, u32, u64, u64, u64); 6] = [
-        ("collision", 2, 0xf0fe27f18be3a3a5, 0xb6383f5d3ccfdd80, 0x1a35f46444e3bda4),
-        ("adler-greedy", 2, 0x8c8c1f6540e05d87, 0x52e2fecfd986996c, 0xef7983ada052511e),
-        ("batched-two-choice/4", 4, 0xc0c33e9e9aa9d0e7, 0x6cee9cae93fc2475, 0x6ef977aeaa607fac),
-        ("asymmetric", 1, 0x97ce00b6ffa7f6e7, 0x1edfd131538e8f15, 0x4156b6aed166ab08),
-        ("kd-choice", 2, 0xc20b92fe0074e2e7, 0x22f48fbb132cfd2b, 0xe761011e76a5720e),
-        ("collision+straggle", 7, 0x13eb700ae4b00685, 0x2a224507496a94ab, 0x17e30f9623026e29),
+    const GOLDEN: [(&str, u32, u32, u32, u64, u64, u64); 8] = [
+        ("collision", 16, 16, 2, 0xf0fe27f18be3a3a5, 0xb6383f5d3ccfdd80, 0x1a35f46444e3bda4),
+        ("adler-greedy", 16, 16, 2, 0x8c8c1f6540e05d87, 0x52e2fecfd986996c, 0xef7983ada052511e),
+        ("batched-two-choice/4", 16, 16, 4, 0xc0c33e9e9aa9d0e7, 0x6cee9cae93fc2475, 0x6ef977aeaa607fac),
+        ("asymmetric", 16, 16, 1, 0x97ce00b6ffa7f6e7, 0x1edfd131538e8f15, 0x4156b6aed166ab08),
+        ("kd-choice", 16, 16, 2, 0xc20b92fe0074e2e7, 0x22f48fbb132cfd2b, 0xe761011e76a5720e),
+        ("collision+straggle", 16, 16, 7, 0x13eb700ae4b00685, 0x2a224507496a94ab, 0x17e30f9623026e29),
+        ("threshold-heavy", 20, 12, 9, 0x8e9d0228e232f0f4, 0x4f24e3a932f74c04, 0xd1e0f85564190050),
+        ("estimated-average", 16, 16, 174, 0xd6627b914bb22325, 0x218a8004d77e375a, 0xbd4086e8993bc760),
     ];
-    let spec = ProblemSpec::new(1 << 16, 1 << 16).unwrap();
     let straggle = FaultPlan::new(0x57A6)
         .with_stragglers(8, 0.25)
         .with_drop_prob(0.2)
         .with_max_backoff(4);
-    for (case, rounds, loads, received, records) in GOLDEN {
+    for (case, log_m, log_n, rounds, loads, received, records) in GOLDEN {
+        let spec = ProblemSpec::new(1 << log_m, 1 << log_n).unwrap();
         for executor in [ExecutorKind::Sequential, ExecutorKind::ParallelWith(4)] {
             let stragglers = std::sync::Arc::new(FirstRoundStragglers::default());
             let cfg = RunConfig::seeded(29)
