@@ -27,6 +27,13 @@
 //!   cluster orchestrator applies to its shards' replies. Delegated
 //!   grants get the same ledger pass, once per owner range, after the
 //!   delegate returns.
+//! * Commits are recorded by the bins too. Resolve leaves each chunk's
+//!   commit targets in its arena, and after it one task per owner range
+//!   adds the targets of its range to the loads (`commit_slice`) and
+//!   returns the largest load it wrote. So no task writes `loads` before
+//!   the commit pass: resolve reads them as the round-start loads, and
+//!   the round's max load is the larger of the last round's max and the
+//!   ranges' maxima, since loads never fall.
 //! * Per-round passes write a fresh page before they read it: the scan
 //!   stores a bin's first count instead of adding it to a zero total, and
 //!   the first round stores the ledger instead of adding to it. A read of
@@ -45,8 +52,8 @@ use pba_par::{as_atomic_u32, as_atomic_u64, Chunking, DisjointClaims, DisjointIn
 use crate::delegate::GrantDelegate;
 use crate::error::{CoreError, Result};
 use crate::exec::{
-    bin_owners, gather_chunk, grant_slice, ledger_slice, resolve_chunk, scan_words, word_bins,
-    Backend, ChunkPlan, Faulty, GatherShared, LaneScratch, NoFaults, ResolveShared,
+    bin_owners, commit_slice, gather_chunk, grant_slice, ledger_slice, resolve_chunk, scan_words,
+    word_bins, Backend, ChunkPlan, Faulty, GatherShared, LaneScratch, NoFaults, ResolveShared,
 };
 use crate::faults::{FaultPlan, FaultRecord, FaultSession, FaultStats};
 use crate::messages::{MessageLedger, MessageStats, MessageTracking};
@@ -85,6 +92,8 @@ pub(crate) struct SimState<P: RoundProtocol> {
     pub assignment: Option<Vec<u32>>,
     pub ledger: MessageLedger,
     pub placed: u64,
+    /// The largest load, as of the last round.
+    max_load: u32,
     /// Fault-injection state; `None` is the zero-overhead path (every
     /// fault branch below is gated on this option, and the fault code
     /// reads no clocks — decisions come from counter streams only).
@@ -111,9 +120,6 @@ pub(crate) struct SimState<P: RoundProtocol> {
     /// Per-bin grants of the round, never above `counts`: the number of
     /// requests each bin accepted.
     accept: Vec<u32>,
-    /// Load snapshot at round start, populated only for protocols with
-    /// `NEEDS_COMMIT_CHOICE` (GREEDY-style height information).
-    loads_before: Vec<u32>,
 }
 
 impl<P: RoundProtocol> SimState<P> {
@@ -137,6 +143,7 @@ impl<P: RoundProtocol> SimState<P> {
             assignment: track_assignment.then(|| vec![u32::MAX; m as usize]),
             ledger: MessageLedger::new(tracking, spec.bins(), m),
             placed: 0,
+            max_load: 0,
             faults: faults.map(|plan| FaultSession::new(plan, m, spec.bins())),
             plan,
             validator: validate.then(|| ValidatorState::new(m)),
@@ -146,7 +153,6 @@ impl<P: RoundProtocol> SimState<P> {
             hot: vec![0; n.div_ceil(64)],
             counts: vec![0; n],
             accept: vec![0; n],
-            loads_before: Vec::new(),
         }
     }
 
@@ -161,14 +167,6 @@ impl<P: RoundProtocol> SimState<P> {
         self.faults.as_mut().and_then(|s| s.end_round(round))
     }
 
-    /// Snapshot loads for `pick_commit`'s `load_before` field.
-    fn snapshot_loads(&mut self) {
-        if P::NEEDS_COMMIT_CHOICE {
-            self.loads_before.clear();
-            self.loads_before.extend_from_slice(&self.loads);
-        }
-    }
-
     pub fn context(&self, round: u32) -> RoundContext {
         RoundContext {
             spec: self.spec,
@@ -180,15 +178,14 @@ impl<P: RoundProtocol> SimState<P> {
     }
 
     /// Execute one round on `backend`: gather, scan, grant plus ledger,
-    /// resolve, then the serial merge.
+    /// resolve, commit, then the serial merge.
     ///
     /// Rounds whose active set is below the configured `par_cutoff` (or
     /// whose pool has a single lane) run on the serial backend — which is
     /// the same kernel with exactly one chunk, so the fallback cannot
     /// change results. The bin side visits only the round's hot bins,
     /// except for the dense grant pass; the serial remainder is the
-    /// merge of the chunks' survivor lists (`O(m')`) and the max over
-    /// the loads.
+    /// merge of the chunks' survivor lists (`O(m')`).
     pub fn round(
         &mut self,
         protocol: &P,
@@ -207,7 +204,6 @@ impl<P: RoundProtocol> SimState<P> {
                 self.active.len() as u64,
             );
         }
-        self.snapshot_loads();
         let plan = self.plan;
         let n = self.spec.bins() as usize;
 
@@ -315,16 +311,16 @@ impl<P: RoundProtocol> SimState<P> {
             t.lap(Phase::Grant);
         }
 
-        // --- Phase 4: fused rank assignment + resolve + commit,
-        // chunk-local (parallel on a pool backend).
+        // --- Phase 4: fused rank assignment + resolve, chunk-local
+        // (parallel on a pool backend), then the commit pass over the
+        // owner ranges.
         {
             let shared = ResolveShared {
                 protocol,
                 ctx: &ctx,
                 active: &self.active,
                 accept: &self.accept,
-                loads_before: &self.loads_before,
-                loads: as_atomic_u32(&mut self.loads),
+                loads: &self.loads,
                 assignment: self
                     .assignment
                     .as_mut()
@@ -342,6 +338,7 @@ impl<P: RoundProtocol> SimState<P> {
                 resolve_chunk(&shared, arena);
             });
         }
+        let round_max = self.commit_pass(eff, owners, nchunks);
 
         self.next_active.clear();
         let mut committed = 0u64;
@@ -363,6 +360,7 @@ impl<P: RoundProtocol> SimState<P> {
             commit_msgs,
             underloaded_bins,
             unfilled_want,
+            round_max,
         );
         let fault_record = self.end_fault_round(round);
         if let Some(v) = self.validator.as_mut() {
@@ -477,8 +475,24 @@ impl<P: RoundProtocol> SimState<P> {
         granted.into_inner()
     }
 
+    /// Commit pass: [`commit_slice`] over each owner range, one task per
+    /// range on `backend`, over the commit targets resolve left in the
+    /// first `nchunks` arenas. Returns the largest load written, 0 if no
+    /// ball committed. The serial backend is one range over all bins.
+    fn commit_pass(&mut self, backend: Backend<'_>, owners: Chunking, nchunks: usize) -> u32 {
+        let n = self.loads.len();
+        let arenas = &self.scratch[..nchunks];
+        let loads = as_atomic_u32(&mut self.loads);
+        let max = AtomicU32::new(0);
+        backend.run(owners.chunks(), |oi| {
+            let bins = word_bins(owners.range(oi), n);
+            max.fetch_max(commit_slice(arenas, bins, loads), Ordering::Relaxed);
+        });
+        max.into_inner()
+    }
+
     /// Shared bookkeeping after resolution: active-set swap, round
-    /// record.
+    /// record. `round_max` is the largest load the commit pass wrote.
     #[allow(clippy::too_many_arguments)]
     fn finish_round(
         &mut self,
@@ -490,10 +504,14 @@ impl<P: RoundProtocol> SimState<P> {
         commit_msgs: u64,
         underloaded_bins: u32,
         unfilled_want: u64,
+        round_max: u32,
     ) -> RoundRecord {
         self.placed += committed;
         std::mem::swap(&mut self.active, &mut self.next_active);
-        let max_load = self.loads.iter().copied().max().unwrap_or(0);
+        // Loads never fall: only the bins that took commits can raise the
+        // max, and the commit pass saw each of their new loads.
+        self.max_load = self.max_load.max(round_max);
+        let max_load = self.max_load;
 
         RoundRecord {
             round: ctx.round,

@@ -16,21 +16,22 @@
 //!
 //! Ball-side phases split the active set. The bin-side phases split the
 //! bins into owner ranges of whole 64-bin words (`bin_owners`), one
-//! partition for all three: `scan_words` turns each chunk's arrival
+//! partition for all of them: `scan_words` turns each chunk's arrival
 //! counts into rank bases for the bins of its range, [`grant_slice`]
 //! decides the range's grants — the same kernel, on the same kind of bin
-//! range, that a cluster shard worker runs over the bins it owns — and
+//! range, that a cluster shard worker runs over the bins it owns —
 //! `ledger_slice` sums the range's grants and adds its hot bins' received
-//! messages to the ledger.
+//! messages to the ledger, and after resolve `commit_slice` adds the
+//! commits that target the range's bins to their loads.
 //!
 //! ```text
-//!             ┌─────────────────────── one round ───────────────────────┐
-//!   chunk 0 → │ gather+count │ scan │ grant+ledger │ resolve+commit │     │
-//!   chunk 1 → │ gather+count │ scan │ grant+ledger │ resolve+commit │merge│
-//!   chunk k → │ gather+count │ scan │ grant+ledger │ resolve+commit │     │
-//!             └─────────────────────────────────────────────────────────┘
-//!               parallel       parallel             parallel       serial
-//!               (balls)        (bin ranges)         (balls)        O(m')
+//!             ┌────────────────────────── one round ──────────────────────────┐
+//!   chunk 0 → │ gather+count │ scan │ grant+ledger │ resolve │ commit │       │
+//!   chunk 1 → │ gather+count │ scan │ grant+ledger │ resolve │ commit │ merge │
+//!   chunk k → │ gather+count │ scan │ grant+ledger │ resolve │ commit │       │
+//!             └───────────────────────────────────────────────────────────────┘
+//!               parallel       parallel             parallel  parallel  serial
+//!               (balls)        (bin ranges)         (balls)   (bins)    O(m')
 //! ```
 //!
 //! Each arena records the bins it touched in a bitmap, so an owner visits
@@ -246,7 +247,10 @@ impl Admission for Faulty<'_> {
 pub(crate) struct LaneScratch {
     /// First index into `active` covered by this chunk this round.
     pub(crate) start: usize,
-    /// Flat per-request bin ids, ball-major within the chunk.
+    /// Flat per-request bin ids, ball-major within the chunk. Resolve
+    /// overwrites them with the chunk's commit targets, in ball order,
+    /// each committed ball's primary bin before its k-slot replicas;
+    /// [`commit_slice`] adds them to the loads.
     pub(crate) bins: Vec<u32>,
     /// Per-ball delivered-request counts, aligned with `active[start..]`.
     pub(crate) degrees: Vec<u32>,
@@ -344,8 +348,8 @@ impl LaneScratch {
 
 /// The bin-side partition of a round: the bitmap words of `n` bins split
 /// into owner ranges with the round's `plan`, so every range is whole
-/// 64-bin words. [`scan_words`] and [`grant_slice`] both run once per
-/// range; [`word_bins`] gives a range's bins.
+/// 64-bin words. [`scan_words`], [`grant_slice`] and [`commit_slice`] all
+/// run once per range; [`word_bins`] gives a range's bins.
 pub(crate) fn bin_owners(backend: &Backend<'_>, n: usize, plan: ChunkPlan) -> Chunking {
     backend.chunking(n.div_ceil(64), plan.min_chunk.div_ceil(64))
 }
@@ -604,21 +608,25 @@ pub(crate) struct ResolveShared<'a, P: RoundProtocol> {
     pub ctx: &'a RoundContext,
     pub active: &'a [u32],
     pub accept: &'a [u32],
-    /// Round-start load snapshot (populated only for `NEEDS_COMMIT_CHOICE`).
-    pub loads_before: &'a [u32],
-    /// Live loads as atomics: commit increments are commutative, so the
-    /// final values are schedule-independent.
-    pub loads: &'a [AtomicU32],
+    /// The round-start loads, read for `CommitOption::load_before`.
+    /// Nothing writes them before the commit pass.
+    pub loads: &'a [u32],
     /// Final placements (one chunk per ball id), if tracked.
     pub assignment: Option<DisjointIndexMut<'a, u32>>,
     /// Per-ball sent-message counters (one chunk per ball id), if tracked.
     pub sent: Option<DisjointIndexMut<'a, u32>>,
 }
 
-/// THE resolve/commit kernel: assign each of the chunk's requests its
-/// global arrival rank (chunk rank base + running chunk-local count),
-/// accept iff rank < grant — exactly the first-`grant`-arrivals rule — and
-/// commit at most one accepted bin per ball.
+/// THE resolve kernel: assign each of the chunk's requests its global
+/// arrival rank (chunk rank base + running chunk-local count), accept iff
+/// rank < grant — exactly the first-`grant`-arrivals rule — and commit at
+/// most one accepted bin per ball, or its k-slot set.
+///
+/// The chunk's commit targets overwrite its requests in `bins`, which end
+/// the pass holding only the targets; [`commit_slice`] applies them. A
+/// ball reads all its requests before it writes a target and writes at
+/// most one target per accepted request, so the write cursor never
+/// passes the read cursor.
 pub(crate) fn resolve_chunk<P: RoundProtocol>(
     shared: &ResolveShared<'_, P>,
     scratch: &mut LaneScratch,
@@ -641,8 +649,10 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
     *wasted = 0;
     *commit_msgs = 0;
     let mut req_idx = 0usize;
+    let mut targets = 0usize;
     for (k, &degree) in degrees.iter().enumerate() {
         let ball = shared.active[*start + k];
+        let primary = targets;
         let mut commit: Option<u32> = None;
         let mut accepts = 0u32;
         if P::NEEDS_COMMIT_CHOICE {
@@ -661,7 +671,7 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
                     options.push(CommitOption {
                         bin,
                         slot: rank,
-                        load_before: shared.loads_before[b],
+                        load_before: shared.loads[b],
                     });
                 } else if commit.is_none() {
                     commit = Some(shared.protocol.redirect(shared.ctx, bin, rank));
@@ -676,21 +686,22 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
                 .protocol
                 .select_commits(shared.ctx, BallContext { ball }, options, picks);
             // The first pick is the ball's primary commit (recorded in the
-            // assignment and counted below); replicas beyond it land their
-            // load unit here. An empty pick set declines the round: every
-            // acceptance is wasted and the ball stays active.
-            for (i, &p) in picks.iter().enumerate() {
+            // assignment and counted below); replicas beyond it add one
+            // load unit each. An empty pick set declines the round: every
+            // acceptance is wasted and the ball stays active. At most one
+            // pick per option, so the targets stay within the requests.
+            picks.truncate(options.len());
+            for &p in picks.iter() {
                 let chosen = options[(p as usize).min(options.len() - 1)];
-                let target = shared
+                bins[targets] = shared
                     .protocol
                     .redirect(shared.ctx, chosen.bin, chosen.slot);
-                if i == 0 {
-                    commit = Some(target);
-                } else {
-                    shared.loads[target as usize].fetch_add(1, Ordering::Relaxed);
-                }
+                targets += 1;
             }
-            *wasted += (options.len() - picks.len().min(options.len())) as u64;
+            *wasted += (options.len() - picks.len()) as u64;
+        } else if let Some(target) = commit {
+            bins[targets] = target;
+            targets += 1;
         }
         *commit_msgs += accepts as u64;
         if let Some(sent) = &shared.sent {
@@ -701,19 +712,45 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
                 *sent.index_mut(ball as usize) += degree + accepts;
             }
         }
-        if let Some(target) = commit {
-            shared.loads[target as usize].fetch_add(1, Ordering::Relaxed);
+        if targets > primary {
             *committed += 1;
             if let Some(assignment) = &shared.assignment {
                 // SAFETY: as above — one chunk per ball id.
                 unsafe {
-                    *assignment.index_mut(ball as usize) = target;
+                    *assignment.index_mut(ball as usize) = bins[primary];
                 }
             }
         } else {
             still_active.push(ball);
         }
     }
+    bins.truncate(targets);
+}
+
+/// THE commit kernel, for the bins `bins` of one owner range: walks every
+/// arena's commit targets in chunk order, adds one load unit per target
+/// in the range, and returns the largest load it wrote (0 if none).
+///
+/// In the model a committing ball notifies its bin and the bin records
+/// the ball; here the owner of a bin range does the recording. Only the
+/// owner of a bin writes its load, so the accesses are relaxed, as in
+/// [`scan_words`], and compile to plain loads and stores. Loads never
+/// fall, so the largest load written is the range's new maximum wherever
+/// it took a commit.
+pub(crate) fn commit_slice(arenas: &[LaneScratch], bins: Range<usize>, loads: &[AtomicU32]) -> u32 {
+    let (lo, len) = (bins.start as u32, bins.len() as u32);
+    let mut max = 0;
+    for arena in arenas {
+        for &t in &arena.bins {
+            // `t - lo` wraps past `len` for targets below the range.
+            if t.wrapping_sub(lo) < len {
+                let load = loads[t as usize].load(Ordering::Relaxed) + 1;
+                loads[t as usize].store(load, Ordering::Relaxed);
+                max = max.max(load);
+            }
+        }
+    }
+    max
 }
 
 #[cfg(test)]
@@ -864,19 +901,37 @@ mod tests {
         }
     }
 
+    /// Not a multiple of 64, so the last bitmap word is partial.
+    const PARTIAL_N: usize = 1000;
+
+    /// Owner partitions of `PARTIAL_N`'s 16 bitmap words, as the bin-side
+    /// kernels are handed them: one range, equal ranges, ragged ranges
+    /// and one word per owner.
+    fn word_partitions() -> [(&'static str, Vec<Range<usize>>); 4] {
+        let words = PARTIAL_N.div_ceil(64);
+        let equal: Vec<_> = Chunking::new(words, 1, 4).ranges().collect();
+        assert!(equal.iter().all(|r| r.len() == 4));
+        let edges = [0, 1, 2, 7, 15, words];
+        [
+            (
+                "one range",
+                Backend::Serial.chunking(words, 1).ranges().collect(),
+            ),
+            ("equal ranges", equal),
+            (
+                "ragged ranges",
+                edges.windows(2).map(|w| w[0]..w[1]).collect(),
+            ),
+            ("one word per owner", (0..words).map(|w| w..w + 1).collect()),
+        ]
+    }
+
     #[test]
     fn scan_words_matches_prefix_sums_over_every_partition() {
         use pba_par::{as_atomic_u32, as_atomic_u64};
         use Arrivals::{Dense, Sparse};
-        // Not a multiple of 64: the last word is partial.
-        const N: usize = 1000;
+        const N: usize = PARTIAL_N;
         let words = N.div_ceil(64);
-        let one: Vec<_> = Backend::Serial.chunking(words, 1).ranges().collect();
-        let equal: Vec<_> = Chunking::new(words, 1, 4).ranges().collect();
-        assert!(equal.iter().all(|r| r.len() == 4));
-        let edges = [0, 1, 2, 7, 15, words];
-        let ragged: Vec<_> = edges.windows(2).map(|w| w[0]..w[1]).collect();
-        let single: Vec<_> = (0..words).map(|w| w..w + 1).collect();
         // Dense, sparse, dense on the same arenas, as `(arrivals, chunks)`
         // per round: stale counts, bits and totals of a denser round —
         // including arenas a sparse round leaves idle — must not leak.
@@ -885,12 +940,7 @@ mod tests {
             .collect();
         schedules.push([(Dense, 4), (Sparse, 1), (Dense, 3)]);
 
-        for (name, partition) in [
-            ("one range", one),
-            ("equal ranges", equal),
-            ("ragged ranges", ragged),
-            ("one word per owner", single),
-        ] {
+        for (name, partition) in word_partitions() {
             for schedule in &schedules {
                 let mut arenas: Vec<LaneScratch> = (0..4).map(|_| LaneScratch::new()).collect();
                 let mut totals = vec![0u32; N];
@@ -946,6 +996,45 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn commit_slice_adds_each_target_once_over_every_partition() {
+        use pba_par::as_atomic_u32;
+        const N: usize = PARTIAL_N;
+        // Arena 0 committed nothing; the others hold random targets with
+        // repeats, and the word-edge bins.
+        let mut rng = SplitMix64::new(7);
+        let mut arenas: Vec<LaneScratch> = (0..3).map(|_| LaneScratch::new()).collect();
+        for (k, arena) in arenas.iter_mut().enumerate().skip(1) {
+            arena.bins = (0..600 * k).map(|_| rng.below(N as u32)).collect();
+            arena.bins.extend([0, 63, 64, N as u32 - 1]);
+        }
+        let start: Vec<u32> = (0..N as u32).map(|b| b % 7).collect();
+        // Reference: one load unit per target; the max over the bins that
+        // took one.
+        let mut want = start.clone();
+        for &t in arenas.iter().flat_map(|a| &a.bins) {
+            want[t as usize] += 1;
+        }
+        let want_max = arenas
+            .iter()
+            .flat_map(|a| &a.bins)
+            .map(|&t| want[t as usize])
+            .max()
+            .unwrap();
+        for (name, partition) in word_partitions() {
+            let mut loads = start.clone();
+            let mut max = 0;
+            {
+                let l = as_atomic_u32(&mut loads);
+                for r in partition {
+                    max = max.max(commit_slice(&arenas, word_bins(r, N), l));
+                }
+            }
+            assert_eq!(loads, want, "{name}: loads");
+            assert_eq!(max, want_max, "{name}: largest load written");
         }
     }
 

@@ -166,7 +166,8 @@ pub struct CommitOption {
     pub slot: u32,
     /// The bin's load at the *beginning* of the round — the "height"
     /// information bins attach to accept messages in GREEDY-style
-    /// protocols. Only populated when
+    /// protocols. The engine reads it from the live loads, which nothing
+    /// changes before the round's commit pass. Only populated when
     /// [`RoundProtocol::NEEDS_COMMIT_CHOICE`] is `true`; zero otherwise.
     pub load_before: u32,
 }

@@ -19,6 +19,9 @@
 //! * **Granted sum** — the record's `granted` equals the sum of the
 //!   bins' `accept`. The engine sums it sparsely in the owner tasks,
 //!   over the round's hot bins only; this is the dense cross-check.
+//! * **Round max** — the record's `max_load` equals the largest load.
+//!   The engine takes it from the last round's max and the loads its
+//!   commit pass wrote; this is the dense cross-check.
 //! * **Monotone commitment** — a ball's assignment, once written, never
 //!   changes; every still-active ball is unassigned; and the per-bin
 //!   count of newly assigned balls matches the bin's load delta exactly
@@ -152,12 +155,14 @@ impl ValidatorState {
             ));
         }
 
-        // --- Load accounting + bin capacity + the granted sum + fault
-        // legality (one sweep).
+        // --- Load accounting + bin capacity + the granted sum + the
+        // round max + fault legality (one sweep).
         let mut delta_total = 0u64;
         let mut granted = 0u64;
+        let mut max_load = 0u32;
         for (bin, (&after, &before)) in loads.iter().zip(&self.loads_before).enumerate() {
             granted += u64::from(accept[bin]);
+            max_load = max_load.max(after);
             if after < before {
                 return Err(violation(
                     round,
@@ -185,6 +190,16 @@ impl ValidatorState {
                 format!(
                     "the record says {} requests were granted, but the bins accepted {granted}",
                     record.granted
+                ),
+            ));
+        }
+        if max_load != record.max_load {
+            return Err(violation(
+                round,
+                "max-load",
+                format!(
+                    "the record says the max load is {}, but the largest load is {max_load}",
+                    record.max_load
                 ),
             ));
         }
@@ -284,12 +299,14 @@ impl ValidatorState {
 mod tests {
     use super::*;
 
-    /// A record of `committed` balls out of `granted` accepted requests.
-    fn record(round: u32, committed: u64, granted: u64) -> RoundRecord {
+    /// A record of `committed` balls out of `granted` accepted requests,
+    /// ending the round at max load `max_load`.
+    fn record(round: u32, committed: u64, granted: u64, max_load: u32) -> RoundRecord {
         RoundRecord {
             round,
             granted,
             committed,
+            max_load,
             ..RoundRecord::default()
         }
     }
@@ -311,7 +328,7 @@ mod tests {
         let mut v = armed(4, &[0, 0], &[u32::MAX; 4], 0, 4);
         // Balls 0 and 2 land in bins 0 and 1; balls 1 and 3 stay active.
         v.check_round(
-            &record(0, 2, 2),
+            &record(0, 2, 2, 1),
             false,
             1,
             &[1, 1],
@@ -331,7 +348,7 @@ mod tests {
         // than the bins' accepts add up to.
         let err = v
             .check_round(
-                &record(0, 2, 3),
+                &record(0, 2, 3, 1),
                 false,
                 1,
                 &[1, 1],
@@ -353,11 +370,39 @@ mod tests {
     }
 
     #[test]
+    fn max_load_off_by_one_is_caught() {
+        let mut v = armed(4, &[0, 0], &[u32::MAX; 4], 0, 4);
+        // The clean round above, but the record claims a max load one
+        // above the largest load.
+        let err = v
+            .check_round(
+                &record(0, 2, 2, 2),
+                false,
+                1,
+                &[1, 1],
+                Some(&[0, u32::MAX, 1, u32::MAX]),
+                &[1, 3],
+                &[1, 1],
+                &[],
+                2,
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::InvariantViolation {
+                invariant: "max-load",
+                round: 0,
+                ..
+            }
+        ));
+    }
+
+    #[test]
     fn overfull_bin_is_caught() {
         let mut v = armed(4, &[0, 0], &[u32::MAX; 4], 0, 4);
         let err = v
             .check_round(
-                &record(0, 2, 2),
+                &record(0, 2, 2, 2),
                 false,
                 1,
                 &[2, 0],
@@ -383,7 +428,7 @@ mod tests {
         // Same shape as above, but the protocol may redirect: the per-bin
         // check is waived while the total-delta check still holds.
         v.check_round(
-            &record(0, 2, 2),
+            &record(0, 2, 2, 2),
             true,
             1,
             &[2, 0],
@@ -401,7 +446,7 @@ mod tests {
         let mut v = armed(2, &[1, 0], &[0, u32::MAX], 1, 1);
         let err = v
             .check_round(
-                &record(3, 1, 1),
+                &record(3, 1, 1, 1),
                 false,
                 1,
                 &[1, 1],
@@ -427,7 +472,7 @@ mod tests {
         let mut v = armed(2, &[0, 0], &[u32::MAX; 2], 0, 2);
         let err = v
             .check_round(
-                &record(1, 1, 1),
+                &record(1, 1, 1, 1),
                 false,
                 1,
                 &[1, 0],
@@ -453,7 +498,7 @@ mod tests {
         // redirect legally lands on a crashed member bin.
         let mut v = armed(2, &[0, 0], &[u32::MAX; 2], 0, 2);
         v.check_round(
-            &record(1, 1, 1),
+            &record(1, 1, 1, 1),
             true,
             1,
             &[1, 0],
@@ -473,7 +518,7 @@ mod tests {
         // and bin 2 legally gains a unit without a fresh primary.
         let mut v = armed(2, &[0, 1, 0], &[u32::MAX; 2], 0, 2);
         v.check_round(
-            &record(0, 1, 2),
+            &record(0, 1, 2, 1),
             false,
             2,
             &[1, 1, 1],
@@ -492,7 +537,7 @@ mod tests {
         let mut v = armed(2, &[0, 0], &[u32::MAX; 2], 0, 2);
         let err = v
             .check_round(
-                &record(0, 1, 1),
+                &record(0, 1, 1, 1),
                 false,
                 2,
                 &[1, 0],
@@ -519,7 +564,7 @@ mod tests {
         let mut v = armed(2, &[0, 0, 0], &[u32::MAX; 2], 0, 2);
         let err = v
             .check_round(
-                &record(0, 1, 2),
+                &record(0, 1, 2, 1),
                 false,
                 2,
                 &[1, 0, 1],
@@ -544,7 +589,7 @@ mod tests {
         let mut v = armed(4, &[0, 0], &[u32::MAX; 4], 0, 4);
         let err = v
             .check_round(
-                &record(0, 2, 2),
+                &record(0, 2, 2, 1),
                 false,
                 1,
                 &[1, 1],

@@ -24,9 +24,9 @@
 //! Chunk boundaries are derived only from the input length, the minimum
 //! chunk size and the chunk cap — never from thread timing. A caller that
 //! writes chunk-local outputs therefore produces bit-identical results
-//! regardless of scheduling. The atomic read-modify-writes the engine does
-//! use (load increments at commit, sharded counters) are commutative, so
-//! their final values do not depend on order either.
+//! regardless of scheduling. The atomic read-modify-writes the workspace
+//! does use (the stream allocator's load applies, sharded counters) are
+//! commutative, so their final values do not depend on order either.
 
 pub mod atomic;
 pub mod chunk;

@@ -36,12 +36,35 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+        Err(Failure::Run(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(RUN_FAILED)
+        }
+    }
+}
+
+/// Exit code of a command that was understood but whose run failed.
+const RUN_FAILED: u8 = 2;
+
+/// Why a command failed.
+enum Failure {
+    /// The command line was not understood: the error is followed by the
+    /// usage banner, and the exit code is 1.
+    Usage(String),
+    /// The command line was understood and its run failed (a round budget
+    /// ran out, a worker died): the error alone, exit code [`RUN_FAILED`].
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
     }
 }
 
@@ -79,9 +102,9 @@ const USAGE: &str = "usage:
 fault spec: comma-separated key=value clauses, e.g.
   --faults drop=0.1,crash=0.02,straggle=8x0.2,domains=8x0.3,kill=2x5,seed=7";
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
+fn run(args: &[String]) -> Result<ExitCode, Failure> {
     let Some(cmd) = args.first() else {
-        return Err("missing command".into());
+        return Err(Failure::Usage("missing command".into()));
     };
     let done = |()| ExitCode::SUCCESS;
     match cmd.as_str() {
@@ -103,11 +126,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             for e in all_experiments() {
                 run_experiment(e.as_ref(), &flags, trace.jsonl.clone())?;
             }
-            trace.flush().map(done)
+            Ok(done(trace.flush()?))
         }
         "protocol" => run_protocol(&args[1..]).map(done),
-        "stream" => run_stream_cmd(&args[1..]).map(done),
-        "serve" => run_serve(&args[1..]).map(done),
+        "stream" => Ok(done(run_stream_cmd(&args[1..])?)),
+        "serve" => Ok(done(run_serve(&args[1..])?)),
         "cluster" => run_cluster(&args[1..]).map(done),
         // The child mode `cluster` spawns per shard. Errors go to stderr
         // without the usage banner: the orchestrator is the audience.
@@ -132,13 +155,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         // `verify` owns its exit code: a refuted claim is a nonzero exit
         // with the verdict table printed, not a usage error.
-        "verify" => run_verify(&args[1..]),
+        "verify" => Ok(run_verify(&args[1..])?),
         id => {
             let e = experiment_by_id(id).ok_or_else(|| unknown_command_message(id))?;
             let flags = RunFlags::parse(&args[1..])?;
             let trace = Trace::open(flags.trace.clone())?;
             run_experiment(e.as_ref(), &flags, trace.jsonl.clone())?;
-            trace.flush().map(done)
+            Ok(done(trace.flush()?))
         }
     }
 }
@@ -529,9 +552,9 @@ fn run_experiment(
     Ok(())
 }
 
-fn run_protocol(args: &[String]) -> Result<(), String> {
+fn run_protocol(args: &[String]) -> Result<(), Failure> {
     let Some(name) = args.first() else {
-        return Err("protocol: missing name".into());
+        return Err(Failure::Usage("protocol: missing name".into()));
     };
     let mut m = 1u64 << 20;
     let mut n = 1u32 << 10;
@@ -564,7 +587,7 @@ fn run_protocol(args: &[String]) -> Result<(), String> {
     let started = std::time::Instant::now();
     let out = run_by_name(name, spec, cfg)
         .ok_or_else(|| format!("unknown protocol '{name}' (try `pba-run protocols`)"))?
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| Failure::Run(e.to_string()))?;
     let elapsed = started.elapsed();
     trace.flush()?;
     let stats = out.load_stats();
@@ -1157,16 +1180,18 @@ fn run_serve_send(args: &[String]) -> Result<(), String> {
 /// checksummed binary frames. Runs are bit-identical to the
 /// single-process equivalent for the same seed regardless of transport;
 /// the orchestrator verifies per-wave checksums and a final drain.
-fn run_cluster(args: &[String]) -> Result<(), String> {
+fn run_cluster(args: &[String]) -> Result<(), Failure> {
     let Some(mode) = args.first() else {
-        return Err("cluster: missing mode ('protocol' or 'stream')".into());
+        return Err(Failure::Usage(
+            "cluster: missing mode ('protocol' or 'stream')".into(),
+        ));
     };
     match mode.as_str() {
         "protocol" => run_cluster_protocol(&args[1..]),
         "stream" => run_cluster_stream(&args[1..]),
-        other => Err(format!(
+        other => Err(Failure::Usage(format!(
             "cluster: unknown mode '{other}' (protocol or stream)"
-        )),
+        ))),
     }
 }
 
@@ -1245,9 +1270,9 @@ fn print_cluster_wire(out: &pba_cluster::ClusterOutcome) {
     }
 }
 
-fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
+fn run_cluster_protocol(args: &[String]) -> Result<(), Failure> {
     let Some(name) = args.first() else {
-        return Err("cluster protocol: missing name".into());
+        return Err(Failure::Usage("cluster protocol: missing name".into()));
     };
     let mut m = 1u64 << 20;
     let mut n = 1u32 << 10;
@@ -1270,12 +1295,14 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
         "",
     )?;
     if !protocol_names().contains(&name.as_str()) {
-        return Err(format!(
+        return Err(Failure::Usage(format!(
             "unknown protocol '{name}' (try `pba-run protocols`)"
-        ));
+        )));
     }
     if shards == 0 || shards > n {
-        return Err(format!("--shards must be in 1..={n} (the bin count)"));
+        return Err(Failure::Usage(format!(
+            "--shards must be in 1..={n} (the bin count)"
+        )));
     }
     let spec = ProblemSpec::new(m, n).map_err(|e| e.to_string())?;
     let trace = Trace::open(trace_path)?;
@@ -1286,7 +1313,7 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
         cfg = cfg.with_faults(plan);
     }
     let started = std::time::Instant::now();
-    let out = transport.run(cfg)?;
+    let out = transport.run(cfg).map_err(Failure::Run)?;
     let elapsed = started.elapsed();
     trace.flush()?;
     let run = out.run.as_ref().expect("engine outcome");
@@ -1322,7 +1349,7 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_cluster_stream(args: &[String]) -> Result<(), String> {
+fn run_cluster_stream(args: &[String]) -> Result<(), Failure> {
     let mut flags = StreamFlags::default();
     let mut shards = 2u32;
     let mut kill: Option<(u32, u64)> = None;
@@ -1341,7 +1368,9 @@ fn run_cluster_stream(args: &[String]) -> Result<(), String> {
     )?;
     let n = flags.n;
     if shards == 0 || shards > n {
-        return Err(format!("--shards must be in 1..={n} (the bin count)"));
+        return Err(Failure::Usage(format!(
+            "--shards must be in 1..={n} (the bin count)"
+        )));
     }
     let (b, cfg) = flags.workload_cfg(n)?;
     let trace = Trace::open(trace_path)?;
@@ -1356,7 +1385,7 @@ fn run_cluster_stream(args: &[String]) -> Result<(), String> {
         cluster = cluster.with_kill(s, t);
     }
     let started = std::time::Instant::now();
-    let out = transport.run(cluster)?;
+    let out = transport.run(cluster).map_err(Failure::Run)?;
     let elapsed = started.elapsed();
     trace.flush()?;
     let resident: u64 = out.loads.iter().sum();

@@ -1,7 +1,9 @@
 //! Characterization of `pba-run`'s flag handling: for every subcommand,
 //! an unknown flag, a missing value, an unparsable value and each range
 //! check must fail with exit code 1, print nothing on stdout, and lead
-//! stderr with exactly the message below.
+//! stderr with exactly the message below. A run that fails on a command
+//! line it understood is no usage error: it prints its one error line
+//! and exits 2.
 
 use std::process::Command;
 
@@ -211,4 +213,35 @@ fn every_flag_error_keeps_its_exit_code_and_message() {
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn run_failures_print_one_line_and_usage_errors_the_banner() {
+    let run = |argv: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_pba-run"))
+            .args(argv.split(' '))
+            .output()
+            .expect("spawn pba-run");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stderr, out.stdout.is_empty())
+    };
+    // Under this fault plan single-choice runs out of its round budget.
+    let (code, stderr, quiet) = run("protocol single-choice --m 262144 --n 65536 --seed 3 \
+         --faults drop=0.2,crash=0.02,straggle=8x0.25,seed=7");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(code, Some(2), "a run failure exits 2:\n{stderr}");
+    assert_eq!(lines.len(), 1, "a run failure prints one line:\n{stderr}");
+    assert!(
+        lines[0].starts_with("error: round budget exhausted after 2 rounds with "),
+        "{stderr}"
+    );
+    assert!(quiet, "a failed run prints nothing on stdout");
+
+    let (code, stderr, quiet) = run("protocol single-choice --m 0");
+    assert_eq!(code, Some(1), "a usage error exits 1:\n{stderr}");
+    assert!(
+        stderr.starts_with("error: invalid problem spec: m must be positive\n\nusage:\n"),
+        "a usage error prints the banner:\n{stderr}"
+    );
+    assert!(quiet);
 }

@@ -78,6 +78,17 @@ for cell in "protocol collision --parallel" "cluster protocol collision --shards
         exit 1
     fi
 done
+# The same parity through the k-slot commit path: kd-choice's round 0
+# records its replicas in resolve, the owner ranges apply them, and the
+# balls read the round-start loads of bins in every range.
+echo "==> k-slot parity: kd-choice sequential and --parallel (seed 11)"
+want=$(outcome "$PBA" protocol kd-choice --m 262144 --n 262144 --seed 11)
+got=$(outcome "$PBA" protocol kd-choice --m 262144 --n 262144 --seed 11 --parallel)
+if [ "$got" != "$want" ]; then
+    echo "kd-choice --parallel diverged from the sequential run:" >&2
+    diff <(echo "$want") <(echo "$got") >&2 || true
+    exit 1
+fi
 echo "==> cluster smoke: kill-a-shard chaos"
 # Capture to a file instead of piping into grep -q: quitting grep closes
 # the pipe while pba-run is still printing, and the EPIPE panic (exit

@@ -3,11 +3,14 @@
 //! An engine run's heap is its page-fault bill: every fresh 4 KiB page it
 //! touches costs a minor fault, and at m = n = 2^22 the faults cost a
 //! large share of the run (DESIGN.md §13). This pins the peak live heap
-//! of a sequential collision run at m = n = 2^16 to a budget: the
-//! current layout (4 bytes of fixed-choice state per ball, about 52
-//! bytes per ball-and-bin pair in all) plus 10%. A layout that grows the
-//! per-ball or per-bin state past that fails here before it shows up as
-//! faults in the benchmark.
+//! of two sequential runs to a budget each, the current layout plus 10%:
+//! a collision run at m = n = 2^16 (4 bytes of fixed-choice state per
+//! ball, about 52 bytes per ball-and-bin pair in all), and a heavily
+//! loaded threshold-heavy run at m = 2^18, n = 2^10, where the per-ball
+//! state dominates and round 0 commits most balls. A layout that grows
+//! the per-ball or per-bin state past that fails here before it shows up
+//! as faults in the benchmark; so does a buffer of 4 bytes per commit,
+//! which the heavy run cannot absorb.
 //!
 //! Everything lives in one `#[test]` so the counters are never polluted
 //! by a concurrently running sibling test in the same binary.
@@ -73,22 +76,39 @@ unsafe impl GlobalAlloc for ByteCountingAlloc {
 #[global_allocator]
 static GLOBAL: ByteCountingAlloc = ByteCountingAlloc;
 
+/// The peak live heap of a complete sequential run of `name` at `spec`,
+/// asserted to stay within `budget` bytes.
+fn assert_peak_within(name: &str, spec: ProblemSpec, budget: usize) {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let out = run_by_name(name, spec, RunConfig::seeded(5))
+        .unwrap()
+        .unwrap();
+    let peak = PEAK.load(Ordering::Relaxed) - base;
+    assert!(out.is_complete(), "{name} left balls unplaced");
+    assert!(
+        peak <= budget,
+        "{name} at {spec}: peak live heap {peak} B exceeds the {budget} B budget \
+         ({:.1} B per ball)",
+        peak as f64 / spec.balls() as f64
+    );
+}
+
 #[test]
 fn sequential_collision_peak_heap_stays_within_budget() {
     // Measured at 3,425,952 B in a debug build (release builds skip the
     // 256 KiB claim table), plus 10%. The earlier layout, which stored
     // each ball's fixed choices in 36 bytes, peaked at 5,523,104 B.
-    const BUDGET: usize = 3_770_000;
-    let spec = ProblemSpec::new(1 << 16, 1 << 16).unwrap();
-    let cfg = RunConfig::seeded(5);
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let out = run_by_name("collision", spec, cfg).unwrap().unwrap();
-    let peak = PEAK.load(Ordering::Relaxed) - base;
-    assert!(out.is_complete());
-    assert!(
-        peak <= BUDGET,
-        "peak live heap {peak} B exceeds the {BUDGET} B budget ({:.1} B per ball)",
-        peak as f64 / spec.balls() as f64
+    assert_peak_within(
+        "collision",
+        ProblemSpec::new(1 << 16, 1 << 16).unwrap(),
+        3_770_000,
+    );
+    // Measured at 5,532,544 B in a debug build, plus 10%: 21 B per
+    // ball. A second 4 B per commit would add about 1 MiB.
+    assert_peak_within(
+        "threshold-heavy",
+        ProblemSpec::new(1 << 18, 1 << 10).unwrap(),
+        6_086_000,
     );
 }
