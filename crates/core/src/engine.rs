@@ -53,7 +53,8 @@ use crate::delegate::GrantDelegate;
 use crate::error::{CoreError, Result};
 use crate::exec::{
     bin_owners, commit_slice, gather_chunk, grant_slice, ledger_slice, resolve_chunk, scan_words,
-    word_bins, Backend, ChunkPlan, Faulty, GatherShared, LaneScratch, NoFaults, ResolveShared,
+    word_bins, Backend, Balls, ChunkPlan, Faulty, GatherShared, LaneScratch, NoFaults,
+    ResolveShared,
 };
 use crate::faults::{FaultPlan, FaultRecord, FaultSession, FaultStats};
 use crate::messages::{MessageLedger, MessageStats, MessageTracking};
@@ -75,19 +76,39 @@ fn crashed_bins(faults: &Option<FaultSession>) -> &[u32] {
     faults.as_ref().map_or(&[], FaultSession::crashed_bins)
 }
 
+/// The balls still to place.
+enum Active {
+    /// Every ball `0..m`, before round 0.
+    All(u32),
+    /// The survivors of the last round, in ball order.
+    Listed(Vec<u32>),
+}
+
+impl Active {
+    fn balls(&self) -> Balls<'_> {
+        match self {
+            Active::All(m) => Balls::All(*m),
+            Active::Listed(ids) => Balls::Listed(ids),
+        }
+    }
+}
+
 /// Mutable simulation state: loads, active set, per-ball protocol state,
 /// message ledger, and reusable scratch arenas.
 ///
-/// Heap per ball: the active list and its swap buffer (8 bytes), the
-/// protocol's `BallState` (4 bytes for fixed choices), and the arenas'
-/// requests and degrees (4 bytes per request plus 4). Per bin: loads,
+/// Heap per ball: the protocol's `BallState` (4 bytes for fixed
+/// choices) and, for each ball a round visits, the arenas' requests and
+/// degree (4 bytes per request plus 1, and 4 more past 254 requests).
+/// Per survivor of round 0: the survivor list and its swap buffer (8
+/// bytes, each reserved to a round's survivor count). Per bin: loads,
 /// totals and grants (12 bytes), the ledger (8 bytes, when tracked), and
 /// 4 bytes of counts per arena.
 pub(crate) struct SimState<P: RoundProtocol> {
     pub spec: ProblemSpec,
     pub seed: u64,
     pub loads: Vec<u32>,
-    pub active: Vec<u32>,
+    /// The balls still to place.
+    active: Active,
     pub ball_state: Vec<P::BallState>,
     pub assignment: Option<Vec<u32>>,
     pub ledger: MessageLedger,
@@ -110,6 +131,7 @@ pub(crate) struct SimState<P: RoundProtocol> {
     /// Debug-build verifier of the one-chunk-per-ball-id invariant behind
     /// the `DisjointIndexMut` accesses (no-op in release builds).
     claims: DisjointClaims,
+    /// The survivor list the next merge fills, swapped with `active`.
     next_active: Vec<u32>,
     /// Bitmap of the bins with nonzero `counts` (bit `b % 64` of word
     /// `b / 64`): the OR of the round's arena bitmaps. The next round's
@@ -138,7 +160,7 @@ impl<P: RoundProtocol> SimState<P> {
             spec,
             seed,
             loads: vec![0; n],
-            active: (0..m as u32).collect(),
+            active: Active::All(m as u32),
             ball_state: vec![P::BallState::default(); m as usize],
             assignment: track_assignment.then(|| vec![u32::MAX; m as usize]),
             ledger: MessageLedger::new(tracking, spec.bins(), m),
@@ -149,11 +171,21 @@ impl<P: RoundProtocol> SimState<P> {
             validator: validate.then(|| ValidatorState::new(m)),
             scratch: Vec::new(),
             claims: DisjointClaims::new(m as usize),
-            next_active: Vec::with_capacity(m as usize),
+            next_active: Vec::new(),
             hot: vec![0; n.div_ceil(64)],
             counts: vec![0; n],
             accept: vec![0; n],
         }
+    }
+
+    /// The balls the next round visits.
+    pub fn balls(&self) -> Balls<'_> {
+        self.active.balls()
+    }
+
+    /// Bins not crashed: all `n` without a fault session.
+    pub fn live_bins(&self) -> u64 {
+        u64::from(self.spec.bins()) - crashed_bins(&self.faults).len() as u64
     }
 
     /// Injected-fault totals, `Some` iff the run is fault-injected.
@@ -171,7 +203,7 @@ impl<P: RoundProtocol> SimState<P> {
         RoundContext {
             spec: self.spec,
             round,
-            active: self.active.len() as u64,
+            active: self.balls().len() as u64,
             placed: self.placed,
             seed: self.seed,
         }
@@ -196,12 +228,13 @@ impl<P: RoundProtocol> SimState<P> {
     ) -> Result<RoundRecord> {
         let ctx = self.context(round);
         let mut timer = obs.map(|_| RoundTimer::start());
+        let active = self.balls().len();
         if let Some(v) = self.validator.as_mut() {
             v.begin_round(
                 &self.loads,
                 self.assignment.as_deref(),
                 self.placed,
-                self.active.len() as u64,
+                active as u64,
             );
         }
         let plan = self.plan;
@@ -210,12 +243,12 @@ impl<P: RoundProtocol> SimState<P> {
         // Effective backend for this round: fall back to serial below the
         // fan-out cutoff.
         let eff = match backend {
-            Backend::Pool(pool) if self.active.len() >= plan.par_cutoff && pool.lanes() > 1 => {
+            Backend::Pool(pool) if active >= plan.par_cutoff && pool.lanes() > 1 => {
                 Backend::Pool(pool)
             }
             _ => Backend::Serial,
         };
-        let chunking = eff.chunking(self.active.len(), plan.min_chunk);
+        let chunking = eff.chunking(active, plan.min_chunk);
         let nchunks = chunking.chunks();
         while self.scratch.len() < nchunks {
             self.scratch.push(LaneScratch::new());
@@ -230,7 +263,7 @@ impl<P: RoundProtocol> SimState<P> {
                 ctx: &ctx,
                 streams: RoundStreams::new(self.seed, round),
                 n_bins: self.spec.bins(),
-                active: &self.active,
+                active: self.active.balls(),
                 states: DisjointIndexMut::new(&mut self.ball_state),
                 claims: &self.claims,
             };
@@ -318,7 +351,7 @@ impl<P: RoundProtocol> SimState<P> {
             let shared = ResolveShared {
                 protocol,
                 ctx: &ctx,
-                active: &self.active,
+                active: self.active.balls(),
                 accept: &self.accept,
                 loads: &self.loads,
                 assignment: self
@@ -335,12 +368,20 @@ impl<P: RoundProtocol> SimState<P> {
             eff.run(nchunks, |ci| {
                 // SAFETY: one task per chunk slot.
                 let arena = unsafe { scratch.index_mut(ci) };
-                resolve_chunk(&shared, arena);
+                resolve_chunk(&shared, chunking.range(ci), arena);
             });
         }
         let round_max = self.commit_pass(eff, owners, nchunks);
 
+        // The merge: the survivor list is reserved to this round's
+        // survivors. The active set only shrinks, so after rounds 0 and 1
+        // each of the two swapped buffers already holds enough.
+        let survivors = self.scratch[..nchunks]
+            .iter()
+            .map(|a| a.still_active.len())
+            .sum();
         self.next_active.clear();
+        self.next_active.reserve_exact(survivors);
         let mut committed = 0u64;
         let mut wasted = 0u64;
         let mut commit_msgs = 0u64;
@@ -371,7 +412,7 @@ impl<P: RoundProtocol> SimState<P> {
                 protocol.replicas(),
                 &self.loads,
                 self.assignment.as_deref(),
-                &self.active,
+                self.active.balls(),
                 &self.accept,
                 crashed,
                 self.placed,
@@ -507,7 +548,10 @@ impl<P: RoundProtocol> SimState<P> {
         round_max: u32,
     ) -> RoundRecord {
         self.placed += committed;
-        std::mem::swap(&mut self.active, &mut self.next_active);
+        let survivors = Active::Listed(std::mem::take(&mut self.next_active));
+        if let Active::Listed(spent) = std::mem::replace(&mut self.active, survivors) {
+            self.next_active = spent;
+        }
         // Loads never fall: only the bins that took commits can raise the
         // max, and the commit pass saw each of their new loads.
         self.max_load = self.max_load.max(round_max);
@@ -623,7 +667,7 @@ mod tests {
         let mut state = new_state::<Q>(spec, seed, MessageTracking::PerBin, true);
         let mut protocol = Q::default();
         let mut round = 0;
-        while !state.active.is_empty() {
+        while !state.balls().is_empty() {
             let ctx = state.context(round);
             protocol.begin_round(&ctx);
             let backend = if parallel {
@@ -721,7 +765,7 @@ mod tests {
                 true,
             );
             let mut round = 0;
-            while !state.active.is_empty() {
+            while !state.balls().is_empty() {
                 let backend = if backend_pool {
                     Backend::Pool(&pool)
                 } else {
@@ -830,6 +874,99 @@ mod tests {
         assert_eq!(seq.ledger.per_bin_received, par.ledger.per_bin_received);
     }
 
+    /// Request counts on both sides of the one-byte degree encoding.
+    const DEGREES: [u32; 6] = [0, 1, 254, 255, 256, 512];
+
+    /// Ball `b` sends `DEGREES[(b + round) % 6]` uniform requests, so a
+    /// ball that sent none in one round sends one in the next.
+    struct WideDegrees;
+
+    impl WideDegrees {
+        fn degree(ball: u32, round: u32) -> u32 {
+            DEGREES[((ball + round) % 6) as usize]
+        }
+    }
+
+    impl RoundProtocol for WideDegrees {
+        type BallState = NoBallState;
+        fn name(&self) -> &'static str {
+            "wide-degrees"
+        }
+        fn round_budget(&self, _spec: &ProblemSpec) -> u32 {
+            64
+        }
+        fn ball_choices(
+            &self,
+            ctx: &RoundContext,
+            ball: BallContext,
+            _state: &mut NoBallState,
+            rng: &mut SplitMix64,
+            out: &mut ChoiceSink<'_>,
+        ) {
+            for _ in 0..Self::degree(ball.ball, ctx.round) {
+                out.push(rng.below(ctx.spec.bins()));
+            }
+        }
+        /// Half the arrivals and one more: a ball whose requests rank
+        /// late everywhere stays for another round.
+        fn bin_grant(&self, _ctx: &RoundContext, _bin: u32, _load: u32, arrivals: u32) -> BinGrant {
+            BinGrant::up_to(arrivals / 2 + 1)
+        }
+    }
+
+    #[test]
+    fn one_byte_degrees_carry_every_request_count() {
+        // 12,000 balls in chunks of at least 1,024 fan out over the pool.
+        let spec = ProblemSpec::new(12_000, 64).unwrap();
+        let pool = ThreadPool::new(3);
+        let run = |backend: Backend<'_>| {
+            let mut state = SimState::<WideDegrees>::new(
+                spec,
+                4,
+                MessageTracking::Full,
+                false,
+                None,
+                ChunkPlan::new(1024, 2048),
+                true,
+            );
+            let mut records = Vec::new();
+            let mut sent_at_least = vec![0u32; spec.balls() as usize];
+            let mut round = 0;
+            while !state.balls().is_empty() {
+                let mut degrees = 0u64;
+                for ball in state.balls().iter() {
+                    let d = WideDegrees::degree(ball, round);
+                    sent_at_least[ball as usize] += d;
+                    degrees += u64::from(d);
+                }
+                let rec = state
+                    .round(&WideDegrees, round, backend, None, None)
+                    .unwrap();
+                assert_eq!(rec.requests, degrees, "round {round}: requests");
+                records.push(rec);
+                round += 1;
+                assert!(round < 64, "did not converge");
+            }
+            // A ball sends each request, and a commit notice for each of
+            // its requests a bin accepted: between one and two messages
+            // per request.
+            let sent = state.ledger.per_ball_sent.clone().unwrap();
+            for (ball, (&s, &r)) in sent.iter().zip(&sent_at_least).enumerate() {
+                assert!(
+                    r <= s && s <= 2 * r,
+                    "ball {ball}: sent {s} for {r} requests"
+                );
+            }
+            (state.loads.clone(), records, sent)
+        };
+        let serial = run(Backend::Serial);
+        let pooled = run(Backend::Pool(&pool));
+        assert!(pool.lanes() == 4 && serial.1.len() > 1);
+        assert_eq!(serial.0, pooled.0, "loads");
+        assert_eq!(serial.1, pooled.1, "round records");
+        assert_eq!(serial.2, pooled.2, "per-ball sent counts");
+    }
+
     #[test]
     fn granted_equals_min_of_arrivals_and_capacity() {
         // 100 balls, 1 bin, capacity ceil(100/1)=100: all granted round 0.
@@ -840,6 +977,6 @@ mod tests {
             .unwrap();
         assert_eq!(rec.granted, 100);
         assert_eq!(rec.committed, 100);
-        assert!(state.active.is_empty());
+        assert!(state.balls().is_empty());
     }
 }

@@ -33,6 +33,18 @@ pub enum CoreError {
         /// Balls still unallocated.
         unallocated: u64,
     },
+    /// The live bins cannot hold the run: the protocol caps every bin's
+    /// load for the whole run ([`crate::protocol::RoundProtocol::load_cap`]),
+    /// and the bins that crash faults leave live hold fewer load units
+    /// under that cap than the run must place. Raised before round 0.
+    Infeasible {
+        /// Bins not crashed.
+        live_bins: u64,
+        /// The protocol's per-bin load cap.
+        cap: u32,
+        /// Load units the run must place: replicas × m.
+        needed: u64,
+    },
     /// A protocol declared failure via [`crate::protocol::Flow::Abort`].
     ProtocolAborted {
         /// Protocol-provided reason.
@@ -80,6 +92,16 @@ impl fmt::Display for CoreError {
             } => write!(
                 f,
                 "round budget exhausted after {rounds} rounds with {unallocated} balls unallocated"
+            ),
+            CoreError::Infeasible {
+                live_bins,
+                cap,
+                needed,
+            } => write!(
+                f,
+                "infeasible run: {live_bins} live bins × load cap {cap} = {} load units, \
+                 fewer than the {needed} to place",
+                live_bins * u64::from(*cap)
             ),
             CoreError::ProtocolAborted { reason, round } => {
                 write!(f, "protocol aborted in round {round}: {reason}")

@@ -234,6 +234,43 @@ impl Admission for Faulty<'_> {
     }
 }
 
+/// The ball ids a round visits, in the order its chunks cut them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Balls<'a> {
+    /// Every ball, `0..m`: round 0 reads the ids from the identity range,
+    /// so setup writes no id list.
+    All(u32),
+    /// The survivors of the last round, in ball order.
+    Listed(&'a [u32]),
+}
+
+impl<'a> Balls<'a> {
+    pub(crate) fn len(&self) -> usize {
+        match *self {
+            Balls::All(m) => m as usize,
+            Balls::Listed(ids) => ids.len(),
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The ids, in order. The kernels match on the variant instead, once
+    /// per chunk, so their per-ball loops take no branch for it.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + 'a {
+        let (all, listed): (Range<u32>, &[u32]) = match *self {
+            Balls::All(m) => (0..m, &[]),
+            Balls::Listed(ids) => (0..0, ids),
+        };
+        all.chain(listed.iter().copied())
+    }
+}
+
+/// The `degrees` byte of a ball with 255 or more requests, whose exact
+/// count is the next entry of `LaneScratch::wide_degrees`.
+const WIDE_DEGREE: u8 = u8::MAX;
+
 /// One chunk's reusable scratch arena. `SimState` owns one per chunk slot
 /// and reuses them across rounds; after the warm-up round every buffer has
 /// reached steady-state capacity and rounds allocate nothing.
@@ -245,15 +282,17 @@ impl Admission for Faulty<'_> {
 /// false-share.
 #[repr(align(64))]
 pub(crate) struct LaneScratch {
-    /// First index into `active` covered by this chunk this round.
-    pub(crate) start: usize,
     /// Flat per-request bin ids, ball-major within the chunk. Resolve
     /// overwrites them with the chunk's commit targets, in ball order,
     /// each committed ball's primary bin before its k-slot replicas;
     /// [`commit_slice`] adds them to the loads.
     pub(crate) bins: Vec<u32>,
-    /// Per-ball delivered-request counts, aligned with `active[start..]`.
-    pub(crate) degrees: Vec<u32>,
+    /// Per-ball delivered-request counts, one byte per ball of the chunk:
+    /// a count below 255 as is, [`WIDE_DEGREE`] for a larger one.
+    pub(crate) degrees: Vec<u8>,
+    /// The exact counts of the balls whose `degrees` byte is
+    /// [`WIDE_DEGREE`], in ball order.
+    wide_degrees: Vec<u32>,
     /// Per-bin arrival counts of this chunk; [`scan_words`] rewrites the
     /// touched entries into the chunk's per-bin global arrival-rank
     /// bases, and resolve bumps them per request. Atomic so that the scan
@@ -289,9 +328,9 @@ pub(crate) struct LaneScratch {
 impl LaneScratch {
     pub(crate) fn new() -> Self {
         Self {
-            start: 0,
             bins: Vec::new(),
             degrees: Vec::new(),
+            wide_degrees: Vec::new(),
             counts: Vec::new(),
             touched: Vec::new(),
             raw: Vec::new(),
@@ -306,11 +345,11 @@ impl LaneScratch {
         }
     }
 
-    /// Reset for a new round's gather over `range_start..` with `n` bins.
-    fn begin_gather(&mut self, range_start: usize, n: usize) {
-        self.start = range_start;
+    /// Reset for a new round's gather with `n` bins.
+    fn begin_gather(&mut self, n: usize) {
         self.bins.clear();
         self.degrees.clear();
+        self.wide_degrees.clear();
         if self.counts.len() != n {
             // Only ever runs on the first round a chunk slot is used (or if
             // the bin count changed, which it cannot mid-run). A fresh
@@ -333,6 +372,17 @@ impl LaneScratch {
         }
         self.out_of_range = None;
         self.faults = FaultRecord::default();
+    }
+
+    /// Record the next ball's delivered-request count.
+    #[inline]
+    fn push_degree(&mut self, degree: usize) {
+        if degree < usize::from(WIDE_DEGREE) {
+            self.degrees.push(degree as u8);
+        } else {
+            self.degrees.push(WIDE_DEGREE);
+            self.wide_degrees.push(degree as u32);
+        }
     }
 
     /// Count this chunk's requests (`bins`) per bin, marking each bin in
@@ -466,7 +516,7 @@ pub(crate) struct GatherShared<'a, P: RoundProtocol> {
     /// two — bit-identical to `ball_stream` by construction.
     pub streams: RoundStreams,
     pub n_bins: u32,
-    pub active: &'a [u32],
+    pub active: Balls<'a>,
     /// Per-ball protocol state, written disjointly (one chunk per ball).
     pub states: DisjointIndexMut<'a, P::BallState>,
     /// Debug-build verifier of the one-chunk-per-ball partition.
@@ -474,18 +524,38 @@ pub(crate) struct GatherShared<'a, P: RoundProtocol> {
 }
 
 /// THE gather kernel: one chunk's choice emission, admission filtering,
-/// and chunk-local arrival counting. Every executor/fault combination runs
-/// this exact code; `A::PASSTHROUGH` only switches whether choices are
-/// staged through the filter buffer.
+/// and chunk-local arrival counting, over positions `range` of the
+/// round's balls. Every executor/fault combination runs this exact code;
+/// `A::PASSTHROUGH` only switches whether choices are staged through the
+/// filter buffer.
 pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
     shared: &GatherShared<'_, P>,
     admission: &A,
     range: Range<usize>,
     scratch: &mut LaneScratch,
 ) {
-    scratch.begin_gather(range.start, shared.n_bins as usize);
+    scratch.begin_gather(shared.n_bins as usize);
+    match shared.active {
+        Balls::All(_) => gather_balls(
+            shared,
+            admission,
+            range.start as u32..range.end as u32,
+            scratch,
+        ),
+        Balls::Listed(ids) => gather_balls(shared, admission, ids[range].iter().copied(), scratch),
+    }
+    scratch.count_arrivals();
+}
+
+/// [`gather_chunk`]'s per-ball loop, over the chunk's ball ids.
+fn gather_balls<P: RoundProtocol, A: Admission>(
+    shared: &GatherShared<'_, P>,
+    admission: &A,
+    balls: impl Iterator<Item = u32>,
+    scratch: &mut LaneScratch,
+) {
     let round = shared.ctx.round;
-    for &ball in &shared.active[range] {
+    for ball in balls {
         shared.claims.claim(ball as usize);
         // SAFETY: chunk ranges partition the active set and each ball id
         // appears at most once in it, so this task is the only one touching
@@ -493,7 +563,7 @@ pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
         // builds).
         let state = unsafe { shared.states.index_mut(ball as usize) };
         if !admission.admit(round, ball, &mut scratch.faults) {
-            scratch.degrees.push(0);
+            scratch.push_degree(0);
             continue;
         }
         let mut rng = shared.streams.ball(ball as u64);
@@ -510,7 +580,7 @@ pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
             if let Some(b) = sink.out_of_range() {
                 scratch.out_of_range.get_or_insert(b);
             }
-            scratch.degrees.push((scratch.bins.len() - before) as u32);
+            scratch.push_degree(scratch.bins.len() - before);
         } else {
             scratch.raw.clear();
             let mut sink = ChoiceSink::new(&mut scratch.raw, shared.n_bins);
@@ -526,10 +596,9 @@ pub(crate) fn gather_chunk<P: RoundProtocol, A: Admission>(
             }
             admission.deliver(round, ball, &mut scratch.raw, &mut scratch.faults);
             scratch.bins.extend_from_slice(&scratch.raw);
-            scratch.degrees.push(scratch.raw.len() as u32);
+            scratch.push_degree(scratch.raw.len());
         }
     }
-    scratch.count_arrivals();
 }
 
 /// The bin-side decision for one bin: `(clamped accept, want)`.
@@ -606,7 +675,7 @@ pub fn grant_slice<P: RoundProtocol>(
 pub(crate) struct ResolveShared<'a, P: RoundProtocol> {
     pub protocol: &'a P,
     pub ctx: &'a RoundContext,
-    pub active: &'a [u32],
+    pub active: Balls<'a>,
     pub accept: &'a [u32],
     /// The round-start loads, read for `CommitOption::load_before`.
     /// Nothing writes them before the commit pass.
@@ -617,7 +686,8 @@ pub(crate) struct ResolveShared<'a, P: RoundProtocol> {
     pub sent: Option<DisjointIndexMut<'a, u32>>,
 }
 
-/// THE resolve kernel: assign each of the chunk's requests its global
+/// THE resolve kernel, over positions `range` of the round's balls, the
+/// range the chunk gathered: assign each of the chunk's requests its global
 /// arrival rank (chunk rank base + running chunk-local count), accept iff
 /// rank < grant — exactly the first-`grant`-arrivals rule — and commit at
 /// most one accepted bin per ball, or its k-slot set.
@@ -629,12 +699,25 @@ pub(crate) struct ResolveShared<'a, P: RoundProtocol> {
 /// passes the read cursor.
 pub(crate) fn resolve_chunk<P: RoundProtocol>(
     shared: &ResolveShared<'_, P>,
+    range: Range<usize>,
+    scratch: &mut LaneScratch,
+) {
+    match shared.active {
+        Balls::All(_) => resolve_balls(shared, range.start as u32..range.end as u32, scratch),
+        Balls::Listed(ids) => resolve_balls(shared, ids[range].iter().copied(), scratch),
+    }
+}
+
+/// [`resolve_chunk`]'s per-ball loop, over the chunk's ball ids.
+fn resolve_balls<P: RoundProtocol>(
+    shared: &ResolveShared<'_, P>,
+    balls: impl Iterator<Item = u32>,
     scratch: &mut LaneScratch,
 ) {
     let LaneScratch {
-        start,
         bins,
         degrees,
+        wide_degrees,
         counts,
         options,
         picks,
@@ -649,9 +732,15 @@ pub(crate) fn resolve_chunk<P: RoundProtocol>(
     *wasted = 0;
     *commit_msgs = 0;
     let mut req_idx = 0usize;
+    let mut wide = 0usize;
     let mut targets = 0usize;
-    for (k, &degree) in degrees.iter().enumerate() {
-        let ball = shared.active[*start + k];
+    for (&byte, ball) in degrees.iter().zip(balls) {
+        let degree = if byte == WIDE_DEGREE {
+            wide += 1;
+            wide_degrees[wide - 1]
+        } else {
+            u32::from(byte)
+        };
         let primary = targets;
         let mut commit: Option<u32> = None;
         let mut accepts = 0u32;
@@ -952,7 +1041,7 @@ mod tests {
                     let mut want_base = vec![vec![0u32; N]; chunks];
                     let mut want_total = vec![0u32; N];
                     for (k, arena) in arenas[..chunks].iter_mut().enumerate() {
-                        arena.begin_gather(0, N);
+                        arena.begin_gather(N);
                         arena.bins = requests(pattern, round, k, N);
                         arena.count_arrivals();
                         let mut arrivals = vec![0u32; N];

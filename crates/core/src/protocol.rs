@@ -246,6 +246,17 @@ pub trait RoundProtocol: Send + Sync {
         1
     }
 
+    /// A per-bin load cap that holds for the whole run, if the protocol
+    /// has one: `bin_grant` never lets a bin's load pass it, in any
+    /// round. With it the engine fails fast: when the bins that crash
+    /// faults leave live cannot hold `replicas() × m` load units between
+    /// them, the run stops before round 0 with
+    /// [`crate::CoreError::Infeasible`] instead of spending its round
+    /// budget. `None` (the default) promises no cap.
+    fn load_cap(&self, _spec: &ProblemSpec) -> Option<u32> {
+        None
+    }
+
     /// Choose which accepting bin the ball commits to, as an index into
     /// `options` (nonempty). Called only when
     /// [`RoundProtocol::NEEDS_COMMIT_CHOICE`] is `true`; the default

@@ -435,6 +435,17 @@ impl Simulator {
             self.config.chunk_plan,
             self.config.validate,
         );
+        if let Some(cap) = protocol.load_cap(&self.spec) {
+            let live_bins = state.live_bins();
+            let needed = u64::from(protocol.replicas()) * self.spec.balls();
+            if live_bins * u64::from(cap) < needed {
+                return Err(CoreError::Infeasible {
+                    live_bins,
+                    cap,
+                    needed,
+                });
+            }
+        }
         let budget = self
             .config
             .max_rounds
@@ -478,11 +489,11 @@ impl Simulator {
         };
         let run_start = meta.as_ref().map(|_| Instant::now());
 
-        while !state.active.is_empty() {
+        while !state.balls().is_empty() {
             if round >= budget {
                 return Err(CoreError::RoundBudgetExhausted {
                     rounds: round,
-                    unallocated: state.active.len() as u64,
+                    unallocated: state.balls().len() as u64,
                 });
             }
             let ctx = state.context(round);
@@ -512,7 +523,7 @@ impl Simulator {
         }
         let _ = stopped_early;
 
-        let unallocated = state.active.len() as u64;
+        let unallocated = state.balls().len() as u64;
         if let (Some((sink, meta)), Some(start)) = (meta.as_ref(), run_start) {
             if let (Some(pool), Some(baseline)) = (pool, pool_baseline.as_ref()) {
                 sink.on_pool(meta, &pool.stats().since(baseline));

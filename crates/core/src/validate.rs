@@ -41,6 +41,7 @@
 //! round and a human-readable description.
 
 use crate::error::{CoreError, Result};
+use crate::exec::Balls;
 use crate::trace::RoundRecord;
 
 /// Per-run snapshot-and-check state (engine-internal; armed via
@@ -117,7 +118,7 @@ impl ValidatorState {
         replicas: u32,
         loads: &[u32],
         assignment: Option<&[u32]>,
-        active: &[u32],
+        active: Balls<'_>,
         accept: &[u32],
         crashed: &[u32],
         placed: u64,
@@ -278,7 +279,7 @@ impl ValidatorState {
                     ));
                 }
             }
-            for &ball in active {
+            for ball in active.iter() {
                 if assignment[ball as usize] != u32::MAX {
                     return Err(violation(
                         round,
@@ -333,7 +334,7 @@ mod tests {
             1,
             &[1, 1],
             Some(&[0, u32::MAX, 1, u32::MAX]),
-            &[1, 3],
+            Balls::Listed(&[1, 3]),
             &[1, 1],
             &[],
             2,
@@ -353,7 +354,7 @@ mod tests {
                 1,
                 &[1, 1],
                 Some(&[0, u32::MAX, 1, u32::MAX]),
-                &[1, 3],
+                Balls::Listed(&[1, 3]),
                 &[1, 1],
                 &[],
                 2,
@@ -381,7 +382,7 @@ mod tests {
                 1,
                 &[1, 1],
                 Some(&[0, u32::MAX, 1, u32::MAX]),
-                &[1, 3],
+                Balls::Listed(&[1, 3]),
                 &[1, 1],
                 &[],
                 2,
@@ -407,7 +408,7 @@ mod tests {
                 1,
                 &[2, 0],
                 Some(&[0, u32::MAX, 0, u32::MAX]),
-                &[1, 3],
+                Balls::Listed(&[1, 3]),
                 &[1, 1], // bin 0 accepted one request but gained two balls
                 &[],
                 2,
@@ -433,7 +434,7 @@ mod tests {
             1,
             &[2, 0],
             Some(&[0, u32::MAX, 0, u32::MAX]),
-            &[1, 3],
+            Balls::Listed(&[1, 3]),
             &[1, 1],
             &[],
             2,
@@ -451,7 +452,7 @@ mod tests {
                 1,
                 &[1, 1],
                 Some(&[1, 1]), // ball 0 moved from bin 0 to bin 1
-                &[],
+                Balls::Listed(&[]),
                 &[0, 1],
                 &[],
                 2,
@@ -477,7 +478,7 @@ mod tests {
                 1,
                 &[1, 0],
                 Some(&[0, u32::MAX]),
-                &[1],
+                Balls::Listed(&[1]),
                 &[1, 0],
                 &[0], // bin 0 is crashed yet gained a ball
                 1,
@@ -503,7 +504,7 @@ mod tests {
             1,
             &[1, 0],
             Some(&[0, u32::MAX]),
-            &[1],
+            Balls::Listed(&[1]),
             &[1, 0],
             &[0],
             1,
@@ -523,7 +524,7 @@ mod tests {
             2,
             &[1, 1, 1],
             Some(&[0, u32::MAX]),
-            &[1],
+            Balls::Listed(&[1]),
             &[1, 0, 1],
             &[],
             1,
@@ -542,7 +543,7 @@ mod tests {
                 2,
                 &[1, 0],
                 Some(&[0, u32::MAX]),
-                &[1],
+                Balls::Listed(&[1]),
                 &[1, 0],
                 &[],
                 1,
@@ -569,7 +570,7 @@ mod tests {
                 2,
                 &[1, 0, 1],
                 Some(&[1, u32::MAX]),
-                &[1],
+                Balls::Listed(&[1]),
                 &[1, 0, 1],
                 &[],
                 1,
@@ -594,7 +595,7 @@ mod tests {
                 1,
                 &[1, 1],
                 Some(&[0, u32::MAX, 1, u32::MAX]),
-                &[1], // ball 3 vanished: neither assigned nor active
+                Balls::Listed(&[1]), // ball 3 vanished: neither assigned nor active
                 &[1, 1],
                 &[],
                 2,

@@ -423,8 +423,14 @@ impl<'a> WireReader<'a> {
         Self { buf: bytes, pos: 0 }
     }
 
+    /// Bytes not read yet. A decoder bounds an element count by it
+    /// before reserving room for the elements.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let left = self.buf.len() - self.pos;
+        let left = self.remaining();
         if left < n {
             return Err(WireError::Truncated { wanted: n, left });
         }
@@ -487,7 +493,7 @@ impl<'a> WireReader<'a> {
     /// Read a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.u64()?;
-        let left = self.buf.len() - self.pos;
+        let left = self.remaining();
         if len > left as u64 {
             return Err(WireError::Truncated {
                 wanted: len as usize,
@@ -506,7 +512,7 @@ impl<'a> WireReader<'a> {
     /// Assert every byte was consumed — catches schema drift where a
     /// writer appended fields an older reader silently ignores.
     pub fn finish(self) -> Result<(), WireError> {
-        let left = self.buf.len() - self.pos;
+        let left = self.remaining();
         if left != 0 {
             return Err(WireError::TrailingBytes(left));
         }

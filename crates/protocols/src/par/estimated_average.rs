@@ -109,9 +109,9 @@ impl RoundProtocol for EstimatedAverage {
         // The zero-slack endgame is a coupon collector tamed by degree
         // escalation: clearing the last balls takes ≈ 0.8·n/MAX_DEGREE
         // rounds at m = n, hence the n-proportional term. Keeping the
-        // budget within a small multiple of that matters: an infeasible
-        // instance (crashed bins shrinking live capacity below m) should
-        // error out fast instead of looping at full probe degree.
+        // budget within a small multiple of that bounds a run that cannot
+        // finish at full probe degree; one whose live bins cannot hold m
+        // under the cap never starts (`load_cap`).
         256 + 32 * (64 - (spec.balls() + spec.bins() as u64).leading_zeros()) + spec.bins() / 128
     }
 
@@ -132,6 +132,10 @@ impl RoundProtocol for EstimatedAverage {
     fn bin_grant(&self, _ctx: &RoundContext, _bin: u32, load: u32, _arrivals: u32) -> BinGrant {
         // Never exceed the balanced target: completion ⇒ perfect balance.
         BinGrant::up_to(self.threshold.saturating_sub(load))
+    }
+
+    fn load_cap(&self, _spec: &ProblemSpec) -> Option<u32> {
+        Some(self.threshold)
     }
 
     fn select_commits(

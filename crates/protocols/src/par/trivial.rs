@@ -57,6 +57,10 @@ impl RoundProtocol for TrivialRoundRobin {
     fn bin_grant(&self, ctx: &RoundContext, _bin: u32, load: u32, _arrivals: u32) -> BinGrant {
         BinGrant::up_to(ctx.spec.ceil_avg().saturating_sub(load))
     }
+
+    fn load_cap(&self, spec: &ProblemSpec) -> Option<u32> {
+        Some(spec.ceil_avg())
+    }
 }
 
 #[cfg(test)]

@@ -458,11 +458,11 @@ struct Trace {
 }
 
 impl Trace {
-    fn open(path: Option<String>) -> Result<Trace, String> {
+    fn open(path: Option<String>) -> Result<Trace, Failure> {
         let jsonl = match &path {
             None => None,
             Some(p) => Some(Arc::new(
-                JsonlTrace::create(p).map_err(|e| format!("--trace {p}: {e}"))?,
+                JsonlTrace::create(p).map_err(|e| Failure::Run(format!("--trace {p}: {e}")))?,
             )),
         };
         Ok(Trace {
@@ -483,9 +483,10 @@ impl Trace {
         }
     }
 
-    fn flush(&self) -> Result<(), String> {
+    fn flush(&self) -> Result<(), Failure> {
         if let Some(t) = &self.jsonl {
-            t.flush().map_err(|e| format!("trace flush: {e}"))?;
+            t.flush()
+                .map_err(|e| Failure::Run(format!("trace flush: {e}")))?;
         }
         Ok(())
     }
@@ -529,7 +530,7 @@ fn run_experiment(
     e: &dyn pba_runner::Experiment,
     flags: &RunFlags,
     trace: Option<Arc<JsonlTrace>>,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     eprintln!("running {} ({})…", e.id(), e.title());
     let started = std::time::Instant::now();
     let mut opts = RunOptions::new();
@@ -541,12 +542,13 @@ fn run_experiment(
     let md = report.to_markdown();
     println!("{md}");
     if let Some(dir) = &flags.out_dir {
-        std::fs::create_dir_all(dir).map_err(|err| err.to_string())?;
+        let failed = |err: std::io::Error| Failure::Run(format!("--out {dir}: {err}"));
+        std::fs::create_dir_all(dir).map_err(failed)?;
         let path = format!("{dir}/{}.md", report.id);
-        std::fs::write(&path, &md).map_err(|err| err.to_string())?;
+        std::fs::write(&path, &md).map_err(failed)?;
         for (i, t) in report.tables.iter().enumerate() {
             let csv_path = format!("{dir}/{}_{}.csv", report.id, i);
-            std::fs::write(&csv_path, t.to_csv()).map_err(|err| err.to_string())?;
+            std::fs::write(&csv_path, t.to_csv()).map_err(failed)?;
         }
     }
     Ok(())
@@ -705,7 +707,7 @@ fn parse_workload_kind(name: &str) -> Result<WorkloadKind, String> {
 /// `pba-run stream` — drive a synthetic workload through a long-lived
 /// [`StreamAllocator`] and print a paper-style checkpoint table plus a
 /// throughput summary.
-fn run_stream_cmd(args: &[String]) -> Result<(), String> {
+fn run_stream_cmd(args: &[String]) -> Result<(), Failure> {
     let mut flags = StreamFlags::default();
     let mut shards: usize = 1;
     let mut parallel = false;
@@ -831,7 +833,7 @@ fn micros(nanos: u64) -> String {
 /// corresponding flags are ignored) and the workload generator is
 /// fast-forwarded past the already-ingested prefix, so the resumed replay
 /// continues bit-identically to an uninterrupted one.
-fn run_serve(args: &[String]) -> Result<(), String> {
+fn run_serve(args: &[String]) -> Result<(), Failure> {
     if args.iter().any(|a| a == "--listen") {
         return run_serve_listen(args);
     }
@@ -870,25 +872,30 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     )?;
     let batches = flags.batches;
     if !rate.is_finite() || rate < 0.0 {
-        return Err("--rate must be a finite rate >= 0 (0 = unthrottled)".into());
+        return Err(Failure::Usage(
+            "--rate must be a finite rate >= 0 (0 = unthrottled)".into(),
+        ));
     }
     if queue == 0 {
-        return Err("--queue must be at least 1".into());
+        return Err(Failure::Usage("--queue must be at least 1".into()));
     }
     if checkpoint_every == 0 {
-        return Err("--checkpoint-every must be at least 1".into());
+        return Err(Failure::Usage(
+            "--checkpoint-every must be at least 1".into(),
+        ));
     }
     if snapshot_at.is_some_and(|k| k == 0 || k > batches) {
-        return Err(format!(
+        return Err(Failure::Usage(format!(
             "--snapshot-at must be in 1..={batches} (--batches)"
-        ));
+        )));
     }
 
     let (alloc, restored_bytes) = match &restore_path {
         Some(path) => {
-            let bytes = std::fs::read(path).map_err(|e| format!("--restore {path}: {e}"))?;
-            let alloc =
-                StreamAllocator::restore(&bytes).map_err(|e| format!("--restore {path}: {e}"))?;
+            let bytes =
+                std::fs::read(path).map_err(|e| Failure::Run(format!("--restore {path}: {e}")))?;
+            let alloc = StreamAllocator::restore(&bytes)
+                .map_err(|e| Failure::Run(format!("--restore {path}: {e}")))?;
             (alloc, bytes.len() as u64)
         }
         None => (
@@ -940,7 +947,8 @@ fn run_serve(args: &[String]) -> Result<(), String> {
             Some((at, bytes)) => (start_batch + at, bytes.clone()),
             None => (start_batch + report.batches, alloc.snapshot()),
         };
-        std::fs::write(path, &bytes).map_err(|e| format!("--snapshot {path}: {e}"))?;
+        std::fs::write(path, &bytes)
+            .map_err(|e| Failure::Run(format!("--snapshot {path}: {e}")))?;
         snapshot_note = Some(format!("{path} ({} bytes, after batch {at})", bytes.len()));
     }
 
@@ -1050,7 +1058,7 @@ fn connect_ingest(addr: &str) -> Result<IngestHalves, String> {
 /// its framed batches (binary wire codec, checksummed), and report the
 /// final state. The allocator ends bit-identical to an in-process run
 /// that ingested the same batches.
-fn run_serve_listen(args: &[String]) -> Result<(), String> {
+fn run_serve_listen(args: &[String]) -> Result<(), Failure> {
     let mut addr = String::new();
     let mut policy = TersePolicy(PolicyKind::BatchedTwoChoice);
     let mut n: u32 = 1 << 10;
@@ -1070,7 +1078,7 @@ fn run_serve_listen(args: &[String]) -> Result<(), String> {
         " for serve --listen",
     )?;
     if n == 0 {
-        return Err("--n must be at least 1".into());
+        return Err(Failure::Usage("--n must be at least 1".into()));
     }
     let policy = policy.0;
     let mut alloc = StreamAllocator::new(n, seed, policy).with_shards(shards);
@@ -1078,33 +1086,9 @@ fn run_serve_listen(args: &[String]) -> Result<(), String> {
         alloc = alloc.parallel();
     }
     let started = std::time::Instant::now();
-    let (mut reader, mut writer): (Box<dyn std::io::Read>, Box<dyn std::io::Write>) =
-        if pba_cluster::transport::is_unix_addr(&addr) {
-            #[cfg(unix)]
-            {
-                let _ = std::fs::remove_file(&addr);
-                let listener = std::os::unix::net::UnixListener::bind(&addr)
-                    .map_err(|e| format!("bind {addr}: {e}"))?;
-                println!("listening:  {addr} (unix)");
-                let (stream, _) = listener.accept().map_err(|e| format!("accept: {e}"))?;
-                let _ = std::fs::remove_file(&addr);
-                let r = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
-                (Box::new(r), Box::new(stream))
-            }
-            #[cfg(not(unix))]
-            return Err(format!(
-                "unix socket path '{addr}' unsupported on this platform"
-            ));
-        } else {
-            let listener =
-                std::net::TcpListener::bind(&addr).map_err(|e| format!("bind {addr}: {e}"))?;
-            println!("listening:  {addr} (tcp)");
-            let (stream, peer) = listener.accept().map_err(|e| format!("accept: {e}"))?;
-            println!("client:     {peer}");
-            let r = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
-            (Box::new(r), Box::new(stream))
-        };
-    let summary = pba_stream::ingest::serve_ingest(&mut reader, &mut writer, &mut alloc)?;
+    let (mut reader, mut writer) = accept_ingest(&addr).map_err(Failure::Run)?;
+    let summary = pba_stream::ingest::serve_ingest(&mut reader, &mut writer, &mut alloc)
+        .map_err(Failure::Run)?;
     let elapsed = started.elapsed();
     println!("policy:     {} ({shards} shard(s))", policy.name());
     println!(
@@ -1119,10 +1103,37 @@ fn run_serve_listen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Bind `addr`, print the `listening:` line, and accept one client.
+fn accept_ingest(addr: &str) -> Result<IngestHalves, String> {
+    if pba_cluster::transport::is_unix_addr(addr) {
+        #[cfg(unix)]
+        {
+            let _ = std::fs::remove_file(addr);
+            let listener = std::os::unix::net::UnixListener::bind(addr)
+                .map_err(|e| format!("bind {addr}: {e}"))?;
+            println!("listening:  {addr} (unix)");
+            let (stream, _) = listener.accept().map_err(|e| format!("accept: {e}"))?;
+            let _ = std::fs::remove_file(addr);
+            let r = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
+            return Ok((Box::new(r), Box::new(stream)));
+        }
+        #[cfg(not(unix))]
+        return Err(format!(
+            "unix socket path '{addr}' unsupported on this platform"
+        ));
+    }
+    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+    println!("listening:  {addr} (tcp)");
+    let (stream, peer) = listener.accept().map_err(|e| format!("accept: {e}"))?;
+    println!("client:     {peer}");
+    let r = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
+    Ok((Box::new(r), Box::new(stream)))
+}
+
 /// `pba-run serve --send ADDR` — the driver for `serve --listen`:
 /// generate the deterministic synthetic workload locally and ship it to
 /// the listening allocator as framed batches, verifying every ack.
-fn run_serve_send(args: &[String]) -> Result<(), String> {
+fn run_serve_send(args: &[String]) -> Result<(), Failure> {
     let mut addr = String::new();
     let mut policy = TersePolicy(PolicyKind::BatchedTwoChoice);
     // The stream group's storage and workload builder; `--send` has no
@@ -1144,10 +1155,10 @@ fn run_serve_send(args: &[String]) -> Result<(), String> {
     )?;
     let (n, batches, seed) = (flags.n, flags.batches, flags.seed);
     if n == 0 {
-        return Err("--n must be at least 1".into());
+        return Err(Failure::Usage("--n must be at least 1".into()));
     }
     if !(0.0..=1.0).contains(&flags.churn) {
-        return Err("--churn must be in [0, 1]".into());
+        return Err(Failure::Usage("--churn must be in [0, 1]".into()));
     }
     let (b, cfg) = flags.workload_cfg(n)?;
     // Same workload salt as `pba-run serve --replay`: a listen/send pair
@@ -1159,9 +1170,10 @@ fn run_serve_send(args: &[String]) -> Result<(), String> {
         policy: policy.0.name().to_owned(),
     };
     let started = std::time::Instant::now();
-    let (mut reader, mut writer) = connect_ingest(&addr)?;
+    let (mut reader, mut writer) = connect_ingest(&addr).map_err(Failure::Run)?;
     let summary =
-        pba_stream::ingest::drive_ingest(&mut reader, &mut writer, &hello, &mut traffic, batches)?;
+        pba_stream::ingest::drive_ingest(&mut reader, &mut writer, &hello, &mut traffic, batches)
+            .map_err(Failure::Run)?;
     let elapsed = started.elapsed();
     println!("sent:       {batches} batches of b = {b} to {addr}");
     println!(

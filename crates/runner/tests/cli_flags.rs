@@ -97,7 +97,6 @@ const CASES: &[(&str, &str)] = &[
     ("serve --replay --batches 4 --snapshot-at 5", "error: --snapshot-at must be in 1..=4 (--batches)"),
     ("serve --replay --batch 0", "error: --batch must be at least 1"),
     ("serve --replay --workload nope", "error: unknown workload 'nope' (choose from: uniform, zipf, burst)"),
-    ("serve --replay --restore /nonexistent/pba-snapshot.bin", "error: --restore /nonexistent/pba-snapshot.bin: No such file or directory (os error 2)"),
     // `serve --listen`: a narrower table with its own unknown-flag text.
     ("serve --listen", "error: --listen needs an address"),
     ("serve --listen /nonexistent/pba.sock --bogus", "error: unknown flag '--bogus' for serve --listen"),
@@ -236,6 +235,45 @@ fn run_failures_print_one_line_and_usage_errors_the_banner() {
         "{stderr}"
     );
     assert!(quiet, "a failed run prints nothing on stdout");
+
+    // A load-capped protocol whose live bins cannot hold every ball stops
+    // before round 0.
+    for name in ["estimated-average", "trivial-round-robin"] {
+        let (code, stderr, quiet) = run(&format!(
+            "protocol {name} --m 262144 --n 65536 --seed 3 \
+             --faults drop=0.2,crash=0.02,straggle=8x0.25,seed=7"
+        ));
+        assert_eq!(
+            code,
+            Some(2),
+            "{name}: an infeasible run exits 2:\n{stderr}"
+        );
+        assert_eq!(
+            stderr,
+            "error: infeasible run: 64216 live bins × load cap 4 = 256864 load units, \
+             fewer than the 262144 to place\n",
+            "{name}"
+        );
+        assert!(quiet);
+    }
+
+    // Replay and stream runs fail the same way once their command line is
+    // accepted.
+    for (argv, want) in [
+        (
+            "serve --replay --restore /nonexistent/snap.bin",
+            "error: --restore /nonexistent/snap.bin: No such file or directory (os error 2)\n",
+        ),
+        (
+            "stream --batches 1 --trace /nonexistent/dir/t.jsonl",
+            "error: --trace /nonexistent/dir/t.jsonl: No such file or directory (os error 2)\n",
+        ),
+    ] {
+        let (code, stderr, quiet) = run(argv);
+        assert_eq!(code, Some(2), "{argv}: a run failure exits 2:\n{stderr}");
+        assert_eq!(stderr, want, "{argv}");
+        assert!(quiet, "{argv}");
+    }
 
     let (code, stderr, quiet) = run("protocol single-choice --m 0");
     assert_eq!(code, Some(1), "a usage error exits 1:\n{stderr}");

@@ -101,18 +101,38 @@ fn write_balls(w: &mut WireWriter, balls: &[Ball]) {
     }
 }
 
-fn read_balls(r: &mut WireReader) -> Result<Vec<Ball>, wire::WireError> {
+/// A decoded element count, refused before anything is reserved for it
+/// when its elements, at `min_bytes` each, would need more bytes than the
+/// payload has left.
+fn element_count(
+    r: &mut WireReader,
+    what: &str,
+    min_bytes: usize,
+) -> Result<usize, wire::WireError> {
     let count = r.varint()?;
-    if count > wire::MAX_MSG_LEN as u64 {
+    let left = r.remaining();
+    if count > (left / min_bytes) as u64 {
         return Err(wire::WireError::Malformed(format!(
-            "ball count {count} exceeds frame capacity"
+            "{what} count {count} exceeds the {left} payload bytes left"
         )));
     }
-    let mut balls = Vec::with_capacity(count as usize);
+    Ok(count as usize)
+}
+
+fn read_balls(r: &mut WireReader) -> Result<Vec<Ball>, wire::WireError> {
+    // A ball is at least two one-byte varints: its id delta and weight.
+    let count = element_count(r, "ball", 2)?;
+    let mut balls = Vec::with_capacity(count);
     let mut prev = 0i64;
     for _ in 0..count {
         let id = prev.wrapping_add(r.varint_signed()?);
         let weight = r.varint()?;
+        if weight == 0 {
+            return Err(wire::WireError::Malformed(format!(
+                "ball {} has weight 0 (weights are at least 1)",
+                id as u64
+            )));
+        }
         balls.push(Ball {
             id: id as u64,
             weight,
@@ -133,13 +153,8 @@ fn write_ids(w: &mut WireWriter, ids: &[u64]) {
 }
 
 fn read_ids(r: &mut WireReader) -> Result<Vec<u64>, wire::WireError> {
-    let count = r.varint()?;
-    if count > wire::MAX_MSG_LEN as u64 {
-        return Err(wire::WireError::Malformed(format!(
-            "id count {count} exceeds frame capacity"
-        )));
-    }
-    let mut ids = Vec::with_capacity(count as usize);
+    let count = element_count(r, "id", 1)?;
+    let mut ids = Vec::with_capacity(count);
     let mut prev = 0i64;
     for _ in 0..count {
         let id = prev.wrapping_add(r.varint_signed()?);
@@ -322,6 +337,17 @@ pub fn serve_ingest(
                     return Err(fail(
                         writer,
                         format!("out-of-order batch {batch} (expected {batches})"),
+                    ));
+                }
+                let load = alloc.bin_state().total_load();
+                let mut weights = payload.arrivals.iter().map(|b| b.weight);
+                if weights.try_fold(load, u64::checked_add).is_none() {
+                    return Err(fail(
+                        writer,
+                        format!(
+                            "batch {batch}: arrival weights overflow u64 on top of \
+                             the total load {load}"
+                        ),
                     ));
                 }
                 balls += payload.arrivals.len() as u64;
@@ -529,6 +555,104 @@ mod tests {
             reference.bin_state().load_vector(),
             "socket ingestion must be bit-identical to local ingestion"
         );
+    }
+
+    /// Serve `hello`, one well-formed unit batch, then the checksum-valid
+    /// `hostile` message, to an allocator over 64 bins; return the
+    /// server's error and the detail of the error frame the client got.
+    fn serve_hostile(hostile: Vec<u8>) -> (String, String) {
+        let mut server = StreamAllocator::new(64, 1, PolicyKind::OneChoice);
+        let mut client_out: Vec<u8> = Vec::new();
+        let hello = IngestFrame::Hello {
+            n: 64,
+            seed: 1,
+            policy: "one-choice".into(),
+        };
+        send_frame(&mut client_out, &hello).unwrap();
+        let unit = Batch {
+            arrivals: vec![Ball::unit(1)],
+            departures: vec![],
+        };
+        let first = IngestFrame::Batch {
+            batch: 0,
+            payload: unit,
+        };
+        send_frame(&mut client_out, &first).unwrap();
+        client_out.extend(hostile);
+        let mut server_out: Vec<u8> = Vec::new();
+        let err =
+            serve_ingest(&mut client_out.as_slice(), &mut server_out, &mut server).unwrap_err();
+        // The hostile batch left the allocator as the first batch did.
+        assert_eq!((server.resident(), server.bin_state().total_load()), (1, 1));
+        let mut replies = server_out.as_slice();
+        let mut last = None;
+        while let Some(frame) = recv_frame(&mut replies).unwrap() {
+            last = Some(frame);
+        }
+        match last {
+            Some(IngestFrame::Error { detail }) => (err, detail),
+            other => panic!("expected an error frame last, got {other:?}"),
+        }
+    }
+
+    /// A batch message with this payload, behind a valid checksum.
+    fn batch_msg(payload: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+        let mut w = WireWriter::unframed();
+        w.varint(1);
+        payload(&mut w);
+        wire::encode_msg(TAG_BATCH, &w.finish())
+    }
+
+    #[test]
+    fn hostile_batch_frames_get_an_error_frame() {
+        let weighted = |weights: &[u64]| {
+            let arrivals = (0..weights.len() as u64)
+                .zip(weights)
+                .map(|(id, &weight)| Ball {
+                    id: 10 + id,
+                    weight,
+                })
+                .collect();
+            IngestFrame::Batch {
+                batch: 1,
+                payload: Batch {
+                    arrivals,
+                    departures: vec![],
+                },
+            }
+            .encode()
+        };
+        let cases = [
+            (
+                "ball count",
+                batch_msg(|w| w.varint(1 << 26)),
+                "ball count 67108864 exceeds the 0 payload bytes left",
+            ),
+            (
+                "id count",
+                batch_msg(|w| {
+                    w.varint(0);
+                    w.varint(u64::MAX);
+                    w.varint(0);
+                }),
+                "id count 18446744073709551615 exceeds the 1 payload bytes left",
+            ),
+            (
+                "zero weight",
+                weighted(&[1, 0]),
+                "ball 11 has weight 0 (weights are at least 1)",
+            ),
+            (
+                "overflowing weights",
+                weighted(&[u64::MAX]),
+                "batch 1: arrival weights overflow u64 on top of the total load 1",
+            ),
+        ];
+        for (case, hostile, want) in cases {
+            let (err, detail) = serve_hostile(hostile);
+            assert!(err.contains(want), "{case}: {err}");
+            assert_eq!(detail, err, "{case}: the client sees the server's error");
+        }
     }
 
     #[test]

@@ -89,6 +89,31 @@ if [ "$got" != "$want" ]; then
     diff <(echo "$want") <(echo "$got") >&2 || true
     exit 1
 fi
+# The same parity under faults: round 0 reads ball ids from the implicit
+# range 0..m, and its stragglers, deferred with zero requests, cross it
+# on 4 chunks as zero degree bytes; round 1 reads the survivor list.
+FAULTS=drop=0.2,crash=0.02,straggle=8x0.25,seed=7
+echo "==> faulted parity: collision sequential and --parallel (seed 3)"
+want=$(outcome "$PBA" protocol collision --m 262144 --n 65536 --seed 3 --faults "$FAULTS")
+got=$(outcome "$PBA" protocol collision --m 262144 --n 65536 --seed 3 --faults "$FAULTS" \
+    --parallel)
+if [ "$got" != "$want" ]; then
+    echo "faulted collision --parallel diverged from the sequential run:" >&2
+    diff <(echo "$want") <(echo "$got") >&2 || true
+    exit 1
+fi
+# A load-capped protocol whose live bins cannot hold every ball must stop
+# before round 0, not spend its round budget (tens of seconds).
+echo "==> infeasible runs fail fast: estimated-average, trivial-round-robin"
+for name in estimated-average trivial-round-robin; do
+    code=0
+    timeout 10 "$PBA" protocol "$name" --m 262144 --n 65536 --seed 3 \
+        --faults "$FAULTS" >/dev/null 2>&1 || code=$?
+    if [ "$code" -ne 2 ]; then
+        echo "$name under crash faults exited $code, not 2 within 10 s" >&2
+        exit 1
+    fi
+done
 echo "==> cluster smoke: kill-a-shard chaos"
 # Capture to a file instead of piping into grep -q: quitting grep closes
 # the pipe while pba-run is still printing, and the EPIPE panic (exit

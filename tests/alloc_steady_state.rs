@@ -3,7 +3,8 @@
 //!
 //! The engine's contract after the unified-executor refactor: once the
 //! per-lane scratch arenas and claim table are warm (round 0, plus one
-//! round of slack for capacity growth in `loads_before`/`next_active`),
+//! round of slack: each of the two survivor lists is reserved to its
+//! round's survivors in round 0 or 1, and the active set only shrinks),
 //! a parallel round performs **zero** heap allocations — gather, scan,
 //! grant and resolve all run in reused storage, and the pool's job slot
 //! dispatch is allocation-free. The streaming allocator is softer: a

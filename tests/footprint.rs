@@ -5,12 +5,12 @@
 //! large share of the run (DESIGN.md §13). This pins the peak live heap
 //! of two sequential runs to a budget each, the current layout plus 10%:
 //! a collision run at m = n = 2^16 (4 bytes of fixed-choice state per
-//! ball, about 52 bytes per ball-and-bin pair in all), and a heavily
+//! ball, about 41 bytes per ball-and-bin pair in all), and a heavily
 //! loaded threshold-heavy run at m = 2^18, n = 2^10, where the per-ball
-//! state dominates and round 0 commits most balls. A layout that grows
+//! scratch dominates and round 0 commits most balls. A layout that grows
 //! the per-ball or per-bin state past that fails here before it shows up
-//! as faults in the benchmark; so does a buffer of 4 bytes per commit,
-//! which the heavy run cannot absorb.
+//! as faults in the benchmark; so do an id list of all m balls and a
+//! buffer of 4 bytes per commit, which the heavy run cannot absorb.
 //!
 //! Everything lives in one `#[test]` so the counters are never polluted
 //! by a concurrently running sibling test in the same binary.
@@ -96,19 +96,22 @@ fn assert_peak_within(name: &str, spec: ProblemSpec, budget: usize) {
 
 #[test]
 fn sequential_collision_peak_heap_stays_within_budget() {
-    // Measured at 3,425,952 B in a debug build (release builds skip the
-    // 256 KiB claim table), plus 10%. The earlier layout, which stored
-    // each ball's fixed choices in 36 bytes, peaked at 5,523,104 B.
+    // Measured at 2,705,100 B in a debug build (release builds skip the
+    // 256 KiB claim table), plus 10%. The layout with a round-0 id list
+    // and 4-byte degrees peaked at 3,425,952 B, and the one before it,
+    // which stored each ball's fixed choices in 36 bytes, at 5,523,104 B.
     assert_peak_within(
         "collision",
         ProblemSpec::new(1 << 16, 1 << 16).unwrap(),
-        3_770_000,
+        2_976_000,
     );
-    // Measured at 5,532,544 B in a debug build, plus 10%: 21 B per
-    // ball. A second 4 B per commit would add about 1 MiB.
+    // Measured at 2,866,368 B in a debug build, plus 10%: 11 B per
+    // ball. The round-0 id list, a survivor buffer of m ids and 4-byte
+    // degrees peaked at 5,532,544 B; a second 4 B per commit would add
+    // about 1 MiB.
     assert_peak_within(
         "threshold-heavy",
         ProblemSpec::new(1 << 18, 1 << 10).unwrap(),
-        6_086_000,
+        3_154_000,
     );
 }

@@ -147,9 +147,10 @@ impl FuzzCase {
 /// Sequential and pooled execution must agree on *everything* — the
 /// whole outcome on success, the exact error on failure. A run-budget
 /// error is a legal protocol outcome (small collision instances
-/// livelock), but any *other* error — in particular an invariant
-/// violation from the in-engine validator — fails the case even when
-/// both executors agree on it.
+/// livelock), and so is an infeasible run (crash faults leave a
+/// load-capped protocol too few live bins), but any *other* error — in
+/// particular an invariant violation from the in-engine validator —
+/// fails the case even when both executors agree on it.
 fn divergence(case: &FuzzCase) -> Option<String> {
     let seq = case.run(ExecutorKind::Sequential);
     let par = case.run(ExecutorKind::ParallelWith(case.lanes));
@@ -179,7 +180,7 @@ fn divergence(case: &FuzzCase) -> Option<String> {
             if se.contains("invariant") {
                 return Some(format!("invariant violation: {se}"));
             }
-            if !se.contains("round budget exhausted") {
+            if !se.contains("round budget exhausted") && !se.starts_with("infeasible run: ") {
                 return Some(format!("unexpected engine error: {se}"));
             }
             None
