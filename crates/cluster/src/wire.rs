@@ -611,6 +611,113 @@ mod tests {
         assert_eq!(h.fault_seed, (1 << 60) + 7);
     }
 
+    /// One frame per tag, at the edges of the format: bins 0 and
+    /// `u32::MAX`, descending bins, empty lists and `u64::MAX` values.
+    fn edge_frames() -> Vec<Frame> {
+        let record = RoundRecord {
+            round: u32::MAX,
+            active_before: u64::MAX,
+            requests: 1 << 40,
+            granted: 0,
+            committed: 127,
+            wasted_grants: 128,
+            underloaded_bins: u32::MAX,
+            unfilled_want: u64::MAX,
+            max_load: 0,
+            messages: MessageStats {
+                requests: u64::MAX,
+                responses: 1,
+                commits: 16_384,
+            },
+        };
+        vec![
+            Frame::Hello(Hello {
+                mode: "engine".into(),
+                shard: u32::MAX,
+                shards: 4,
+                lo: 0,
+                hi: u32::MAX,
+                n: u32::MAX,
+                m: u64::MAX,
+                seed: u64::MAX,
+                workload: "collision".into(),
+                straggle_prob: 0.25,
+                straggle_us: u64::MAX,
+                fault_seed: 0x9E37_79B9_7F4A_7C15,
+            }),
+            Frame::Ready { shard: u32::MAX },
+            Frame::Grants {
+                round: 7,
+                active: u64::MAX,
+                placed: 0,
+                counts: vec![(u32::MAX, 1), (0, u64::MAX), (5, 3), (4, 128)],
+                crashed: vec![u32::MAX, 0, 9],
+            },
+            Frame::GrantsOk {
+                round: 7,
+                accept: vec![],
+                underloaded: u32::MAX,
+                unfilled: u64::MAX,
+            },
+            Frame::Commit {
+                round: 0,
+                loads: vec![(3, 1), (2, u64::MAX), (u32::MAX, 0)],
+                record,
+            },
+            Frame::CommitOk {
+                round: u32::MAX,
+                sum: u64::MAX,
+            },
+            Frame::Delta {
+                batch: u64::MAX,
+                loads: vec![(0, u64::MAX), (u32::MAX, 2), (1, 0)],
+            },
+            Frame::DeltaOk {
+                batch: 0,
+                total: u64::MAX,
+                max: u64::MAX,
+            },
+            Frame::Drain,
+            Frame::Loads {
+                loads: vec![u64::MAX, 0, 1, 127, 128, u64::from(u32::MAX)],
+            },
+            Frame::Shutdown,
+            Frame::Bye { shard: 0 },
+            Frame::Error {
+                detail: "bad \"frame\" \u{fc}".into(),
+            },
+        ]
+    }
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        // FNV-1a 64 of each frame's encoded bytes, one frame per tag: the
+        // format is fixed, so a codec rewrite must leave every byte put.
+        let pinned: [u64; 13] = [
+            0x3415_ca30_2115_acc6, // hello
+            0xdfd0_1fed_6398_7362, // ready
+            0xea76_40d6_bf8a_34f7, // grants
+            0x54a7_1256_6378_136e, // grants_ok
+            0x0c97_3265_fc49_c1ef, // commit
+            0x7b93_8d5e_541a_10fa, // commit_ok
+            0xd1ad_cb81_3509_6c69, // delta
+            0xdc1e_ba34_3137_c508, // delta_ok
+            0xa981_ff57_c26a_900f, // drain
+            0xdda9_f169_6829_8132, // loads
+            0x4cb2_9175_f8e9_d105, // shutdown
+            0x46d0_ace4_6d6f_8e5c, // bye
+            0x1f9e_6efb_88b4_6558, // error
+        ];
+        let frames = edge_frames();
+        assert_eq!(frames.len(), 13, "one frame per tag");
+        let got: Vec<u64> = frames.iter().map(|f| wire::fnv1a(&f.encode())).collect();
+        for (i, f) in frames.iter().enumerate() {
+            let back = Frame::decode(&f.encode()).unwrap_or_else(|e| panic!("{}: {e}", f.tag()));
+            assert_eq!(&back, f, "{} round-trips", f.tag());
+        }
+        assert_eq!(got, pinned, "{got:#018x?}");
+    }
+
     #[test]
     fn frame_corruption_is_always_rejected() {
         let good = Frame::Grants {

@@ -339,6 +339,35 @@ fn mangled_frames_are_rejected_never_misread() {
 }
 
 #[test]
+fn wire_totals_are_pinned() {
+    // Frames and bytes, both directions and all shards, of a 4-shard
+    // engine run and a 4-shard stream run: the conversation and its
+    // encoding are fixed, so a codec change must leave both totals put.
+    let spec = ProblemSpec::new(1 << 16, 1 << 12).unwrap();
+    let out = ClusterConfig::engine("collision", spec, SEED)
+        .with_shards(4)
+        .run_local()
+        .unwrap();
+    assert_eq!(
+        (out.total_frames(), out.total_bytes()),
+        (56, 31_820),
+        "engine wire totals"
+    );
+    let bins = 1000u32;
+    let cfg = WorkloadCfg::uniform(4 * u64::from(bins)).with_churn(0.25);
+    let out = ClusterConfig::stream(PolicyKind::BatchedTwoChoice, bins, SEED, 5, 1)
+        .with_workload(cfg)
+        .with_shards(4)
+        .run_local()
+        .unwrap();
+    assert_eq!(
+        (out.total_frames(), out.total_bytes()),
+        (64, 11_346),
+        "stream wire totals"
+    );
+}
+
+#[test]
 fn codec_and_overlap_matrix_is_bit_identical() {
     // The binary codec over overlapped sends lands on the single-process
     // run for both the engine and the stream mirror.
