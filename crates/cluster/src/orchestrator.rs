@@ -40,7 +40,7 @@ use pba_protocols::{visit_protocol, ProtocolVisitor};
 use pba_stream::{PolicyKind, StreamAllocator, Workload, WorkloadCfg};
 
 use crate::transport::ShardLink;
-use crate::wire::{Frame, Hello};
+use crate::wire::{Frame, Hello, PairBuf, PairList};
 
 /// First bin of shard `s` among `n` bins and `shards` shards.
 ///
@@ -302,7 +302,7 @@ impl ClusterConfig {
     }
 
     /// The hello frame for shard `s`.
-    fn hello(&self, s: u32, mode: &str, workload: &str, n: u32, m: u64) -> Frame {
+    fn hello(&self, s: u32, mode: &str, workload: &str, n: u32, m: u64) -> Frame<'static> {
         let (straggle_prob, straggle_us) = match self.faults.as_ref().and_then(|p| p.stragglers) {
             Some(sp) => (sp.prob, 500),
             None => (0.0, 0),
@@ -337,11 +337,12 @@ impl ClusterConfig {
             link.send(&self.hello(s, mode, workload, n, m))?;
         }
         for link in links.iter_mut() {
+            let s = link.shard();
             match link.recv()? {
-                Frame::Ready { shard } if shard == link.shard() => {}
+                Frame::Ready { shard } if shard == s => {}
                 other => {
                     return Err(CoreError::ClusterTransport {
-                        shard: link.shard(),
+                        shard: s,
                         detail: format!("expected ready, got {}", other.tag()),
                     });
                 }
@@ -350,7 +351,8 @@ impl ClusterConfig {
         Ok(())
     }
 
-    /// Teardown: optional drain verification against `expect`, clean
+    /// Teardown: drain verification against `expect` (each live shard's
+    /// loads are compared as they are walked off its reply), clean
     /// shutdown of live shards, and one `cluster` metrics event per
     /// shard.
     fn teardown(
@@ -372,7 +374,7 @@ impl ClusterConfig {
             );
             match link.recv()? {
                 Frame::Loads { loads } => {
-                    if loads != expect[lo..hi] {
+                    if !loads.iter().eq(expect[lo..hi].iter().copied()) {
                         return Err(CoreError::ClusterTransport {
                             shard: s,
                             detail: format!(
@@ -445,6 +447,7 @@ impl ClusterConfig {
             n,
             shards: self.shards,
             shadow: vec![0u32; n as usize],
+            changed: PairBuf::new(),
             barriers: 1, // the hello wave
             pending_commit: None,
         };
@@ -523,6 +526,8 @@ impl ClusterConfig {
         }
         let mut workload = Workload::new(workload_cfg, self.seed);
         let mut shadow = vec![0u64; bins as usize];
+        // Each shard's changed loads, reused batch after batch.
+        let mut deltas: Vec<PairBuf> = (0..links.len()).map(|_| PairBuf::new()).collect();
         // The hello wave is the first barrier.
         let mut barriers = 1u64;
         // Per-shard delta ack still owed from the previous batch: each
@@ -540,14 +545,24 @@ impl ClusterConfig {
             }
             let batch = workload.next_batch();
             mirror.ingest(&batch);
-            let loads = mirror.bin_state().load_vector();
-            // Route changed bins to their shards.
-            let mut per: Vec<Vec<(u32, u64)>> = vec![Vec::new(); links.len()];
-            for (b, (&new, old)) in loads.iter().zip(shadow.iter_mut()).enumerate() {
-                if new != *old {
-                    per[shard_of(b as u32, bins, self.shards) as usize].push((b as u32, new));
-                    *old = new;
+            // Route changed bins to their shards, and total and max each
+            // shard's loads for its ack, in one pass over the loads.
+            let state = mirror.bin_state();
+            let mut wants = Vec::with_capacity(links.len());
+            for (s, delta) in (0..self.shards).zip(deltas.iter_mut()) {
+                delta.clear();
+                let (mut total, mut max) = (0u64, 0u64);
+                for b in shard_lo(s, bins, self.shards)..shard_lo(s + 1, bins, self.shards) {
+                    let load = state.load(b);
+                    total += load;
+                    max = max.max(load);
+                    let old = &mut shadow[b as usize];
+                    if load != *old {
+                        delta.push(b, load);
+                        *old = load;
+                    }
                 }
+                wants.push((total, max));
             }
             // Settle the previous batch's acks only now — the workers
             // chewed on batch t-1 while the mirror ingested and routed
@@ -565,18 +580,15 @@ impl ClusterConfig {
                 let expect_dead = self.kill.is_some_and(|(ks, kb)| s32 == ks && t >= kb);
                 let frame = Frame::Delta {
                     batch: t,
-                    loads: std::mem::take(&mut per[s]),
+                    loads: deltas[s].list(),
                 };
                 match link.send(&frame) {
                     Ok(()) => {
-                        let (lo, hi) = (
-                            shard_lo(s32, bins, self.shards) as usize,
-                            shard_lo(s32 + 1, bins, self.shards) as usize,
-                        );
+                        let (want_total, want_max) = wants[s];
                         pending[s] = Some(PendingDelta {
                             batch: t,
-                            want_total: loads[lo..hi].iter().sum(),
-                            want_max: loads[lo..hi].iter().copied().max().unwrap_or(0),
+                            want_total,
+                            want_max,
                             expect_dead,
                         });
                     }
@@ -664,6 +676,9 @@ struct EngineDelegate {
     shards: u32,
     /// Loads as last shipped to the workers; commit diffs against it.
     shadow: Vec<u32>,
+    /// One shard's changed loads, reused shard after shard and round
+    /// after round.
+    changed: PairBuf,
     barriers: u64,
     /// Outstanding commit wave: `(round, expected per-shard load sums)`,
     /// collected while the next round's grants are already on the wire.
@@ -724,24 +739,20 @@ impl GrantDelegate for EngineDelegate {
         for &b in crashed {
             per_crashed[shard_of(b, self.n, self.shards) as usize].push(b);
         }
-        // Request wave out: each shard's nonzero arrival counts, read off
-        // the dense counts of its contiguous bin range (so ascending).
+        // Request wave out: each shard's nonzero arrival counts, written
+        // straight from the dense counts of its contiguous bin range (so
+        // ascending).
         for link in self.links.iter_mut() {
             let s = link.shard();
             let (lo, hi) = (
                 shard_lo(s, self.n, self.shards),
                 shard_lo(s + 1, self.n, self.shards),
             );
-            let pairs = (lo..hi)
-                .zip(&counts[lo as usize..hi as usize])
-                .filter(|&(_, &c)| c > 0)
-                .map(|(b, &c)| (b, u64::from(c)))
-                .collect();
             link.send(&Frame::Grants {
                 round: ctx.round,
                 active: ctx.active,
                 placed: ctx.placed,
-                counts: pairs,
+                counts: PairList::nonzero(lo, &counts[lo as usize..hi as usize]),
                 crashed: std::mem::take(&mut per_crashed[s as usize]),
             })?;
         }
@@ -768,7 +779,7 @@ impl GrantDelegate for EngineDelegate {
                         shard_lo(s, self.n, self.shards),
                         shard_lo(s + 1, self.n, self.shards),
                     );
-                    for (bin, a) in pairs {
+                    for (bin, a) in pairs.iter() {
                         if !(lo..hi).contains(&bin) {
                             return Err(CoreError::ClusterTransport {
                                 shard: s,
@@ -813,31 +824,34 @@ impl GrantDelegate for EngineDelegate {
         record: &RoundRecord,
         loads: &[u32],
     ) -> Result<()> {
-        // Ship only the bins that changed since the last commit.
-        let mut per: Vec<Vec<(u32, u64)>> = vec![Vec::new(); self.links.len()];
-        for (b, (&new, old)) in loads.iter().zip(self.shadow.iter_mut()).enumerate() {
-            if new != *old {
-                per[shard_of(b as u32, self.n, self.shards) as usize]
-                    .push((b as u32, u64::from(new)));
-                *old = new;
+        // Ship each shard only its bins that changed since the last
+        // commit, and sum its loads for the ack, in one pass over them.
+        let mut wants = Vec::with_capacity(self.links.len());
+        for link in self.links.iter_mut() {
+            let s = link.shard();
+            let (lo, hi) = (
+                shard_lo(s, self.n, self.shards),
+                shard_lo(s + 1, self.n, self.shards),
+            );
+            let range = lo as usize..hi as usize;
+            self.changed.clear();
+            let mut sum = 0u64;
+            for (b, (&new, old)) in
+                (lo..hi).zip(loads[range.clone()].iter().zip(&mut self.shadow[range]))
+            {
+                sum += u64::from(new);
+                if new != *old {
+                    self.changed.push(b, u64::from(new));
+                    *old = new;
+                }
             }
-        }
-        for (s, link) in self.links.iter_mut().enumerate() {
+            wants.push(sum);
             link.send(&Frame::Commit {
                 round: ctx.round,
-                loads: std::mem::take(&mut per[s]),
+                loads: self.changed.list(),
                 record: *record,
             })?;
         }
-        let wants: Vec<u64> = (0..self.shards)
-            .map(|s| {
-                let (lo, hi) = (
-                    shard_lo(s, self.n, self.shards) as usize,
-                    shard_lo(s + 1, self.n, self.shards) as usize,
-                );
-                loads[lo..hi].iter().map(|&l| u64::from(l)).sum()
-            })
-            .collect();
         // Defer the ack barrier one wave: the workers apply this commit
         // while the engine resolves the next round.
         self.pending_commit = Some((ctx.round, wants));
@@ -908,19 +922,21 @@ mod tests {
         let (mut worker_w, orch_r) = mem_pipe();
         let worker = std::thread::spawn(move || {
             let mut reader = BufReader::new(worker_r);
+            let mut buf = Vec::new();
             let Ok(Some((Frame::Grants { round, counts, .. }, _))) =
-                crate::wire::read_frame(&mut reader)
+                crate::wire::read_frame(&mut reader, &mut buf)
             else {
                 panic!("shard {shard}: expected a grants request");
             };
+            let reply: PairBuf = reply.into_iter().collect();
             let reply = Frame::GrantsOk {
                 round,
-                accept: reply,
+                accept: reply.list(),
                 underloaded: 0,
                 unfilled: 0,
             };
             worker_w.write_all(&reply.encode()).unwrap();
-            counts
+            counts.iter().collect()
         });
         let transport = Scripted {
             writer: Some(orch_w),
@@ -960,6 +976,7 @@ mod tests {
                 n: N,
                 shards: 2,
                 shadow: vec![0; N as usize],
+                changed: PairBuf::new(),
                 barriers: 0,
                 pending_commit: None,
             };

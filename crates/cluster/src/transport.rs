@@ -490,6 +490,9 @@ pub struct ShardLink {
     /// The sender thread, joined when the send half closes.
     sender: Option<JoinHandle<()>>,
     reader: Box<dyn BufRead + Send>,
+    /// The last frame read, reused from frame to frame: a received
+    /// frame's lists borrow it.
+    rbuf: Vec<u8>,
     transport: Box<dyn Transport>,
     alive: bool,
     /// Frames the orchestrator sent over this link.
@@ -537,6 +540,7 @@ impl ShardLink {
             send_err,
             sender: Some(sender),
             reader,
+            rbuf: Vec::new(),
             transport,
             alive: true,
             frames_sent: 0,
@@ -602,7 +606,7 @@ impl ShardLink {
 
     /// A write failure parked by the sender thread, if any.
     fn parked_error(&self) -> Option<String> {
-        self.send_err.lock().unwrap().clone()
+        parked(&self.send_err)
     }
 
     /// Send one frame: serialize and enqueue it on the sender thread.
@@ -628,33 +632,44 @@ impl ShardLink {
         Ok(())
     }
 
-    /// Receive one frame. EOF, unreadable frames, and worker-reported
-    /// `error` frames all surface as [`CoreError::ClusterTransport`].
-    pub fn recv(&mut self) -> Result<Frame> {
-        let got = read_frame(self.reader.as_mut()).map_err(|e| {
-            self.alive = false;
-            let parked = self
-                .parked_error()
+    /// Receive one frame into the link's read buffer; its lists borrow
+    /// the buffer until the next receive. EOF, unreadable frames, and
+    /// worker-reported `error` frames all surface as
+    /// [`CoreError::ClusterTransport`].
+    pub fn recv(&mut self) -> Result<Frame<'_>> {
+        // The frame borrows `rbuf` alone, so the failure paths below name
+        // the other fields directly rather than through `&self` methods.
+        let failure = |send_err: &Mutex<Option<String>>, what: String| {
+            let parked = parked(send_err)
                 .map(|p| format!(" (send side: {p})"))
                 .unwrap_or_default();
-            CoreError::ClusterTransport {
-                shard: self.shard,
-                detail: format!("unreadable reply: {e}{parked}"),
+            format!("{what}{parked}")
+        };
+        let got = match read_frame(self.reader.as_mut(), &mut self.rbuf) {
+            Ok(got) => got,
+            Err(e) => {
+                self.alive = false;
+                return Err(CoreError::ClusterTransport {
+                    shard: self.shard,
+                    detail: failure(&self.send_err, format!("unreadable reply: {e}")),
+                });
             }
-        })?;
+        };
         let Some((frame, bytes)) = got else {
             self.alive = false;
-            let parked = self
-                .parked_error()
-                .map(|p| format!(" (send side: {p})"))
-                .unwrap_or_default();
-            return Err(self.transport_err(format!("shard closed the pipe (EOF){parked}")));
+            return Err(CoreError::ClusterTransport {
+                shard: self.shard,
+                detail: failure(&self.send_err, "shard closed the pipe (EOF)".into()),
+            });
         };
         self.frames_recv += 1;
         self.bytes_recv += bytes as u64;
         if let Frame::Error { detail } = frame {
             self.alive = false;
-            return Err(self.transport_err(format!("worker error: {detail}")));
+            return Err(CoreError::ClusterTransport {
+                shard: self.shard,
+                detail: format!("worker error: {detail}"),
+            });
         }
         Ok(frame)
     }
@@ -683,11 +698,9 @@ impl ShardLink {
     pub fn finish(&mut self) -> Result<()> {
         if self.alive {
             self.send(&Frame::Shutdown)?;
-            match self.recv()? {
-                Frame::Bye { .. } => {}
-                other => {
-                    return Err(self.transport_err(format!("expected bye, got {}", other.tag())));
-                }
+            let got = self.recv()?.tag();
+            if got != "bye" {
+                return Err(self.transport_err(format!("expected bye, got {got}")));
             }
             self.alive = false;
         }
@@ -699,6 +712,11 @@ impl ShardLink {
                 detail,
             })
     }
+}
+
+/// The write failure parked in `slot`, if any.
+fn parked(slot: &Mutex<Option<String>>) -> Option<String> {
+    slot.lock().unwrap().clone()
 }
 
 impl Drop for ShardLink {

@@ -29,6 +29,22 @@
 //! not guaranteed ascending); seeds are fixed-width `u64`, so all 64 bits
 //! survive the wire.
 //!
+//! ## Lists stay encoded
+//!
+//! A `(bin, value)` list ([`PairList`]) and the drain's dense loads
+//! ([`LoadList`]) travel from one array to another without being turned
+//! into a vector of pairs on either end. The sender writes a list
+//! straight from where it lives into the message buffer, header and
+//! checksum included ([`WireWriter::message`]): the nonzero entries of
+//! a dense slice (arrival counts, accepts), a [`PairBuf`] filled by the
+//! pass that finds the changed loads, or the worker's load array. The
+//! receiver reads the frame into a buffer it reuses, and [`read_frame`]
+//! returns a [`Frame`] that borrows it: decoding checks every list
+//! (checksum first, then each varint, bin id and count against the
+//! bytes left) and keeps it as those bytes, and the receiver then walks
+//! it straight into its dense arrays. A frame is 2–3 bytes per pair on
+//! both ends, as on the wire, where a `Vec<(u32, u64)>` took 16.
+//!
 //! A peer that does not speak this format is refused at its first byte:
 //! [`read_frame`] reports the lead byte it found (`0x7b` for a `{`-led
 //! JSON line) instead of guessing at a dialect.
@@ -39,6 +55,7 @@
 //! orchestrator surfaces
 //! [`CoreError::ClusterTransport`](pba_core::CoreError).
 
+use std::fmt;
 use std::io::Read;
 
 use pba_core::wire::{self, WireError, WireReader, WireWriter};
@@ -73,9 +90,340 @@ pub struct Hello {
     pub fault_seed: u64,
 }
 
-/// One wire frame. See the module docs for the conversation shape.
+/// A sparse `(bin, value)` list as a frame carries it.
+///
+/// On the wire: a varint count, then per pair a zigzag-varint bin delta
+/// from the previous bin (from 0 for the first) and a varint value.
+/// Routing order is usually ascending, so deltas stay small, but it is
+/// not a format requirement.
+///
+/// A sent list is written from where it lives ([`PairList::nonzero`],
+/// [`PairBuf::list`]); a received one is the checked bytes of its frame.
+/// Either way [`PairList::iter`] walks the pairs without collecting
+/// them, and two lists are equal when they hold the same pairs.
+#[derive(Clone, Copy)]
+pub struct PairList<'a>(Pairs<'a>);
+
+#[derive(Clone, Copy)]
+enum Pairs<'a> {
+    /// The nonzero entries of a dense slice whose entry 0 is bin `lo`.
+    Nonzero { lo: u32, values: &'a [u32] },
+    /// `count` pairs in wire form (after the count): a checked frame's
+    /// bytes, or a [`PairBuf`]'s.
+    Encoded { count: usize, bytes: &'a [u8] },
+}
+
+impl<'a> PairList<'a> {
+    /// The nonzero entries of `values`, whose entry `i` is bin `lo + i`,
+    /// as pairs in ascending bin order.
+    pub fn nonzero(lo: u32, values: &'a [u32]) -> Self {
+        assert!(
+            values.len() as u64 <= u64::from(u32::MAX - lo) + 1,
+            "bins past u32::MAX"
+        );
+        PairList(Pairs::Nonzero { lo, values })
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Pairs::Nonzero { values, .. } => values.iter().filter(|&&v| v != 0).count(),
+            Pairs::Encoded { count, .. } => count,
+        }
+    }
+
+    /// True when the list holds no pair.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+
+    /// The pairs, in list order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + 'a {
+        match self.0 {
+            Pairs::Nonzero { lo, values } => PairIter::Nonzero {
+                lo,
+                values: values.iter().enumerate(),
+            },
+            Pairs::Encoded { count, bytes } => PairIter::Encoded {
+                left: count,
+                prev: 0,
+                r: WireReader::unframed(bytes),
+            },
+        }
+    }
+
+    fn write(&self, w: &mut WireWriter) {
+        w.varint(self.len() as u64);
+        match self.0 {
+            Pairs::Nonzero { lo, values } => {
+                let mut prev = 0;
+                for (i, &v) in values.iter().enumerate() {
+                    if v != 0 {
+                        write_pair(w, &mut prev, lo + i as u32, u64::from(v));
+                    }
+                }
+            }
+            Pairs::Encoded { bytes, .. } => w.raw(bytes),
+        }
+    }
+
+    /// Read a list off a frame. Every pair is checked here — its varints,
+    /// a bin id inside `u32` — so walking it later cannot fail, and the
+    /// count is refused first when its pairs would need more bytes than
+    /// are left.
+    fn read(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        // A pair takes at least two bytes: its bin delta and its value.
+        let count = r.count("pair", 2)?;
+        let bytes = r.rest();
+        let mut prev = 0;
+        for _ in 0..count {
+            read_pair(r, &mut prev)?;
+        }
+        let bytes = &bytes[..bytes.len() - r.remaining()];
+        Ok(PairList(Pairs::Encoded { count, bytes }))
+    }
+}
+
+impl PartialEq for PairList<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for PairList<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+enum PairIter<'a> {
+    Nonzero {
+        lo: u32,
+        values: std::iter::Enumerate<std::slice::Iter<'a, u32>>,
+    },
+    Encoded {
+        left: usize,
+        prev: u32,
+        r: WireReader<'a>,
+    },
+}
+
+impl Iterator for PairIter<'_> {
+    type Item = (u32, u64);
+
+    fn next(&mut self) -> Option<(u32, u64)> {
+        match self {
+            PairIter::Nonzero { lo, values } => {
+                let lo = *lo;
+                values.find_map(|(i, &v)| (v != 0).then(|| (lo + i as u32, u64::from(v))))
+            }
+            PairIter::Encoded { left, prev, r } => {
+                *left = left.checked_sub(1)?;
+                // Checked when the list was read or written.
+                read_pair(r, prev).ok()
+            }
+        }
+    }
+}
+
+/// A [`PairList`] written pair by pair, for a sender whose list is not
+/// the nonzero entries of one slice: the loads that differ from a shadow
+/// copy, pushed by the pass that updates the copy. It keeps its capacity
+/// across [`clear`](Self::clear), so a sender reuses one every round.
+#[derive(Debug)]
+pub struct PairBuf {
+    count: usize,
+    prev: u32,
+    w: WireWriter,
+}
+
+impl PairBuf {
+    /// An empty list.
+    pub fn new() -> Self {
+        PairBuf {
+            count: 0,
+            prev: 0,
+            w: WireWriter::unframed(),
+        }
+    }
+
+    /// Empty the list, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.count = 0;
+        self.prev = 0;
+        self.w.clear();
+    }
+
+    /// Append one pair.
+    pub fn push(&mut self, bin: u32, value: u64) {
+        write_pair(&mut self.w, &mut self.prev, bin, value);
+        self.count += 1;
+    }
+
+    /// The list so far.
+    pub fn list(&self) -> PairList<'_> {
+        PairList(Pairs::Encoded {
+            count: self.count,
+            bytes: self.w.written(),
+        })
+    }
+}
+
+impl Default for PairBuf {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FromIterator<(u32, u64)> for PairBuf {
+    fn from_iter<I: IntoIterator<Item = (u32, u64)>>(pairs: I) -> Self {
+        let mut buf = PairBuf::new();
+        for (bin, value) in pairs {
+            buf.push(bin, value);
+        }
+        buf
+    }
+}
+
+/// The one pair writer: a zigzag bin delta from `prev`, then the value.
+fn write_pair(w: &mut WireWriter, prev: &mut u32, bin: u32, value: u64) {
+    w.varint_signed(i64::from(bin) - i64::from(*prev));
+    w.varint(value);
+    *prev = bin;
+}
+
+/// The one pair reader, inverse of [`write_pair`].
+fn read_pair(r: &mut WireReader<'_>, prev: &mut u32) -> Result<(u32, u64), WireError> {
+    let delta = r.varint_signed()?;
+    let bin = i64::from(*prev)
+        .checked_add(delta)
+        .and_then(|b| u32::try_from(b).ok())
+        .ok_or_else(|| {
+            WireError::Malformed(format!(
+                "pair bin id out of u32 range: {prev} {delta:+}",
+                prev = *prev
+            ))
+        })?;
+    *prev = bin;
+    Ok((bin, r.varint()?))
+}
+
+/// A shard's dense loads as the drain reply carries them: a varint
+/// count, then one varint per bin, written straight from the worker's
+/// `u32` (engine) or `u64` (stream) load array. A received list is the
+/// checked bytes of its frame, which the orchestrator compares with its
+/// own loads by walking [`LoadList::iter`].
+#[derive(Clone, Copy)]
+pub struct LoadList<'a>(Loads<'a>);
+
+#[derive(Clone, Copy)]
+enum Loads<'a> {
+    U32(&'a [u32]),
+    U64(&'a [u64]),
+    /// `count` varints (after the count): a checked frame's bytes.
+    Encoded {
+        count: usize,
+        bytes: &'a [u8],
+    },
+}
+
+impl<'a> LoadList<'a> {
+    /// An engine worker's loads.
+    pub fn u32s(loads: &'a [u32]) -> Self {
+        LoadList(Loads::U32(loads))
+    }
+
+    /// A stream worker's loads.
+    pub fn u64s(loads: &'a [u64]) -> Self {
+        LoadList(Loads::U64(loads))
+    }
+
+    /// Number of loads.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            Loads::U32(v) => v.len(),
+            Loads::U64(v) => v.len(),
+            Loads::Encoded { count, .. } => count,
+        }
+    }
+
+    /// True when the list holds no load.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The loads, in bin order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + 'a {
+        match self.0 {
+            Loads::U32(v) => LoadIter::U32(v.iter()),
+            Loads::U64(v) => LoadIter::U64(v.iter()),
+            Loads::Encoded { count, bytes } => LoadIter::Encoded {
+                left: count,
+                r: WireReader::unframed(bytes),
+            },
+        }
+    }
+
+    fn write(&self, w: &mut WireWriter) {
+        w.varint(self.len() as u64);
+        match self.0 {
+            Loads::U32(v) => v.iter().for_each(|&l| w.varint(u64::from(l))),
+            Loads::U64(v) => v.iter().for_each(|&l| w.varint(l)),
+            Loads::Encoded { bytes, .. } => w.raw(bytes),
+        }
+    }
+
+    /// Read a list off a frame, checking every varint.
+    fn read(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        let count = r.count("load", 1)?;
+        let bytes = r.rest();
+        for _ in 0..count {
+            r.varint()?;
+        }
+        let bytes = &bytes[..bytes.len() - r.remaining()];
+        Ok(LoadList(Loads::Encoded { count, bytes }))
+    }
+}
+
+impl PartialEq for LoadList<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for LoadList<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+enum LoadIter<'a> {
+    U32(std::slice::Iter<'a, u32>),
+    U64(std::slice::Iter<'a, u64>),
+    Encoded { left: usize, r: WireReader<'a> },
+}
+
+impl Iterator for LoadIter<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        match self {
+            LoadIter::U32(v) => v.next().map(|&l| u64::from(l)),
+            LoadIter::U64(v) => v.next().copied(),
+            LoadIter::Encoded { left, r } => {
+                *left = left.checked_sub(1)?;
+                // Checked when the list was read.
+                r.varint().ok()
+            }
+        }
+    }
+}
+
+/// One wire frame. See the module docs for the conversation shape. Its
+/// lists borrow the arrays they were written from, or the buffer the
+/// frame was read into.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
+pub enum Frame<'a> {
     /// Orchestrator → worker: session setup.
     Hello(Hello),
     /// Worker → orchestrator: setup done.
@@ -92,7 +440,7 @@ pub enum Frame {
         /// Balls placed before this round.
         placed: u64,
         /// Sparse `(global bin, arrivals)` pairs within the shard range.
-        counts: Vec<(u32, u64)>,
+        counts: PairList<'a>,
         /// Run-level crashed bins within the shard range.
         crashed: Vec<u32>,
     },
@@ -101,7 +449,7 @@ pub enum Frame {
         /// Echoed round index.
         round: u32,
         /// Sparse `(global bin, accept)` pairs (only nonzero accepts).
-        accept: Vec<(u32, u64)>,
+        accept: PairList<'a>,
         /// Underloaded-bin count for this shard (crash-adjusted).
         underloaded: u32,
         /// Unfilled want for this shard (crash-adjusted).
@@ -112,7 +460,7 @@ pub enum Frame {
         /// Round index.
         round: u32,
         /// Absolute `(global bin, load)` pairs for bins that changed.
-        loads: Vec<(u32, u64)>,
+        loads: PairList<'a>,
         /// The finished round record (drives `after_round` replicas).
         record: RoundRecord,
     },
@@ -128,7 +476,7 @@ pub enum Frame {
         /// Batch sequence number.
         batch: u64,
         /// Absolute `(global bin, load)` pairs for bins that changed.
-        loads: Vec<(u32, u64)>,
+        loads: PairList<'a>,
     },
     /// Worker → orchestrator: batch applied.
     DeltaOk {
@@ -144,7 +492,7 @@ pub enum Frame {
     /// Worker → orchestrator: dense loads for `[lo, hi)`.
     Loads {
         /// The shard's dense load vector.
-        loads: Vec<u64>,
+        loads: LoadList<'a>,
     },
     /// Orchestrator → worker: clean exit.
     Shutdown,
@@ -176,35 +524,25 @@ const TAG_SHUTDOWN: u8 = 11;
 const TAG_BYE: u8 = 12;
 const TAG_ERROR: u8 = 13;
 
-/// Sparse `(bin, value)` pairs: varint count, then per
-/// pair a zigzag-varint bin delta from the previous bin (routing order
-/// is usually ascending, so deltas stay small, but it is not a format
-/// requirement) and a varint value.
-fn write_pairs(w: &mut WireWriter, pairs: &[(u32, u64)]) {
-    w.varint(pairs.len() as u64);
-    let mut prev: i64 = 0;
-    for &(bin, v) in pairs {
-        w.varint_signed(i64::from(bin) - prev);
-        w.varint(v);
-        prev = i64::from(bin);
-    }
-}
+/// Frame names, indexed by tag.
+const TAG_NAMES: [&str; 14] = [
+    "",
+    "hello",
+    "ready",
+    "grants",
+    "grants_ok",
+    "commit",
+    "commit_ok",
+    "delta",
+    "delta_ok",
+    "drain",
+    "loads",
+    "shutdown",
+    "bye",
+    "error",
+];
 
-fn read_pairs(r: &mut WireReader<'_>) -> Result<Vec<(u32, u64)>, WireError> {
-    let count = r.varint()?;
-    let mut out = Vec::with_capacity(count.min(1 << 20) as usize);
-    let mut prev: i64 = 0;
-    for _ in 0..count {
-        let bin = prev + r.varint_signed()?;
-        let bin = u32::try_from(bin)
-            .map_err(|_| WireError::Malformed(format!("pair bin id out of u32 range: {bin}")))?;
-        out.push((bin, r.varint()?));
-        prev = i64::from(bin);
-    }
-    Ok(out)
-}
-
-/// A `u32` id list: varint count + zigzag bin deltas.
+/// A `u32` id list: varint count + zigzag deltas.
 fn write_u32s(w: &mut WireWriter, values: &[u32]) {
     w.varint(values.len() as u64);
     let mut prev: i64 = 0;
@@ -215,24 +553,29 @@ fn write_u32s(w: &mut WireWriter, values: &[u32]) {
 }
 
 fn read_u32s(r: &mut WireReader<'_>) -> Result<Vec<u32>, WireError> {
-    let count = r.varint()?;
-    let mut out = Vec::with_capacity(count.min(1 << 20) as usize);
+    let count = r.count("id", 1)?;
+    let mut out = Vec::with_capacity(count);
     let mut prev: i64 = 0;
     for _ in 0..count {
-        let v = prev + r.varint_signed()?;
-        let v = u32::try_from(v)
-            .map_err(|_| WireError::Malformed(format!("id out of u32 range: {v}")))?;
+        let delta = r.varint_signed()?;
+        let v = prev
+            .checked_add(delta)
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or_else(|| {
+                WireError::Malformed(format!("id out of u32 range: {prev} {delta:+}"))
+            })?;
         out.push(v);
         prev = i64::from(v);
     }
     Ok(out)
 }
 
-impl Frame {
-    /// Encode as one self-delimiting checksummed message.
+impl<'a> Frame<'a> {
+    /// Encode as one self-delimiting checksummed message, written in one
+    /// buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::unframed();
-        let tag = match self {
+        let mut w = WireWriter::message(self.tag_byte());
+        match self {
             Frame::Hello(h) => {
                 w.str(&h.mode);
                 w.varint(u64::from(h.shard));
@@ -246,12 +589,8 @@ impl Frame {
                 w.f64(h.straggle_prob);
                 w.varint(h.straggle_us);
                 w.u64(h.fault_seed);
-                TAG_HELLO
             }
-            Frame::Ready { shard } => {
-                w.varint(u64::from(*shard));
-                TAG_READY
-            }
+            Frame::Ready { shard } | Frame::Bye { shard } => w.varint(u64::from(*shard)),
             Frame::Grants {
                 round,
                 active,
@@ -262,9 +601,8 @@ impl Frame {
                 w.varint(u64::from(*round));
                 w.varint(*active);
                 w.varint(*placed);
-                write_pairs(&mut w, counts);
+                counts.write(&mut w);
                 write_u32s(&mut w, crashed);
-                TAG_GRANTS
             }
             Frame::GrantsOk {
                 round,
@@ -273,10 +611,9 @@ impl Frame {
                 unfilled,
             } => {
                 w.varint(u64::from(*round));
-                write_pairs(&mut w, accept);
+                accept.write(&mut w);
                 w.varint(u64::from(*underloaded));
                 w.varint(*unfilled);
-                TAG_GRANTS_OK
             }
             Frame::Commit {
                 round,
@@ -284,61 +621,44 @@ impl Frame {
                 record,
             } => {
                 w.varint(u64::from(*round));
-                write_pairs(&mut w, loads);
+                loads.write(&mut w);
                 write_record(&mut w, record);
-                TAG_COMMIT
             }
             Frame::CommitOk { round, sum } => {
                 w.varint(u64::from(*round));
                 w.varint(*sum);
-                TAG_COMMIT_OK
             }
             Frame::Delta { batch, loads } => {
                 w.varint(*batch);
-                write_pairs(&mut w, loads);
-                TAG_DELTA
+                loads.write(&mut w);
             }
             Frame::DeltaOk { batch, total, max } => {
                 w.varint(*batch);
                 w.varint(*total);
                 w.varint(*max);
-                TAG_DELTA_OK
             }
-            Frame::Drain => TAG_DRAIN,
-            Frame::Loads { loads } => {
-                w.varint(loads.len() as u64);
-                for &v in loads {
-                    w.varint(v);
-                }
-                TAG_LOADS
-            }
-            Frame::Shutdown => TAG_SHUTDOWN,
-            Frame::Bye { shard } => {
-                w.varint(u64::from(*shard));
-                TAG_BYE
-            }
-            Frame::Error { detail } => {
-                w.str(detail);
-                TAG_ERROR
-            }
-        };
-        wire::encode_msg(tag, &w.finish())
+            Frame::Drain | Frame::Shutdown => {}
+            Frame::Loads { loads } => loads.write(&mut w),
+            Frame::Error { detail } => w.str(detail),
+        }
+        w.finish()
     }
 
-    /// Decode one complete message (envelope included).
-    pub fn decode(bytes: &[u8]) -> Result<Frame, String> {
+    /// Decode one complete message (envelope included); the frame's
+    /// lists borrow `bytes`.
+    pub fn decode(bytes: &'a [u8]) -> Result<Frame<'a>, String> {
         let (tag, payload) = wire::decode_msg(bytes).map_err(|e| e.to_string())?;
         Self::from_payload(tag, payload)
     }
 
-    fn from_payload(tag: u8, payload: &[u8]) -> Result<Frame, String> {
+    fn from_payload(tag: u8, payload: &'a [u8]) -> Result<Frame<'a>, String> {
         let mut r = WireReader::unframed(payload);
         let frame = Self::read_fields(tag, &mut r).map_err(|e| e.to_string())?;
         r.finish().map_err(|e| format!("frame tag {tag}: {e}"))?;
         Ok(frame)
     }
 
-    fn read_fields(tag: u8, r: &mut WireReader<'_>) -> Result<Frame, WireError> {
+    fn read_fields(tag: u8, r: &mut WireReader<'a>) -> Result<Frame<'a>, WireError> {
         Ok(match tag {
             TAG_HELLO => Frame::Hello(Hello {
                 mode: r.str()?.to_owned(),
@@ -361,18 +681,18 @@ impl Frame {
                 round: varint_u32(r)?,
                 active: r.varint()?,
                 placed: r.varint()?,
-                counts: read_pairs(r)?,
+                counts: PairList::read(r)?,
                 crashed: read_u32s(r)?,
             },
             TAG_GRANTS_OK => Frame::GrantsOk {
                 round: varint_u32(r)?,
-                accept: read_pairs(r)?,
+                accept: PairList::read(r)?,
                 underloaded: varint_u32(r)?,
                 unfilled: r.varint()?,
             },
             TAG_COMMIT => Frame::Commit {
                 round: varint_u32(r)?,
-                loads: read_pairs(r)?,
+                loads: PairList::read(r)?,
                 record: read_record(r)?,
             },
             TAG_COMMIT_OK => Frame::CommitOk {
@@ -381,7 +701,7 @@ impl Frame {
             },
             TAG_DELTA => Frame::Delta {
                 batch: r.varint()?,
-                loads: read_pairs(r)?,
+                loads: PairList::read(r)?,
             },
             TAG_DELTA_OK => Frame::DeltaOk {
                 batch: r.varint()?,
@@ -389,14 +709,9 @@ impl Frame {
                 max: r.varint()?,
             },
             TAG_DRAIN => Frame::Drain,
-            TAG_LOADS => {
-                let count = r.varint()?;
-                let mut loads = Vec::with_capacity(count.min(1 << 24) as usize);
-                for _ in 0..count {
-                    loads.push(r.varint()?);
-                }
-                Frame::Loads { loads }
-            }
+            TAG_LOADS => Frame::Loads {
+                loads: LoadList::read(r)?,
+            },
             TAG_SHUTDOWN => Frame::Shutdown,
             TAG_BYE => Frame::Bye {
                 shard: varint_u32(r)?,
@@ -412,34 +727,43 @@ impl Frame {
         })
     }
 
+    fn tag_byte(&self) -> u8 {
+        match self {
+            Frame::Hello(_) => TAG_HELLO,
+            Frame::Ready { .. } => TAG_READY,
+            Frame::Grants { .. } => TAG_GRANTS,
+            Frame::GrantsOk { .. } => TAG_GRANTS_OK,
+            Frame::Commit { .. } => TAG_COMMIT,
+            Frame::CommitOk { .. } => TAG_COMMIT_OK,
+            Frame::Delta { .. } => TAG_DELTA,
+            Frame::DeltaOk { .. } => TAG_DELTA_OK,
+            Frame::Drain => TAG_DRAIN,
+            Frame::Loads { .. } => TAG_LOADS,
+            Frame::Shutdown => TAG_SHUTDOWN,
+            Frame::Bye { .. } => TAG_BYE,
+            Frame::Error { .. } => TAG_ERROR,
+        }
+    }
+
     /// The frame-type tag, for error messages.
     pub fn tag(&self) -> &'static str {
-        match self {
-            Frame::Hello(_) => "hello",
-            Frame::Ready { .. } => "ready",
-            Frame::Grants { .. } => "grants",
-            Frame::GrantsOk { .. } => "grants_ok",
-            Frame::Commit { .. } => "commit",
-            Frame::CommitOk { .. } => "commit_ok",
-            Frame::Delta { .. } => "delta",
-            Frame::DeltaOk { .. } => "delta_ok",
-            Frame::Drain => "drain",
-            Frame::Loads { .. } => "loads",
-            Frame::Shutdown => "shutdown",
-            Frame::Bye { .. } => "bye",
-            Frame::Error { .. } => "error",
-        }
+        TAG_NAMES[usize::from(self.tag_byte())]
     }
 }
 
-/// Read one frame from a byte stream. Returns the frame and the bytes
-/// consumed (wire accounting); `Ok(None)` on clean EOF at a frame
-/// boundary.
-pub fn read_frame(reader: &mut (impl Read + ?Sized)) -> Result<Option<(Frame, usize)>, String> {
-    let Some((tag, payload)) = wire::read_msg(reader).map_err(|e| e.to_string())? else {
+/// Read one frame from a byte stream into `buf`, which the caller reuses
+/// from frame to frame; the frame's lists borrow it. Returns the frame
+/// and the bytes consumed (wire accounting); `Ok(None)` on clean EOF at
+/// a frame boundary.
+pub fn read_frame<'b>(
+    reader: &mut (impl Read + ?Sized),
+    buf: &'b mut Vec<u8>,
+) -> Result<Option<(Frame<'b>, usize)>, String> {
+    let Some(tag) = wire::read_msg(reader, buf).map_err(|e| e.to_string())? else {
         return Ok(None);
     };
-    let frame = Frame::from_payload(tag, &payload)?;
+    let payload: &'b [u8] = buf;
+    let frame = Frame::from_payload(tag, payload)?;
     Ok(Some((frame, wire::MSG_OVERHEAD + payload.len())))
 }
 
@@ -488,7 +812,12 @@ fn read_record(r: &mut WireReader<'_>) -> Result<RoundRecord, WireError> {
 mod tests {
     use super::*;
 
-    fn sample_frames() -> Vec<Frame> {
+    /// An explicit pair list that lives as long as the test.
+    fn pairs(list: &[(u32, u64)]) -> PairList<'static> {
+        Box::leak(Box::new(list.iter().copied().collect::<PairBuf>())).list()
+    }
+
+    fn sample_frames() -> Vec<Frame<'static>> {
         vec![
             Frame::Hello(Hello {
                 mode: "engine".into(),
@@ -509,18 +838,18 @@ mod tests {
                 round: 2,
                 active: 100,
                 placed: 900,
-                counts: vec![(17, 3), (30, 1), (19, 2)],
+                counts: pairs(&[(17, 3), (30, 1), (19, 2)]),
                 crashed: vec![18, 25],
             },
             Frame::GrantsOk {
                 round: 2,
-                accept: vec![(17, 2)],
+                accept: pairs(&[(17, 2)]),
                 underloaded: 5,
                 unfilled: 12,
             },
             Frame::Commit {
                 round: 2,
-                loads: vec![(17, 7), (30, 2)],
+                loads: pairs(&[(17, 7), (30, 2)]),
                 record: RoundRecord {
                     round: 2,
                     active_before: 100,
@@ -541,7 +870,7 @@ mod tests {
             Frame::CommitOk { round: 2, sum: 980 },
             Frame::Delta {
                 batch: 9,
-                loads: vec![(0, 5)],
+                loads: pairs(&[(0, 5)]),
             },
             Frame::DeltaOk {
                 batch: 9,
@@ -550,7 +879,7 @@ mod tests {
             },
             Frame::Drain,
             Frame::Loads {
-                loads: vec![1, 2, 3],
+                loads: LoadList::u64s(&[1, 2, 3]),
             },
             Frame::Shutdown,
             Frame::Bye { shard: 0 },
@@ -563,8 +892,8 @@ mod tests {
     #[test]
     fn every_frame_roundtrips() {
         for f in sample_frames() {
-            let back =
-                Frame::decode(&f.encode()).unwrap_or_else(|e| panic!("{e} decoding {}", f.tag()));
+            let bytes = f.encode();
+            let back = Frame::decode(&bytes).unwrap_or_else(|e| panic!("{e} decoding {}", f.tag()));
             assert_eq!(f, back, "codec mangled {}", f.tag());
         }
     }
@@ -575,15 +904,20 @@ mod tests {
         let stream: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
         let mut reader = std::io::BufReader::new(&stream[..]);
         let mut total = 0usize;
+        // One buffer for the whole stream, as a link reads.
+        let mut buf = Vec::new();
         for (i, want) in frames.iter().enumerate() {
-            let (got, bytes) = read_frame(&mut reader)
+            let (got, bytes) = read_frame(&mut reader, &mut buf)
                 .unwrap_or_else(|e| panic!("frame {i}: {e}"))
                 .expect("frame present");
             assert_eq!(&got, want);
             total += bytes;
         }
         assert_eq!(total, stream.len(), "byte accounting must be exact");
-        assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF");
+        assert!(
+            read_frame(&mut reader, &mut buf).unwrap().is_none(),
+            "clean EOF"
+        );
     }
 
     #[test]
@@ -603,7 +937,10 @@ mod tests {
             fault_seed: (1 << 60) + 7,
         });
         let bytes = f.encode();
-        let (got, _) = read_frame(&mut &bytes[..]).unwrap().expect("frame");
+        let mut buf = Vec::new();
+        let (got, _) = read_frame(&mut &bytes[..], &mut buf)
+            .unwrap()
+            .expect("frame");
         let Frame::Hello(h) = got else {
             panic!("wrong frame");
         };
@@ -613,7 +950,7 @@ mod tests {
 
     /// One frame per tag, at the edges of the format: bins 0 and
     /// `u32::MAX`, descending bins, empty lists and `u64::MAX` values.
-    fn edge_frames() -> Vec<Frame> {
+    fn edge_frames() -> Vec<Frame<'static>> {
         let record = RoundRecord {
             round: u32::MAX,
             active_before: u64::MAX,
@@ -650,18 +987,18 @@ mod tests {
                 round: 7,
                 active: u64::MAX,
                 placed: 0,
-                counts: vec![(u32::MAX, 1), (0, u64::MAX), (5, 3), (4, 128)],
+                counts: pairs(&[(u32::MAX, 1), (0, u64::MAX), (5, 3), (4, 128)]),
                 crashed: vec![u32::MAX, 0, 9],
             },
             Frame::GrantsOk {
                 round: 7,
-                accept: vec![],
+                accept: pairs(&[]),
                 underloaded: u32::MAX,
                 unfilled: u64::MAX,
             },
             Frame::Commit {
                 round: 0,
-                loads: vec![(3, 1), (2, u64::MAX), (u32::MAX, 0)],
+                loads: pairs(&[(3, 1), (2, u64::MAX), (u32::MAX, 0)]),
                 record,
             },
             Frame::CommitOk {
@@ -670,7 +1007,7 @@ mod tests {
             },
             Frame::Delta {
                 batch: u64::MAX,
-                loads: vec![(0, u64::MAX), (u32::MAX, 2), (1, 0)],
+                loads: pairs(&[(0, u64::MAX), (u32::MAX, 2), (1, 0)]),
             },
             Frame::DeltaOk {
                 batch: 0,
@@ -679,7 +1016,7 @@ mod tests {
             },
             Frame::Drain,
             Frame::Loads {
-                loads: vec![u64::MAX, 0, 1, 127, 128, u64::from(u32::MAX)],
+                loads: LoadList::u64s(&[u64::MAX, 0, 1, 127, 128, 0xFFFF_FFFF]),
             },
             Frame::Shutdown,
             Frame::Bye { shard: 0 },
@@ -711,11 +1048,101 @@ mod tests {
         let frames = edge_frames();
         assert_eq!(frames.len(), 13, "one frame per tag");
         let got: Vec<u64> = frames.iter().map(|f| wire::fnv1a(&f.encode())).collect();
-        for (i, f) in frames.iter().enumerate() {
-            let back = Frame::decode(&f.encode()).unwrap_or_else(|e| panic!("{}: {e}", f.tag()));
+        for f in &frames {
+            let bytes = f.encode();
+            let back = Frame::decode(&bytes).unwrap_or_else(|e| panic!("{}: {e}", f.tag()));
             assert_eq!(&back, f, "{} round-trips", f.tag());
+            assert_eq!(back.encode(), bytes, "{} re-encodes to its bytes", f.tag());
         }
         assert_eq!(got, pinned, "{got:#018x?}");
+    }
+
+    #[test]
+    fn dense_and_explicit_lists_encode_alike() {
+        // A list written from a dense slice (nonzero entries, as arrival
+        // counts and accepts are sent; loads from a u32 or u64 array, as
+        // the drain reply is) is the same bytes as the explicit list.
+        let lo = u32::MAX - 9;
+        let dense = [0, 3, 0, 0, 1, 200, 0, 0, u32::MAX, 7];
+        let explicit: Vec<(u32, u64)> = (lo..=u32::MAX)
+            .zip(dense)
+            .filter(|&(_, v)| v != 0)
+            .map(|(b, v)| (b, u64::from(v)))
+            .collect();
+        let grants_ok = |accept| Frame::GrantsOk {
+            round: 4,
+            accept,
+            underloaded: 2,
+            unfilled: 9,
+        };
+        let from_dense = grants_ok(PairList::nonzero(lo, &dense));
+        let from_pairs = grants_ok(pairs(&explicit));
+        assert_eq!(from_dense.encode(), from_pairs.encode());
+        assert_eq!(from_dense, from_pairs);
+        assert_eq!(PairList::nonzero(lo, &dense).len(), explicit.len());
+        assert_eq!(
+            PairList::nonzero(lo, &dense).iter().collect::<Vec<_>>(),
+            explicit
+        );
+        assert!(PairList::nonzero(7, &[0, 0]).is_empty());
+        assert_eq!(
+            grants_ok(PairList::nonzero(7, &[0, 0])).encode(),
+            grants_ok(pairs(&[])).encode()
+        );
+
+        let wide: Vec<u64> = dense.iter().map(|&v| u64::from(v)).collect();
+        let loads = |loads| Frame::Loads { loads }.encode();
+        assert_eq!(loads(LoadList::u32s(&dense)), loads(LoadList::u64s(&wide)));
+        let bytes = loads(LoadList::u32s(&dense));
+        let Ok(Frame::Loads { loads: back }) = Frame::decode(&bytes) else {
+            panic!("loads frame");
+        };
+        assert_eq!(back.iter().collect::<Vec<_>>(), wide);
+    }
+
+    #[test]
+    fn hostile_counts_are_refused_by_the_bytes_left() {
+        // Checksum-valid payloads whose counts claim far more elements
+        // than they hold fail at the count, before any reservation.
+        let msg = |tag: u8, fields: &dyn Fn(&mut WireWriter)| {
+            let mut w = WireWriter::message(tag);
+            fields(&mut w);
+            w.finish()
+        };
+        let cases = [
+            (
+                msg(TAG_LOADS, &|w| w.varint(1 << 24)),
+                "load count 16777216 exceeds the 0 payload bytes left",
+            ),
+            (
+                msg(TAG_GRANTS_OK, &|w| {
+                    w.varint(1);
+                    w.varint(u64::MAX);
+                    w.raw(&[0; 3]);
+                }),
+                "pair count 18446744073709551615 exceeds the 3 payload bytes left",
+            ),
+            (
+                msg(TAG_GRANTS, &|w| {
+                    w.raw(&[0, 0, 0, 0]);
+                    w.varint(1 << 33);
+                }),
+                "id count 8589934592 exceeds the 0 payload bytes left",
+            ),
+            (
+                msg(TAG_DELTA, &|w| {
+                    w.varint(0);
+                    w.varint(1);
+                    w.varint_signed(i64::MAX);
+                    w.varint(1);
+                }),
+                "pair bin id out of u32 range",
+            ),
+        ];
+        for (bytes, want) in cases {
+            let err = Frame::decode(&bytes).unwrap_err();
+            assert!(err.contains(want), "{want}: {err}");
+        }
     }
 
     #[test]
@@ -724,7 +1151,7 @@ mod tests {
             round: 3,
             active: 64,
             placed: 1000,
-            counts: vec![(5, 2), (9, 1)],
+            counts: pairs(&[(5, 2), (9, 1)]),
             crashed: vec![],
         }
         .encode();

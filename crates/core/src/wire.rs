@@ -16,10 +16,12 @@
 //!   [`str`](WireReader::str));
 //! * two envelope flavors: the snapshot file frame (4-byte magic +
 //!   `u32` version up front, trailing FNV-1a 64 checksum) and the
-//!   per-message stream frame produced by [`encode_msg`] (one
+//!   per-message stream frame written by [`WireWriter::message`] (one
 //!   [`MSG_MAGIC`] byte, a `u8` type tag, a `u32` payload length, the
 //!   payload, and a trailing FNV-1a 64 checksum over everything before
-//!   it). Either way a truncated or corrupted frame fails loudly with
+//!   it). A message is written into one buffer, header and checksum
+//!   included, and [`read_msg`] reads one into a buffer the caller may
+//!   reuse. Either way a truncated or corrupted frame fails loudly with
 //!   a [`WireError`] instead of decoding into a silently wrong value.
 //!
 //! The message-frame magic `0xB5` is deliberately not valid ASCII, so a
@@ -145,19 +147,6 @@ pub const MAX_MSG_LEN: u32 = 64 << 20;
 /// length up front, `u64` checksum behind.
 pub const MSG_OVERHEAD: usize = 1 + 1 + 4 + 8;
 
-/// Seal `payload` into a checksummed message frame:
-/// `MSG_MAGIC, tag, payload_len as u32 LE, payload, fnv1a(all prior) as u64 LE`.
-pub fn encode_msg(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(payload.len() + MSG_OVERHEAD);
-    buf.push(MSG_MAGIC);
-    buf.push(tag);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    let sum = fnv1a(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    buf
-}
-
 /// Decode one complete in-memory message frame back into `(tag,
 /// payload)`. Verifies the magic, the length (against both the cap and
 /// the buffer), the checksum, and that no bytes trail the frame.
@@ -198,11 +187,16 @@ pub fn decode_msg(bytes: &[u8]) -> Result<(u8, &[u8]), WireError> {
     Ok((tag, &body[HEADER..]))
 }
 
-/// Read one message frame from a byte stream. Returns `Ok(None)` on a
+/// Read one message frame from a byte stream into `payload` and return
+/// its tag; `payload` then holds exactly the verified payload bytes, and
+/// its capacity carries over to the next call. Returns `Ok(None)` on a
 /// clean EOF *before* the first byte. A first byte other than
 /// [`MSG_MAGIC`] is [`WireError::BadFrameMagic`]; EOF anywhere inside a
 /// frame is [`WireError::Truncated`], counting the bytes that did arrive.
-pub fn read_msg<R: Read + ?Sized>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
+pub fn read_msg<R: Read + ?Sized>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+) -> Result<Option<u8>, WireError> {
     let mut header = [0u8; 6];
     let got = read_up_to(r, &mut header)?;
     if got == 0 {
@@ -225,27 +219,27 @@ pub fn read_msg<R: Read + ?Sized>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, Wi
             cap: MAX_MSG_LEN,
         });
     }
-    let mut rest = vec![0u8; len as usize + 8];
-    let got = read_up_to(r, &mut rest)?;
-    if got < rest.len() {
+    let len = len as usize;
+    // Every byte below `len + 8` is read over, so only growth is zeroed.
+    payload.resize(len + 8, 0);
+    let got = read_up_to(r, payload)?;
+    if got < payload.len() {
         return Err(WireError::Truncated {
-            wanted: rest.len(),
+            wanted: payload.len(),
             left: got,
         });
     }
-    let (payload, sum_bytes) = rest.split_at(len as usize);
-    let sum = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
+    let sum = u64::from_le_bytes(payload[len..].try_into().expect("8 bytes"));
+    payload.truncate(len);
     let mut h = fnv1a(&header);
-    for &b in payload {
+    for &b in payload.iter() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     if h != sum {
         return Err(WireError::BadChecksum);
     }
-    let mut out = rest;
-    out.truncate(len as usize);
-    Ok(Some((tag, out)))
+    Ok(Some(tag))
 }
 
 /// Fill `buf` from `r` until it is full or the stream ends; returns the
@@ -285,7 +279,30 @@ fn read_up_to<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> Result<usize, Wire
 #[derive(Debug)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    framed: bool,
+    envelope: Envelope,
+}
+
+/// What [`WireWriter::finish`] wraps around the bytes written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Envelope {
+    /// Nothing: a bare byte string.
+    Bare,
+    /// A snapshot file: magic and version up front, checksum behind.
+    File,
+    /// A message: magic, tag and payload length up front, checksum
+    /// behind.
+    Message,
+}
+
+impl Envelope {
+    /// Bytes of header in front of the body.
+    fn header(self) -> usize {
+        match self {
+            Envelope::Bare => 0,
+            Envelope::File => 8,
+            Envelope::Message => 6,
+        }
+    }
 }
 
 impl WireWriter {
@@ -294,21 +311,46 @@ impl WireWriter {
     pub fn framed(magic: [u8; 4], version: u32) -> Self {
         let mut w = Self {
             buf: Vec::with_capacity(64),
-            framed: true,
+            envelope: Envelope::File,
         };
         w.buf.extend_from_slice(&magic);
         w.u32(version);
         w
     }
 
-    /// A bare byte string: no header, no checksum. For message payloads
-    /// (sealed by [`encode_msg`]) and nested state embedded in an outer
-    /// frame via [`bytes`](Self::bytes).
+    /// A message frame with type `tag`: everything written after this is
+    /// its payload, and [`finish`](Self::finish) fills in the payload
+    /// length and appends the checksum, so the message is built in one
+    /// buffer: `MSG_MAGIC, tag, payload_len as u32 LE, payload,
+    /// fnv1a(all prior) as u64 LE`.
+    pub fn message(tag: u8) -> Self {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(&[MSG_MAGIC, tag, 0, 0, 0, 0]);
+        Self {
+            buf,
+            envelope: Envelope::Message,
+        }
+    }
+
+    /// A bare byte string: no header, no checksum. For nested state
+    /// embedded in an outer frame via [`bytes`](Self::bytes), and for
+    /// parts of a message written ahead of it (see [`raw`](Self::raw)).
     pub fn unframed() -> Self {
         Self {
             buf: Vec::new(),
-            framed: false,
+            envelope: Envelope::Bare,
         }
+    }
+
+    /// The bytes written since the header (everything, for a bare
+    /// writer).
+    pub fn written(&self) -> &[u8] {
+        &self.buf[self.envelope.header()..]
+    }
+
+    /// Forget the bytes written since the header, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.buf.truncate(self.envelope.header());
     }
 
     /// Append one byte.
@@ -364,10 +406,21 @@ impl WireWriter {
         self.bytes(v.as_bytes());
     }
 
-    /// Seal the buffer: framed writers append the FNV-1a checksum of
+    /// Append bytes that are already in wire form, as they are (no
+    /// length prefix).
+    pub fn raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
+
+    /// Seal the buffer: a message writer fills in its payload length;
+    /// framed and message writers append the FNV-1a checksum of
     /// everything written so far (header included).
     pub fn finish(mut self) -> Vec<u8> {
-        if self.framed {
+        if self.envelope == Envelope::Message {
+            let len = (self.buf.len() - Envelope::Message.header()) as u32;
+            self.buf[2..6].copy_from_slice(&len.to_le_bytes());
+        }
+        if self.envelope != Envelope::Bare {
             let sum = fnv1a(&self.buf);
             self.buf.extend_from_slice(&sum.to_le_bytes());
         }
@@ -424,9 +477,31 @@ impl<'a> WireReader<'a> {
     }
 
     /// Bytes not read yet. A decoder bounds an element count by it
-    /// before reserving room for the elements.
+    /// before reserving room for the elements (see
+    /// [`count`](Self::count)).
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The bytes not read yet, borrowed from the buffer: a decoder that
+    /// keeps a list in wire form takes it from here and then reads over
+    /// it.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// Read an element count, refused before anything is reserved for
+    /// its elements when they, at `min_bytes` each, would need more bytes
+    /// than the payload has left.
+    pub fn count(&mut self, what: &str, min_bytes: usize) -> Result<usize, WireError> {
+        let count = self.varint()?;
+        let left = self.remaining();
+        if count > (left / min_bytes) as u64 {
+            return Err(WireError::Malformed(format!(
+                "{what} count {count} exceeds the {left} payload bytes left"
+            )));
+        }
+        Ok(count as usize)
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -686,23 +761,79 @@ mod tests {
         assert!(matches!(r.varint(), Err(WireError::Malformed(_))));
     }
 
+    /// A message of type `tag` around `payload`.
+    fn msg(tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut w = WireWriter::message(tag);
+        w.raw(payload);
+        w.finish()
+    }
+
+    /// `read_msg` into a fresh buffer: the tag and the payload.
+    fn read_one(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, WireError> {
+        let mut payload = Vec::new();
+        Ok(read_msg(r, &mut payload)?.map(|tag| (tag, payload)))
+    }
+
     #[test]
     fn msg_frame_roundtrips() {
-        let frame = encode_msg(7, b"payload bytes");
+        let frame = msg(7, b"payload bytes");
+        assert_eq!(frame.len(), b"payload bytes".len() + MSG_OVERHEAD);
         let (tag, payload) = decode_msg(&frame).unwrap();
         assert_eq!(tag, 7);
         assert_eq!(payload, b"payload bytes");
 
-        let mut cursor = std::io::Cursor::new(frame);
-        let (tag, payload) = read_msg(&mut cursor).unwrap().expect("one frame");
-        assert_eq!(tag, 7);
-        assert_eq!(payload, b"payload bytes");
-        assert_eq!(read_msg(&mut cursor).unwrap(), None);
+        // Two messages through one reused buffer, the longer one first.
+        let mut stream = frame.clone();
+        stream.extend(msg(9, b"tail"));
+        let mut cursor = std::io::Cursor::new(stream);
+        let mut buf = Vec::new();
+        assert_eq!(read_msg(&mut cursor, &mut buf).unwrap(), Some(7));
+        assert_eq!(buf, b"payload bytes");
+        assert_eq!(read_msg(&mut cursor, &mut buf).unwrap(), Some(9));
+        assert_eq!(buf, b"tail");
+        assert_eq!(read_msg(&mut cursor, &mut buf).unwrap(), None);
+    }
+
+    #[test]
+    fn message_writer_fills_in_the_header_and_checksum() {
+        let mut w = WireWriter::message(5);
+        w.varint(300);
+        w.str("ok");
+        assert_eq!(w.written().len(), 2 + 8 + 2);
+        let bytes = w.finish();
+        let (tag, payload) = decode_msg(&bytes).unwrap();
+        assert_eq!(tag, 5);
+        let mut r = WireReader::unframed(payload);
+        assert_eq!(r.varint().unwrap(), 300);
+        assert_eq!(r.str().unwrap(), "ok");
+        r.finish().unwrap();
+
+        let mut w = WireWriter::message(5);
+        w.varint(1);
+        w.clear();
+        assert_eq!(w.finish(), msg(5, b""), "clear keeps the header");
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_left() {
+        let mut w = WireWriter::unframed();
+        w.varint(3);
+        w.raw(&[1, 2, 3, 4, 5, 6]);
+        let bytes = w.finish();
+        assert_eq!(WireReader::unframed(&bytes).count("pair", 2), Ok(3));
+        let err = WireReader::unframed(&bytes).count("quad", 4).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed frame: quad count 3 exceeds the 6 payload bytes left"
+        );
+        let mut r = WireReader::unframed(&bytes);
+        r.u8().unwrap();
+        assert_eq!(r.rest(), &[1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
     fn msg_every_single_bit_flip_is_detected() {
-        let good = encode_msg(3, b"the quick brown fox");
+        let good = msg(3, b"the quick brown fox");
         for byte in 0..good.len() {
             for bit in 0..8 {
                 let mut bad = good.clone();
@@ -717,7 +848,7 @@ mod tests {
 
     #[test]
     fn msg_truncation_and_length_lies_are_rejected() {
-        let good = encode_msg(3, b"the quick brown fox");
+        let good = msg(3, b"the quick brown fox");
         for len in 0..good.len() {
             assert!(
                 decode_msg(&good[..len]).is_err(),
@@ -725,10 +856,10 @@ mod tests {
             );
             let mut cursor = std::io::Cursor::new(good[..len].to_vec());
             if len == 0 {
-                assert_eq!(read_msg(&mut cursor).unwrap(), None);
+                assert_eq!(read_one(&mut cursor).unwrap(), None);
             } else {
                 assert!(
-                    read_msg(&mut cursor).is_err(),
+                    read_one(&mut cursor).is_err(),
                     "stream truncation to {len} bytes went undetected"
                 );
             }
@@ -740,19 +871,19 @@ mod tests {
         assert!(matches!(decode_msg(&lie), Err(WireError::Oversize { .. })));
         let mut cursor = std::io::Cursor::new(lie);
         assert!(matches!(
-            read_msg(&mut cursor),
+            read_one(&mut cursor),
             Err(WireError::Oversize { .. })
         ));
     }
 
     #[test]
     fn msg_truncated_body_reports_the_bytes_that_arrived() {
-        let good = encode_msg(3, b"the quick brown fox");
+        let good = msg(3, b"the quick brown fox");
         let body = good.len() - 6;
         for arrived in [1, 5, body - 1] {
             let mut cursor = std::io::Cursor::new(good[..6 + arrived].to_vec());
             assert_eq!(
-                read_msg(&mut cursor),
+                read_one(&mut cursor),
                 Err(WireError::Truncated {
                     wanted: body,
                     left: arrived
@@ -763,7 +894,7 @@ mod tests {
 
     #[test]
     fn msg_wrong_lead_byte_is_diagnosed() {
-        let mut bad = encode_msg(1, b"x");
+        let mut bad = msg(1, b"x");
         bad[0] = b'{';
         assert_eq!(
             decode_msg(&bad),
@@ -774,7 +905,7 @@ mod tests {
         for garbage in [&bad[..], b"{}\n", b"x"] {
             let mut cursor = std::io::Cursor::new(garbage.to_vec());
             assert_eq!(
-                read_msg(&mut cursor),
+                read_one(&mut cursor),
                 Err(WireError::BadFrameMagic { found: garbage[0] })
             );
         }

@@ -299,7 +299,8 @@ fn shard_worker_rejects_garbage_with_nonzero_exit() {
             "stderr must name the bad lead byte:\n{stderr}"
         );
         // The diagnosis goes out on the wire as a binary error frame.
-        match read_frame(&mut &out.stdout[..]) {
+        let mut buf = Vec::new();
+        match read_frame(&mut &out.stdout[..], &mut buf) {
             Ok(Some((Frame::Error { detail }, _))) => assert!(detail.contains(lead), "{detail}"),
             other => panic!("expected a binary error frame, got {other:?}"),
         }

@@ -101,27 +101,9 @@ fn write_balls(w: &mut WireWriter, balls: &[Ball]) {
     }
 }
 
-/// A decoded element count, refused before anything is reserved for it
-/// when its elements, at `min_bytes` each, would need more bytes than the
-/// payload has left.
-fn element_count(
-    r: &mut WireReader,
-    what: &str,
-    min_bytes: usize,
-) -> Result<usize, wire::WireError> {
-    let count = r.varint()?;
-    let left = r.remaining();
-    if count > (left / min_bytes) as u64 {
-        return Err(wire::WireError::Malformed(format!(
-            "{what} count {count} exceeds the {left} payload bytes left"
-        )));
-    }
-    Ok(count as usize)
-}
-
 fn read_balls(r: &mut WireReader) -> Result<Vec<Ball>, wire::WireError> {
     // A ball is at least two one-byte varints: its id delta and weight.
-    let count = element_count(r, "ball", 2)?;
+    let count = r.count("ball", 2)?;
     let mut balls = Vec::with_capacity(count);
     let mut prev = 0i64;
     for _ in 0..count {
@@ -153,7 +135,7 @@ fn write_ids(w: &mut WireWriter, ids: &[u64]) {
 }
 
 fn read_ids(r: &mut WireReader) -> Result<Vec<u64>, wire::WireError> {
-    let count = element_count(r, "id", 1)?;
+    let count = r.count("id", 1)?;
     let mut ids = Vec::with_capacity(count);
     let mut prev = 0i64;
     for _ in 0..count {
@@ -167,20 +149,27 @@ fn read_ids(r: &mut WireReader) -> Result<Vec<u64>, wire::WireError> {
 impl IngestFrame {
     /// Encode to one checksummed binary message.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::unframed();
         let tag = match self {
+            IngestFrame::Hello { .. } => TAG_HELLO,
+            IngestFrame::HelloOk => TAG_HELLO_OK,
+            IngestFrame::Batch { .. } => TAG_BATCH,
+            IngestFrame::Ack { .. } => TAG_ACK,
+            IngestFrame::Done => TAG_DONE,
+            IngestFrame::Summary { .. } => TAG_SUMMARY,
+            IngestFrame::Error { .. } => TAG_ERROR,
+        };
+        let mut w = WireWriter::message(tag);
+        match self {
             IngestFrame::Hello { n, seed, policy } => {
                 w.varint(u64::from(*n));
                 w.u64(*seed);
                 w.str(policy);
-                TAG_HELLO
             }
-            IngestFrame::HelloOk => TAG_HELLO_OK,
+            IngestFrame::HelloOk | IngestFrame::Done => {}
             IngestFrame::Batch { batch, payload } => {
                 w.varint(*batch);
                 write_balls(&mut w, &payload.arrivals);
                 write_ids(&mut w, &payload.departures);
-                TAG_BATCH
             }
             IngestFrame::Ack {
                 batch,
@@ -190,9 +179,7 @@ impl IngestFrame {
                 w.varint(*batch);
                 w.varint(*resident);
                 w.varint(*max_load);
-                TAG_ACK
             }
-            IngestFrame::Done => TAG_DONE,
             IngestFrame::Summary {
                 batches,
                 balls,
@@ -205,14 +192,10 @@ impl IngestFrame {
                 w.varint(*resident);
                 w.varint(*max_load);
                 w.varint(*gap);
-                TAG_SUMMARY
             }
-            IngestFrame::Error { detail } => {
-                w.str(detail);
-                TAG_ERROR
-            }
-        };
-        wire::encode_msg(tag, &w.finish())
+            IngestFrame::Error { detail } => w.str(detail),
+        }
+        w.finish()
     }
 
     fn from_payload(tag: u8, payload: &[u8]) -> Result<IngestFrame, wire::WireError> {
@@ -275,9 +258,10 @@ pub fn send_frame(w: &mut impl Write, frame: &IngestFrame) -> Result<(), String>
 
 /// Read one frame; `Ok(None)` on a clean EOF between frames.
 pub fn recv_frame(r: &mut impl Read) -> Result<Option<IngestFrame>, String> {
-    match wire::read_msg(r) {
+    let mut payload = Vec::new();
+    match wire::read_msg(r, &mut payload) {
         Ok(None) => Ok(None),
-        Ok(Some((tag, payload))) => IngestFrame::from_payload(tag, &payload)
+        Ok(Some(tag)) => IngestFrame::from_payload(tag, &payload)
             .map(Some)
             .map_err(|e| format!("unreadable ingest frame: {e}")),
         Err(e) => Err(format!("unreadable ingest frame: {e}")),
@@ -597,10 +581,10 @@ mod tests {
 
     /// A batch message with this payload, behind a valid checksum.
     fn batch_msg(payload: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
-        let mut w = WireWriter::unframed();
+        let mut w = WireWriter::message(TAG_BATCH);
         w.varint(1);
         payload(&mut w);
-        wire::encode_msg(TAG_BATCH, &w.finish())
+        w.finish()
     }
 
     #[test]

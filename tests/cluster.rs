@@ -7,8 +7,9 @@
 //! `crates/runner/tests/cluster_cli.rs` covers the real-process
 //! transport end to end.
 
-use pba::cluster::wire::Frame;
+use pba::cluster::wire::{Frame, LoadList, PairBuf, PairList};
 use pba::cluster::ClusterConfig;
+use pba::core::wire::WireWriter;
 use pba::prelude::*;
 
 const SEED: u64 = 1105;
@@ -256,21 +257,26 @@ impl XorShift {
     }
 }
 
+/// An explicit pair list that lives as long as the test.
+fn pairs(list: &[(u32, u64)]) -> PairList<'static> {
+    Box::leak(Box::new(list.iter().copied().collect::<PairBuf>())).list()
+}
+
 /// A representative frame vocabulary for the fuzzer: every direction of
 /// the conversation, sparse lists, strings, and full-width integers.
-fn fuzz_frames() -> Vec<Frame> {
+fn fuzz_frames() -> Vec<Frame<'static>> {
     vec![
         Frame::Ready { shard: 3 },
         Frame::Grants {
             round: 9,
             active: 512,
             placed: 1024,
-            counts: vec![(1, 3), (17, 1), (200, 9)],
+            counts: pairs(&[(1, 3), (17, 1), (200, 9)]),
             crashed: vec![4, 90],
         },
         Frame::GrantsOk {
             round: 9,
-            accept: vec![(1, 2), (200, 9)],
+            accept: pairs(&[(1, 2), (200, 9)]),
             underloaded: 7,
             unfilled: 11,
         },
@@ -280,7 +286,7 @@ fn fuzz_frames() -> Vec<Frame> {
         },
         Frame::Delta {
             batch: 44,
-            loads: vec![(0, 5), (63, 2)],
+            loads: pairs(&[(0, 5), (63, 2)]),
         },
         Frame::DeltaOk {
             batch: 44,
@@ -288,7 +294,7 @@ fn fuzz_frames() -> Vec<Frame> {
             max: 12,
         },
         Frame::Loads {
-            loads: vec![0, 3, u64::MAX >> 1, 2],
+            loads: LoadList::u64s(&[0, 3, u64::MAX >> 1, 2]),
         },
         Frame::Error {
             detail: "synthetic failure".into(),
@@ -365,6 +371,42 @@ fn wire_totals_are_pinned() {
         (64, 11_346),
         "stream wire totals"
     );
+}
+
+#[test]
+fn hostile_counts_are_a_decode_error() {
+    // Checksum-valid frames whose counts claim more elements than their
+    // payload holds: a 4-byte `loads` payload claiming 2^24 loads, and
+    // lists of 2^40 pairs or ids in a few bytes. Each fails at its count,
+    // naming it, before anything is reserved for the elements.
+    let frame = |tag: u8, fields: &[u64]| {
+        let mut w = WireWriter::message(tag);
+        fields.iter().for_each(|&v| w.varint(v));
+        w.finish()
+    };
+    let cases = [
+        (frame(10, &[1 << 24]), "load count 16777216 exceeds"),
+        (
+            frame(4, &[0, 1 << 40, 0, 0]),
+            "pair count 1099511627776 exceeds",
+        ),
+        (frame(5, &[0, 1 << 40]), "pair count 1099511627776 exceeds"),
+        (
+            frame(7, &[0, 1 << 40, 1]),
+            "pair count 1099511627776 exceeds",
+        ),
+        (
+            frame(3, &[0, 0, 0, 0, 1 << 40]),
+            "id count 1099511627776 exceeds",
+        ),
+    ];
+    for (bytes, want) in cases {
+        match Frame::decode(&bytes) {
+            Err(err) => assert!(err.contains(want), "{want}: {err}"),
+            Ok(frame) => panic!("{want}: decoded to {frame:?}"),
+        }
+    }
+    assert_eq!(frame(10, &[1 << 24]).len(), 4 + 14, "a 4-byte payload");
 }
 
 #[test]
