@@ -604,18 +604,13 @@ impl ShardLink {
         }
     }
 
-    /// A write failure parked by the sender thread, if any.
-    fn parked_error(&self) -> Option<String> {
-        parked(&self.send_err)
-    }
-
     /// Send one frame: serialize and enqueue it on the sender thread.
     /// Returns as soon as a queue slot is free, at most
     /// [`SEND_QUEUE_DEPTH`] waves ahead of the writes.
     pub fn send(&mut self, frame: &Frame) -> Result<()> {
         let bytes = frame.encode();
         let len = bytes.len();
-        let failure = match (self.parked_error(), &self.tx) {
+        let failure = match (parked(&self.send_err), &self.tx) {
             (Some(detail), _) => Some(format!("send {} failed: {detail}", frame.tag())),
             (None, None) => Some(format!("send {} on closed link", frame.tag())),
             (None, Some(tx)) => tx
@@ -639,19 +634,13 @@ impl ShardLink {
     pub fn recv(&mut self) -> Result<Frame<'_>> {
         // The frame borrows `rbuf` alone, so the failure paths below name
         // the other fields directly rather than through `&self` methods.
-        let failure = |send_err: &Mutex<Option<String>>, what: String| {
-            let parked = parked(send_err)
-                .map(|p| format!(" (send side: {p})"))
-                .unwrap_or_default();
-            format!("{what}{parked}")
-        };
         let got = match read_frame(self.reader.as_mut(), &mut self.rbuf) {
             Ok(got) => got,
             Err(e) => {
                 self.alive = false;
                 return Err(CoreError::ClusterTransport {
                     shard: self.shard,
-                    detail: failure(&self.send_err, format!("unreadable reply: {e}")),
+                    detail: with_parked(format!("unreadable reply: {e}"), &self.send_err),
                 });
             }
         };
@@ -659,7 +648,7 @@ impl ShardLink {
             self.alive = false;
             return Err(CoreError::ClusterTransport {
                 shard: self.shard,
-                detail: failure(&self.send_err, "shard closed the pipe (EOF)".into()),
+                detail: with_parked("shard closed the pipe (EOF)".into(), &self.send_err),
             });
         };
         self.frames_recv += 1;
@@ -716,7 +705,17 @@ impl ShardLink {
 
 /// The write failure parked in `slot`, if any.
 fn parked(slot: &Mutex<Option<String>>) -> Option<String> {
-    slot.lock().unwrap().clone()
+    slot.lock()
+        .expect("the sender thread never panics holding its error slot")
+        .clone()
+}
+
+/// `what`, followed by the write failure parked in `slot`, if any.
+fn with_parked(what: String, slot: &Mutex<Option<String>>) -> String {
+    match parked(slot) {
+        Some(p) => format!("{what} (send side: {p})"),
+        None => what,
+    }
 }
 
 impl Drop for ShardLink {

@@ -377,7 +377,17 @@ impl WireWriter {
 
     /// Append an unsigned LEB128 varint: 7 value bits per byte, high
     /// bit flags continuation. Values below 128 cost one byte.
-    pub fn varint(&mut self, mut v: u64) {
+    #[inline]
+    pub fn varint(&mut self, v: u64) {
+        if v < 0x80 {
+            self.buf.push(v as u8);
+        } else {
+            self.long_varint(v);
+        }
+    }
+
+    /// [`varint`](Self::varint) past its one-byte case.
+    fn long_varint(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
@@ -391,6 +401,7 @@ impl WireWriter {
 
     /// Append a signed value as a zigzag varint — the delta encoding
     /// for id lists whose gaps can run in either direction.
+    #[inline]
     pub fn varint_signed(&mut self, v: i64) {
         self.varint(zigzag(v));
     }
@@ -404,6 +415,12 @@ impl WireWriter {
     /// Append a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
+    }
+
+    /// Make room for at least `additional` more bytes, for a caller that
+    /// knows roughly how much it is about to write.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Append bytes that are already in wire form, as they are (no
@@ -540,7 +557,21 @@ impl<'a> WireReader<'a> {
 
     /// Read an unsigned LEB128 varint. A continuation running past 10
     /// bytes (more than 64 value bits) is malformed, not an overflow.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, WireError> {
+        // The common case on every wire here: a value below 128, one byte.
+        if let Some(&byte) = self.buf.get(self.pos) {
+            if byte < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(byte));
+            }
+        }
+        self.long_varint()
+    }
+
+    /// [`varint`](Self::varint) past its one-byte case.
+    #[cold]
+    fn long_varint(&mut self) -> Result<u64, WireError> {
         let mut v: u64 = 0;
         for i in 0..10 {
             let byte = self.u8()?;
@@ -561,6 +592,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Read a zigzag varint back into a signed value.
+    #[inline]
     pub fn varint_signed(&mut self) -> Result<i64, WireError> {
         Ok(unzigzag(self.varint()?))
     }
