@@ -46,7 +46,7 @@
 //! both ends, as on the wire, where a `Vec<(u32, u64)>` took 16. On a
 //! 2-vCPU VM this took a two-worker run of collision at m = n = 2^20
 //! (perfbench's cluster-2, seed 21) from 27.1k to 15.8k minor faults in
-//! the orchestrator and from about 15.3k to 5.2k in its workers, for the
+//! the orchestrator and from about 17.2k to 5.9k in its workers, for the
 //! same 6,000,228 bytes in 28 frames.
 //!
 //! A peer that does not speak this format is refused at its first byte:
