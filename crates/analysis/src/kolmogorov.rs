@@ -75,16 +75,16 @@ mod tests {
     /// Tiny local generator so this crate stays free of cross-deps in
     /// tests.
     mod pba_core_free_rng {
-        pub struct SplitMix64ish(pub u64);
+        pub(super) struct SplitMix64ish(pub(super) u64);
         impl SplitMix64ish {
-            pub fn next(&mut self) -> u64 {
+            pub(super) fn next(&mut self) -> u64 {
                 self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
                 let mut z = self.0;
                 z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
                 z ^ (z >> 31)
             }
-            pub fn unit(&mut self) -> f64 {
+            pub(super) fn unit(&mut self) -> f64 {
                 (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
             }
         }

@@ -13,8 +13,8 @@
 //!
 //! * [`wire`] — the frame vocabulary and its binary codec (checksummed
 //!   messages on [`pba_core::wire`], no external dependencies).
-//! * [`transport`] — the [`Transport`] trait (local threads, child
-//!   processes, sockets) and [`ShardLink`]: wire accounting, overlapped
+//! * [`transport`] — the `Transport` trait (local threads, child
+//!   processes, sockets) and `ShardLink`: wire accounting, overlapped
 //!   sender threads, and real dead-pipe failure modes.
 //! * [`worker`] — the shard side: [`worker::serve`] answers waves using
 //!   the same [`grant_slice`](pba_core::exec::grant_slice) kernel the
@@ -53,6 +53,5 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use orchestrator::{shard_lo, shard_of, ClusterConfig, ClusterOutcome};
-pub use transport::{ShardLink, Transport};
+pub use orchestrator::{shard_lo, ClusterConfig, ClusterOutcome};
 pub use wire::{Frame, Hello};

@@ -53,7 +53,7 @@ pub fn shard_lo(s: u32, n: u32, shards: u32) -> u32 {
 }
 
 /// The shard owning bin `b` (inverse of [`shard_lo`]).
-pub fn shard_of(b: u32, n: u32, shards: u32) -> u32 {
+pub(crate) fn shard_of(b: u32, n: u32, shards: u32) -> u32 {
     ((u64::from(b) * u64::from(shards)) / u64::from(n)) as u32
 }
 
@@ -592,9 +592,8 @@ impl ClusterConfig {
                             expect_dead,
                         });
                     }
-                    Err(e) if expect_dead => {
+                    Err(_) if expect_dead => {
                         // The scheduled kill, observed as a dead pipe.
-                        let _ = e;
                         pending[s] = None;
                     }
                     Err(e) => return Err(e),
@@ -658,9 +657,8 @@ fn collect_delta_acks(links: &mut [ShardLink], pending: &mut [Option<PendingDelt
                     detail: format!("expected delta_ok, got {}", other.tag()),
                 });
             }
-            Err(e) if p.expect_dead => {
+            Err(_) if p.expect_dead => {
                 // The scheduled kill, observed as a dead pipe.
-                let _ = e;
             }
             Err(e) => return Err(e),
         }
@@ -894,9 +892,6 @@ mod tests {
     }
 
     impl Transport for Scripted {
-        fn kind(&self) -> &'static str {
-            "scripted"
-        }
         fn take_writer(&mut self) -> Box<dyn Write + Send> {
             Box::new(self.writer.take().expect("writer taken once"))
         }

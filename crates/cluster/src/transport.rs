@@ -1,18 +1,18 @@
-//! Shard transports: one [`Transport`] trait, three ways to reach a
+//! Shard transports: one `Transport` trait, three ways to reach a
 //! worker, one overlapped send path.
 //!
-//! A [`ShardLink`] is the orchestrator's channel to one shard worker.
+//! A `ShardLink` is the orchestrator's channel to one shard worker.
 //! It speaks the binary frame format (see [`crate::wire`]) over any
 //! transport:
 //!
-//! * [`LocalTransport`] — run [`crate::worker::serve`] on a thread over
+//! * `LocalTransport` — run [`crate::worker::serve`] on a thread over
 //!   in-memory byte pipes with pipe semantics (blocking reads, EOF on
 //!   writer drop, `BrokenPipe` after a kill). `std::io::pipe` landed in
 //!   Rust 1.87; the workspace floor is 1.85, so the pipes are
 //!   hand-rolled on `Mutex` + `Condvar`.
-//! * [`PipeTransport`] — spawn a real OS process (the `pba-run
+//! * `PipeTransport` — spawn a real OS process (the `pba-run
 //!   shard-worker` child mode) and speak over its stdin/stdout pipes.
-//! * [`SocketTransport`] — connect to a worker over TCP or a
+//! * `SocketTransport` — connect to a worker over TCP or a
 //!   Unix-domain socket. The orchestrator can manage the worker itself
 //!   (spawn `pba-run shard-worker --listen <path>` and connect) or
 //!   attach to pre-started workers at given addresses.
@@ -25,7 +25,7 @@
 //! ## Overlapped send
 //!
 //! Each link owns a **sender thread** behind a bounded
-//! two-slot queue: [`ShardLink::send`] serializes the frame, enqueues
+//! two-slot queue: `ShardLink::send` serializes the frame, enqueues
 //! the bytes, and returns immediately, so the orchestrator can
 //! serialize wave *k+1* (and run its own half of the kernel) while wave
 //! *k* is still being written to the OS. The queue preserves FIFO
@@ -54,7 +54,7 @@ use crate::worker;
 /// Depth of the per-link send queue: the wave in flight plus one being
 /// serialized. Two is enough to hide serialization behind the kernel
 /// without letting the orchestrator run unboundedly ahead.
-pub const SEND_QUEUE_DEPTH: usize = 2;
+pub(crate) const SEND_QUEUE_DEPTH: usize = 2;
 
 /// Shared state of one in-memory pipe direction.
 #[derive(Default)]
@@ -88,13 +88,13 @@ impl Pipe {
 }
 
 /// Write half of an in-memory pipe.
-pub struct PipeWriter(Arc<Pipe>);
+pub(crate) struct PipeWriter(Arc<Pipe>);
 
 /// Read half of an in-memory pipe.
-pub struct PipeReader(Arc<Pipe>);
+pub(crate) struct PipeReader(Arc<Pipe>);
 
 /// A connected in-memory pipe pair.
-pub fn mem_pipe() -> (PipeWriter, PipeReader) {
+pub(crate) fn mem_pipe() -> (PipeWriter, PipeReader) {
     let p = Arc::new(Pipe::default());
     (PipeWriter(p.clone()), PipeReader(p))
 }
@@ -147,10 +147,7 @@ impl Read for PipeReader {
 /// two halves to the [`ShardLink`] once; `kill` must make both halves
 /// fail (and wake any blocked peer), because the write half may be
 /// owned by a sender thread at that point.
-pub trait Transport: Send {
-    /// Transport name for diagnostics: `"local"`, `"pipe"`, `"socket"`.
-    fn kind(&self) -> &'static str;
-
+pub(crate) trait Transport: Send {
     /// Take the write half. Called exactly once, before any I/O.
     fn take_writer(&mut self) -> Box<dyn Write + Send>;
 
@@ -168,7 +165,7 @@ pub trait Transport: Send {
 }
 
 /// Worker thread over in-memory pipes.
-pub struct LocalTransport {
+pub(crate) struct LocalTransport {
     handle: Option<JoinHandle<std::result::Result<(), String>>>,
     to_worker: Arc<Pipe>,
     from_worker: Arc<Pipe>,
@@ -178,7 +175,7 @@ pub struct LocalTransport {
 
 impl LocalTransport {
     /// Spawn [`worker::serve`] on a thread connected by in-memory pipes.
-    pub fn spawn(shard: u32) -> Self {
+    pub(crate) fn spawn(shard: u32) -> Self {
         let (orch_w, worker_r) = mem_pipe();
         let (worker_w, orch_r) = mem_pipe();
         let to_worker = worker_r.0.clone();
@@ -198,10 +195,6 @@ impl LocalTransport {
 }
 
 impl Transport for LocalTransport {
-    fn kind(&self) -> &'static str {
-        "local"
-    }
-
     fn take_writer(&mut self) -> Box<dyn Write + Send> {
         Box::new(self.writer.take().expect("writer taken once"))
     }
@@ -229,7 +222,7 @@ impl Transport for LocalTransport {
 }
 
 /// Real child process over stdin/stdout pipes.
-pub struct PipeTransport {
+pub(crate) struct PipeTransport {
     child: Option<Child>,
     stdin: Option<Box<dyn Write + Send>>,
     stdout: Option<Box<dyn BufRead + Send>>,
@@ -238,7 +231,7 @@ pub struct PipeTransport {
 impl PipeTransport {
     /// Spawn `exe shard-worker` piped on stdin/stdout (stderr passes
     /// through for diagnostics).
-    pub fn spawn(shard: u32, exe: &Path) -> Result<Self> {
+    pub(crate) fn spawn(shard: u32, exe: &Path) -> Result<Self> {
         let mut child = Command::new(exe)
             .arg("shard-worker")
             .stdin(Stdio::piped())
@@ -260,10 +253,6 @@ impl PipeTransport {
 }
 
 impl Transport for PipeTransport {
-    fn kind(&self) -> &'static str {
-        "pipe"
-    }
-
     fn take_writer(&mut self) -> Box<dyn Write + Send> {
         self.stdin.take().expect("writer taken once")
     }
@@ -349,7 +338,7 @@ pub fn is_unix_addr(addr: &str) -> bool {
 /// Worker over a TCP or Unix-domain stream socket — either a child this
 /// transport spawned with `shard-worker --listen`, or a pre-started
 /// worker it merely connected to.
-pub struct SocketTransport {
+pub(crate) struct SocketTransport {
     stream: SocketStream,
     write_half: Option<Box<dyn Write + Send>>,
     read_half: Option<Box<dyn BufRead + Send>>,
@@ -361,7 +350,7 @@ pub struct SocketTransport {
 impl SocketTransport {
     /// Spawn `exe shard-worker --listen <socket>` on a fresh Unix-domain
     /// socket path and connect to it (retrying while the child binds).
-    pub fn spawn(shard: u32, exe: &Path) -> Result<Self> {
+    pub(crate) fn spawn(shard: u32, exe: &Path) -> Result<Self> {
         let sock =
             std::env::temp_dir().join(format!("pba-worker-{}-{shard}.sock", std::process::id()));
         let _ = std::fs::remove_file(&sock);
@@ -413,7 +402,7 @@ impl SocketTransport {
 
     /// Connect to a pre-started worker listening at `addr` (a `/`-ful
     /// path means Unix-domain, anything else `host:port` TCP).
-    pub fn connect(shard: u32, addr: &str) -> Result<Self> {
+    pub(crate) fn connect(shard: u32, addr: &str) -> Result<Self> {
         let stream = SocketStream::connect(addr).map_err(|e| CoreError::ClusterTransport {
             shard,
             detail: format!("connect to worker at {addr} failed: {e}"),
@@ -442,10 +431,6 @@ impl SocketTransport {
 }
 
 impl Transport for SocketTransport {
-    fn kind(&self) -> &'static str {
-        "socket"
-    }
-
     fn take_writer(&mut self) -> Box<dyn Write + Send> {
         self.write_half.take().expect("writer taken once")
     }
@@ -481,7 +466,7 @@ impl Transport for SocketTransport {
 }
 
 /// The orchestrator's channel to one shard worker, with wire accounting.
-pub struct ShardLink {
+pub(crate) struct ShardLink {
     shard: u32,
     /// Queue to the sender thread; `None` once the send half is closed.
     tx: Option<SyncSender<Vec<u8>>>,
@@ -509,7 +494,7 @@ pub struct ShardLink {
 
 impl ShardLink {
     /// Wrap a connected transport and start its two-slot sender thread.
-    pub fn new(shard: u32, mut transport: Box<dyn Transport>) -> ShardLink {
+    pub(crate) fn new(shard: u32, mut transport: Box<dyn Transport>) -> ShardLink {
         let mut writer = transport.take_writer();
         let reader = transport.take_reader();
         let send_err = Arc::new(Mutex::new(None::<String>));
@@ -552,12 +537,12 @@ impl ShardLink {
     }
 
     /// Worker thread over in-memory pipes (tests, `--local` runs).
-    pub fn local(shard: u32) -> ShardLink {
+    pub(crate) fn local(shard: u32) -> ShardLink {
         ShardLink::new(shard, Box::new(LocalTransport::spawn(shard)))
     }
 
     /// Worker child process over stdin/stdout pipes.
-    pub fn process(shard: u32, exe: &Path) -> Result<ShardLink> {
+    pub(crate) fn process(shard: u32, exe: &Path) -> Result<ShardLink> {
         Ok(ShardLink::new(
             shard,
             Box::new(PipeTransport::spawn(shard, exe)?),
@@ -566,7 +551,7 @@ impl ShardLink {
 
     /// Managed socket worker: spawn `exe shard-worker --listen` on a
     /// fresh Unix-domain socket and connect.
-    pub fn socket(shard: u32, exe: &Path) -> Result<ShardLink> {
+    pub(crate) fn socket(shard: u32, exe: &Path) -> Result<ShardLink> {
         Ok(ShardLink::new(
             shard,
             Box::new(SocketTransport::spawn(shard, exe)?),
@@ -575,7 +560,7 @@ impl ShardLink {
 
     /// Pre-started socket worker at `addr` (TCP `host:port`, or a
     /// Unix-domain socket path).
-    pub fn socket_connect(shard: u32, addr: &str) -> Result<ShardLink> {
+    pub(crate) fn socket_connect(shard: u32, addr: &str) -> Result<ShardLink> {
         Ok(ShardLink::new(
             shard,
             Box::new(SocketTransport::connect(shard, addr)?),
@@ -583,17 +568,12 @@ impl ShardLink {
     }
 
     /// This link's shard index.
-    pub fn shard(&self) -> u32 {
+    pub(crate) fn shard(&self) -> u32 {
         self.shard
     }
 
-    /// The transport flavor ("local", "pipe", "socket").
-    pub fn transport_kind(&self) -> &'static str {
-        self.transport.kind()
-    }
-
     /// True until [`ShardLink::kill`] or an observed transport failure.
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.alive
     }
 
@@ -607,7 +587,7 @@ impl ShardLink {
     /// Send one frame: serialize and enqueue it on the sender thread.
     /// Returns as soon as a queue slot is free, at most
     /// [`SEND_QUEUE_DEPTH`] waves ahead of the writes.
-    pub fn send(&mut self, frame: &Frame) -> Result<()> {
+    pub(crate) fn send(&mut self, frame: &Frame) -> Result<()> {
         let bytes = frame.encode();
         let len = bytes.len();
         let failure = match (parked(&self.send_err), &self.tx) {
@@ -631,7 +611,7 @@ impl ShardLink {
     /// the buffer until the next receive. EOF, unreadable frames, and
     /// worker-reported `error` frames all surface as
     /// [`CoreError::ClusterTransport`].
-    pub fn recv(&mut self) -> Result<Frame<'_>> {
+    pub(crate) fn recv(&mut self) -> Result<Frame<'_>> {
         // The frame borrows `rbuf` alone, so the failure paths below name
         // the other fields directly rather than through `&self` methods.
         let got = match read_frame(self.reader.as_mut(), &mut self.rbuf) {
@@ -666,7 +646,7 @@ impl ShardLink {
     /// Kill the shard: sever the transport (and any managed peer). The
     /// next send/recv observes a dead link; a blocked sender thread
     /// fails out and parks its error.
-    pub fn kill(&mut self) {
+    pub(crate) fn kill(&mut self) {
         self.transport.kill();
         self.killed = true;
         self.alive = false;
@@ -684,7 +664,7 @@ impl ShardLink {
     /// Clean teardown: `shutdown` → `bye`, then reap the worker. Errors
     /// are reported (a worker that fails to exit cleanly is a bug), but
     /// a killed link just reaps.
-    pub fn finish(&mut self) -> Result<()> {
+    pub(crate) fn finish(&mut self) -> Result<()> {
         if self.alive {
             self.send(&Frame::Shutdown)?;
             let got = self.recv()?.tag();

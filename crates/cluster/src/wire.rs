@@ -101,9 +101,9 @@ pub struct Hello {
 /// Routing order is usually ascending, so deltas stay small, but it is
 /// not a format requirement.
 ///
-/// A sent list is written from where it lives ([`PairList::nonzero`],
+/// A sent list is written from where it lives (`PairList::nonzero`,
 /// [`PairBuf::list`]); a received one is the checked bytes of its frame.
-/// Either way [`PairList::iter`] walks the pairs without collecting
+/// Either way `PairList::iter` walks the pairs without collecting
 /// them, and two lists are equal when they hold the same pairs.
 #[derive(Clone, Copy)]
 pub struct PairList<'a>(Pairs<'a>);
@@ -120,7 +120,7 @@ enum Pairs<'a> {
 impl<'a> PairList<'a> {
     /// The nonzero entries of `values`, whose entry `i` is bin `lo + i`,
     /// as pairs in ascending bin order.
-    pub fn nonzero(lo: u32, values: &'a [u32]) -> Self {
+    pub(crate) fn nonzero(lo: u32, values: &'a [u32]) -> Self {
         assert!(
             values.len() as u64 <= u64::from(u32::MAX - lo) + 1,
             "bins past u32::MAX"
@@ -137,7 +137,7 @@ impl<'a> PairList<'a> {
     }
 
     /// The pairs, in list order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + 'a {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u64)> + 'a {
         match self.0 {
             Pairs::Nonzero { lo, values } => PairIter::Nonzero {
                 lo,
@@ -231,7 +231,7 @@ impl Iterator for PairIter<'_> {
 /// A [`PairList`] written pair by pair, for a sender whose list is not
 /// the nonzero entries of one slice: the loads that differ from a shadow
 /// copy, pushed by the pass that updates the copy. It keeps its capacity
-/// across [`clear`](Self::clear), so a sender reuses one every round.
+/// across `clear`, so a sender reuses one every round.
 #[derive(Debug)]
 pub struct PairBuf {
     count: usize,
@@ -241,7 +241,7 @@ pub struct PairBuf {
 
 impl PairBuf {
     /// An empty list.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PairBuf {
             count: 0,
             prev: 0,
@@ -250,14 +250,14 @@ impl PairBuf {
     }
 
     /// Empty the list, keeping its capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.count = 0;
         self.prev = 0;
         self.w.clear();
     }
 
     /// Append one pair.
-    pub fn push(&mut self, bin: u32, value: u64) {
+    pub(crate) fn push(&mut self, bin: u32, value: u64) {
         write_pair(&mut self.w, &mut self.prev, bin, value);
         self.count += 1;
     }
@@ -314,7 +314,7 @@ fn read_pair(r: &mut WireReader<'_>, prev: &mut u32) -> Result<(u32, u64), WireE
 /// count, then one varint per bin, written straight from the worker's
 /// `u32` (engine) or `u64` (stream) load array. A received list is the
 /// checked bytes of its frame, which the orchestrator compares with its
-/// own loads by walking [`LoadList::iter`].
+/// own loads by walking `LoadList::iter`.
 #[derive(Clone, Copy)]
 pub struct LoadList<'a>(Loads<'a>);
 
@@ -331,7 +331,7 @@ enum Loads<'a> {
 
 impl<'a> LoadList<'a> {
     /// An engine worker's loads.
-    pub fn u32s(loads: &'a [u32]) -> Self {
+    pub(crate) fn u32s(loads: &'a [u32]) -> Self {
         LoadList(Loads::U32(loads))
     }
 
@@ -350,7 +350,7 @@ impl<'a> LoadList<'a> {
     }
 
     /// The loads, in bin order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + 'a {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + 'a {
         match self.0 {
             Loads::U32(v) => LoadIter::U32(v.iter()),
             Loads::U64(v) => LoadIter::U64(v.iter()),
@@ -745,7 +745,7 @@ impl<'a> Frame<'a> {
     }
 
     /// The frame-type tag, for error messages.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         TAG_NAMES[usize::from(self.tag_byte())]
     }
 }

@@ -99,7 +99,7 @@ pub struct VerifyOptions {
 
 impl VerifyOptions {
     /// Clean options at `scale` (no miswiring).
-    pub fn at(scale: VerifyScale) -> Self {
+    pub(crate) fn at(scale: VerifyScale) -> Self {
         Self {
             scale,
             miswire: None,
@@ -140,11 +140,6 @@ impl ClaimReport {
     /// True when the claim held on every replicate.
     pub fn confirmed(&self) -> bool {
         self.verdict == Verdict::Confirmed
-    }
-
-    /// The confidence interval rendered as `[lo, hi]`.
-    pub fn ci_string(&self) -> String {
-        format!("[{:.3}, {:.3}]", self.ci.0, self.ci.1)
     }
 }
 

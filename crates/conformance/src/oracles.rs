@@ -688,9 +688,8 @@ impl Claim for E15StreamGap {
 pub(crate) struct E24KdLoad;
 
 /// Rounds any clean (k,d)-choice run may take at oracle sizes. Clean runs
-/// finish well before probe escalation saturates; a faulted engine (the
-/// miswire negative control) blows through this long before the round
-/// budget errors out.
+/// finish well before probe escalation saturates, so a run past this
+/// ceiling has stalled, even if it is still inside its round budget.
 const KD_ROUNDS_CAP: u32 = 48;
 
 impl Claim for E24KdLoad {

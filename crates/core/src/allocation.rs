@@ -54,7 +54,7 @@ impl Allocation {
     /// assignment records only the *primary* bin, so the per-bin
     /// consistency check relaxes to "primaries never exceed the load".
     /// Clamped to at least 1.
-    pub fn with_replicas(mut self, replicas: u32) -> Self {
+    pub(crate) fn with_replicas(mut self, replicas: u32) -> Self {
         self.replicas = replicas.max(1);
         self
     }
@@ -62,21 +62,6 @@ impl Allocation {
     /// Load units one ball contributes (1 for unit balls).
     pub fn replicas(&self) -> u32 {
         self.replicas
-    }
-
-    /// The problem instance this allocation solves.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
-    }
-
-    /// Per-bin load vector (length `n`).
-    pub fn loads(&self) -> &[u32] {
-        &self.loads
-    }
-
-    /// Per-ball assignment (length `m`), if tracked.
-    pub fn assignment(&self) -> Option<&[u32]> {
-        self.assignment.as_deref()
     }
 
     /// Bin of `ball`, if the assignment was tracked.

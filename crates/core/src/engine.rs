@@ -145,7 +145,7 @@ pub(crate) struct SimState<P: RoundProtocol> {
 }
 
 impl<P: RoundProtocol> SimState<P> {
-    pub fn new(
+    pub(crate) fn new(
         spec: ProblemSpec,
         seed: u64,
         tracking: MessageTracking,
@@ -179,17 +179,17 @@ impl<P: RoundProtocol> SimState<P> {
     }
 
     /// The balls the next round visits.
-    pub fn balls(&self) -> Balls<'_> {
+    pub(crate) fn balls(&self) -> Balls<'_> {
         self.active.balls()
     }
 
     /// Bins not crashed: all `n` without a fault session.
-    pub fn live_bins(&self) -> u64 {
+    pub(crate) fn live_bins(&self) -> u64 {
         u64::from(self.spec.bins()) - crashed_bins(&self.faults).len() as u64
     }
 
     /// Injected-fault totals, `Some` iff the run is fault-injected.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
+    pub(crate) fn fault_stats(&self) -> Option<FaultStats> {
         self.faults.as_ref().map(FaultSession::stats)
     }
 
@@ -199,7 +199,7 @@ impl<P: RoundProtocol> SimState<P> {
         self.faults.as_mut().and_then(|s| s.end_round(round))
     }
 
-    pub fn context(&self, round: u32) -> RoundContext {
+    pub(crate) fn context(&self, round: u32) -> RoundContext {
         RoundContext {
             spec: self.spec,
             round,
@@ -218,7 +218,7 @@ impl<P: RoundProtocol> SimState<P> {
     /// change results. The bin side visits only the round's hot bins,
     /// except for the dense grant pass; the serial remainder is the
     /// merge of the chunks' survivor lists (`O(m')`).
-    pub fn round(
+    pub(crate) fn round(
         &mut self,
         protocol: &P,
         round: u32,

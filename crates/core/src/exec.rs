@@ -125,15 +125,6 @@ pub enum Backend<'p> {
 }
 
 impl<'p> Backend<'p> {
-    /// Number of execution lanes this backend can use.
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        match self {
-            Backend::Serial => 1,
-            Backend::Pool(pool) => pool.lanes(),
-        }
-    }
-
     /// Deterministic chunk geometry for a pass over `len` items: one chunk
     /// on the serial backend, up to `2 × lanes` chunks on a pool.
     pub fn chunking(&self, len: usize, min_chunk: usize) -> Chunking {
@@ -1139,7 +1130,6 @@ mod tests {
     #[test]
     fn serial_backend_is_one_chunk() {
         let b = Backend::Serial;
-        assert_eq!(b.lanes(), 1);
         let c = b.chunking(1_000_000, 16);
         assert_eq!(c.chunks(), 1);
         assert_eq!(c.range(0), 0..1_000_000);
@@ -1149,7 +1139,6 @@ mod tests {
     fn pool_backend_fans_out() {
         let pool = ThreadPool::new(3);
         let b = Backend::Pool(&pool);
-        assert_eq!(b.lanes(), 4);
         let c = b.chunking(1_000_000, 16);
         assert_eq!(c.chunks(), 8); // lanes * 2
         let mut seen = [false; 64];

@@ -296,7 +296,7 @@ pub struct FaultRecord {
 
 impl FaultRecord {
     /// True when the round injected no fault at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.dropped_requests == 0
             && self.crash_redraws == 0
             && self.crash_lost == 0
@@ -306,7 +306,7 @@ impl FaultRecord {
     }
 
     /// Accumulate `other`'s counts (the `round` field is untouched).
-    pub fn merge(&mut self, other: &FaultRecord) {
+    pub(crate) fn merge(&mut self, other: &FaultRecord) {
         self.dropped_requests += other.dropped_requests;
         self.crash_redraws += other.crash_redraws;
         self.crash_lost += other.crash_lost;
@@ -339,18 +339,13 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Accumulate one round's record.
-    pub fn absorb(&mut self, r: &FaultRecord) {
+    pub(crate) fn absorb(&mut self, r: &FaultRecord) {
         self.dropped_requests += r.dropped_requests;
         self.crash_redraws += r.crash_redraws;
         self.crash_lost += r.crash_lost;
         self.straggler_balls += r.straggler_balls;
         self.deferred_balls += r.deferred_balls;
         self.backoff_escalations += r.backoff_escalations;
-    }
-
-    /// Total disruptive events (lost requests + lost/deferred ball-rounds).
-    pub fn total_disruptions(&self) -> u64 {
-        self.dropped_requests + self.crash_lost + self.straggler_balls + self.deferred_balls
     }
 }
 
@@ -774,6 +769,5 @@ mod tests {
         let mut s = FaultStats::default();
         s.absorb(&r);
         assert_eq!(s.dropped_requests, 2);
-        assert_eq!(s.total_disruptions(), 2);
     }
 }

@@ -3,7 +3,7 @@
 //! The workspace builds with **zero external dependencies** (no serde),
 //! so every machine-readable artifact — the `--trace` JSONL stream and
 //! `pba-run verify --json` — goes through this one escaping/formatting
-//! module ([`escape`], [`number`], [`JsonObject`], [`u64_array`]). The
+//! module ([`escape`], `number`, [`JsonObject`], [`u64_array`]). The
 //! recursive-descent parser ([`parse`], [`Json`]) reads those artifacts
 //! back, as the trace round-trip test does.
 //!
@@ -38,7 +38,7 @@ pub fn escape(s: &str) -> String {
 
 /// Format an `f64` as a JSON number (`null` for NaN/infinity, which JSON
 /// cannot represent).
-pub fn number(v: f64) -> String {
+pub(crate) fn number(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -146,14 +146,6 @@ impl Json {
     pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
         match self {
             Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The array items.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -394,9 +386,11 @@ mod tests {
         assert_eq!(v.get("x").unwrap().as_f64(), Some(-0.5));
         assert_eq!(v.get("flag"), Some(&Json::Bool(true)));
         assert_eq!(v.get("nil"), Some(&Json::Null));
-        let arr = v.get("a").unwrap().as_arr().unwrap();
+        let Some(Json::Arr(arr)) = v.get("a") else {
+            panic!("\"a\" is not an array");
+        };
         assert_eq!(arr.len(), 3);
-        assert_eq!(arr[1].as_arr().unwrap().len(), 2);
+        assert!(matches!(&arr[1], Json::Arr(inner) if inner.len() == 2));
     }
 
     #[test]

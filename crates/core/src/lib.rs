@@ -18,8 +18,8 @@
 //! ## Layout
 //!
 //! * [`model`] — problem specification (`m` balls, `n` bins).
-//! * [`rng`] — deterministic splittable randomness (SplitMix64,
-//!   Xoshiro256++, counter-based per-(seed, round, ball) streams).
+//! * [`rng`] — deterministic splittable randomness (SplitMix64 and
+//!   counter-based per-(seed, round, ball) streams).
 //! * [`protocol`] — the [`RoundProtocol`] trait and its vocabulary types.
 //! * [`engine`] — request gathering, per-bin counting, acceptance
 //!   resolution, commits; one backend-parameterized round kernel.
@@ -33,7 +33,7 @@
 //! * [`faults`] — deterministic fault injection ([`FaultPlan`]): message
 //!   drops with capped-backoff retries, crashed bins, straggler lanes,
 //!   and streaming shard-domain failures.
-//! * [`binstate`] — the [`BinState`] load-accounting trait shared by the
+//! * `binstate` — the [`BinState`] load-accounting trait shared by the
 //!   one-shot engine and the streaming allocator (`pba-stream`).
 //! * [`json`] — the zero-dependency JSON emitter + parser behind the
 //!   runner's JSONL traces and `verify --json`.
@@ -46,10 +46,11 @@
 //!   [`RunConfig::with_validation`][sim::RunConfig::with_validation]:
 //!   ball conservation, bin-capacity respect, monotone commitment, and
 //!   fault-redirect legality, checked every round.
-//! * [`mathutil`] — `log* n`, iterated logarithms, and friends.
+//! * [`mathutil`] — the double logarithm `log₂ log₂ x` and saturating
+//!   float-to-integer conversions.
 
 pub mod allocation;
-pub mod binstate;
+mod binstate;
 pub mod delegate;
 pub mod engine;
 pub mod error;
@@ -84,7 +85,7 @@ pub use model::ProblemSpec;
 pub use protocol::{
     BallContext, BinGrant, ChoiceSink, CommitOption, Flow, NoBallState, RoundContext, RoundProtocol,
 };
-pub use rng::{ball_stream, RoundStreams, SplitMix64, Xoshiro256pp};
+pub use rng::{ball_stream, SplitMix64};
 pub use sim::{ExecutorKind, RunConfig, RunOutcome, Simulator};
 pub use trace::{RoundRecord, RunTrace};
 pub use wire::{WireError, WireReader, WireWriter};

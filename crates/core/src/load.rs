@@ -76,27 +76,9 @@ impl LoadStats {
         self.total
     }
 
-    /// Number of bins.
-    #[inline]
-    pub fn bins(&self) -> u32 {
-        self.bins
-    }
-
-    /// Mean load.
-    #[inline]
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance of the loads.
-    #[inline]
-    pub fn variance(&self) -> f64 {
-        self.variance
-    }
-
     /// Standard deviation of the loads.
     #[inline]
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.variance.sqrt()
     }
 
@@ -135,11 +117,6 @@ impl LoadStats {
         }
         self.max
     }
-
-    /// Number of bins with load exactly `l`.
-    pub fn bins_with_load(&self, l: u32) -> u32 {
-        self.histogram.get(&l).copied().unwrap_or(0)
-    }
 }
 
 impl std::fmt::Display for LoadStats {
@@ -167,8 +144,8 @@ mod tests {
         assert_eq!(s.max(), 4);
         assert_eq!(s.min(), 1);
         assert_eq!(s.total(), 10);
-        assert_eq!(s.mean(), 2.5);
-        assert!((s.variance() - 1.25).abs() < 1e-12);
+        assert_eq!(s.mean, 2.5);
+        assert!((s.variance - 1.25).abs() < 1e-12);
         assert_eq!(s.spread(), 3);
     }
 
@@ -188,10 +165,11 @@ mod tests {
     #[test]
     fn histogram_counts() {
         let s = LoadStats::from_loads(&[2, 2, 3, 5, 5, 5]);
-        assert_eq!(s.bins_with_load(2), 2);
-        assert_eq!(s.bins_with_load(3), 1);
-        assert_eq!(s.bins_with_load(5), 3);
-        assert_eq!(s.bins_with_load(4), 0);
+        let h = s.histogram();
+        assert_eq!(h.get(&2), Some(&2));
+        assert_eq!(h.get(&3), Some(&1));
+        assert_eq!(h.get(&5), Some(&3));
+        assert_eq!(h.get(&4), None);
     }
 
     #[test]

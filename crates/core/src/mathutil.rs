@@ -1,34 +1,6 @@
-//! Small mathematical helpers shared across the workspace: iterated
-//! logarithms, `log* n`, and integer utilities that appear in the papers'
-//! round bounds.
-
-/// `log₂*` — the iterated logarithm: how many times `log₂` must be applied
-/// to `x` before the result is at most 1.
-///
-/// Appears in the round complexity `O(log log(m/n) + log* n)` of the
-/// heavily loaded symmetric algorithm and in the `[LW16]` bound.
-///
-/// # Examples
-///
-/// ```
-/// use pba_core::mathutil::log_star;
-/// assert_eq!(log_star(1.0), 0);
-/// assert_eq!(log_star(2.0), 1);
-/// assert_eq!(log_star(4.0), 2);
-/// assert_eq!(log_star(16.0), 3);
-/// assert_eq!(log_star(65536.0), 4);
-/// ```
-pub fn log_star(mut x: f64) -> u32 {
-    let mut k = 0;
-    while x > 1.0 {
-        x = x.log2();
-        k += 1;
-        if k > 64 {
-            break; // unreachable for finite inputs; safety net
-        }
-    }
-    k
-}
+//! Small mathematical helpers shared across the workspace: the double
+//! logarithm of the papers' round bounds and saturating float-to-integer
+//! conversions.
 
 /// `log₂ log₂ x`, clamped to 0 for `x ≤ 2` (where the double log is
 /// non-positive or undefined). The round-count scale of the heavily loaded
@@ -38,49 +10,6 @@ pub fn log_log2(x: f64) -> f64 {
         0.0
     } else {
         x.log2().log2()
-    }
-}
-
-/// Natural double logarithm with the same clamping convention.
-pub fn log_log_e(x: f64) -> f64 {
-    if x <= std::f64::consts::E {
-        0.0
-    } else {
-        x.ln().ln()
-    }
-}
-
-/// Integer `⌈log₂ x⌉` for `x ≥ 1`.
-pub fn ceil_log2(x: u64) -> u32 {
-    debug_assert!(x >= 1);
-    if x <= 1 {
-        0
-    } else {
-        64 - (x - 1).leading_zeros()
-    }
-}
-
-/// Integer `⌊log₂ x⌋` for `x ≥ 1`.
-pub fn floor_log2(x: u64) -> u32 {
-    debug_assert!(x >= 1);
-    63 - x.leading_zeros()
-}
-
-/// `⌈a / b⌉` for `u64` (avoids float rounding in threshold schedules).
-#[inline]
-pub fn div_ceil_u64(a: u64, b: u64) -> u64 {
-    debug_assert!(b > 0);
-    a.div_ceil(b)
-}
-
-/// `x^(2/3)` rounded down to an integer — the paper's threshold undershoot
-/// `(m̃_i/n)^{2/3}`, computed in floating point (the paper treats rounding
-/// as irrelevant to the asymptotics; we floor to stay conservative).
-pub fn pow_two_thirds(x: f64) -> f64 {
-    if x <= 0.0 {
-        0.0
-    } else {
-        x.powf(2.0 / 3.0)
     }
 }
 
@@ -113,45 +42,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn log_star_known_values() {
-        assert_eq!(log_star(0.5), 0);
-        assert_eq!(log_star(1.0), 0);
-        assert_eq!(log_star(2.0), 1);
-        assert_eq!(log_star(3.9), 2);
-        assert_eq!(log_star(4.0), 2);
-        assert_eq!(log_star(15.9), 3);
-        assert_eq!(log_star(16.0), 3);
-        assert_eq!(log_star(65535.0), 4);
-        assert_eq!(log_star(65536.0), 4);
-        assert_eq!(log_star(1e300), 5);
-    }
-
-    #[test]
     fn log_log_clamps() {
         assert_eq!(log_log2(1.0), 0.0);
         assert_eq!(log_log2(2.0), 0.0);
         assert!((log_log2(16.0) - 2.0).abs() < 1e-12);
-        assert_eq!(log_log_e(1.0), 0.0);
-        assert!(log_log_e(100.0) > 0.0);
-    }
-
-    #[test]
-    fn integer_logs() {
-        assert_eq!(ceil_log2(1), 0);
-        assert_eq!(ceil_log2(2), 1);
-        assert_eq!(ceil_log2(3), 2);
-        assert_eq!(ceil_log2(1024), 10);
-        assert_eq!(ceil_log2(1025), 11);
-        assert_eq!(floor_log2(1), 0);
-        assert_eq!(floor_log2(1023), 9);
-        assert_eq!(floor_log2(1024), 10);
-    }
-
-    #[test]
-    fn pow_two_thirds_values() {
-        assert_eq!(pow_two_thirds(0.0), 0.0);
-        assert!((pow_two_thirds(8.0) - 4.0).abs() < 1e-12);
-        assert!((pow_two_thirds(27.0) - 9.0).abs() < 1e-9);
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl MessageStats {
 
     /// Accumulate another round's worth of counts.
     #[inline]
-    pub fn add(&mut self, other: MessageStats) {
+    pub(crate) fn add(&mut self, other: MessageStats) {
         self.requests += other.requests;
         self.responses += other.responses;
         self.commits += other.commits;
@@ -75,17 +75,16 @@ impl MessageStats {
 /// first touched by a write; bins that never receive a request are never
 /// written.
 #[derive(Debug, Clone)]
-pub struct MessageLedger {
-    tracking: MessageTracking,
+pub(crate) struct MessageLedger {
     /// Messages received by each bin (requests + commit notifications).
-    pub per_bin_received: Option<Vec<u64>>,
+    pub(crate) per_bin_received: Option<Vec<u64>>,
     /// Messages sent by each ball (requests + commit notifications).
-    pub per_ball_sent: Option<Vec<u32>>,
+    pub(crate) per_ball_sent: Option<Vec<u32>>,
 }
 
 impl MessageLedger {
     /// Allocate counters for `n` bins and `m` balls at the given level.
-    pub fn new(tracking: MessageTracking, n: u32, m: u64) -> Self {
+    pub(crate) fn new(tracking: MessageTracking, n: u32, m: u64) -> Self {
         let per_bin_received = match tracking {
             MessageTracking::Totals => None,
             _ => Some(vec![0u64; n as usize]),
@@ -95,29 +94,9 @@ impl MessageLedger {
             _ => None,
         };
         Self {
-            tracking,
             per_bin_received,
             per_ball_sent,
         }
-    }
-
-    /// The tracking level this ledger was created with.
-    pub fn tracking(&self) -> MessageTracking {
-        self.tracking
-    }
-
-    /// Maximum messages received by any bin, if tracked.
-    pub fn max_bin_received(&self) -> Option<u64> {
-        self.per_bin_received
-            .as_ref()
-            .map(|v| v.iter().copied().max().unwrap_or(0))
-    }
-
-    /// Maximum messages sent by any ball, if tracked.
-    pub fn max_ball_sent(&self) -> Option<u32> {
-        self.per_ball_sent
-            .as_ref()
-            .map(|v| v.iter().copied().max().unwrap_or(0))
     }
 }
 
@@ -155,15 +134,5 @@ mod tests {
 
         let f = MessageLedger::new(MessageTracking::Full, 8, 100);
         assert_eq!(f.per_ball_sent.as_ref().unwrap().len(), 100);
-        assert_eq!(f.tracking(), MessageTracking::Full);
-    }
-
-    #[test]
-    fn ledger_maxima() {
-        let mut l = MessageLedger::new(MessageTracking::Full, 3, 4);
-        l.per_bin_received.as_mut().unwrap()[1] = 7;
-        l.per_ball_sent.as_mut().unwrap()[2] = 9;
-        assert_eq!(l.max_bin_received(), Some(7));
-        assert_eq!(l.max_ball_sent(), Some(9));
     }
 }

@@ -37,7 +37,7 @@ use crate::sim::ExecutorKind;
 use crate::trace::RoundRecord;
 
 /// Number of executor phases per round.
-pub const PHASES: usize = 4;
+pub(crate) const PHASES: usize = 4;
 
 /// The four phases of one synchronous round, shared by both executors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,10 +4,7 @@ use crate::error::{CoreError, Result};
 
 /// Engine-wide cap on ball count: ball ids are `u64` but request buffers
 /// index balls with `u32` per round, so at most `2^32 - 1` balls.
-pub const MAX_BALLS: u64 = u32::MAX as u64;
-
-/// Engine-wide cap on bin count (bin ids are `u32`).
-pub const MAX_BINS: u64 = u32::MAX as u64;
+pub(crate) const MAX_BALLS: u64 = u32::MAX as u64;
 
 /// An instance of the balls-into-bins problem.
 ///
@@ -21,7 +18,6 @@ pub const MAX_BINS: u64 = u32::MAX as u64;
 /// let spec = ProblemSpec::new(1_000_000, 1_000).unwrap();
 /// assert_eq!(spec.average_load(), 1000.0);
 /// assert_eq!(spec.ceil_avg(), 1000);
-/// assert!(spec.is_heavily_loaded());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProblemSpec {
@@ -84,20 +80,6 @@ impl ProblemSpec {
     pub fn floor_avg(&self) -> u64 {
         self.m / self.n as u64
     }
-
-    /// The papers' heavily loaded regime: `m ≥ 2n` (so `m/n` is a
-    /// meaningful multiplier rather than ≈1).
-    #[inline]
-    pub fn is_heavily_loaded(&self) -> bool {
-        self.m >= 2 * self.n as u64
-    }
-
-    /// `m ≥ n · ln n` — the regime where single-choice concentration gives
-    /// the `√((m/n)·ln n)` gap (Chernoff applies directly).
-    pub fn is_superlogarithmic(&self) -> bool {
-        let n = self.n as f64;
-        self.m as f64 >= n * n.max(2.0).ln()
-    }
 }
 
 impl std::fmt::Display for ProblemSpec {
@@ -154,15 +136,6 @@ mod tests {
         let t = ProblemSpec::new(9, 3).unwrap();
         assert_eq!(t.ceil_avg(), 3);
         assert_eq!(t.floor_avg(), 3);
-    }
-
-    #[test]
-    fn regime_predicates() {
-        assert!(!ProblemSpec::new(10, 10).unwrap().is_heavily_loaded());
-        assert!(ProblemSpec::new(100, 10).unwrap().is_heavily_loaded());
-        // n = 1024: n ln n ≈ 7097.8
-        assert!(ProblemSpec::new(8000, 1024).unwrap().is_superlogarithmic());
-        assert!(!ProblemSpec::new(7000, 1024).unwrap().is_superlogarithmic());
     }
 
     #[test]

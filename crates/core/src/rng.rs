@@ -9,15 +9,10 @@
 //! independent for our purposes, and any thread can regenerate any ball's
 //! stream from scratch.
 //!
-//! Two generators are provided:
-//!
-//! * [`SplitMix64`] — 64-bit state, passes BigCrush, one multiply-xor-shift
-//!   per output; the engine's workhorse for per-ball streams.
-//! * [`Xoshiro256pp`] — 256-bit state, used where a longer period is wanted
-//!   (e.g. seed replication in the harness).
-//!
-//! Both implement the minimal [`Rand64`] trait with unbiased bounded
-//! sampling (Lemire's widening-multiply rejection method).
+//! The one generator is [`SplitMix64`]: 64-bit state, passes BigCrush,
+//! one multiply-xor-shift per output. It implements the minimal
+//! [`Rand64`] trait with unbiased bounded sampling (Lemire's
+//! widening-multiply rejection method).
 
 /// Minimal random-source trait used across the workspace.
 pub trait Rand64 {
@@ -125,71 +120,6 @@ impl Rand64 for SplitMix64 {
     }
 }
 
-/// Xoshiro256++: 256-bit state general-purpose generator.
-///
-/// Reference: Blackman & Vigna, “Scrambled linear pseudorandom number
-/// generators” (2019). Seeded through SplitMix64 as the authors recommend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Xoshiro256pp {
-    s: [u64; 4],
-}
-
-impl Xoshiro256pp {
-    /// Seed via SplitMix64 expansion of `seed`.
-    pub fn new(seed: u64) -> Self {
-        let mut sm = SplitMix64::new(seed);
-        let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
-        // All-zero state is the one degenerate case; SplitMix64 expansion
-        // makes it unreachable in practice, but guard anyway.
-        if s == [0, 0, 0, 0] {
-            return Self {
-                s: [0x9E3779B9, 0x7F4A7C15, 0xF39CC060, 0x5CEDC834],
-            };
-        }
-        Self { s }
-    }
-
-    /// Jump function: advances the stream by 2^128 steps, for carving one
-    /// seed into many long non-overlapping substreams.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180EC6D33CFD0ABA,
-            0xD5A61266F0C9392C,
-            0xA9582618E03FC9AA,
-            0x39ABDC4529B1661C,
-        ];
-        let mut t = [0u64; 4];
-        for j in JUMP {
-            for b in 0..64 {
-                if (j & (1u64 << b)) != 0 {
-                    t[0] ^= self.s[0];
-                    t[1] ^= self.s[1];
-                    t[2] ^= self.s[2];
-                    t[3] ^= self.s[3];
-                }
-                let _ = self.next_u64();
-            }
-        }
-        self.s = t;
-    }
-}
-
-impl Rand64 for Xoshiro256pp {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        let s = &mut self.s;
-        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        result
-    }
-}
-
 /// A round's worth of per-ball streams with the round-level mix hoisted.
 ///
 /// [`ball_stream`] chains two SplitMix64 finalizer applications: one over
@@ -199,7 +129,7 @@ impl Rand64 for Xoshiro256pp {
 /// batched-draw fast path. Bit-identical to calling [`ball_stream`] per
 /// ball by construction (and pinned by a test below).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundStreams {
+pub(crate) struct RoundStreams {
     /// `mix(seed ^ round·C)` — the round-level half of [`ball_stream`].
     round_key: u64,
 }
@@ -207,7 +137,7 @@ pub struct RoundStreams {
 impl RoundStreams {
     /// Hoist the round-level mix for `(seed, round)`.
     #[inline]
-    pub fn new(seed: u64, round: u32) -> Self {
+    pub(crate) fn new(seed: u64, round: u32) -> Self {
         Self {
             round_key: SplitMix64::mix(seed ^ (round as u64).wrapping_mul(0xA24BAED4963EE407)),
         }
@@ -215,7 +145,7 @@ impl RoundStreams {
 
     /// The stream for `ball` this round: one mix over the hoisted key.
     #[inline]
-    pub fn ball(&self, ball: u64) -> SplitMix64 {
+    pub(crate) fn ball(&self, ball: u64) -> SplitMix64 {
         SplitMix64::new(SplitMix64::mix(
             self.round_key ^ ball.wrapping_mul(0x9FB21C651E98DF25),
         ))
@@ -230,18 +160,10 @@ impl RoundStreams {
 /// obliviousness assumption of the papers' threshold-algorithm class).
 /// Two mixing applications keep distinct (round, ball) pairs from
 /// colliding through simple additive structure; batch callers hoist the
-/// first through [`RoundStreams`].
+/// first through `RoundStreams`.
 #[inline]
 pub fn ball_stream(seed: u64, round: u32, ball: u64) -> SplitMix64 {
     RoundStreams::new(seed, round).ball(ball)
-}
-
-/// Derive an auxiliary stream for bin-side randomness in round `round`.
-#[inline]
-pub fn bin_stream(seed: u64, round: u32, bin: u64) -> SplitMix64 {
-    let a = SplitMix64::mix(seed ^ 0xD6E8FEB86659FD93 ^ (round as u64).rotate_left(32));
-    let b = SplitMix64::mix(a ^ bin.wrapping_mul(0xC2B2AE3D27D4EB4F));
-    SplitMix64::new(b)
 }
 
 #[cfg(test)]
@@ -255,26 +177,6 @@ mod tests {
         assert_eq!(r.next_u64(), 0xE220A8397B1DCDAF);
         assert_eq!(r.next_u64(), 0x6E789E6AA1B965F4);
         assert_eq!(r.next_u64(), 0x06C45D188009454F);
-    }
-
-    #[test]
-    fn xoshiro_is_deterministic_and_nondegenerate() {
-        let mut a = Xoshiro256pp::new(123);
-        let mut b = Xoshiro256pp::new(123);
-        let xs: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
-        assert_eq!(xs, ys);
-        assert!(xs.windows(2).any(|w| w[0] != w[1]));
-    }
-
-    #[test]
-    fn xoshiro_jump_changes_stream() {
-        let mut a = Xoshiro256pp::new(7);
-        let mut b = a;
-        b.jump();
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
     }
 
     #[test]
@@ -392,12 +294,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bin_stream_distinct_from_ball_stream() {
-        let mut a = ball_stream(5, 1, 10);
-        let mut b = bin_stream(5, 1, 10);
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 }

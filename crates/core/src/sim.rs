@@ -101,12 +101,6 @@ impl RunConfig {
         }
     }
 
-    /// Builder-style seed override.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Run on the sequential executor (the default).
     pub fn sequential(mut self) -> Self {
         self.executor = ExecutorKind::Sequential;
@@ -149,23 +143,11 @@ impl RunConfig {
         self
     }
 
-    /// Builder-style round-budget override.
-    pub fn with_max_rounds(mut self, max_rounds: u32) -> Self {
-        self.max_rounds = Some(max_rounds);
-        self
-    }
-
     /// Attach a [`MetricsSink`]: the engine reports per-round phase
     /// timings, an end-of-run summary, and (for parallel executors) pool
     /// utilization. Without a sink the round loop performs no clock reads.
     pub fn with_metrics(mut self, sink: Arc<dyn MetricsSink>) -> Self {
         self.metrics = Some(sink);
-        self
-    }
-
-    /// Remove a previously attached sink (back to the zero-cost path).
-    pub fn without_metrics(mut self) -> Self {
-        self.metrics = None;
         self
     }
 
@@ -175,12 +157,6 @@ impl RunConfig {
     /// `(seed, plan)` pairs inject identical faults on every executor.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Disarm fault injection (back to the zero-overhead path).
-    pub fn without_faults(mut self) -> Self {
-        self.faults = None;
         self
     }
 
@@ -280,7 +256,7 @@ impl RunOutcome {
 
     /// The final loads as a [`BinState`] — the load-accounting view shared
     /// with the streaming allocator.
-    pub fn bin_state(&self) -> &dyn BinState {
+    pub(crate) fn bin_state(&self) -> &dyn BinState {
         &self.loads
     }
 
@@ -378,35 +354,20 @@ impl Simulator {
         Self { spec, config, pool }
     }
 
-    /// The spec this simulator runs.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &RunConfig {
-        &self.config
-    }
-
     /// Run `protocol` to completion (or until it stops/aborts/exhausts its
     /// round budget).
     pub fn run<P: RoundProtocol>(&self, mut protocol: P) -> Result<RunOutcome> {
-        self.run_mut(&mut protocol)
+        self.run_mut_with_delegate(&mut protocol, None)
     }
 
     /// Like [`Simulator::run`], but by mutable reference, so the caller
-    /// can inspect the protocol's final internal state afterwards (phase
-    /// boundaries, adaptive estimates, …).
-    pub fn run_mut<P: RoundProtocol>(&self, protocol: &mut P) -> Result<RunOutcome> {
-        self.run_mut_with_delegate(protocol, None)
-    }
-
-    /// Like [`Simulator::run_mut`], but routing every round's grant phase
-    /// through `delegate` (see [`GrantDelegate`]): the engine still
-    /// gathers choices, scans arrival ranks, resolves, and commits
-    /// locally, while the bin-side accept decision is made externally —
-    /// the seam cluster mode (`pba-cluster`) distributes over shard
-    /// processes. With `None` this is exactly [`Simulator::run_mut`].
+    /// can inspect the protocol's final internal state afterwards, and
+    /// routing every round's grant phase through `delegate` (see
+    /// [`GrantDelegate`]): the engine still gathers choices, scans arrival
+    /// ranks, resolves, and commits locally, while the bin-side accept
+    /// decision is made externally — the seam cluster mode
+    /// (`pba-cluster`) distributes over shard processes. With `None` the
+    /// grants are the engine's own.
     pub fn run_mut_with_delegate<P: RoundProtocol>(
         &self,
         protocol: &mut P,
@@ -453,7 +414,6 @@ impl Simulator {
         let mut trace = self.config.record_trace.then(RunTrace::new);
         let mut totals = MessageStats::default();
         let mut round = 0u32;
-        let mut stopped_early = false;
 
         // Resolve the executor's pool once; `None` means sequential.
         let pool: Option<&ThreadPool> = match (self.config.executor, &self.pool) {
@@ -512,16 +472,12 @@ impl Simulator {
             round += 1;
             match protocol.after_round(&ctx, &record) {
                 Flow::Continue => {}
-                Flow::Stop => {
-                    stopped_early = true;
-                    break;
-                }
+                Flow::Stop => break,
                 Flow::Abort(reason) => {
                     return Err(CoreError::ProtocolAborted { reason, round });
                 }
             }
         }
-        let _ = stopped_early;
 
         let unallocated = state.balls().len() as u64;
         if let (Some((sink, meta)), Some(start)) = (meta.as_ref(), run_start) {

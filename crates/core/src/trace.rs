@@ -43,12 +43,12 @@ pub struct RunTrace {
 
 impl RunTrace {
     /// Empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Append a round record.
-    pub fn push(&mut self, record: RoundRecord) {
+    pub(crate) fn push(&mut self, record: RoundRecord) {
         self.records.push(record);
     }
 

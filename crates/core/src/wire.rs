@@ -17,7 +17,7 @@
 //! * two envelope flavors: the snapshot file frame (4-byte magic +
 //!   `u32` version up front, trailing FNV-1a 64 checksum) and the
 //!   per-message stream frame written by [`WireWriter::message`] (one
-//!   [`MSG_MAGIC`] byte, a `u8` type tag, a `u32` payload length, the
+//!   `MSG_MAGIC` byte, a `u8` type tag, a `u32` payload length, the
 //!   payload, and a trailing FNV-1a 64 checksum over everything before
 //!   it). A message is written into one buffer, header and checksum
 //!   included, and [`read_msg`] reads one into a buffer the caller may
@@ -61,7 +61,7 @@ pub enum WireError {
     TrailingBytes(usize),
     /// Structurally valid bytes with semantically invalid content.
     Malformed(String),
-    /// A message frame led with a byte other than [`MSG_MAGIC`].
+    /// A message frame led with a byte other than `MSG_MAGIC`.
     BadFrameMagic {
         /// The byte found where the frame magic belonged.
         found: u8,
@@ -72,7 +72,7 @@ pub enum WireError {
     Oversize {
         /// Declared payload length.
         len: u32,
-        /// The cap ([`MAX_MSG_LEN`]).
+        /// The cap (`MAX_MSG_LEN`).
         cap: u32,
     },
     /// The underlying transport failed mid-frame.
@@ -126,22 +126,22 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Map a signed value onto the unsigned varint space so that small
 /// magnitudes of either sign stay short (zigzag encoding).
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Lead byte of every binary message frame. Chosen outside ASCII so a
 /// text peer is refused at its first byte.
-pub const MSG_MAGIC: u8 = 0xB5;
+pub(crate) const MSG_MAGIC: u8 = 0xB5;
 
 /// Sanity cap on a message frame's payload length (64 MiB). A corrupt
 /// or lying length prefix is rejected before any buffer is allocated.
-pub const MAX_MSG_LEN: u32 = 64 << 20;
+pub(crate) const MAX_MSG_LEN: u32 = 64 << 20;
 
 /// Bytes of envelope around a message payload: magic + tag + `u32`
 /// length up front, `u64` checksum behind.
@@ -191,7 +191,7 @@ pub fn decode_msg(bytes: &[u8]) -> Result<(u8, &[u8]), WireError> {
 /// its tag; `payload` then holds exactly the verified payload bytes, and
 /// its capacity carries over to the next call. Returns `Ok(None)` on a
 /// clean EOF *before* the first byte. A first byte other than
-/// [`MSG_MAGIC`] is [`WireError::BadFrameMagic`]; EOF anywhere inside a
+/// `MSG_MAGIC` is [`WireError::BadFrameMagic`]; EOF anywhere inside a
 /// frame is [`WireError::Truncated`], counting the bytes that did arrive.
 pub fn read_msg<R: Read + ?Sized>(
     r: &mut R,
@@ -351,11 +351,6 @@ impl WireWriter {
     /// Forget the bytes written since the header, keeping the capacity.
     pub fn clear(&mut self) {
         self.buf.truncate(self.envelope.header());
-    }
-
-    /// Append one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
     }
 
     /// Append a little-endian `u32`.
@@ -532,7 +527,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
@@ -635,7 +630,7 @@ mod tests {
 
     fn sample() -> Vec<u8> {
         let mut w = WireWriter::framed(MAGIC, 3);
-        w.u8(7);
+        w.raw(&[7]);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 1);
         w.f64(2.0 / 3.0);

@@ -44,12 +44,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> Self {
         CachePadded(value)
     }
-
-    /// Unwrap back to the inner value.
-    #[inline]
-    pub fn into_inner(self) -> T {
-        self.0
-    }
 }
 
 impl<T> std::ops::Deref for CachePadded<T> {
@@ -93,12 +87,6 @@ impl ShardedCounters {
         }
     }
 
-    /// Number of shards.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Add `v` to shard `lane % shards`.
     #[inline]
     pub fn add(&self, lane: usize, v: u64) {
@@ -124,13 +112,6 @@ impl ShardedCounters {
             .iter()
             .map(|s| s.0.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Reset all shards to zero.
-    pub fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -181,7 +162,7 @@ mod tests {
         let mut p = CachePadded::new(vec![1u64, 2, 3]);
         p.push(4); // DerefMut
         assert_eq!(p.len(), 4); // Deref
-        assert_eq!(p.into_inner(), vec![1, 2, 3, 4]);
+        assert_eq!(p.0, vec![1, 2, 3, 4]);
         // Adjacent elements land on distinct cache lines.
         let pair = [CachePadded::new(0u8), CachePadded::new(1u8)];
         let a = &pair[0] as *const _ as usize;
@@ -192,21 +173,18 @@ mod tests {
     #[test]
     fn sharded_counters_total() {
         let c = ShardedCounters::new(4);
-        assert_eq!(c.shards(), 4);
         for lane in 0..8 {
             c.add(lane, 10);
         }
         assert_eq!(c.total(), 80);
         assert_eq!(c.values(), vec![20, 20, 20, 20]);
-        c.reset();
-        assert_eq!(c.total(), 0);
     }
 
     #[test]
     fn sharded_counters_zero_lanes_clamped() {
         let c = ShardedCounters::new(0);
-        assert_eq!(c.shards(), 1);
         c.add(5, 3);
         assert_eq!(c.total(), 3);
+        assert_eq!(c.values(), vec![3]);
     }
 }

@@ -55,18 +55,6 @@ impl<'a, T> DisjointIndexMut<'a, T> {
         }
     }
 
-    /// Number of slots.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the view covers no slots.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Mutable access to slot `index`.
     ///
     /// # Safety

@@ -30,7 +30,7 @@
 
 pub mod atomic;
 pub mod chunk;
-pub mod disjoint;
+mod disjoint;
 pub mod pool;
 
 pub use atomic::{as_atomic_u32, as_atomic_u64, CachePadded, ShardedCounters};

@@ -296,7 +296,7 @@ impl ThreadPool {
     /// Create a pool sized to the machine: `available_parallelism() - 1`
     /// workers (the calling thread is the final lane), overridable with the
     /// `PBA_THREADS` environment variable (total lanes, minimum 1).
-    pub fn with_default_size() -> Self {
+    pub(crate) fn with_default_size() -> Self {
         Self::new(default_lanes().saturating_sub(1))
     }
 

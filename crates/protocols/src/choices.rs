@@ -12,12 +12,12 @@ use pba_core::protocol::{BallContext, RoundContext};
 use pba_core::rng::{ball_stream, Rand64};
 
 /// Maximum supported non-adaptive degree.
-pub const MAX_DEGREE: usize = 8;
+pub(crate) const MAX_DEGREE: usize = 8;
 
 /// A ball's fixed set of bin choices, stored as the round of its first
 /// draw (4 bytes per ball).
 ///
-/// [`FixedChoices::ensure`] records the round of its first call and draws
+/// `FixedChoices::ensure` records the round of its first call and draws
 /// the bins from the ball's stream for that round,
 /// `ball_stream(seed, first, ball)`. The streams are counter-based, so
 /// every later call re-derives the same bins, on any executor lane. The
@@ -39,7 +39,7 @@ impl Default for FixedChoices {
     }
 }
 
-/// The bins [`FixedChoices::ensure`] returns, by value.
+/// The bins `FixedChoices::ensure` returns, by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bins {
     bins: [u32; MAX_DEGREE],
@@ -60,7 +60,7 @@ impl FixedChoices {
     /// in the standard presentation where a ball's `d` bins are
     /// distinct); for `n < d` duplicates are allowed. The first call
     /// records `ctx.round`; later calls re-derive the same bins.
-    pub fn ensure(&mut self, d: usize, ctx: &RoundContext, ball: BallContext) -> Bins {
+    pub(crate) fn ensure(&mut self, d: usize, ctx: &RoundContext, ball: BallContext) -> Bins {
         assert!(
             d <= MAX_DEGREE,
             "degree {d} exceeds MAX_DEGREE {MAX_DEGREE}"

@@ -48,17 +48,14 @@
 //! * [`BatchedTwoChoice`] — batched multiple-choice (\[BCE+12\]).
 //! * [`seq::GreedyD`] — sequential `d`-choice GREEDY (\[ABKU99\]; heavily
 //!   loaded analysis \[BCSV06\]).
-//! * [`seq::AlwaysGoLeft`] — Vöcking's asymmetric tie-breaking variant.
 //! * [`seq::OnePlusBeta`] — the `(1+β)`-choice process.
 
 pub mod choices;
-pub mod combinators;
 pub mod par;
 pub mod registry;
 pub mod schedule;
 pub mod seq;
 
-pub use combinators::{AfterRounds, PhaseLimit, Sequenced, WhenRemainingPerBin};
 pub use par::a_light::ALight;
 pub use par::adler_greedy::AdlerGreedy;
 pub use par::asymmetric::Asymmetric;
@@ -74,4 +71,4 @@ pub use par::threshold_heavy::ThresholdHeavy;
 pub use par::trivial::TrivialRoundRobin;
 pub use registry::{protocol_names, run_by_name, visit_protocol, ProtocolVisitor};
 pub use schedule::UndershootSchedule;
-pub use seq::{AlwaysGoLeft, GreedyD, OnePlusBeta, WithMemory};
+pub use seq::{GreedyD, OnePlusBeta};

@@ -20,7 +20,6 @@ use pba_core::{ProblemSpec, RoundProtocol};
 /// The adaptive doubling-degree collision finisher.
 #[derive(Debug, Clone, Copy)]
 pub struct ALight {
-    spec: ProblemSpec,
     cap: u32,
     degree_cap: u32,
 }
@@ -32,25 +31,12 @@ impl ALight {
     pub fn new(spec: ProblemSpec, extra: u32) -> Self {
         assert!(extra >= 1, "extra must be ≥ 1");
         let cap = spec.ceil_avg().saturating_add(extra);
-        Self {
-            spec,
-            cap,
-            degree_cap: 8,
-        }
-    }
-
-    /// The problem instance this protocol was configured for.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
-    }
-
-    /// The all-or-nothing capacity.
-    pub fn cap(&self) -> u32 {
-        self.cap
+        Self { cap, degree_cap: 8 }
     }
 
     /// Override the doubling degree cap (`≥ 1`).
-    pub fn with_degree_cap(mut self, cap: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_degree_cap(mut self, cap: u32) -> Self {
         assert!(cap >= 1);
         self.degree_cap = cap;
         self
@@ -105,6 +91,10 @@ impl RoundProtocol for ALight {
     fn bin_grant(&self, _ctx: &RoundContext, _bin: u32, load: u32, arrivals: u32) -> BinGrant {
         BinGrant::all_or_nothing(self.cap, load, arrivals)
     }
+
+    fn load_cap(&self, _spec: &ProblemSpec) -> Option<u32> {
+        Some(self.cap)
+    }
 }
 
 #[cfg(test)]
@@ -141,7 +131,7 @@ mod tests {
         let n = 1u32 << 10;
         let spec = ProblemSpec::new(3 * n as u64, n).unwrap();
         let p = ALight::new(spec, 1);
-        let cap = p.cap();
+        let cap = p.load_cap(&spec).unwrap();
         let out = Simulator::new(spec, RunConfig::seeded(5)).run(p).unwrap();
         assert!(out.max_load() <= cap);
     }

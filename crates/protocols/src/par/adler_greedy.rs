@@ -23,7 +23,6 @@ use pba_core::{ProblemSpec, RoundProtocol};
 /// r-round non-adaptive parallel GREEDY with `d` choices.
 #[derive(Debug, Clone)]
 pub struct AdlerGreedy {
-    spec: ProblemSpec,
     d: u32,
     rounds: u32,
     thresholds: Vec<u32>,
@@ -47,40 +46,24 @@ impl AdlerGreedy {
             })
             .collect();
         Self {
-            spec,
             d,
             rounds,
             thresholds,
         }
-    }
-
-    /// The problem instance this protocol was configured for.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
     }
 
     /// Explicit threshold schedule (length = rounds; the last entry is
     /// ignored because the final round accepts everything).
-    pub fn with_thresholds(spec: ProblemSpec, d: u32, thresholds: Vec<u32>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_thresholds(d: u32, thresholds: Vec<u32>) -> Self {
         assert!(!thresholds.is_empty());
         assert!((1..=crate::choices::MAX_DEGREE as u32).contains(&d));
         let rounds = thresholds.len() as u32;
         Self {
-            spec,
             d,
             rounds,
             thresholds,
         }
-    }
-
-    /// The round count `r`.
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
-    /// The threshold schedule.
-    pub fn thresholds(&self) -> &[u32] {
-        &self.thresholds
     }
 
     fn is_final_round(&self, round: u32) -> bool {
@@ -214,7 +197,7 @@ mod tests {
     #[test]
     fn explicit_thresholds_respected_in_nonfinal_rounds() {
         let spec = balanced(1 << 12);
-        let p = AdlerGreedy::with_thresholds(spec, 2, vec![1, 2, 1000]);
+        let p = AdlerGreedy::with_thresholds(2, vec![1, 2, 1000]);
         let out = Simulator::new(spec, RunConfig::seeded(7)).run(p).unwrap();
         let recs = out.trace.as_ref().unwrap().records();
         // After round 0 no bin exceeds τ_0 = 1; after round 1, τ_1 = 2.

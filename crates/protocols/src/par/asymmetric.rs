@@ -59,7 +59,7 @@ impl Asymmetric {
     }
 
     /// Create with an explicit concentration constant `c > 0`.
-    pub fn with_constant(spec: ProblemSpec, c: f64) -> Self {
+    pub(crate) fn with_constant(spec: ProblemSpec, c: f64) -> Self {
         assert!(c > 0.0);
         let ln_n = (spec.bins() as f64).max(2.0).ln();
         let needs_pre_round = spec.balls() as f64 > spec.bins() as f64 * ln_n;

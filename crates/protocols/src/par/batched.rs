@@ -34,13 +34,8 @@ impl BatchedTwoChoice {
         Self { spec, batch }
     }
 
-    /// The batch size.
-    pub fn batch(&self) -> u64 {
-        self.batch
-    }
-
     /// Number of batches (= rounds).
-    pub fn batches(&self) -> u64 {
+    pub(crate) fn batches(&self) -> u64 {
         self.spec.balls().div_ceil(self.batch)
     }
 }

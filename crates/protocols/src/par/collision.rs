@@ -13,49 +13,29 @@
 //! double-log round count is what experiment E7 reproduces, along with
 //! the `c`-vs-rounds and `d`-vs-rounds trade-offs.
 //!
-//! Two collision-bound semantics are provided:
-//!
-//! * [`CollisionSemantics::Cumulative`] (default): accept iff
-//!   `load + arrivals ≤ c`. The final load is structurally ≤ `c`.
-//! * [`CollisionSemantics::PerRound`]: accept iff `arrivals ≤ c`,
-//!   regardless of load (the literal per-round reading); the load bound
-//!   then holds only w.h.p. through the collapsing active set.
+//! The collision bound is cumulative: a bin accepts iff
+//! `load + arrivals ≤ c`, so no bin's load ever passes `c`, which the
+//! protocol reports as its run-level [`RoundProtocol::load_cap`].
 
 use crate::choices::FixedChoices;
 use pba_core::protocol::{BallContext, BinGrant, ChoiceSink, RoundContext};
 use pba_core::rng::SplitMix64;
 use pba_core::{ProblemSpec, RoundProtocol};
 
-/// How the collision bound is applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollisionSemantics {
-    /// Accept a round's arrivals iff `load + arrivals ≤ c`.
-    Cumulative,
-    /// Accept a round's arrivals iff `arrivals ≤ c` (load ignored).
-    PerRound,
-}
-
 /// Stemann's non-adaptive `c`-collision protocol with `d` choices.
 #[derive(Debug, Clone, Copy)]
 pub struct Collision {
-    spec: ProblemSpec,
     d: u32,
     c: u32,
-    semantics: CollisionSemantics,
 }
 
 impl Collision {
-    /// The canonical instance: `d = 2`, `c = 2`, cumulative semantics.
+    /// The canonical instance: `d = 2`, `c = 2`.
     pub fn new(spec: ProblemSpec) -> Self {
         Self::with_params(spec, 2, 2)
     }
 
-    /// The problem instance this protocol was configured for.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
-    }
-
-    /// Custom degree and collision bound (cumulative semantics).
+    /// Custom degree and collision bound.
     ///
     /// Total capacity `c·n` must exceed `m`, otherwise completion is
     /// impossible.
@@ -71,28 +51,7 @@ impl Collision {
             (c as u64) * (spec.bins() as u64),
             spec.balls()
         );
-        Self {
-            spec,
-            d,
-            c,
-            semantics: CollisionSemantics::Cumulative,
-        }
-    }
-
-    /// Switch the collision-bound semantics.
-    pub fn with_semantics(mut self, semantics: CollisionSemantics) -> Self {
-        self.semantics = semantics;
-        self
-    }
-
-    /// Number of choices per ball.
-    pub fn d(&self) -> u32 {
-        self.d
-    }
-
-    /// The collision bound.
-    pub fn c(&self) -> u32 {
-        self.c
+        Self { d, c }
     }
 }
 
@@ -122,22 +81,11 @@ impl RoundProtocol for Collision {
     }
 
     fn bin_grant(&self, _ctx: &RoundContext, _bin: u32, load: u32, arrivals: u32) -> BinGrant {
-        match self.semantics {
-            CollisionSemantics::Cumulative => BinGrant::all_or_nothing(self.c, load, arrivals),
-            CollisionSemantics::PerRound => {
-                if arrivals <= self.c {
-                    BinGrant {
-                        accept: arrivals,
-                        want: self.c,
-                    }
-                } else {
-                    BinGrant {
-                        accept: 0,
-                        want: self.c,
-                    }
-                }
-            }
-        }
+        BinGrant::all_or_nothing(self.c, load, arrivals)
+    }
+
+    fn load_cap(&self, _spec: &ProblemSpec) -> Option<u32> {
+        Some(self.c)
     }
 }
 
@@ -222,17 +170,6 @@ mod tests {
             .unwrap();
         assert!(r2.is_complete());
         assert!(r2.rounds <= 12);
-    }
-
-    #[test]
-    fn per_round_semantics_completes() {
-        let spec = balanced(1 << 12);
-        let out = Simulator::new(spec, RunConfig::seeded(11))
-            .run(Collision::new(spec).with_semantics(CollisionSemantics::PerRound))
-            .unwrap();
-        assert!(out.is_complete());
-        // w.h.p. the load stays small even without the structural cap.
-        assert!(out.max_load() <= 6, "load {}", out.max_load());
     }
 
     #[test]

@@ -38,7 +38,6 @@ const MAX_DEGREE: u32 = 512;
 /// Probe–estimate–retry protocol with a perfect-balance hard cap.
 #[derive(Debug, Clone, Copy)]
 pub struct EstimatedAverage {
-    spec: ProblemSpec,
     probes: u32,
     retry_cap: u32,
     threshold: u32,
@@ -55,31 +54,10 @@ impl EstimatedAverage {
         assert!((1..=8).contains(&probes), "probes must be in 1..=8");
         assert!((1..=64).contains(&retry_cap), "retry_cap must be in 1..=64");
         Self {
-            spec,
             probes,
             retry_cap,
             threshold: spec.ceil_avg(),
         }
-    }
-
-    /// The problem instance this protocol was configured for.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
-    }
-
-    /// Probes drawn per round before escalation.
-    pub fn probes(&self) -> u32 {
-        self.probes
-    }
-
-    /// Rounds of estimate-gated retries before desperation mode.
-    pub fn retry_cap(&self) -> u32 {
-        self.retry_cap
-    }
-
-    /// The structural per-bin cap `⌈m/n⌉`.
-    pub fn threshold(&self) -> u32 {
-        self.threshold
     }
 
     /// Probe degree for `round`: the base count while the estimate gate
@@ -221,7 +199,7 @@ mod tests {
         assert!(out.is_complete());
         assert_eq!(out.max_load(), 1, "perfect balance at m = n");
         assert!(
-            out.rounds <= p.retry_cap() + 40,
+            out.rounds <= p.retry_cap + 40,
             "degree escalation should finish the tail fast, took {}",
             out.rounds
         );

@@ -18,7 +18,6 @@ use pba_core::{ProblemSpec, RoundProtocol};
 /// Fixed total capacity `⌈m/n⌉ + slack` per bin, uniform retry.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedThreshold {
-    spec: ProblemSpec,
     capacity: u32,
 }
 
@@ -33,17 +32,7 @@ impl FixedThreshold {
             (capacity as u64) * (spec.bins() as u64) > spec.balls(),
             "total capacity must exceed m"
         );
-        Self { spec, capacity }
-    }
-
-    /// The problem instance this protocol was configured for.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
-    }
-
-    /// The per-bin capacity `T`.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
+        Self { capacity }
     }
 }
 
@@ -74,6 +63,10 @@ impl RoundProtocol for FixedThreshold {
     fn bin_grant(&self, _ctx: &RoundContext, _bin: u32, load: u32, _arrivals: u32) -> BinGrant {
         BinGrant::up_to(self.capacity.saturating_sub(load))
     }
+
+    fn load_cap(&self, _spec: &ProblemSpec) -> Option<u32> {
+        Some(self.capacity)
+    }
 }
 
 #[cfg(test)]
@@ -85,7 +78,7 @@ mod tests {
     fn completes_with_capped_load() {
         let spec = ProblemSpec::new(50_000, 128).unwrap();
         let p = FixedThreshold::new(spec, 2);
-        let cap = p.capacity();
+        let cap = p.load_cap(&spec).unwrap();
         let out = Simulator::new(spec, RunConfig::seeded(1)).run(p).unwrap();
         assert!(out.is_complete());
         assert!(out.max_load() <= cap);

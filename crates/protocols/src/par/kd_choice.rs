@@ -42,7 +42,6 @@ const MAX_DEGREE: u32 = 256;
 /// Park's (k,d)-choice: `d` sampled bins, `k` committed replicas.
 #[derive(Debug, Clone, Copy)]
 pub struct KdChoice {
-    spec: ProblemSpec,
     k: u32,
     d: u32,
     capacity: u32,
@@ -55,11 +54,6 @@ pub fn park_window(n: u32, k: u32, d: u32) -> u32 {
 }
 
 impl KdChoice {
-    /// The registry's named point `k = 2, d = 4`.
-    pub fn new(spec: ProblemSpec) -> Self {
-        Self::with_params(spec, 2, 4)
-    }
-
     /// Custom `(k, d)` with `1 ≤ k < d ≤ 8`. `k` is clamped to the bin
     /// count (fewer distinct bins than replicas cannot exist).
     pub fn with_params(spec: ProblemSpec, k: u32, d: u32) -> Self {
@@ -81,32 +75,7 @@ impl KdChoice {
         let capacity = target
             .saturating_add(park_window(n, k, d.min(8)))
             .saturating_add(2);
-        Self {
-            spec,
-            k,
-            d,
-            capacity,
-        }
-    }
-
-    /// The problem instance this protocol was configured for.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
-    }
-
-    /// Replicas committed per ball (after clamping to the bin count).
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// Base probe degree.
-    pub fn d(&self) -> u32 {
-        self.d
-    }
-
-    /// The structural per-bin capacity.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
+        Self { k, d, capacity }
     }
 
     /// Probe degree for `round`: the base `d`, doubling every 4 rounds
@@ -136,9 +105,9 @@ impl RoundProtocol for KdChoice {
     fn round_budget(&self, spec: &ProblemSpec) -> u32 {
         // Clean runs finish in ~15–25 rounds at any size (the +2 aggregate
         // slack keeps accepting bins plentiful through the endgame), so a
-        // tight budget is safe — and it matters: an *infeasible* instance
-        // (e.g. enough crashed bins that live capacity < k·m) should
-        // error out quickly instead of burning escalated-degree rounds.
+        // tight budget is safe. An instance whose live bins cannot hold
+        // k·m units (enough crashed bins) never reaches round 0: the
+        // engine refuses it through `load_cap`.
         64 + 4 * (64 - (spec.balls() + spec.bins() as u64).leading_zeros())
     }
 
@@ -181,6 +150,10 @@ impl RoundProtocol for KdChoice {
 
     fn bin_grant(&self, _ctx: &RoundContext, _bin: u32, load: u32, _arrivals: u32) -> BinGrant {
         BinGrant::up_to(self.capacity.saturating_sub(load))
+    }
+
+    fn load_cap(&self, _spec: &ProblemSpec) -> Option<u32> {
+        Some(self.capacity)
     }
 
     fn select_commits(
@@ -228,8 +201,8 @@ mod tests {
     #[test]
     fn completes_with_k_times_m_units() {
         let spec = ProblemSpec::new(1 << 14, 1 << 8).unwrap();
-        let p = KdChoice::new(spec);
-        let cap = p.capacity();
+        let p = KdChoice::with_params(spec, 2, 4);
+        let cap = p.load_cap(&spec).unwrap();
         let out = Simulator::new(spec, RunConfig::seeded(1).with_validation(true))
             .run(p)
             .unwrap();
@@ -244,7 +217,7 @@ mod tests {
     fn achieved_max_sits_inside_one_park_window() {
         let n = 1u32 << 10;
         let spec = ProblemSpec::new(4 * n as u64, n).unwrap();
-        let p = KdChoice::new(spec);
+        let p = KdChoice::with_params(spec, 2, 4);
         let out = Simulator::new(spec, RunConfig::seeded(3)).run(p).unwrap();
         assert!(out.is_complete());
         // Balanced target 8, window ln ln n / ln 2 ≈ 3, slack +2.
@@ -262,7 +235,7 @@ mod tests {
     fn replica_assignment_is_primary_only_and_well_formed() {
         let spec = ProblemSpec::new(1 << 12, 1 << 6).unwrap();
         let out = Simulator::new(spec, RunConfig::seeded(5).with_assignment(true))
-            .run(KdChoice::new(spec))
+            .run(KdChoice::with_params(spec, 2, 4))
             .unwrap();
         let alloc = out.allocation();
         assert_eq!(alloc.replicas(), 2);
@@ -281,7 +254,7 @@ mod tests {
     fn k_clamps_to_tiny_bin_counts() {
         let spec = ProblemSpec::new(64, 2).unwrap();
         let p = KdChoice::with_params(spec, 3, 6);
-        assert_eq!(p.k(), 2, "k clamps to n");
+        assert_eq!(p.replicas(), 2, "k clamps to n");
         let out = Simulator::new(spec, RunConfig::seeded(7).with_validation(true))
             .run(p)
             .unwrap();
@@ -291,7 +264,7 @@ mod tests {
     #[test]
     fn named_points_report_their_registry_names() {
         let spec = ProblemSpec::new(1 << 10, 1 << 5).unwrap();
-        assert_eq!(KdChoice::new(spec).name(), "kd-choice");
+        assert_eq!(KdChoice::with_params(spec, 2, 4).name(), "kd-choice");
         assert_eq!(KdChoice::with_params(spec, 3, 6).name(), "kd-choice-36");
         assert_eq!(KdChoice::with_params(spec, 2, 8).name(), "kd-choice-custom");
     }

@@ -24,7 +24,6 @@ use pba_core::{ProblemSpec, RoundProtocol};
 /// Adaptive parallel d-choice with fixed capacity.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelTwoChoice {
-    spec: ProblemSpec,
     d: u32,
     capacity: u32,
 }
@@ -36,21 +35,11 @@ impl ParallelTwoChoice {
     }
 
     /// Custom degree `1 ≤ d ≤ 8`.
-    pub fn with_degree(spec: ProblemSpec, d: u32, slack: u32) -> Self {
+    pub(crate) fn with_degree(spec: ProblemSpec, d: u32, slack: u32) -> Self {
         assert!((1..=8).contains(&d));
         assert!(slack >= 1, "slack must be ≥ 1 for guaranteed completion");
         let capacity = spec.ceil_avg().saturating_add(slack);
-        Self { spec, d, capacity }
-    }
-
-    /// The problem instance this protocol was configured for.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
-    }
-
-    /// The per-bin capacity.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
+        Self { d, capacity }
     }
 }
 
@@ -84,6 +73,10 @@ impl RoundProtocol for ParallelTwoChoice {
         BinGrant::up_to(self.capacity.saturating_sub(load))
     }
 
+    fn load_cap(&self, _spec: &ProblemSpec) -> Option<u32> {
+        Some(self.capacity)
+    }
+
     fn pick_commit(
         &self,
         _ctx: &RoundContext,
@@ -108,7 +101,7 @@ mod tests {
     fn completes_with_capped_load() {
         let spec = ProblemSpec::new(1 << 16, 1 << 8).unwrap();
         let p = ParallelTwoChoice::new(spec, 2);
-        let cap = p.capacity();
+        let cap = p.load_cap(&spec).unwrap();
         let out = Simulator::new(spec, RunConfig::seeded(1)).run(p).unwrap();
         assert!(out.is_complete());
         assert!(out.max_load() <= cap);

@@ -12,19 +12,13 @@ use pba_core::{ProblemSpec, RoundProtocol};
 
 /// The single-choice protocol (degree 1, no rejection, one round).
 #[derive(Debug, Clone, Copy)]
-pub struct SingleChoice {
-    spec: ProblemSpec,
-}
+pub struct SingleChoice;
 
 impl SingleChoice {
-    /// Create for `spec`.
-    pub fn new(spec: ProblemSpec) -> Self {
-        Self { spec }
-    }
-
-    /// The problem instance this protocol was configured for.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
+    /// Create for `spec`; one round places every ball whatever the
+    /// instance, so the protocol keeps no parameters.
+    pub fn new(_spec: ProblemSpec) -> Self {
+        Self
     }
 }
 

@@ -25,7 +25,6 @@ use pba_core::{ProblemSpec, RoundProtocol};
 /// Heavily loaded collision protocol with load `O(m/n)`.
 #[derive(Debug, Clone, Copy)]
 pub struct StemannHeavy {
-    spec: ProblemSpec,
     burst_bound: u32,
     load_cap: u32,
 }
@@ -36,37 +35,27 @@ impl StemannHeavy {
         Self::with_factors(spec, 1.0, 2.0)
     }
 
-    /// The problem instance this protocol was configured for.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
-    }
-
     /// Custom burst slack `α > 0` and load-cap factor `β ≥ 1`.
     ///
     /// The per-round burst bound scales as `m/n + α·√(m/n) + 1` — one
     /// standard-deviation unit above the mean arrival count per `α` —
     /// so the collision dynamics stay meaningful at every ratio (a bound
     /// proportional to `m/n` itself becomes vacuous as `m/n` grows).
-    pub fn with_factors(spec: ProblemSpec, alpha: f64, beta: f64) -> Self {
+    pub(crate) fn with_factors(spec: ProblemSpec, alpha: f64, beta: f64) -> Self {
         assert!(alpha > 0.0 && beta >= 1.0, "need α > 0 and β ≥ 1");
         let avg = spec.average_load();
         let burst_bound = f64_to_u32_floor(avg + alpha * avg.sqrt()) + 1;
         let load_cap = f64_to_u32_floor(beta * avg) + 2;
         Self {
-            spec,
             burst_bound,
             load_cap,
         }
     }
 
     /// The per-round arrival bound.
-    pub fn burst_bound(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn burst_bound(&self) -> u32 {
         self.burst_bound
-    }
-
-    /// The structural load cap (`O(m/n)`).
-    pub fn load_cap(&self) -> u32 {
-        self.load_cap
     }
 }
 
@@ -106,6 +95,12 @@ impl RoundProtocol for StemannHeavy {
             }
         }
     }
+
+    /// The structural cap `⌊β·m/n⌋ + 2`: a bin accepts only arrivals
+    /// that fit under it.
+    fn load_cap(&self, _spec: &ProblemSpec) -> Option<u32> {
+        Some(self.load_cap)
+    }
 }
 
 #[cfg(test)]
@@ -118,7 +113,7 @@ mod tests {
         let n = 1u32 << 10;
         let spec = ProblemSpec::new((n as u64) << 8, n).unwrap(); // m/n = 256
         let p = StemannHeavy::new(spec);
-        let cap = p.load_cap();
+        let cap = p.load_cap(&spec).unwrap();
         let out = Simulator::new(spec, RunConfig::seeded(1)).run(p).unwrap();
         assert!(out.is_complete());
         assert!(out.max_load() <= cap);

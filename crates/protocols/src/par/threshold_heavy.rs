@@ -17,7 +17,7 @@
 //! **Phase 2 (light).** The remaining `O(n)` balls are finished with the
 //! LW16-style adaptive symmetric scheme of [`crate::ALight`]: active balls
 //! double their request degree each round and bins accept all-or-nothing
-//! under the cap `⌈m/n⌉ + light_extra` — each bin takes only `O(1)` balls
+//! under the cap `⌈m/n⌉ + 2` — each bin takes only `O(1)` balls
 //! beyond its phase-1 threshold, so the final load is `m/n + O(1)`.
 //!
 //! The undershoot exponent `γ = 2/3` is exposed for the E13 ablation.
@@ -28,6 +28,12 @@ use pba_core::trace::RoundRecord;
 use pba_core::{ProblemSpec, RoundProtocol};
 
 use crate::schedule::UndershootSchedule;
+
+/// Extra per-bin capacity in the light phase (the `O(1)` of the gap).
+const LIGHT_EXTRA: u32 = 2;
+
+/// Cap on the light phase's doubling request degree.
+const LIGHT_DEGREE_CAP: u32 = 8;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -41,10 +47,6 @@ pub struct ThresholdHeavy {
     spec: ProblemSpec,
     /// The undershoot recurrence (paper: `γ = 2/3`).
     schedule: UndershootSchedule,
-    /// Extra per-bin capacity in the light phase (the `O(1)`).
-    light_extra: u32,
-    /// Cap on the light phase's doubling request degree.
-    degree_cap: u32,
     // --- round state ---
     phase: Phase,
     /// Cumulative threshold `T_i` for the current round (floored).
@@ -71,35 +73,15 @@ impl ThresholdHeavy {
         Self {
             spec,
             schedule,
-            light_extra: 2,
-            degree_cap: 8,
             phase,
             threshold: 0,
             light_start: 0,
         }
     }
 
-    /// Override the light phase's extra capacity (gap bound).
-    pub fn with_light_extra(mut self, extra: u32) -> Self {
-        assert!(extra >= 1);
-        self.light_extra = extra;
-        self
-    }
-
-    /// The light-phase all-or-nothing cap `⌈m/n⌉ + light_extra`.
+    /// The light-phase all-or-nothing cap `⌈m/n⌉ + 2`.
     fn light_cap(&self) -> u32 {
-        self.spec.ceil_avg().saturating_add(self.light_extra)
-    }
-
-    /// The round at which the light phase began (meaningful after the
-    /// run; used by experiments to split phase statistics).
-    pub fn light_phase_start(&self) -> u32 {
-        self.light_start
-    }
-
-    /// The undershoot exponent.
-    pub fn gamma(&self) -> f64 {
-        self.schedule.gamma()
+        self.spec.ceil_avg().saturating_add(LIGHT_EXTRA)
     }
 }
 
@@ -146,7 +128,7 @@ impl RoundProtocol for ThresholdHeavy {
                 let age = ctx.round - self.light_start;
                 let degree = crate::par::a_light::throttled_degree(
                     age,
-                    self.degree_cap,
+                    LIGHT_DEGREE_CAP,
                     ctx,
                     self.light_cap(),
                 );
@@ -176,6 +158,12 @@ impl RoundProtocol for ThresholdHeavy {
         }
     }
 
+    /// The light-phase cap `⌈m/n⌉ + 2` bounds every round: a threshold
+    /// `T_i = ⌊m/n − (m̃_i/n)^γ⌋` never exceeds `m/n`.
+    fn load_cap(&self, _spec: &ProblemSpec) -> Option<u32> {
+        Some(self.light_cap())
+    }
+
     fn after_round(&mut self, _ctx: &RoundContext, _record: &RoundRecord) -> Flow {
         if self.phase == Phase::Threshold {
             self.schedule.advance();
@@ -201,7 +189,7 @@ mod tests {
     fn heavy_case_constant_gap() {
         let out = run(1 << 20, 1 << 10, 1); // m/n = 1024
         assert!(out.is_complete());
-        assert!(out.gap() <= 2, "gap {} exceeds light_extra", out.gap());
+        assert!(out.gap() <= 2, "gap {} exceeds LIGHT_EXTRA", out.gap());
     }
 
     #[test]

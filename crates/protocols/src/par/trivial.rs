@@ -13,21 +13,7 @@ use pba_core::{ProblemSpec, RoundProtocol};
 
 /// Deterministic round-robin sweep (no randomness at all).
 #[derive(Debug, Clone, Copy)]
-pub struct TrivialRoundRobin {
-    spec: ProblemSpec,
-}
-
-impl TrivialRoundRobin {
-    /// Create for `spec`.
-    pub fn new(spec: ProblemSpec) -> Self {
-        Self { spec }
-    }
-
-    /// The problem instance this protocol was configured for.
-    pub fn spec(&self) -> ProblemSpec {
-        self.spec
-    }
-}
+pub struct TrivialRoundRobin;
 
 impl RoundProtocol for TrivialRoundRobin {
     type BallState = NoBallState;
@@ -72,7 +58,7 @@ mod tests {
     fn completes_within_n_rounds_with_perfect_balance() {
         let spec = ProblemSpec::new(10_000, 32).unwrap();
         let out = Simulator::new(spec, RunConfig::seeded(0))
-            .run(TrivialRoundRobin::new(spec))
+            .run(TrivialRoundRobin)
             .unwrap();
         assert!(out.is_complete());
         assert!(out.rounds <= 32);
@@ -83,10 +69,10 @@ mod tests {
     fn is_seed_independent() {
         let spec = ProblemSpec::new(777, 13).unwrap();
         let a = Simulator::new(spec, RunConfig::seeded(1))
-            .run(TrivialRoundRobin::new(spec))
+            .run(TrivialRoundRobin)
             .unwrap();
         let b = Simulator::new(spec, RunConfig::seeded(999))
-            .run(TrivialRoundRobin::new(spec))
+            .run(TrivialRoundRobin)
             .unwrap();
         assert_eq!(a.loads, b.loads);
         assert_eq!(a.rounds, b.rounds);
@@ -97,7 +83,7 @@ mod tests {
         // m = n·⌈m/n⌉ exactly: zero slack anywhere, still completes.
         let spec = ProblemSpec::new(31 * 17, 17).unwrap();
         let out = Simulator::new(spec, RunConfig::seeded(0))
-            .run(TrivialRoundRobin::new(spec))
+            .run(TrivialRoundRobin)
             .unwrap();
         assert!(out.is_complete());
         assert!(out.loads.iter().all(|&l| l == 31));
@@ -107,7 +93,7 @@ mod tests {
     fn single_bin_degenerate_case() {
         let spec = ProblemSpec::new(100, 1).unwrap();
         let out = Simulator::new(spec, RunConfig::seeded(0))
-            .run(TrivialRoundRobin::new(spec))
+            .run(TrivialRoundRobin)
             .unwrap();
         assert!(out.is_complete());
         assert_eq!(out.rounds, 1);

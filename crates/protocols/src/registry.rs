@@ -74,7 +74,7 @@ pub fn visit_protocol<V: ProtocolVisitor>(
         "stemann-heavy" => visitor.visit(StemannHeavy::new(spec)),
         "adler-greedy" => visitor.visit(AdlerGreedy::new(spec, 2, 4)),
         "asymmetric" => visitor.visit(Asymmetric::new(spec)),
-        "trivial-round-robin" => visitor.visit(TrivialRoundRobin::new(spec)),
+        "trivial-round-robin" => visitor.visit(TrivialRoundRobin),
         "batched-two-choice" => {
             visitor.visit(BatchedTwoChoice::new(spec, (spec.bins() as u64).max(1)))
         }
@@ -110,16 +110,51 @@ pub fn run_by_name(name: &str, spec: ProblemSpec, config: RunConfig) -> Option<R
 mod tests {
     use super::*;
 
+    /// Reads the run-level load cap a protocol reports.
+    struct CapVisitor(ProblemSpec);
+
+    impl ProtocolVisitor for CapVisitor {
+        type Output = Option<u32>;
+
+        fn visit<P: RoundProtocol + 'static>(self, protocol: P) -> Self::Output {
+            protocol.load_cap(&self.0)
+        }
+    }
+
     #[test]
     fn every_listed_protocol_runs() {
         let spec = ProblemSpec::new(1 << 12, 1 << 6).unwrap();
+        let mut capped = Vec::new();
         for &name in protocol_names() {
             let out = run_by_name(name, spec, RunConfig::seeded(1))
                 .unwrap_or_else(|| panic!("{name} not dispatched"))
                 .unwrap_or_else(|e| panic!("{name} failed: {e}"));
             assert!(out.is_complete(), "{name} left {} balls", out.unallocated);
             assert_eq!(out.protocol, name, "name mismatch for {name}");
+            if let Some(cap) = visit_protocol(name, spec, CapVisitor(spec)).unwrap() {
+                assert!(
+                    out.max_load() <= cap,
+                    "{name} reached load {} past its cap {cap}",
+                    out.max_load()
+                );
+                capped.push(name);
+            }
         }
+        assert_eq!(
+            capped,
+            [
+                "fixed-threshold",
+                "parallel-two-choice",
+                "threshold-heavy",
+                "a-light",
+                "collision",
+                "stemann-heavy",
+                "trivial-round-robin",
+                "kd-choice",
+                "kd-choice-36",
+                "estimated-average",
+            ]
+        );
     }
 
     #[test]

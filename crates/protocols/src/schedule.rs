@@ -63,7 +63,7 @@ impl UndershootSchedule {
 
     /// The current unallocated-mass estimate `m̃`, exactly as stored.
     ///
-    /// State snapshots persist this instead of [`ratio`](Self::ratio):
+    /// State snapshots persist this instead of `ratio`:
     /// `ratio() * n` does not round-trip in f64 for arbitrary `n`, and a
     /// restored schedule must continue the recurrence *bit-identically*.
     pub fn mass(&self) -> f64 {
@@ -71,7 +71,7 @@ impl UndershootSchedule {
     }
 
     /// Current estimate ratio `m̃ / n`.
-    pub fn ratio(&self) -> f64 {
+    pub(crate) fn ratio(&self) -> f64 {
         self.m_tilde / self.bins as f64
     }
 

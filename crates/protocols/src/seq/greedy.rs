@@ -28,11 +28,6 @@ impl GreedyD {
         Self::new(spec, 2)
     }
 
-    /// Number of choices.
-    pub fn d(&self) -> u32 {
-        self.d
-    }
-
     /// Run the process; returns final loads.
     pub fn run(&self, seed: u64) -> Vec<u32> {
         let n = self.spec.bins();

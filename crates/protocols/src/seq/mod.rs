@@ -3,24 +3,20 @@
 //! These are the comparators the parallel papers position against: the
 //! single-choice allocation, `d`-choice GREEDY of Azar et al. (whose
 //! heavily loaded gap `m/n + O(log log n)` is the Berenbrink et al. result
-//! the heavily loaded paper improves to `m/n + O(1)` in parallel),
-//! Vöcking's Always-Go-Left, and the `(1+β)`-choice process.
+//! the heavily loaded paper improves to `m/n + O(1)` in parallel) and the
+//! `(1+β)`-choice process.
 //!
 //! Sequential processes need no engine: each returns a load vector
 //! directly (and optionally a per-ball assignment).
 
-mod always_go_left;
 mod greedy;
-mod memory;
 mod one_plus_beta;
 
-pub use always_go_left::AlwaysGoLeft;
 pub use greedy::GreedyD;
-pub use memory::WithMemory;
 pub use one_plus_beta::OnePlusBeta;
 
 use pba_core::rng::{ball_stream, Rand64};
-use pba_core::{Allocation, ProblemSpec};
+use pba_core::ProblemSpec;
 
 /// Sequential single-choice: each ball joins a uniformly random bin.
 ///
@@ -36,21 +32,17 @@ pub fn single_choice_loads(spec: ProblemSpec, seed: u64) -> Vec<u32> {
     loads
 }
 
-/// Wrap a sequential load vector as an [`Allocation`] (no assignment).
-pub fn loads_to_allocation(spec: ProblemSpec, loads: Vec<u32>) -> Allocation {
-    Allocation::new(spec, loads, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pba_core::Allocation;
 
     #[test]
     fn single_choice_places_all_balls() {
         let spec = ProblemSpec::new(10_000, 64).unwrap();
         let loads = single_choice_loads(spec, 1);
         assert_eq!(loads.iter().map(|&l| l as u64).sum::<u64>(), 10_000);
-        let alloc = loads_to_allocation(spec, loads);
+        let alloc = Allocation::new(spec, loads, None);
         assert!(alloc.is_well_formed());
     }
 

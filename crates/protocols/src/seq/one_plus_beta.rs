@@ -23,11 +23,6 @@ impl OnePlusBeta {
         Self { spec, beta }
     }
 
-    /// The mixing parameter.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
     /// Run the process; returns final loads.
     pub fn run(&self, seed: u64) -> Vec<u32> {
         let n = self.spec.bins();

@@ -32,7 +32,7 @@ impl Scale {
     }
 
     /// Standard replication count at this scale.
-    pub fn reps(&self) -> usize {
+    pub(crate) fn reps(&self) -> usize {
         match self {
             Scale::Smoke => 2,
             Scale::Default => 5,
@@ -44,8 +44,8 @@ impl Scale {
 /// Harness-level options threaded through every engine run an experiment
 /// performs.
 ///
-/// The harness helpers ([`crate::replicate::replicate_outcomes_with`],
-/// [`RunOptions::config`]) build their `RunConfig` through this factory,
+/// The harness helpers (`crate::replicate::replicate_outcomes_with`,
+/// `RunOptions::config`) build their `RunConfig` through this factory,
 /// so attaching a sink here observes *every* run of the experiment —
 /// including the replicated ones fanned out across the pool.
 #[derive(Clone, Default)]
@@ -68,7 +68,7 @@ impl RunOptions {
 
     /// The `RunConfig` factory used by all harness helpers: sequential,
     /// per-bin tracking, trace recorded, sink attached when present.
-    pub fn config(&self, seed: u64) -> RunConfig {
+    pub(crate) fn config(&self, seed: u64) -> RunConfig {
         let config = RunConfig::seeded(seed);
         match &self.metrics {
             Some(sink) => config.with_metrics(sink.clone()),
@@ -110,13 +110,8 @@ impl PerfSummary {
         self.engine.balls_per_sec()
     }
 
-    /// Rounds executed per second of engine run time.
-    pub fn rounds_per_sec(&self) -> f64 {
-        self.engine.rounds_per_sec()
-    }
-
     /// One-paragraph markdown rendering (throughput + phase split).
-    pub fn to_markdown(&self) -> String {
+    pub(crate) fn to_markdown(&self) -> String {
         let e = &self.engine;
         let mut out = if e.runs == 0 && e.batches > 0 {
             // Streaming experiments drive the batch allocator, not the
@@ -235,10 +230,9 @@ impl ExperimentReport {
 ///
 /// Implementors provide [`execute`](Experiment::execute) and build every
 /// engine run through the given [`RunOptions`] (typically via
-/// [`replicate_outcomes_with`](crate::replicate::replicate_outcomes_with)
-/// or [`RunOptions::config`]); callers use the provided
-/// [`run`](Experiment::run) / [`run_with`](Experiment::run_with), which
-/// attach the harness's [`EngineMetrics`] aggregator and fill
+/// `replicate_outcomes_with` or `RunOptions::config`); callers use the
+/// provided [`run`](Experiment::run) / [`run_with`](Experiment::run_with),
+/// which attach the harness's [`EngineMetrics`] aggregator and fill
 /// [`ExperimentReport::perf`] with throughput and phase-split numbers.
 pub trait Experiment: Sync {
     /// Stable id (`"e01"`…`"e19"`).

@@ -15,7 +15,7 @@ use crate::replicate::replicate;
 use crate::table::{fnum, Table};
 
 /// E1 runner.
-pub struct E01;
+pub(crate) struct E01;
 
 impl Experiment for E01 {
     fn id(&self) -> &'static str {

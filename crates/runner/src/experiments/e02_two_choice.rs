@@ -16,7 +16,7 @@ use crate::replicate::replicate;
 use crate::table::{fnum, Table};
 
 /// E2 runner.
-pub struct E02;
+pub(crate) struct E02;
 
 impl Experiment for E02 {
     fn id(&self) -> &'static str {

@@ -12,7 +12,7 @@ use crate::replicate::replicate_outcomes_with;
 use crate::table::{fnum, Table};
 
 /// E3 runner.
-pub struct E03;
+pub(crate) struct E03;
 
 impl Experiment for E03 {
     fn id(&self) -> &'static str {

@@ -10,7 +10,7 @@ use crate::experiments::spec;
 use crate::table::{fnum, Table};
 
 /// E4 runner.
-pub struct E04;
+pub(crate) struct E04;
 
 impl Experiment for E04 {
     fn id(&self) -> &'static str {

@@ -12,7 +12,7 @@ use crate::experiments::spec;
 use crate::table::{fnum, Table};
 
 /// E5 runner.
-pub struct E05;
+pub(crate) struct E05;
 
 impl Experiment for E05 {
     fn id(&self) -> &'static str {

@@ -10,7 +10,7 @@ use crate::replicate::replicate_outcomes_with;
 use crate::table::{fnum, Table};
 
 /// E6 runner.
-pub struct E06;
+pub(crate) struct E06;
 
 impl Experiment for E06 {
     fn id(&self) -> &'static str {

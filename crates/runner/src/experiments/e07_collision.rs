@@ -12,7 +12,7 @@ use crate::replicate::replicate_outcomes_with;
 use crate::table::{fnum, Table};
 
 /// E7 runner.
-pub struct E07;
+pub(crate) struct E07;
 
 impl Experiment for E07 {
     fn id(&self) -> &'static str {

@@ -11,7 +11,7 @@ use crate::replicate::replicate_outcomes_with;
 use crate::table::{fnum, Table};
 
 /// E8 runner.
-pub struct E08;
+pub(crate) struct E08;
 
 impl Experiment for E08 {
     fn id(&self) -> &'static str {

@@ -11,7 +11,7 @@ use crate::replicate::replicate_outcomes_with;
 use crate::table::{fnum, Table};
 
 /// E9 runner.
-pub struct E09;
+pub(crate) struct E09;
 
 impl Experiment for E09 {
     fn id(&self) -> &'static str {

@@ -9,7 +9,7 @@ use crate::experiments::spec;
 use crate::table::{fnum, Table};
 
 /// E10 runner.
-pub struct E10;
+pub(crate) struct E10;
 
 impl Experiment for E10 {
     fn id(&self) -> &'static str {

@@ -12,7 +12,7 @@ use crate::replicate::replicate_outcomes_with;
 use crate::table::{fnum, Table};
 
 /// E11 runner.
-pub struct E11;
+pub(crate) struct E11;
 
 impl Experiment for E11 {
     fn id(&self) -> &'static str {

@@ -9,7 +9,7 @@ use crate::replicate::replicate_outcomes_with;
 use crate::table::{fnum, Table};
 
 /// E12 runner.
-pub struct E12;
+pub(crate) struct E12;
 
 impl Experiment for E12 {
     fn id(&self) -> &'static str {

@@ -17,7 +17,7 @@ use crate::replicate::replicate_outcomes_with;
 use crate::table::{fnum, Table};
 
 /// E13 runner.
-pub struct E13;
+pub(crate) struct E13;
 
 impl Experiment for E13 {
     fn id(&self) -> &'static str {

@@ -27,7 +27,7 @@ use crate::replicate::replicate;
 use crate::table::{fnum, Table};
 
 /// E14 runner.
-pub struct E14;
+pub(crate) struct E14;
 
 impl Experiment for E14 {
     fn id(&self) -> &'static str {

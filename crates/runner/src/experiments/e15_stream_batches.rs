@@ -10,7 +10,7 @@ use crate::replicate::replicate;
 use crate::table::{fnum, Table};
 
 /// E15 runner.
-pub struct E15;
+pub(crate) struct E15;
 
 impl Experiment for E15 {
     fn id(&self) -> &'static str {

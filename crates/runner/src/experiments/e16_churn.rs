@@ -11,7 +11,7 @@ use crate::replicate::replicate;
 use crate::table::{fnum, Table};
 
 /// E16 runner.
-pub struct E16;
+pub(crate) struct E16;
 
 impl Experiment for E16 {
     fn id(&self) -> &'static str {

@@ -10,7 +10,7 @@ use crate::replicate::replicate;
 use crate::table::{fnum, Table};
 
 /// E17 runner.
-pub struct E17;
+pub(crate) struct E17;
 
 impl Experiment for E17 {
     fn id(&self) -> &'static str {

@@ -13,7 +13,7 @@ use crate::experiments::{gap_summary, round_summary, spec};
 use crate::table::{fnum, Table};
 
 /// E18 runner.
-pub struct E18;
+pub(crate) struct E18;
 
 impl Experiment for E18 {
     fn id(&self) -> &'static str {

@@ -19,7 +19,7 @@ use crate::table::{fnum, Table};
 const DOMAINS: u32 = 8;
 
 /// E19 runner.
-pub struct E19;
+pub(crate) struct E19;
 
 impl Experiment for E19 {
     fn id(&self) -> &'static str {

@@ -13,7 +13,7 @@ use crate::replicate::replicate_outcomes_with;
 use crate::table::{fnum, Table};
 
 /// E24 runner.
-pub struct E24;
+pub(crate) struct E24;
 
 impl Experiment for E24 {
     fn id(&self) -> &'static str {

@@ -13,7 +13,7 @@ use crate::replicate::replicate_outcomes_with;
 use crate::table::{fnum, Table};
 
 /// E25 runner.
-pub struct E25;
+pub(crate) struct E25;
 
 impl Experiment for E25 {
     fn id(&self) -> &'static str {

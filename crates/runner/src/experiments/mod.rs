@@ -2,27 +2,27 @@
 //! the index; E20–E23 are the cluster/wire/replay studies reported
 //! directly in `EXPERIMENTS.md`).
 
-pub mod e01_naive;
-pub mod e02_two_choice;
-pub mod e03_threshold_heavy;
-pub mod e04_underload;
-pub mod e05_lower_bound;
-pub mod e06_asymmetric;
-pub mod e07_collision;
-pub mod e08_stemann_heavy;
-pub mod e09_adler;
-pub mod e10_messages;
-pub mod e11_fixed_threshold;
-pub mod e12_batched;
-pub mod e13_ablation;
-pub mod e14_preliminaries;
-pub mod e15_stream_batches;
-pub mod e16_churn;
-pub mod e17_weighted;
-pub mod e18_message_loss;
-pub mod e19_shard_failures;
-pub mod e24_kd_choice;
-pub mod e25_estimated_average;
+pub(crate) mod e01_naive;
+pub(crate) mod e02_two_choice;
+pub(crate) mod e03_threshold_heavy;
+pub(crate) mod e04_underload;
+pub(crate) mod e05_lower_bound;
+pub(crate) mod e06_asymmetric;
+pub(crate) mod e07_collision;
+pub(crate) mod e08_stemann_heavy;
+pub(crate) mod e09_adler;
+pub(crate) mod e10_messages;
+pub(crate) mod e11_fixed_threshold;
+pub(crate) mod e12_batched;
+pub(crate) mod e13_ablation;
+pub(crate) mod e14_preliminaries;
+pub(crate) mod e15_stream_batches;
+pub(crate) mod e16_churn;
+pub(crate) mod e17_weighted;
+pub(crate) mod e18_message_loss;
+pub(crate) mod e19_shard_failures;
+pub(crate) mod e24_kd_choice;
+pub(crate) mod e25_estimated_average;
 
 use pba_analysis::Summary;
 use pba_core::{BatchRecord, FaultPlan, ProblemSpec};
@@ -107,7 +107,7 @@ pub(crate) mod smoke {
     //! produce at least one nonempty table.
     use crate::experiment::{Experiment, Scale};
 
-    pub fn check(e: &dyn Experiment) {
+    pub(crate) fn check(e: &dyn Experiment) {
         let report = e.run(Scale::Smoke);
         assert_eq!(report.id, e.id());
         assert!(!report.tables.is_empty(), "{} produced no tables", e.id());

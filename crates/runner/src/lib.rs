@@ -20,8 +20,8 @@
 //! records is produced mechanically.
 
 pub mod experiment;
-pub mod experiments;
-pub mod faultspec;
+mod experiments;
+mod faultspec;
 pub mod json;
 pub mod replicate;
 pub mod table;
@@ -31,5 +31,5 @@ pub use experiment::{
 };
 pub use faultspec::{describe_fault_plan, parse_fault_spec};
 pub use json::JsonlTrace;
-pub use replicate::{replicate, replicate_outcomes, replicate_outcomes_with, run_once_with};
+pub use replicate::replicate;
 pub use table::Table;

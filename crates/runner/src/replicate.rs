@@ -36,25 +36,12 @@ where
         .collect()
 }
 
-/// Replicate a protocol run over seeds; panics on simulation errors (an
+/// Replicate a protocol run over seeds, threading [`RunOptions`] into
+/// every run, so an attached metrics sink observes all replications
+/// (events are attributable via the seed in
+/// [`pba_core::metrics::RunMeta`]). Panics on simulation errors (an
 /// experiment hitting a round-budget error is a bug in its parameters).
-pub fn replicate_outcomes<P, F>(
-    spec: ProblemSpec,
-    base_seed: u64,
-    reps: usize,
-    make: F,
-) -> Vec<RunOutcome>
-where
-    P: RoundProtocol,
-    F: Fn() -> P + Sync,
-{
-    replicate_outcomes_with(spec, base_seed, reps, &RunOptions::default(), make)
-}
-
-/// Like [`replicate_outcomes`], but threading [`RunOptions`] into every
-/// run, so an attached metrics sink observes all replications (events are
-/// attributable via the seed in [`pba_core::metrics::RunMeta`]).
-pub fn replicate_outcomes_with<P, F>(
+pub(crate) fn replicate_outcomes_with<P, F>(
     spec: ProblemSpec,
     base_seed: u64,
     reps: usize,
@@ -70,13 +57,8 @@ where
     })
 }
 
-/// One sequential, traced run with default options.
-pub fn run_once<P: RoundProtocol>(spec: ProblemSpec, seed: u64, protocol: P) -> Result<RunOutcome> {
-    run_once_with(spec, seed, protocol, &RunOptions::default())
-}
-
 /// One sequential, traced run built through [`RunOptions::config`].
-pub fn run_once_with<P: RoundProtocol>(
+pub(crate) fn run_once_with<P: RoundProtocol>(
     spec: ProblemSpec,
     seed: u64,
     protocol: P,
@@ -99,8 +81,9 @@ mod tests {
     #[test]
     fn outcomes_are_seed_deterministic() {
         let spec = ProblemSpec::new(4096, 64).unwrap();
-        let a = replicate_outcomes(spec, 7, 3, || SingleChoice::new(spec));
-        let b = replicate_outcomes(spec, 7, 3, || SingleChoice::new(spec));
+        let opts = RunOptions::default();
+        let a = replicate_outcomes_with(spec, 7, 3, &opts, || SingleChoice::new(spec));
+        let b = replicate_outcomes_with(spec, 7, 3, &opts, || SingleChoice::new(spec));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.loads, y.loads);
         }

@@ -34,23 +34,14 @@ impl Table {
         &self.title
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// True when no rows have been added.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
-    /// Column headers.
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
     /// Data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> &[Vec<String>] {
         &self.rows
     }
 
@@ -109,7 +100,7 @@ impl Table {
 }
 
 /// Format a float with three significant decimals, trimming noise.
-pub fn fnum(x: f64) -> String {
+pub(crate) fn fnum(x: f64) -> String {
     if x == 0.0 {
         "0".to_string()
     } else if x.abs() >= 1000.0 {

@@ -256,6 +256,60 @@ fn run_failures_print_one_line_and_usage_errors_the_banner() {
         );
         assert!(quiet);
     }
+    // Every other protocol that caps its bins' load for the whole run
+    // stops there too, once enough bins crash.
+    for (name, crash, want) in [
+        (
+            "collision",
+            "0.7",
+            "19555 live bins × load cap 12 = 234660 load units, fewer than the 262144",
+        ),
+        (
+            "stemann-heavy",
+            "0.7",
+            "19555 live bins × load cap 10 = 195550 load units, fewer than the 262144",
+        ),
+        (
+            "threshold-heavy",
+            "0.4",
+            "39210 live bins × load cap 6 = 235260 load units, fewer than the 262144",
+        ),
+        (
+            "a-light",
+            "0.4",
+            "39210 live bins × load cap 6 = 235260 load units, fewer than the 262144",
+        ),
+        (
+            "fixed-threshold",
+            "0.4",
+            "39210 live bins × load cap 6 = 235260 load units, fewer than the 262144",
+        ),
+        (
+            "parallel-two-choice",
+            "0.4",
+            "39210 live bins × load cap 6 = 235260 load units, fewer than the 262144",
+        ),
+        (
+            "kd-choice",
+            "0.5",
+            "32767 live bins × load cap 14 = 458738 load units, fewer than the 524288",
+        ),
+    ] {
+        let (code, stderr, quiet) = run(&format!(
+            "protocol {name} --m 262144 --n 65536 --seed 3 --faults crash={crash},seed=7"
+        ));
+        assert_eq!(
+            code,
+            Some(2),
+            "{name}: an infeasible run exits 2:\n{stderr}"
+        );
+        assert_eq!(
+            stderr,
+            format!("error: infeasible run: {want} to place\n"),
+            "{name}"
+        );
+        assert!(quiet, "{name}");
+    }
 
     // Replay and stream runs fail the same way once their command line is
     // accepted.

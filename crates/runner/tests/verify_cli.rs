@@ -110,8 +110,9 @@ fn verify_new_claims_get_did_you_mean() {
 
 /// Negative control for the (k,d)-choice oracle: crashing half the bins
 /// drops the live capacity 0.5·n·(⌈k·m/n⌉ + window + 2) below the k·m
-/// units the protocol must place, so every run exhausts its (tight)
-/// round budget and the claim flips to REFUTED with a nonzero exit.
+/// units the protocol must place, so the engine refuses every run as
+/// infeasible before round 0 (the protocol reports its cap through
+/// `load_cap`) and the claim flips to REFUTED with a nonzero exit.
 #[test]
 fn verify_miswired_kd_oracle_refutes() {
     let out = pba_run(&[

@@ -109,11 +109,6 @@ impl StreamAllocator {
         self
     }
 
-    /// Number of bins.
-    pub fn bins(&self) -> u32 {
-        self.bins
-    }
-
     /// Batches ingested so far.
     pub fn batches(&self) -> u64 {
         self.batch_seq
@@ -330,7 +325,7 @@ mod tests {
     fn weighted_balls_contribute_weight() {
         let mut alloc = StreamAllocator::new(4, 2, PolicyKind::BatchedTwoChoice);
         let out = alloc.ingest(&Batch {
-            arrivals: vec![Ball::weighted(0, 10), Ball::weighted(1, 3)],
+            arrivals: vec![Ball { id: 0, weight: 10 }, Ball { id: 1, weight: 3 }],
             departures: vec![],
         });
         assert_eq!(out.record.arrival_weight, 13);

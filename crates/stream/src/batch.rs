@@ -16,13 +16,8 @@ pub struct Ball {
 
 impl Ball {
     /// A unit-weight ball.
-    pub fn unit(id: u64) -> Self {
+    pub(crate) fn unit(id: u64) -> Self {
         Self { id, weight: 1 }
-    }
-
-    /// A weighted ball.
-    pub fn weighted(id: u64, weight: u64) -> Self {
-        Self { id, weight }
     }
 }
 

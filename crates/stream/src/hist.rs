@@ -19,7 +19,7 @@
 //! into the same totals any single-threaded recorder would have seen.
 
 /// Number of log₂ buckets (one per possible `⌊log₂ v⌋` of a `u64`).
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// A fixed-bucket log₂ histogram of `u64` samples (typically nanoseconds).
 ///
@@ -40,7 +40,6 @@ pub const BUCKETS: usize = 64;
 pub struct LatencyHistogram {
     counts: [u64; BUCKETS],
     count: u64,
-    sum: u64,
     min: u64,
     max: u64,
 }
@@ -78,7 +77,6 @@ impl LatencyHistogram {
         Self {
             counts: [0; BUCKETS],
             count: 0,
-            sum: 0,
             min: u64::MAX,
             max: 0,
         }
@@ -99,7 +97,6 @@ impl LatencyHistogram {
         }
         self.counts[bucket_of(v)] += n;
         self.count += n;
-        self.sum = self.sum.saturating_add(v.saturating_mul(n));
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -110,47 +107,13 @@ impl LatencyHistogram {
     }
 
     /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.is_empty() {
-            0
-        } else {
-            self.min
-        }
     }
 
     /// Largest recorded sample (0 when empty).
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Mean sample (0.0 when empty). The sum saturates at `u64::MAX`, so
-    /// the mean degrades rather than wrapping on absurd totals.
-    pub fn mean(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Raw bucket counts (bucket `b` holds values with `⌊log₂ v⌋ = b`).
-    pub fn bucket_counts(&self) -> &[u64; BUCKETS] {
-        &self.counts
-    }
-
-    /// Cumulative fraction of samples in buckets `0..=b`. Monotone
-    /// non-decreasing in `b` and 1.0 at the last bucket (when non-empty).
-    pub fn cdf(&self, b: usize) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let cum: u64 = self.counts[..=b.min(BUCKETS - 1)].iter().sum();
-        cum as f64 / self.count as f64
     }
 
     /// The `q`-quantile (`q ∈ [0, 1]`), resolved to the lower edge of the
@@ -194,14 +157,13 @@ impl LatencyHistogram {
             *mine += theirs;
         }
         self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 
     /// Forget every sample (for per-checkpoint windows; the storage is a
     /// flat array, so clearing allocates nothing).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         *self = Self::new();
     }
 }
@@ -278,29 +240,9 @@ mod tests {
         let h = LatencyHistogram::new();
         assert!(h.is_empty());
         assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
         assert_eq!(h.p50(), 0);
         assert_eq!(h.p999(), 0);
-        assert_eq!(h.cdf(BUCKETS - 1), 0.0);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_reaches_one() {
-        let mut h = LatencyHistogram::new();
-        let mut rng = SplitMix64::new(7);
-        for _ in 0..5_000 {
-            h.record(rng.next_u64() >> (rng.below(64)));
-        }
-        let mut prev = 0.0;
-        for b in 0..BUCKETS {
-            let c = h.cdf(b);
-            assert!(c >= prev, "cdf fell at bucket {b}: {prev} -> {c}");
-            assert!(c <= 1.0 + 1e-12);
-            prev = c;
-        }
-        assert!((h.cdf(BUCKETS - 1) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -250,14 +250,14 @@ impl IngestFrame {
 }
 
 /// Write one frame and flush it onto the wire.
-pub fn send_frame(w: &mut impl Write, frame: &IngestFrame) -> Result<(), String> {
+pub(crate) fn send_frame(w: &mut impl Write, frame: &IngestFrame) -> Result<(), String> {
     w.write_all(&frame.encode())
         .and_then(|()| w.flush())
         .map_err(|e| format!("ingest send failed: {e}"))
 }
 
 /// Read one frame; `Ok(None)` on a clean EOF between frames.
-pub fn recv_frame(r: &mut impl Read) -> Result<Option<IngestFrame>, String> {
+pub(crate) fn recv_frame(r: &mut impl Read) -> Result<Option<IngestFrame>, String> {
     let mut payload = Vec::new();
     match wire::read_msg(r, &mut payload) {
         Ok(None) => Ok(None),
@@ -436,7 +436,7 @@ mod tests {
             IngestFrame::Batch {
                 batch: 3,
                 payload: Batch {
-                    arrivals: vec![Ball::unit(100), Ball::weighted(101, 4), Ball::unit(90)],
+                    arrivals: vec![Ball::unit(100), Ball { id: 101, weight: 4 }, Ball::unit(90)],
                     departures: vec![5, 17, 2],
                 },
             },

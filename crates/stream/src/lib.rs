@@ -13,7 +13,7 @@
 //! ## Pieces
 //!
 //! * [`StreamAllocator`] — ingestion, resident-ball tracking, metrics.
-//! * [`ShardedLoads`] — per-shard contiguous load vectors, applied to in
+//! * `ShardedLoads` — per-shard contiguous load vectors, applied to in
 //!   parallel through atomic views ([`pba_par::as_atomic_u64`]); shares
 //!   load accounting with the engine via [`pba_core::BinState`].
 //! * Policies ([`PlacementPolicy`]): [`OneChoice`], [`TwoChoice`] (live
@@ -35,7 +35,7 @@
 //! ## Determinism
 //!
 //! Arrival `i` of batch `t` owns the counter-based stream
-//! [`arrival_stream`]`(seed, t, i)`; snapshot policies decide from
+//! `arrival_stream(seed, t, i)`; snapshot policies decide from
 //! batch-start loads only, and load updates are commutative atomic adds.
 //! Placements are therefore identical across shard counts, lane counts,
 //! and sequential-vs-parallel ingestion — verified by the equivalence
@@ -70,10 +70,8 @@ pub use allocator::StreamAllocator;
 pub use batch::{Ball, Batch, BatchOutcome};
 pub use hist::LatencyHistogram;
 pub use ingest::{IngestFrame, IngestSummary};
-pub use loads::ShardedLoads;
 pub use policy::{BatchedTwoChoice, OneChoice, PlacementPolicy, PolicyKind, Threshold, TwoChoice};
 pub use service::{replay, ReplayService, ServiceConfig, ServiceReport};
-pub use snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use workload::{WeightDist, Workload, WorkloadCfg, WorkloadKind};
 
 use pba_core::SplitMix64;
@@ -84,7 +82,7 @@ use pba_core::SplitMix64;
 /// lane can regenerate any arrival's draws, with a distinct salt so
 /// streams never collide with the engine's per-round streams.
 #[inline]
-pub fn arrival_stream(seed: u64, batch: u64, index: u64) -> SplitMix64 {
+pub(crate) fn arrival_stream(seed: u64, batch: u64, index: u64) -> SplitMix64 {
     let a = SplitMix64::mix(seed ^ 0xB5297A4D3F84D5B5 ^ batch.wrapping_mul(0xA24BAED4963EE407));
     let b = SplitMix64::mix(a ^ index.wrapping_mul(0x9FB21C651E98DF25));
     SplitMix64::new(b)

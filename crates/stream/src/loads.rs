@@ -1,4 +1,4 @@
-//! Sharded concurrent bin state: [`ShardedLoads`].
+//! Sharded concurrent bin state: `ShardedLoads`.
 //!
 //! The streaming allocator keeps bin loads alive across batches, so unlike
 //! the one-shot engine it cannot hand a single `&mut Vec` to one executor
@@ -22,7 +22,7 @@ use std::sync::atomic::Ordering;
 /// through [`Self::locate`]. Implements [`BinState`], so gap/max-load
 /// accounting is shared with the one-shot engine.
 #[derive(Debug, Clone)]
-pub struct ShardedLoads {
+pub(crate) struct ShardedLoads {
     bins: u32,
     /// Cumulative start bin of each shard, plus a final `bins` sentinel.
     starts: Vec<u32>,
@@ -37,7 +37,7 @@ impl ShardedLoads {
     ///
     /// `shards` is clamped to `[1, bins]` — an empty shard would make the
     /// atomic view vacuous and the contention signal misleading.
-    pub fn new(bins: u32, shards: usize) -> Self {
+    pub(crate) fn new(bins: u32, shards: usize) -> Self {
         assert!(bins > 0, "need at least one bin");
         let s = shards.clamp(1, bins as usize);
         let starts: Vec<u32> = (0..=s)
@@ -55,13 +55,13 @@ impl ShardedLoads {
     }
 
     /// Number of shards.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards.len()
     }
 
     /// The shard owning `bin`, and the bin's offset within it.
     #[inline]
-    pub fn locate(&self, bin: u32) -> (usize, usize) {
+    pub(crate) fn locate(&self, bin: u32) -> (usize, usize) {
         debug_assert!(bin < self.bins);
         let s = (bin as u64 * self.shards.len() as u64 / self.bins as u64) as usize;
         // Balanced ranges make the multiplicative guess exact or off by
@@ -78,7 +78,7 @@ impl ShardedLoads {
 
     /// Add `weight` to `bin` (single-threaded ingestion path).
     #[inline]
-    pub fn add(&mut self, bin: u32, weight: u64) {
+    pub(crate) fn add(&mut self, bin: u32, weight: u64) {
         let (s, i) = self.locate(bin);
         self.shards[s][i] += weight;
     }
@@ -86,7 +86,7 @@ impl ShardedLoads {
     /// Remove `weight` from `bin` (departures; saturating guards against
     /// a corrupted resident map ever underflowing a bin).
     #[inline]
-    pub fn sub(&mut self, bin: u32, weight: u64) {
+    pub(crate) fn sub(&mut self, bin: u32, weight: u64) {
         let (s, i) = self.locate(bin);
         self.shards[s][i] = self.shards[s][i].saturating_sub(weight);
     }
@@ -102,7 +102,7 @@ impl ShardedLoads {
     /// *owning shard* — the contention distribution. Additions are
     /// relaxed `fetch_add`s, so the final loads are identical for any
     /// backend, chunking, lane count or shard count.
-    pub fn apply(
+    pub(crate) fn apply(
         &mut self,
         backend: Backend<'_>,
         chunking: Chunking,

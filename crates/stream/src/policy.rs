@@ -158,7 +158,7 @@ pub struct Threshold {
 
 impl Threshold {
     /// Paper parameters (`γ = 2/3`) for `bins` bins.
-    pub fn new(bins: u32) -> Self {
+    pub(crate) fn new(bins: u32) -> Self {
         Self {
             // Zero starting mass: exhausted, so the first batch restarts
             // the contraction from its own arriving weight.
@@ -168,7 +168,8 @@ impl Threshold {
     }
 
     /// The cumulative threshold currently in force (after `begin_batch`).
-    pub fn current_threshold(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn current_threshold(&self) -> u64 {
         self.threshold
     }
 }
@@ -270,7 +271,7 @@ impl PolicyKind {
     }
 
     /// Instantiate the policy for `bins` bins.
-    pub fn build(self, bins: u32) -> Box<dyn PlacementPolicy> {
+    pub(crate) fn build(self, bins: u32) -> Box<dyn PlacementPolicy> {
         match self {
             PolicyKind::OneChoice => Box::new(OneChoice),
             PolicyKind::TwoChoice => Box::new(TwoChoice),

@@ -45,10 +45,10 @@ use crate::loads::ShardedLoads;
 use crate::policy::PolicyKind;
 
 /// Magic tag of a streaming-allocator snapshot.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PBAS";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"PBAS";
 
 /// Format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
 impl StreamAllocator {
     /// Serialize the complete allocator state to a framed, checksummed
@@ -187,7 +187,7 @@ mod tests {
         for kind in PolicyKind::ALL {
             let alloc = seeded_alloc(kind, 5);
             let restored = StreamAllocator::restore(&alloc.snapshot()).expect("restores");
-            assert_eq!(restored.bins(), alloc.bins());
+            assert_eq!(restored.bin_state().bins(), alloc.bin_state().bins());
             assert_eq!(restored.batches(), alloc.batches());
             assert_eq!(restored.resident(), alloc.resident());
             assert_eq!(

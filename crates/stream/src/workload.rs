@@ -55,7 +55,7 @@ pub enum WeightDist {
 
 impl WeightDist {
     /// Draw one weight.
-    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut SplitMix64) -> u64 {
         match *self {
             WeightDist::Constant(w) => w,
             WeightDist::UniformRange { lo, hi } => lo + rng.below_u64(hi - lo + 1),
@@ -218,11 +218,6 @@ impl Workload {
         self.cfg.churn = churn;
     }
 
-    /// Balls currently resident (as the workload tracks them).
-    pub fn live(&self) -> u64 {
-        self.live.len() as u64
-    }
-
     /// Generate the next batch.
     pub fn next_batch(&mut self) -> Batch {
         let mut rng = batch_stream(self.seed, self.batch_seq);
@@ -302,7 +297,7 @@ mod tests {
             assert_eq!(b.arrivals.len(), 50);
             assert_eq!(b.departures.len(), 50);
         }
-        assert_eq!(w.live(), 50);
+        assert_eq!(w.live.len(), 50);
     }
 
     #[test]

@@ -103,14 +103,21 @@ if [ "$got" != "$want" ]; then
     exit 1
 fi
 # A load-capped protocol whose live bins cannot hold every ball must stop
-# before round 0, not spend its round budget (tens of seconds).
-echo "==> infeasible runs fail fast: estimated-average, trivial-round-robin"
-for name in estimated-average trivial-round-robin; do
+# before round 0, not spend its round budget (up to tens of seconds). Each
+# pair is a protocol and a crash plan that leaves too few live bins.
+echo "==> infeasible runs fail fast: every load-capped protocol"
+for pair in "estimated-average $FAULTS" "trivial-round-robin $FAULTS" \
+    "collision crash=0.7,seed=7" "stemann-heavy crash=0.7,seed=7" \
+    "threshold-heavy crash=0.4,seed=7" "a-light crash=0.4,seed=7" \
+    "fixed-threshold crash=0.4,seed=7" \
+    "parallel-two-choice crash=0.4,seed=7" "kd-choice crash=0.5,seed=7"; do
+    name=${pair%% *}
+    plan=${pair#* }
     code=0
     timeout 10 "$PBA" protocol "$name" --m 262144 --n 65536 --seed 3 \
-        --faults "$FAULTS" >/dev/null 2>&1 || code=$?
+        --faults "$plan" >/dev/null 2>&1 || code=$?
     if [ "$code" -ne 2 ]; then
-        echo "$name under crash faults exited $code, not 2 within 10 s" >&2
+        echo "$name under --faults $plan exited $code, not 2 within 10 s" >&2
         exit 1
     fi
 done

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use pba_protocols::{
         ALight, AdlerGreedy, Asymmetric, BatchedTwoChoice, Collision, EstimatedAverage,
         FixedThreshold, GreedyD, KdChoice, ParallelTwoChoice, SingleChoice, StemannHeavy,
-        ThresholdHeavy, TrivialRoundRobin, WithMemory,
+        ThresholdHeavy, TrivialRoundRobin,
     };
     pub use pba_stream::{
         replay, Batch, LatencyHistogram, PolicyKind, ReplayService, ServiceConfig, ServiceReport,
