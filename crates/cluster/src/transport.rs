@@ -17,6 +17,12 @@
 //!   (spawn `pba-run shard-worker --listen <path>` and connect) or
 //!   attach to pre-started workers at given addresses.
 //!
+//! [`SocketStream::connect`] and [`Listener`] (bind, then accept one
+//! peer) are the workspace's only socket code: the socket transport, the
+//! worker's `--listen` mode and `pba-run serve --listen/--send` all use
+//! them. A listener binding a Unix-domain path replaces a stale socket
+//! file there but never any other file.
+//!
 //! Every transport surfaces the same failure mode: killing the peer
 //! makes subsequent sends/receives fail, which the orchestrator detects
 //! as a dead link — that detection, not any bookkeeping flag, is what
@@ -36,9 +42,9 @@
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
-use std::os::unix::net::UnixStream;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -279,28 +285,31 @@ impl Transport for PipeTransport {
     }
 }
 
-/// Either flavor of stream socket, unified for the read/write halves.
-enum SocketStream {
+/// A connected stream socket: TCP, or Unix-domain where the platform has
+/// it.
+pub enum SocketStream {
+    /// A TCP connection.
     Tcp(TcpStream),
+    /// A Unix-domain connection.
     #[cfg(unix)]
     Unix(UnixStream),
 }
 
 impl SocketStream {
-    fn connect(addr: &str) -> io::Result<SocketStream> {
+    /// Connect to `addr`: a Unix-domain socket path (anything with a `/`
+    /// or a leading `.`), or `host:port` TCP.
+    pub fn connect(addr: &str) -> io::Result<SocketStream> {
         if is_unix_addr(addr) {
             #[cfg(unix)]
             return Ok(SocketStream::Unix(UnixStream::connect(addr)?));
             #[cfg(not(unix))]
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix-domain sockets are not available on this platform",
-            ));
+            return Err(unix_unsupported());
         }
         Ok(SocketStream::Tcp(TcpStream::connect(addr)?))
     }
 
-    fn split(&self) -> io::Result<(Box<dyn Write + Send>, Box<dyn BufRead + Send>)> {
+    /// The stream's write half and buffered read half.
+    pub fn split(&self) -> io::Result<(Box<dyn Write + Send>, Box<dyn BufRead + Send>)> {
         match self {
             SocketStream::Tcp(s) => {
                 let w = s.try_clone()?;
@@ -329,9 +338,98 @@ impl SocketStream {
     }
 }
 
+/// A socket bound to an address, waiting for its one peer.
+pub struct Listener(Bound);
+
+enum Bound {
+    Tcp(TcpListener),
+    /// The listener and the path it is bound to.
+    #[cfg(unix)]
+    Unix(UnixListener, PathBuf),
+}
+
+impl Listener {
+    /// Bind `addr`: a Unix-domain socket path (anything with a `/` or a
+    /// leading `.`), or `host:port` TCP. A socket file already at the
+    /// path, left by an earlier run, is removed first; any other file
+    /// there fails the bind and is left as it is.
+    pub fn bind(addr: &str) -> io::Result<Listener> {
+        if is_unix_addr(addr) {
+            #[cfg(unix)]
+            {
+                let path = PathBuf::from(addr);
+                remove_socket(&path)?;
+                return Ok(Listener(Bound::Unix(UnixListener::bind(&path)?, path)));
+            }
+            #[cfg(not(unix))]
+            return Err(unix_unsupported());
+        }
+        Ok(Listener(Bound::Tcp(TcpListener::bind(addr)?)))
+    }
+
+    /// `"unix"` or `"tcp"`.
+    pub fn kind(&self) -> &'static str {
+        match self.0 {
+            Bound::Tcp(_) => "tcp",
+            #[cfg(unix)]
+            Bound::Unix(..) => "unix",
+        }
+    }
+
+    /// Accept one peer and stop listening; a Unix-domain socket's path is
+    /// unlinked once the peer is connected, so no stale socket file is
+    /// left behind. Returns the connection and, for TCP, the peer's
+    /// address.
+    pub fn accept_one(self) -> io::Result<(SocketStream, Option<SocketAddr>)> {
+        match self.0 {
+            Bound::Tcp(listener) => {
+                let (stream, peer) = listener.accept()?;
+                Ok((SocketStream::Tcp(stream), Some(peer)))
+            }
+            #[cfg(unix)]
+            Bound::Unix(listener, path) => {
+                let (stream, _) = listener.accept()?;
+                let _ = remove_socket(&path);
+                Ok((SocketStream::Unix(stream), None))
+            }
+        }
+    }
+}
+
+/// Remove the socket file at `path`, if one is there. Any other kind of
+/// file is an error and is never removed; a missing path is fine.
+fn remove_socket(path: &Path) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileTypeExt;
+        match std::fs::symlink_metadata(path) {
+            Ok(meta) if meta.file_type().is_socket() => std::fs::remove_file(path),
+            Ok(_) => Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "path exists and is not a socket",
+            )),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = path;
+        Ok(())
+    }
+}
+
+#[cfg(not(unix))]
+fn unix_unsupported() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::Unsupported,
+        "unix-domain sockets are not available on this platform",
+    )
+}
+
 /// An address names a Unix-domain socket when it looks like a path;
 /// anything else is `host:port` TCP.
-pub fn is_unix_addr(addr: &str) -> bool {
+pub(crate) fn is_unix_addr(addr: &str) -> bool {
     addr.contains('/') || addr.starts_with('.')
 }
 
@@ -353,7 +451,6 @@ impl SocketTransport {
     pub(crate) fn spawn(shard: u32, exe: &Path) -> Result<Self> {
         let sock =
             std::env::temp_dir().join(format!("pba-worker-{}-{shard}.sock", std::process::id()));
-        let _ = std::fs::remove_file(&sock);
         let child = Command::new(exe)
             .arg("shard-worker")
             .arg("--listen")
@@ -380,7 +477,7 @@ impl SocketTransport {
             }
             if let Some(c) = &mut child {
                 if let Ok(Some(status)) = c.try_wait() {
-                    let _ = std::fs::remove_file(&sock);
+                    let _ = remove_socket(&sock);
                     return Err(CoreError::ClusterTransport {
                         shard,
                         detail: format!("socket worker exited with {status} before accepting"),
@@ -393,7 +490,7 @@ impl SocketTransport {
             let _ = c.kill();
             let _ = c.wait();
         }
-        let _ = std::fs::remove_file(&sock);
+        let _ = remove_socket(&sock);
         Err(CoreError::ClusterTransport {
             shard,
             detail: format!("socket worker never accepted on {addr}: {last_err}"),
@@ -459,7 +556,7 @@ impl Transport for SocketTransport {
             Ok(())
         };
         if let Some(path) = self.path.take() {
-            let _ = std::fs::remove_file(path);
+            let _ = remove_socket(&path);
         }
         outcome
     }

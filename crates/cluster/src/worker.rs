@@ -20,9 +20,7 @@
 //! `Err` to a nonzero process exit). A peer that is not speaking the
 //! binary frame format at all is named by its lead byte in that error.
 
-use std::io::{BufReader, Read, Write};
-#[cfg(unix)]
-use std::os::unix::net::UnixListener;
+use std::io::{Read, Write};
 
 use pba_core::exec::grant_slice;
 use pba_core::protocol::RoundContext;
@@ -30,7 +28,7 @@ use pba_core::rng::{Rand64, SplitMix64};
 use pba_core::{ProblemSpec, RoundProtocol};
 use pba_protocols::{visit_protocol, ProtocolVisitor};
 
-use crate::transport::is_unix_addr;
+use crate::transport::Listener;
 use crate::wire::{self, Frame, Hello, LoadList, PairList};
 
 /// Serve one orchestrator connection until `shutdown` (or an error).
@@ -92,43 +90,14 @@ pub fn serve_stdio() -> Result<(), String> {
 /// one orchestrator connection, and serve it — the body of `pba-run
 /// shard-worker --listen ADDR`.
 pub fn serve_listen(addr: &str) -> Result<(), String> {
-    if is_unix_addr(addr) {
-        #[cfg(unix)]
-        {
-            let listener = UnixListener::bind(addr)
-                .map_err(|e| format!("bind unix socket {addr} failed: {e}"))?;
-            let (stream, _) = listener
-                .accept()
-                .map_err(|e| format!("accept on {addr} failed: {e}"))?;
-            // The connection outlives the name; unlink now so a crashed
-            // worker can't leave a stale socket behind.
-            let _ = std::fs::remove_file(addr);
-            let reader = BufReader::new(
-                stream
-                    .try_clone()
-                    .map_err(|e| format!("socket clone failed: {e}"))?,
-            );
-            serve(reader, stream)
-        }
-        #[cfg(not(unix))]
-        {
-            Err(format!(
-                "cannot listen on {addr}: unix-domain sockets are not available on this platform"
-            ))
-        }
-    } else {
-        let listener = std::net::TcpListener::bind(addr)
-            .map_err(|e| format!("bind tcp {addr} failed: {e}"))?;
-        let (stream, _) = listener
-            .accept()
-            .map_err(|e| format!("accept on {addr} failed: {e}"))?;
-        let reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| format!("socket clone failed: {e}"))?,
-        );
-        serve(reader, stream)
-    }
+    let listener = Listener::bind(addr).map_err(|e| format!("bind {addr} failed: {e}"))?;
+    let (stream, _) = listener
+        .accept_one()
+        .map_err(|e| format!("accept on {addr} failed: {e}"))?;
+    let (writer, reader) = stream
+        .split()
+        .map_err(|e| format!("socket clone failed: {e}"))?;
+    serve(reader, writer)
 }
 
 fn fail(writer: &mut impl Write, detail: String) -> Result<(), String> {

@@ -5,7 +5,7 @@
 //! maximum load, how far above the optimum `⌈total/bins⌉` does it sit (the
 //! papers' *gap*). The one-shot engine stores loads as a plain `Vec<u32>`
 //! ([`crate::sim::RunOutcome::loads`]); the streaming allocator
-//! (`pba-stream`) shards weighted `u64` loads across thread-pool lanes.
+//! (`pba-stream`) keeps weighted `u64` loads in a plain `Vec<u64>`.
 //! This trait is the accounting surface they share: implement `bins` +
 //! `load` and the derived statistics come for free, defined in exactly one
 //! place.
@@ -15,9 +15,9 @@
 
 /// Read access to a per-bin load vector, with derived statistics.
 ///
-/// Object-safe: policies and observers can hold a `&dyn BinState` without
-/// caring whether the backing store is a plain vector, a snapshot, or a
-/// sharded atomic structure.
+/// Object-safe: observers can hold a `&dyn BinState` without caring
+/// whether the backing store is the engine's `u32` loads or the stream
+/// allocator's `u64` loads.
 pub trait BinState {
     /// Number of bins.
     fn bins(&self) -> u32;

@@ -138,7 +138,7 @@ pub struct RunSummary {
 ///
 /// The streaming analogue of [`RunMeta`]: long-lived `StreamAllocator`
 /// sessions (crate `pba-stream`) have no fixed `m`, so their events carry
-/// bin count, policy, and sharding instead of a [`ProblemSpec`].
+/// bin count, seed and policy instead of a [`ProblemSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamMeta {
     /// Number of bins.
@@ -147,8 +147,6 @@ pub struct StreamMeta {
     pub seed: u64,
     /// Placement policy name.
     pub policy: &'static str,
-    /// Shards the bin state is split across (1 for sequential ingestion).
-    pub shards: usize,
 }
 
 /// Per-batch totals delivered to [`MetricsSink::on_batch`].
@@ -171,10 +169,6 @@ pub struct BatchRecord {
     /// Wall-clock nanoseconds to ingest the batch (0 when no sink was
     /// attached during ingestion — the engine reads no clocks unobserved).
     pub wall_nanos: u64,
-    /// Per-shard touch counts for this batch (placements applied by each
-    /// shard lane); length equals [`StreamMeta::shards`]. The spread
-    /// across entries is the shard-contention signal.
-    pub shard_touches: Vec<u64>,
     /// Virtual fault domains unavailable during this batch (0 without an
     /// armed [`FaultPlan`](crate::FaultPlan)).
     pub failed_domains: u64,
@@ -197,8 +191,6 @@ pub struct ServiceMeta {
     pub seed: u64,
     /// Placement policy name.
     pub policy: &'static str,
-    /// Shards the bin state is split across.
-    pub shards: usize,
     /// Bounded ingestion-queue capacity (submitters block when full).
     pub queue: usize,
     /// Target replay rate in balls/sec (`0.0` = unthrottled).
@@ -274,7 +266,8 @@ pub struct ClusterShardRecord {
     pub frames_sent: u64,
     /// Frames the orchestrator received from this shard.
     pub frames_recv: u64,
-    /// Bytes sent to this shard (framed JSON lines, newline included).
+    /// Bytes sent to this shard (complete binary frames, envelope
+    /// included).
     pub bytes_sent: u64,
     /// Bytes received from this shard.
     pub bytes_recv: u64,
@@ -745,7 +738,6 @@ mod tests {
             bins: 64,
             seed: 1,
             policy: "two-choice",
-            shards: 2,
         };
         let record = BatchRecord {
             batch: 0,
@@ -756,7 +748,6 @@ mod tests {
             max_load: 4,
             gap: 2,
             wall_nanos: 1_000,
-            shard_touches: vec![64, 64],
             ..BatchRecord::default()
         };
         m.on_batch(&smeta, &record);
@@ -857,7 +848,6 @@ mod tests {
             bins: 64,
             seed: 3,
             policy: "batched-two-choice",
-            shards: 2,
             queue: 4,
             rate: 0.0,
         };
@@ -897,7 +887,6 @@ mod tests {
             bins: 8,
             seed: 0,
             policy: "one-choice",
-            shards: 1,
             queue: 1,
             rate: 1e6,
         };
@@ -915,7 +904,6 @@ mod tests {
             bins: 8,
             seed: 0,
             policy: "one-choice",
-            shards: 1,
         };
         fan.on_batch(&smeta, &BatchRecord::default());
         assert_eq!(a.report().batches, 1);

@@ -17,7 +17,7 @@
 //!   for per-slot (or per-range) disjoint writes from concurrent tasks,
 //!   with a debug-build one-task-per-index verifier.
 //! * [`atomic`] — zero-copy reinterpretation of `&mut [u32]` / `&mut [u64]`
-//!   as atomic slices, plus sharded counter merging.
+//!   as atomic slices.
 //!
 //! ## Determinism
 //!
@@ -25,15 +25,15 @@
 //! chunk size and the chunk cap — never from thread timing. A caller that
 //! writes chunk-local outputs therefore produces bit-identical results
 //! regardless of scheduling. The atomic read-modify-writes the workspace
-//! does use (the stream allocator's load applies, sharded counters) are
-//! commutative, so their final values do not depend on order either.
+//! does use (the stream allocator's load applies) are commutative, so
+//! their final values do not depend on order either.
 
 pub mod atomic;
 pub mod chunk;
 mod disjoint;
 pub mod pool;
 
-pub use atomic::{as_atomic_u32, as_atomic_u64, CachePadded, ShardedCounters};
+pub use atomic::{as_atomic_u32, as_atomic_u64};
 pub use chunk::Chunking;
 pub use disjoint::{DisjointClaims, DisjointIndexMut};
 pub use pool::{global_pool, PoolStats, ThreadPool};

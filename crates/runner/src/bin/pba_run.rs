@@ -17,6 +17,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use pba_cluster::transport::{Listener, SocketStream};
 use pba_cluster::ClusterConfig;
 use pba_conformance::{Claim, VerifyOptions, VerifyScale};
 use pba_core::json::{escape as json_escape, JsonObject};
@@ -77,14 +78,14 @@ const USAGE: &str = "usage:
   pba-run protocols
   pba-run stream [--policy one-choice|two-choice|batched-two-choice|threshold]
                  [--n N] [--batch B | Kn] [--batches K] [--workload uniform|zipf|burst]
-                 [--churn F] [--shards S] [--seed S] [--parallel] [--trace FILE.jsonl]
+                 [--churn F] [--seed S] [--parallel] [--trace FILE.jsonl]
                  [--faults SPEC]
   pba-run serve --replay [--policy P] [--n N] [--batch B | Kn] [--batches K]
-                 [--workload W] [--churn F] [--shards S] [--seed S] [--parallel]
+                 [--workload W] [--churn F] [--seed S] [--parallel]
                  [--rate BALLS_PER_SEC] [--queue DEPTH] [--checkpoint-every K]
                  [--snapshot-at K] [--snapshot FILE] [--restore FILE]
                  [--faults SPEC] [--trace FILE.jsonl]
-  pba-run serve --listen ADDR [--policy P] [--n N] [--shards S] [--seed S]
+  pba-run serve --listen ADDR [--policy P] [--n N] [--seed S] [--parallel]
                  (accept framed batches from one `serve --send` client)
   pba-run serve --send ADDR [--policy P] [--n N] [--batch B | Kn] [--batches K]
                  [--workload W] [--churn F] [--seed S]
@@ -709,7 +710,6 @@ fn parse_workload_kind(name: &str) -> Result<WorkloadKind, String> {
 /// throughput summary.
 fn run_stream_cmd(args: &[String]) -> Result<(), Failure> {
     let mut flags = StreamFlags::default();
-    let mut shards: usize = 1;
     let mut parallel = false;
     let mut trace_path: Option<String> = None;
     let mut faults: Option<FaultPlan> = None;
@@ -717,7 +717,6 @@ fn run_stream_cmd(args: &[String]) -> Result<(), Failure> {
         args,
         &mut [
             ("--faults", &mut faults),
-            ("--shards", &mut shards),
             ("--parallel", &mut parallel),
             ("--trace", &mut trace_path),
         ],
@@ -733,9 +732,7 @@ fn run_stream_cmd(args: &[String]) -> Result<(), Failure> {
     let (b, cfg) = flags.workload_cfg(n)?;
 
     let trace = Trace::open(trace_path)?;
-    let mut alloc = StreamAllocator::new(n, seed, policy)
-        .with_shards(shards)
-        .with_metrics(trace.sink());
+    let mut alloc = StreamAllocator::new(n, seed, policy).with_metrics(trace.sink());
     if parallel {
         alloc = alloc.parallel();
     }
@@ -786,8 +783,8 @@ fn run_stream_cmd(args: &[String]) -> Result<(), Failure> {
 
     let report = trace.metrics.report();
     let last = records.last().expect("batches >= 1");
-    let mode = if parallel { ", parallel" } else { "" };
-    println!("policy:     {} ({shards} shard(s){mode})", policy.name());
+    let mode = if parallel { " (parallel)" } else { "" };
+    println!("policy:     {}{mode}", policy.name());
     println!(
         "workload:   {}, b = {b}, churn {churn}, seed {seed}",
         flags.workload
@@ -829,7 +826,7 @@ fn micros(nanos: u64) -> String {
 ///
 /// With `--snapshot FILE` but no `--snapshot-at`, the *final* state is
 /// written — the natural handoff for a later `--restore` run. On restore
-/// the snapshot defines the bin count, policy, shards, and seed (the
+/// the snapshot defines the bin count, policy and seed (the
 /// corresponding flags are ignored) and the workload generator is
 /// fast-forwarded past the already-ingested prefix, so the resumed replay
 /// continues bit-identically to an uninterrupted one.
@@ -841,7 +838,6 @@ fn run_serve(args: &[String]) -> Result<(), Failure> {
         return run_serve_send(args);
     }
     let mut flags = StreamFlags::default();
-    let mut shards: usize = 1;
     let mut parallel = false;
     let mut rate = 0.0f64;
     let mut queue: usize = 4;
@@ -859,7 +855,6 @@ fn run_serve(args: &[String]) -> Result<(), Failure> {
         &mut [
             ("--replay", &mut replay_mode),
             ("--faults", &mut faults),
-            ("--shards", &mut shards),
             ("--parallel", &mut parallel),
             ("--rate", &mut rate),
             ("--queue", &mut queue),
@@ -898,15 +893,12 @@ fn run_serve(args: &[String]) -> Result<(), Failure> {
                 .map_err(|e| Failure::Run(format!("--restore {path}: {e}")))?;
             (alloc, bytes.len() as u64)
         }
-        None => (
-            StreamAllocator::new(flags.n, flags.seed, flags.policy).with_shards(shards),
-            0,
-        ),
+        None => (StreamAllocator::new(flags.n, flags.seed, flags.policy), 0),
     };
     // From here on the allocator is authoritative: on restore its meta
-    // (bins, seed, policy, shards) comes from the snapshot, not the flags.
+    // (bins, seed, policy) comes from the snapshot, not the flags.
     let meta = alloc.meta();
-    let (n, seed, shards, policy_name) = (meta.bins, meta.seed, meta.shards, meta.policy);
+    let (n, seed, policy_name) = (meta.bins, meta.seed, meta.policy);
     let start_batch = alloc.batches();
     let (b, cfg) = flags.workload_cfg(n)?;
 
@@ -976,8 +968,8 @@ fn run_serve(args: &[String]) -> Result<(), Failure> {
     }
     println!("{}", table.to_markdown());
 
-    let mode = if parallel { ", parallel" } else { "" };
-    println!("policy:     {policy_name} ({shards} shard(s){mode})");
+    let mode = if parallel { " (parallel)" } else { "" };
+    println!("policy:     {policy_name}{mode}");
     println!(
         "workload:   {}, b = {b}, churn {}, seed {seed}",
         flags.workload, flags.churn
@@ -1030,29 +1022,6 @@ fn run_serve(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// The two halves of a connected ingest socket.
-type IngestHalves = (Box<dyn std::io::Read>, Box<dyn std::io::Write>);
-
-/// A connected ingest socket, split into its two halves.
-fn connect_ingest(addr: &str) -> Result<IngestHalves, String> {
-    if pba_cluster::transport::is_unix_addr(addr) {
-        #[cfg(unix)]
-        {
-            let stream = std::os::unix::net::UnixStream::connect(addr)
-                .map_err(|e| format!("connect {addr}: {e}"))?;
-            let r = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
-            return Ok((Box::new(r), Box::new(stream)));
-        }
-        #[cfg(not(unix))]
-        return Err(format!(
-            "unix socket path '{addr}' unsupported on this platform"
-        ));
-    }
-    let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let r = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
-    Ok((Box::new(r), Box::new(stream)))
-}
-
 /// `pba-run serve --listen ADDR` — real traffic for the allocator: bind a
 /// TCP or Unix-domain socket, accept one `serve --send` client, ingest
 /// its framed batches (binary wire codec, checksummed), and report the
@@ -1062,7 +1031,6 @@ fn run_serve_listen(args: &[String]) -> Result<(), Failure> {
     let mut addr = String::new();
     let mut policy = TersePolicy(PolicyKind::BatchedTwoChoice);
     let mut n: u32 = 1 << 10;
-    let mut shards: usize = 1;
     let mut seed = 0u64;
     let mut parallel = false;
     parse_flags(
@@ -1071,7 +1039,6 @@ fn run_serve_listen(args: &[String]) -> Result<(), Failure> {
             ("--listen", &mut addr),
             ("--policy", &mut policy),
             ("--n", &mut n),
-            ("--shards", &mut shards),
             ("--seed", &mut seed),
             ("--parallel", &mut parallel),
         ],
@@ -1081,16 +1048,23 @@ fn run_serve_listen(args: &[String]) -> Result<(), Failure> {
         return Err(Failure::Usage("--n must be at least 1".into()));
     }
     let policy = policy.0;
-    let mut alloc = StreamAllocator::new(n, seed, policy).with_shards(shards);
+    let mut alloc = StreamAllocator::new(n, seed, policy);
     if parallel {
         alloc = alloc.parallel();
     }
     let started = std::time::Instant::now();
-    let (mut reader, mut writer) = accept_ingest(&addr).map_err(Failure::Run)?;
+    let run_err = |what: &str, e: std::io::Error| Failure::Run(format!("{what} {addr}: {e}"));
+    let listener = Listener::bind(&addr).map_err(|e| run_err("bind", e))?;
+    println!("listening:  {addr} ({})", listener.kind());
+    let (stream, peer) = listener.accept_one().map_err(|e| run_err("accept on", e))?;
+    if let Some(peer) = peer {
+        println!("client:     {peer}");
+    }
+    let (mut writer, mut reader) = stream.split().map_err(|e| run_err("split", e))?;
     let summary = pba_stream::ingest::serve_ingest(&mut reader, &mut writer, &mut alloc)
         .map_err(Failure::Run)?;
     let elapsed = started.elapsed();
-    println!("policy:     {} ({shards} shard(s))", policy.name());
+    println!("policy:     {}", policy.name());
     println!(
         "ingested:   {} batches, {} balls over the socket",
         summary.batches, summary.balls
@@ -1103,33 +1077,6 @@ fn run_serve_listen(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Bind `addr`, print the `listening:` line, and accept one client.
-fn accept_ingest(addr: &str) -> Result<IngestHalves, String> {
-    if pba_cluster::transport::is_unix_addr(addr) {
-        #[cfg(unix)]
-        {
-            let _ = std::fs::remove_file(addr);
-            let listener = std::os::unix::net::UnixListener::bind(addr)
-                .map_err(|e| format!("bind {addr}: {e}"))?;
-            println!("listening:  {addr} (unix)");
-            let (stream, _) = listener.accept().map_err(|e| format!("accept: {e}"))?;
-            let _ = std::fs::remove_file(addr);
-            let r = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
-            return Ok((Box::new(r), Box::new(stream)));
-        }
-        #[cfg(not(unix))]
-        return Err(format!(
-            "unix socket path '{addr}' unsupported on this platform"
-        ));
-    }
-    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    println!("listening:  {addr} (tcp)");
-    let (stream, peer) = listener.accept().map_err(|e| format!("accept: {e}"))?;
-    println!("client:     {peer}");
-    let r = stream.try_clone().map_err(|e| format!("{addr}: {e}"))?;
-    Ok((Box::new(r), Box::new(stream)))
-}
-
 /// `pba-run serve --send ADDR` — the driver for `serve --listen`:
 /// generate the deterministic synthetic workload locally and ship it to
 /// the listening allocator as framed batches, verifying every ack.
@@ -1137,7 +1084,7 @@ fn run_serve_send(args: &[String]) -> Result<(), Failure> {
     let mut addr = String::new();
     let mut policy = TersePolicy(PolicyKind::BatchedTwoChoice);
     // The stream group's storage and workload builder; `--send` has no
-    // `--shards`, and takes `--batches 0`.
+    // `--parallel`, and takes `--batches 0`.
     let mut flags = StreamFlags::default();
     parse_flags(
         args,
@@ -1170,7 +1117,9 @@ fn run_serve_send(args: &[String]) -> Result<(), Failure> {
         policy: policy.0.name().to_owned(),
     };
     let started = std::time::Instant::now();
-    let (mut reader, mut writer) = connect_ingest(&addr).map_err(Failure::Run)?;
+    let (mut writer, mut reader) = SocketStream::connect(&addr)
+        .and_then(|stream| stream.split())
+        .map_err(|e| Failure::Run(format!("connect {addr}: {e}")))?;
     let summary =
         pba_stream::ingest::drive_ingest(&mut reader, &mut writer, &hello, &mut traffic, batches)
             .map_err(Failure::Run)?;

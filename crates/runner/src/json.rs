@@ -63,7 +63,7 @@ fn meta_fields(event: &str, meta: &RunMeta) -> JsonObject {
 ///   count, and the snapshot size when one was taken in the window.
 ///
 /// Every line carries the run identity (`protocol`, `seed`, `m`, `n`,
-/// `executor`, `lanes` — or `policy`, `seed`, `n`, `shards` for batch
+/// `executor`, `lanes` — or `policy`, `seed`, `n` for batch and service
 /// events), so traces of replicated runs interleave safely.
 pub struct JsonlTrace {
     out: Mutex<BufWriter<File>>,
@@ -154,7 +154,6 @@ impl MetricsSink for JsonlTrace {
             .str("policy", meta.policy)
             .u64("seed", meta.seed)
             .u64("n", meta.bins as u64)
-            .u64("shards", meta.shards as u64)
             .u64("batch", record.batch)
             .u64("arrivals", record.arrivals)
             .u64("departures", record.departures)
@@ -163,7 +162,6 @@ impl MetricsSink for JsonlTrace {
             .u64("max_load", record.max_load)
             .u64("gap", record.gap)
             .u64("wall_nanos", record.wall_nanos)
-            .raw("shard_touches", &u64_array(&record.shard_touches))
             .u64("failed_domains", record.failed_domains)
             .u64("fault_redirects", record.fault_redirects)
             .finish();
@@ -198,7 +196,6 @@ impl MetricsSink for JsonlTrace {
             .str("policy", meta.policy)
             .u64("seed", meta.seed)
             .u64("n", meta.bins as u64)
-            .u64("shards", meta.shards as u64)
             .u64("queue", meta.queue as u64)
             .f64("rate", meta.rate)
             .u64("checkpoint", record.checkpoint)

@@ -44,7 +44,7 @@ const CASES: &[(&str, &str)] = &[
     ("stream --batches", "error: --batches needs a value"),
     ("stream --workload", "error: --workload needs a value"),
     ("stream --churn", "error: --churn needs a value"),
-    ("stream --shards", "error: --shards needs a value"),
+    ("stream --shards", "error: unknown flag '--shards'"),
     ("stream --seed", "error: --seed needs a value"),
     ("stream --trace", "error: --trace needs a value"),
     ("stream --faults", "error: --faults needs a value"),
@@ -53,7 +53,7 @@ const CASES: &[(&str, &str)] = &[
     ("stream --n -1", "error: bad --n"),
     ("stream --batches x", "error: bad --batches"),
     ("stream --churn x", "error: bad --churn"),
-    ("stream --shards x", "error: bad --shards"),
+    ("stream --shards x", "error: unknown flag '--shards'"),
     ("stream --seed x", "error: bad --seed"),
     ("stream --batch x", "error: bad --batch 'x' (absolute count or multiple like '8n')"),
     ("stream --batch 2x", "error: bad --batch '2x' (absolute count or multiple like '8n')"),
@@ -104,7 +104,7 @@ const CASES: &[(&str, &str)] = &[
     ("serve --listen /nonexistent/pba.sock --policy", "error: --policy needs a value"),
     ("serve --listen /nonexistent/pba.sock --policy bogus", "error: unknown policy 'bogus'"),
     ("serve --listen /nonexistent/pba.sock --n x", "error: bad --n"),
-    ("serve --listen /nonexistent/pba.sock --shards x", "error: bad --shards"),
+    ("serve --listen /nonexistent/pba.sock --shards x", "error: unknown flag '--shards' for serve --listen"),
     ("serve --listen /nonexistent/pba.sock --seed x", "error: bad --seed"),
     ("serve --listen /nonexistent/pba.sock --n 0", "error: --n must be at least 1"),
     // `serve --send`: no `--shards` or `--parallel`.
@@ -311,19 +311,59 @@ fn run_failures_print_one_line_and_usage_errors_the_banner() {
         assert!(quiet, "{name}");
     }
 
+    // A checksum-valid snapshot claiming 2^32 - 1 bins and holding no
+    // loads: the restore refuses it by the bytes left, before reserving
+    // anything for the claimed bins.
+    let huge = format!("{}/huge-bins.snap", env!("CARGO_TARGET_TMPDIR"));
+    let mut w = pba_core::wire::WireWriter::framed(*b"PBAS", 2);
+    w.u32(u32::MAX); // bins
+    w.u64(0); // seed
+    w.str("one-choice");
+    w.u64(0); // batch_seq
+    std::fs::write(&huge, w.finish()).expect("write the snapshot");
+    let huge_want =
+        format!("error: --restore {huge}: frame truncated: needed 34359738360 bytes, 0 left\n");
+    // The right total in the wrong bin: ball 7 filed under bin 0 while
+    // bin 1 holds its load.
+    let misfiled = format!("{}/misfiled.snap", env!("CARGO_TARGET_TMPDIR"));
+    let mut w = pba_core::wire::WireWriter::framed(*b"PBAS", 2);
+    w.u32(2); // bins
+    w.u64(0); // seed
+    w.str("one-choice");
+    w.u64(1); // batch_seq
+    for word in [0, 1, 1, 7] {
+        w.u64(word); // loads of bins 0 and 1, resident count, ball id
+    }
+    w.u32(0); // the ball's bin
+    w.u64(1); // its weight
+    w.bytes(&[]); // policy state
+    std::fs::write(&misfiled, w.finish()).expect("write the snapshot");
+    let misfiled_want = format!(
+        "error: --restore {misfiled}: malformed frame: conservation violated in bin 0: \
+         resident weight 1 != load 0\n"
+    );
+
     // Replay and stream runs fail the same way once their command line is
     // accepted.
     for (argv, want) in [
         (
-            "serve --replay --restore /nonexistent/snap.bin",
+            "serve --replay --restore /nonexistent/snap.bin".to_owned(),
             "error: --restore /nonexistent/snap.bin: No such file or directory (os error 2)\n",
         ),
         (
-            "stream --batches 1 --trace /nonexistent/dir/t.jsonl",
+            format!("serve --replay --restore {huge}"),
+            huge_want.as_str(),
+        ),
+        (
+            format!("serve --replay --restore {misfiled}"),
+            misfiled_want.as_str(),
+        ),
+        (
+            "stream --batches 1 --trace /nonexistent/dir/t.jsonl".to_owned(),
             "error: --trace /nonexistent/dir/t.jsonl: No such file or directory (os error 2)\n",
         ),
     ] {
-        let (code, stderr, quiet) = run(argv);
+        let (code, stderr, quiet) = run(&argv);
         assert_eq!(code, Some(2), "{argv}: a run failure exits 2:\n{stderr}");
         assert_eq!(stderr, want, "{argv}");
         assert!(quiet, "{argv}");

@@ -233,6 +233,36 @@ fn serve_listen_and_send_reproduce_the_local_replay() {
 }
 
 #[test]
+fn listeners_never_replace_a_regular_file() {
+    // Binding a Unix-domain path replaces a stale socket file only: a
+    // regular file in the way fails the run and keeps its bytes.
+    let path = format!(
+        "{}/notes-{}.txt",
+        env!("CARGO_TARGET_TMPDIR"),
+        std::process::id()
+    );
+    let notes = b"keep these notes\n";
+    std::fs::write(&path, notes).expect("write the file");
+
+    let out = pba_run(&["serve", "--listen", &path, "--n", "16"]);
+    assert_eq!(out.status.code(), Some(2), "a bind failure is a run error");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("error: bind {path}: path exists and is not a socket\n")
+    );
+    assert_eq!(std::fs::read(&path).expect("file still there"), notes);
+
+    let out = pba_run(&["shard-worker", "--listen", &path]);
+    assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("shard-worker: bind {path} failed: path exists and is not a socket\n")
+    );
+    assert_eq!(std::fs::read(&path).expect("file still there"), notes);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn cluster_stream_kill_chaos_reports_the_dead_shard() {
     let out = pba_run(&[
         "cluster",

@@ -6,23 +6,22 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pba_core::{Backend, BatchRecord, BinState, ChunkPlan, FaultPlan, MetricsSink, StreamMeta};
-use pba_par::{global_pool, DisjointIndexMut, ShardedCounters};
+use pba_par::{as_atomic_u64, global_pool, DisjointIndexMut};
 
 use crate::arrival_stream;
 use crate::batch::{Batch, BatchOutcome};
-use crate::loads::ShardedLoads;
 use crate::policy::{PlacementPolicy, PolicyKind};
 
 /// A long-lived online allocator: ingest [`Batch`]es of arrivals and
-/// departures against persistent sharded bin state.
+/// departures against one persistent vector of bin loads.
 ///
 /// # Determinism
 ///
 /// Arrival `i` of batch `t` draws from the counter-based stream
 /// `arrival_stream(seed, t, i)`, and snapshot policies decide from the
 /// batch-start loads only; applies are commutative atomic adds. Placements
-/// are therefore **identical** for any shard count, any lane count, and
-/// sequential vs parallel ingestion — only throughput changes. (The
+/// are therefore **identical** for any lane count and sequential vs
+/// parallel ingestion — only throughput changes. (The
 /// [`TwoChoice`](crate::TwoChoice) policy reads live loads and is defined
 /// by its one-lane sequential semantics; it ingests serially.)
 ///
@@ -45,7 +44,8 @@ pub struct StreamAllocator {
     pub(crate) bins: u32,
     pub(crate) seed: u64,
     pub(crate) policy: Box<dyn PlacementPolicy>,
-    pub(crate) loads: ShardedLoads,
+    /// Per-bin loads, `bins` long.
+    pub(crate) loads: Vec<u64>,
     /// Resident ball id → (bin, weight); consulted on departure.
     pub(crate) resident: HashMap<u64, (u32, u64)>,
     pub(crate) batch_seq: u64,
@@ -57,29 +57,20 @@ pub struct StreamAllocator {
 }
 
 impl StreamAllocator {
-    /// A fresh allocator with one shard and sequential ingestion.
+    /// A fresh allocator with all-zero loads and sequential ingestion.
     pub fn new(bins: u32, seed: u64, kind: PolicyKind) -> Self {
+        assert!(bins > 0, "need at least one bin");
         Self {
             bins,
             seed,
             policy: kind.build(bins),
-            loads: ShardedLoads::new(bins, 1),
+            loads: vec![0; bins as usize],
             resident: HashMap::new(),
             batch_seq: 0,
             metrics: None,
             parallel: false,
             faults: None,
         }
-    }
-
-    /// Re-shard the (empty) bin state across `shards` lanes.
-    ///
-    /// Must be called before the first batch: resharding live state would
-    /// be a data migration, which the allocator deliberately does not do.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert_eq!(self.batch_seq, 0, "cannot reshard after ingestion began");
-        self.loads = ShardedLoads::new(self.bins, shards);
-        self
     }
 
     /// Attach a metrics sink receiving one
@@ -102,8 +93,8 @@ impl StreamAllocator {
     /// draws a failed-domain mask from `(plan.seed, batch)`, and any
     /// placement landing in a failed domain is redirected — cyclically —
     /// to the next bin in a live domain. The redirect is a pure function
-    /// of `(bin, mask)`, so placements stay identical across shard
-    /// counts and sequential vs parallel ingestion.
+    /// of `(bin, mask)`, so placements stay identical across lane counts
+    /// and sequential vs parallel ingestion.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -130,7 +121,6 @@ impl StreamAllocator {
             bins: self.bins,
             seed: self.seed,
             policy: self.policy.name(),
-            shards: self.loads.shards(),
         }
     }
 
@@ -145,7 +135,9 @@ impl StreamAllocator {
         let mut departed = 0u64;
         for id in &batch.departures {
             if let Some((bin, weight)) = self.resident.remove(id) {
-                self.loads.sub(bin, weight);
+                // Saturating: a corrupted resident map never underflows a bin.
+                let load = &mut self.loads[bin as usize];
+                *load = load.saturating_sub(weight);
                 departed += 1;
             }
         }
@@ -163,11 +155,10 @@ impl StreamAllocator {
         };
         let redirects = AtomicU64::new(0);
 
-        let touches = ShardedCounters::new(self.loads.shards());
         let placements = if self.policy.needs_live_loads() {
-            self.place_live(arrivals, &touches, fault_mask, &redirects)
+            self.place_live(arrivals, fault_mask, &redirects)
         } else {
-            self.place_snapshot(arrivals, &touches, fault_mask, &redirects)
+            self.place_snapshot(arrivals, fault_mask, &redirects)
         };
 
         for (ball, &bin) in arrivals.iter().zip(&placements) {
@@ -183,7 +174,6 @@ impl StreamAllocator {
             max_load: self.loads.max_load(),
             gap: self.loads.gap(),
             wall_nanos: start.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            shard_touches: touches.values(),
             failed_domains: u64::from(fault_mask.count_ones()),
             fault_redirects: redirects.into_inner(),
         };
@@ -199,7 +189,6 @@ impl StreamAllocator {
     fn place_live(
         &mut self,
         arrivals: &[crate::Ball],
-        touches: &ShardedCounters,
         fault_mask: u64,
         redirects: &AtomicU64,
     ) -> Vec<u32> {
@@ -218,24 +207,22 @@ impl StreamAllocator {
                         bin = live;
                     }
                 }
-                let (shard, _) = self.loads.locate(bin);
-                self.loads.add(bin, ball.weight);
-                touches.add(shard, 1);
+                self.loads[bin as usize] += ball.weight;
                 bin
             })
             .collect()
     }
 
     /// Snapshot path: decide every arrival against the batch-start loads
-    /// (read-only, so decisions parallelize), then apply the commutative
-    /// adds. Both stages run over one chunking of the batch on the same
-    /// [`Backend`] the engine uses — [`Backend::Serial`] below the cutoff
-    /// (or when parallel ingestion is off), the global pool otherwise.
-    /// Placements are identical either way.
+    /// (read-only, so decisions parallelize), then apply the weights with
+    /// relaxed atomic adds, which commute. Both stages run over one
+    /// chunking of the batch on the same [`Backend`] the engine uses —
+    /// [`Backend::Serial`] below the cutoff (or when parallel ingestion is
+    /// off), the global pool otherwise. Placements and loads are identical
+    /// either way.
     fn place_snapshot(
         &mut self,
         arrivals: &[crate::Ball],
-        touches: &ShardedCounters,
         fault_mask: u64,
         redirects: &AtomicU64,
     ) -> Vec<u32> {
@@ -275,12 +262,13 @@ impl StreamAllocator {
                 }
             });
         }
-        let pairs: Vec<(u32, u64)> = placements
-            .iter()
-            .zip(arrivals)
-            .map(|(&bin, ball)| (bin, ball.weight))
-            .collect();
-        self.loads.apply(backend, chunking, &pairs, touches);
+        let loads = as_atomic_u64(&mut self.loads);
+        backend.run(chunking.chunks(), |ci| {
+            let range = chunking.range(ci);
+            for (&bin, ball) in placements[range.clone()].iter().zip(&arrivals[range]) {
+                loads[bin as usize].fetch_add(ball.weight, Ordering::Relaxed);
+            }
+        });
         placements
     }
 }
@@ -319,6 +307,25 @@ mod tests {
             departures: vec![0, 1, 999],
         });
         assert_eq!(out.record.departures, 0);
+    }
+
+    #[test]
+    fn sub_saturates() {
+        // A departure never takes a bin below zero, even when the resident
+        // map files more weight there than the bin holds.
+        let mut alloc = StreamAllocator::new(4, 2, PolicyKind::OneChoice);
+        let out = alloc.ingest(&Batch {
+            arrivals: vec![Ball { id: 7, weight: 2 }],
+            departures: vec![],
+        });
+        let bin = out.placements[0] as usize;
+        alloc.loads[bin] = 1;
+        alloc.ingest(&Batch {
+            arrivals: vec![],
+            departures: vec![7],
+        });
+        assert_eq!(alloc.loads[bin], 0);
+        assert_eq!(alloc.resident(), 0);
     }
 
     #[test]
@@ -361,14 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_touches_cover_all_placements() {
-        let mut alloc = StreamAllocator::new(64, 9, PolicyKind::OneChoice).with_shards(4);
-        let out = alloc.ingest(&Batch::unit_arrivals(0, 500));
-        assert_eq!(out.record.shard_touches.len(), 4);
-        assert_eq!(out.record.shard_touches.iter().sum::<u64>(), 500);
-    }
-
-    #[test]
     fn domain_faults_redirect_off_failed_domains() {
         let plan = FaultPlan::new(0xFA01).with_shard_failures(8, 0.4);
         let mut alloc =
@@ -395,36 +394,10 @@ mod tests {
     }
 
     #[test]
-    fn faulted_placements_identical_across_shard_counts() {
-        let plan = FaultPlan::new(7).with_shard_failures(4, 0.5);
-        let run = |shards: usize| {
-            let mut alloc = StreamAllocator::new(32, 3, PolicyKind::BatchedTwoChoice)
-                .with_shards(shards)
-                .with_faults(plan);
-            let mut all = Vec::new();
-            for t in 0..6u64 {
-                all.extend(alloc.ingest(&Batch::unit_arrivals(t * 100, 100)).placements);
-            }
-            all
-        };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(8));
-    }
-
-    #[test]
     fn unfaulted_batches_report_zero_fault_fields() {
         let mut alloc = StreamAllocator::new(16, 4, PolicyKind::TwoChoice);
         let out = alloc.ingest(&Batch::unit_arrivals(0, 200));
         assert_eq!(out.record.failed_domains, 0);
         assert_eq!(out.record.fault_redirects, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "reshard")]
-    fn resharding_after_ingestion_panics() {
-        let mut alloc = StreamAllocator::new(8, 0, PolicyKind::OneChoice);
-        alloc.ingest(&Batch::unit_arrivals(0, 8));
-        let _ = alloc.with_shards(2);
     }
 }

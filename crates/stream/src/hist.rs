@@ -160,12 +160,6 @@ impl LatencyHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Forget every sample (for per-checkpoint windows; the storage is a
-    /// flat array, so clearing allocates nothing).
-    pub(crate) fn clear(&mut self) {
-        *self = Self::new();
-    }
 }
 
 #[cfg(test)]

@@ -3,19 +3,22 @@
 //! The one-shot crates answer "place `m` balls, report the gap, exit".
 //! This crate is the online counterpart: a long-lived [`StreamAllocator`]
 //! that ingests [`Batch`]es of weighted arrivals and departures (churn)
-//! against persistent bin state sharded across [`pba_par::ThreadPool`]
-//! lanes — the balls-into-bins abstraction of a request router that never
-//! stops receiving traffic. It reproduces the *batched* model of Los &
-//! Sauerwald ("Balanced Allocations in Batches"): all balls of a batch
-//! decide from the same stale load snapshot, so the two-choice gap grows
-//! with the batch size `b` — the price of parallel placement decisions.
+//! against one persistent vector of bin loads — the balls-into-bins
+//! abstraction of a request router that never stops receiving traffic. It
+//! reproduces the *batched* model of Los & Sauerwald ("Balanced
+//! Allocations in Batches"): all balls of a batch decide from the same
+//! stale load snapshot, so the two-choice gap grows with the batch size
+//! `b` — the price of parallel placement decisions. The batch is the
+//! parallelism: its decisions read only the batch-start loads, so they
+//! fan out over [`pba_par::ThreadPool`] lanes, and their weights land
+//! through relaxed atomic adds on the same vector
+//! ([`pba_par::as_atomic_u64`]).
 //!
 //! ## Pieces
 //!
-//! * [`StreamAllocator`] — ingestion, resident-ball tracking, metrics.
-//! * `ShardedLoads` — per-shard contiguous load vectors, applied to in
-//!   parallel through atomic views ([`pba_par::as_atomic_u64`]); shares
-//!   load accounting with the engine via [`pba_core::BinState`].
+//! * [`StreamAllocator`] — ingestion, resident-ball tracking, metrics;
+//!   its `Vec<u64>` of loads shares load accounting with the engine via
+//!   [`pba_core::BinState`].
 //! * Policies ([`PlacementPolicy`]): [`OneChoice`], [`TwoChoice`] (live
 //!   loads, sequential), [`BatchedTwoChoice`] (stale snapshot, parallel),
 //!   and [`Threshold`] (the heavy-case undershoot schedule of
@@ -37,9 +40,10 @@
 //! Arrival `i` of batch `t` owns the counter-based stream
 //! `arrival_stream(seed, t, i)`; snapshot policies decide from
 //! batch-start loads only, and load updates are commutative atomic adds.
-//! Placements are therefore identical across shard counts, lane counts,
-//! and sequential-vs-parallel ingestion — verified by the equivalence
-//! tests in `tests/`.
+//! Placements are therefore identical across lane counts and
+//! sequential-vs-parallel ingestion, and the cluster's shard worker
+//! processes (`pba-cluster`) reproduce the same loads at every worker
+//! count — verified by the equivalence tests in `tests/`.
 //!
 //! ## Example
 //!
@@ -60,7 +64,6 @@ pub mod allocator;
 pub mod batch;
 pub mod hist;
 pub mod ingest;
-pub mod loads;
 pub mod policy;
 pub mod service;
 pub mod snapshot;

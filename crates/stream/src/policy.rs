@@ -19,12 +19,11 @@
 //!   each batch from the projected post-batch average load.
 //!
 //! Every policy decides from `(load view, per-ball RNG)` only — no
-//! ambient state — which is what makes placements independent of shard
-//! count and lane scheduling (see the crate docs on determinism).
+//! ambient state — which is what makes placements independent of lane
+//! scheduling (see the crate docs on determinism).
 
 use pba_core::rng::{Rand64, SplitMix64};
 use pba_core::wire::{WireReader, WireWriter};
-use pba_core::BinState;
 use pba_protocols::UndershootSchedule;
 
 /// A streaming placement policy.
@@ -32,7 +31,8 @@ use pba_protocols::UndershootSchedule;
 /// The allocator calls [`begin_batch`](Self::begin_batch) once per batch,
 /// then [`place`](Self::place) once per arrival with that arrival's
 /// deterministic random stream and the policy's load view (snapshot or
-/// live, per [`needs_live_loads`](Self::needs_live_loads)).
+/// live, per [`needs_live_loads`](Self::needs_live_loads)): the per-bin
+/// loads, one slot per bin.
 pub trait PlacementPolicy: Send + Sync {
     /// Stable policy name (metrics, CLI, tables).
     fn name(&self) -> &'static str;
@@ -49,8 +49,8 @@ pub trait PlacementPolicy: Send + Sync {
         let _ = (batch, arrival_weight, projected_avg);
     }
 
-    /// Choose a bin for one arrival.
-    fn place(&self, loads: &dyn BinState, rng: &mut SplitMix64) -> u32;
+    /// Choose a bin for one arrival; `loads.len()` is the bin count.
+    fn place(&self, loads: &[u64], rng: &mut SplitMix64) -> u32;
 
     /// Serialize the policy's internal mutable state for an allocator
     /// snapshot. Stateless policies return empty bytes (the default);
@@ -80,8 +80,8 @@ pub trait PlacementPolicy: Send + Sync {
 /// Pick the lesser-loaded of two probes; ties go to the first probe (the
 /// deterministic tie-break shared with the one-shot batched protocol).
 #[inline]
-fn lesser_loaded(loads: &dyn BinState, a: u32, b: u32) -> u32 {
-    if loads.load(b) < loads.load(a) {
+fn lesser_loaded(loads: &[u64], a: u32, b: u32) -> u32 {
+    if loads[b as usize] < loads[a as usize] {
         b
     } else {
         a
@@ -97,8 +97,8 @@ impl PlacementPolicy for OneChoice {
         "one-choice"
     }
 
-    fn place(&self, loads: &dyn BinState, rng: &mut SplitMix64) -> u32 {
-        rng.below(loads.bins())
+    fn place(&self, loads: &[u64], rng: &mut SplitMix64) -> u32 {
+        rng.below(loads.len() as u32)
     }
 }
 
@@ -115,8 +115,8 @@ impl PlacementPolicy for TwoChoice {
         true
     }
 
-    fn place(&self, loads: &dyn BinState, rng: &mut SplitMix64) -> u32 {
-        let n = loads.bins();
+    fn place(&self, loads: &[u64], rng: &mut SplitMix64) -> u32 {
+        let n = loads.len() as u32;
         let a = rng.below(n);
         let b = rng.below(n);
         lesser_loaded(loads, a, b)
@@ -132,8 +132,8 @@ impl PlacementPolicy for BatchedTwoChoice {
         "batched-two-choice"
     }
 
-    fn place(&self, loads: &dyn BinState, rng: &mut SplitMix64) -> u32 {
-        let n = loads.bins();
+    fn place(&self, loads: &[u64], rng: &mut SplitMix64) -> u32 {
+        let n = loads.len() as u32;
         let a = rng.below(n);
         let b = rng.below(n);
         lesser_loaded(loads, a, b)
@@ -187,13 +187,13 @@ impl PlacementPolicy for Threshold {
         self.schedule.advance();
     }
 
-    fn place(&self, loads: &dyn BinState, rng: &mut SplitMix64) -> u32 {
-        let n = loads.bins();
+    fn place(&self, loads: &[u64], rng: &mut SplitMix64) -> u32 {
+        let n = loads.len() as u32;
         let a = rng.below(n);
         let b = rng.below(n);
-        if loads.load(a) < self.threshold {
+        if loads[a as usize] < self.threshold {
             a
-        } else if loads.load(b) < self.threshold {
+        } else if loads[b as usize] < self.threshold {
             b
         } else {
             lesser_loaded(loads, a, b)

@@ -235,6 +235,54 @@ impl Drop for ReplayService {
     }
 }
 
+/// The open checkpoint window: everything its [`ServiceRecord`] reports
+/// that the allocator does not know.
+struct Window {
+    checkpoint: u64,
+    latency: LatencyHistogram,
+    batches: u64,
+    balls: u64,
+    snapshot_bytes: u64,
+    start: Instant,
+}
+
+impl Window {
+    fn open(checkpoint: u64) -> Self {
+        Window {
+            checkpoint,
+            latency: LatencyHistogram::new(),
+            batches: 0,
+            balls: 0,
+            snapshot_bytes: 0,
+            start: Instant::now(),
+        }
+    }
+
+    /// Close the window into its record, hand the record to the sink and
+    /// the report, and open the next window.
+    fn close(&mut self, alloc: &StreamAllocator, meta: &ServiceMeta, report: &mut ServiceReport) {
+        let record = ServiceRecord {
+            checkpoint: self.checkpoint,
+            batches: self.batches,
+            balls: self.balls,
+            resident: alloc.resident(),
+            max_load: alloc.bin_state().max_load(),
+            gap: alloc.bin_state().gap(),
+            p50_nanos: self.latency.p50(),
+            p99_nanos: self.latency.p99(),
+            p999_nanos: self.latency.p999(),
+            max_nanos: self.latency.max(),
+            wall_nanos: self.start.elapsed().as_nanos() as u64,
+            snapshot_bytes: self.snapshot_bytes,
+        };
+        if let Some(sink) = &alloc.metrics {
+            sink.on_service(meta, &record);
+        }
+        report.checkpoints.push(record);
+        *self = Window::open(self.checkpoint + 1);
+    }
+}
+
 fn worker_loop(
     mut alloc: StreamAllocator,
     rx: Receiver<Job>,
@@ -245,60 +293,19 @@ fn worker_loop(
         bins: stream_meta.bins,
         seed: stream_meta.seed,
         policy: stream_meta.policy,
-        shards: stream_meta.shards,
         queue: cfg.queue_capacity,
         rate: cfg.rate,
     };
-    let sink = alloc.metrics.clone();
 
     let started = Instant::now();
     let mut report = ServiceReport::default();
-    let mut window = LatencyHistogram::new();
-    let mut window_batches = 0u64;
-    let mut window_balls = 0u64;
-    let mut window_snapshot_bytes = 0u64;
-    let mut window_start = started;
-    let mut checkpoint = 0u64;
-
-    let close_window = |alloc: &StreamAllocator,
-                        window: &mut LatencyHistogram,
-                        window_batches: &mut u64,
-                        window_balls: &mut u64,
-                        window_snapshot_bytes: &mut u64,
-                        window_start: &mut Instant,
-                        checkpoint: &mut u64,
-                        report: &mut ServiceReport| {
-        let record = ServiceRecord {
-            checkpoint: *checkpoint,
-            batches: *window_batches,
-            balls: *window_balls,
-            resident: alloc.resident(),
-            max_load: alloc.bin_state().max_load(),
-            gap: alloc.bin_state().gap(),
-            p50_nanos: window.p50(),
-            p99_nanos: window.p99(),
-            p999_nanos: window.p999(),
-            max_nanos: window.max(),
-            wall_nanos: window_start.elapsed().as_nanos() as u64,
-            snapshot_bytes: *window_snapshot_bytes,
-        };
-        if let Some(sink) = &sink {
-            sink.on_service(&meta, &record);
-        }
-        report.checkpoints.push(record);
-        *checkpoint += 1;
-        window.clear();
-        *window_batches = 0;
-        *window_balls = 0;
-        *window_snapshot_bytes = 0;
-        *window_start = Instant::now();
-    };
+    let mut window = Window::open(0);
 
     while let Ok(job) = rx.recv() {
         let out = alloc.ingest(&job.batch);
         let latency = job.enqueued.elapsed().as_nanos() as u64;
         let balls = out.record.arrivals;
-        window.record_n(latency, balls);
+        window.latency.record_n(latency, balls);
         report.total.record_n(latency, balls);
         report.batches += 1;
         report.balls += balls;
@@ -306,8 +313,8 @@ fn worker_loop(
         if out.record.failed_domains > 0 {
             report.degraded_batches += 1;
         }
-        window_batches += 1;
-        window_balls += balls;
+        window.batches += 1;
+        window.balls += balls;
         if cfg.keep_placements {
             report.placements.push(out.placements);
         }
@@ -316,37 +323,19 @@ fn worker_loop(
         // is exactly what the next batch would have decided against.
         if cfg.snapshot_at == Some(report.batches) {
             let bytes = alloc.snapshot();
-            window_snapshot_bytes = bytes.len() as u64;
+            window.snapshot_bytes = bytes.len() as u64;
             report.snapshot = Some((report.batches, bytes));
         }
 
-        if window_batches == cfg.checkpoint_every {
-            close_window(
-                &alloc,
-                &mut window,
-                &mut window_batches,
-                &mut window_balls,
-                &mut window_snapshot_bytes,
-                &mut window_start,
-                &mut checkpoint,
-                &mut report,
-            );
+        if window.batches == cfg.checkpoint_every {
+            window.close(&alloc, &meta, &mut report);
         }
     }
 
     // Queue closed: every submitted batch has been flushed. Close the
     // final partial window so no latency sample is silently lost.
-    if window_batches > 0 {
-        close_window(
-            &alloc,
-            &mut window,
-            &mut window_batches,
-            &mut window_balls,
-            &mut window_snapshot_bytes,
-            &mut window_start,
-            &mut checkpoint,
-            &mut report,
-        );
+    if window.batches > 0 {
+        window.close(&alloc, &meta, &mut report);
     }
     report.wall_nanos = started.elapsed().as_nanos() as u64;
     (alloc, report)

@@ -4,15 +4,16 @@
 //! ([`StreamAllocator::snapshot`]) and later rebuilds it
 //! ([`StreamAllocator::restore`]) — in the same process or another one.
 //! The format rides on the framed envelope of [`pba_core::wire`] (magic
-//! `PBAS`, version 1, FNV-1a checksum), so it works in the default
-//! zero-dependency build.
+//! `PBAS`, version 2, FNV-1a checksum), so it works in the default
+//! zero-dependency build. Version 2 dropped version 1's shard-count
+//! field; a version 1 file is refused by the envelope's version check.
 //!
 //! ## What is captured
 //!
 //! Everything placement decisions depend on: bin count, session seed,
 //! policy kind **and its internal mutable state** (the threshold policy's
-//! undershoot recurrence, persisted bit-exactly), shard geometry,
-//! per-bin loads, the resident-ball map, and the batch sequence number.
+//! undershoot recurrence, persisted bit-exactly), per-bin loads, the
+//! resident-ball map, and the batch sequence number.
 //! Arrival randomness is counter-based (`arrival_stream(seed, batch,
 //! index)`), so `(seed, batch_seq)` fully determines every future draw —
 //! a restored session continues placing **bit-identically** to the
@@ -29,6 +30,16 @@
 //! from `batch_seq` onward. Restore therefore returns a sequential,
 //! sink-less allocator; re-apply builder methods as needed.
 //!
+//! ## Validated for meaning
+//!
+//! A checksum only proves the bytes arrived as written. Restore also
+//! checks what they say before it builds anything: the claimed bin count
+//! must fit the bytes left (so a short file cannot make it reserve
+//! gigabytes), every resident ball must sit in a real bin, ids must be
+//! unique, and each bin's load must equal the weight of the residents
+//! filed under it — conservation per bin, not only in total, so no
+//! departure can strand load in a bin its ball was never in.
+//!
 //! ## Canonical bytes
 //!
 //! The resident map is serialized sorted by ball id, so two allocators in
@@ -38,17 +49,15 @@
 use std::collections::HashMap;
 
 use pba_core::wire::{WireError, WireReader, WireWriter};
-use pba_core::BinState;
 
 use crate::allocator::StreamAllocator;
-use crate::loads::ShardedLoads;
 use crate::policy::PolicyKind;
 
 /// Magic tag of a streaming-allocator snapshot.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"PBAS";
 
 /// Format version this build writes and reads.
-pub(crate) const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 2;
 
 impl StreamAllocator {
     /// Serialize the complete allocator state to a framed, checksummed
@@ -58,10 +67,9 @@ impl StreamAllocator {
         w.u32(self.bins);
         w.u64(self.seed);
         w.str(self.policy.name());
-        w.u32(self.loads.shards() as u32);
         w.u64(self.batch_seq);
-        for bin in 0..self.bins {
-            w.u64(self.loads.load(bin));
+        for &load in &self.loads {
+            w.u64(load);
         }
         // Sorted by id: canonical bytes for any HashMap iteration order.
         let mut resident: Vec<(u64, u32, u64)> = self
@@ -87,8 +95,8 @@ impl StreamAllocator {
     /// [`with_metrics`](Self::with_metrics) /
     /// [`with_faults`](Self::with_faults) as needed (none of which
     /// perturb placements except a *different* fault plan). Decoding
-    /// validates structure, checksum, and the load/resident-weight
-    /// conservation invariant before returning.
+    /// validates structure and checksum, then meaning (see the module
+    /// docs), before returning.
     pub fn restore(bytes: &[u8]) -> Result<Self, WireError> {
         let malformed = |why: String| WireError::Malformed(why);
         let mut r = WireReader::framed(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
@@ -100,22 +108,26 @@ impl StreamAllocator {
         let policy_name = r.str()?;
         let kind = PolicyKind::parse(policy_name)
             .ok_or_else(|| malformed(format!("unknown policy '{policy_name}'")))?;
-        let shards = r.u32()?;
-        if shards == 0 || shards > bins {
-            return Err(malformed(format!(
-                "shard count {shards} out of [1, {bins}]"
-            )));
-        }
         let batch_seq = r.u64()?;
 
-        let mut loads = ShardedLoads::new(bins, shards as usize);
+        // Reserve by the bytes left, not by the claimed bin count: a short
+        // file claiming 2^32 - 1 bins fails here instead of allocating.
+        let load_bytes = u64::from(bins) * 8;
+        if load_bytes > r.remaining() as u64 {
+            return Err(WireError::Truncated {
+                wanted: usize::try_from(load_bytes).unwrap_or(usize::MAX),
+                left: r.remaining(),
+            });
+        }
+        let mut loads = Vec::with_capacity(bins as usize);
         let mut total: u64 = 0;
-        for bin in 0..bins {
+        for _ in 0..bins {
             let load = r.u64()?;
+            // Every later total (`BinState::total_load`) must fit a u64.
             total = total
                 .checked_add(load)
                 .ok_or_else(|| malformed("total load overflows u64".into()))?;
-            loads.add(bin, load);
+            loads.push(load);
         }
 
         let count = r.u64()?;
@@ -124,7 +136,8 @@ impl StreamAllocator {
         // could be faked in a short buffer.
         let mut resident: HashMap<u64, (u32, u64)> =
             HashMap::with_capacity(count.min(1 << 16) as usize);
-        let mut resident_weight: u64 = 0;
+        // The weight filed under each bin, checked against its load below.
+        let mut filed = vec![0u64; bins as usize];
         for _ in 0..count {
             let id = r.u64()?;
             let bin = r.u32()?;
@@ -134,16 +147,18 @@ impl StreamAllocator {
                     "resident ball {id} in bin {bin} >= {bins}"
                 )));
             }
-            resident_weight = resident_weight
+            let slot = &mut filed[bin as usize];
+            *slot = slot
                 .checked_add(weight)
                 .ok_or_else(|| malformed("resident weight overflows u64".into()))?;
             if resident.insert(id, (bin, weight)).is_some() {
                 return Err(malformed(format!("duplicate resident ball id {id}")));
             }
         }
-        if resident_weight != total {
+        if let Some(bin) = (0..bins as usize).find(|&b| filed[b] != loads[b]) {
             return Err(malformed(format!(
-                "conservation violated: resident weight {resident_weight} != total load {total}"
+                "conservation violated in bin {bin}: resident weight {} != load {}",
+                filed[bin], loads[bin]
             )));
         }
 
@@ -174,7 +189,7 @@ mod tests {
     use pba_core::FaultPlan;
 
     fn seeded_alloc(kind: PolicyKind, batches: u64) -> StreamAllocator {
-        let mut alloc = StreamAllocator::new(48, 9, kind).with_shards(3);
+        let mut alloc = StreamAllocator::new(48, 9, kind);
         let mut traffic = Workload::new(WorkloadCfg::uniform(96).with_churn(0.5), 17);
         for _ in 0..batches {
             alloc.ingest(&traffic.next_batch());
@@ -234,9 +249,8 @@ mod tests {
         let plan = FaultPlan::new(0xFA11).with_shard_failures(4, 0.4);
         let run = |resume_at: Option<u64>| {
             let mut traffic = Workload::new(WorkloadCfg::uniform(64), 23);
-            let mut alloc = StreamAllocator::new(32, 7, PolicyKind::BatchedTwoChoice)
-                .with_shards(2)
-                .with_faults(plan);
+            let mut alloc =
+                StreamAllocator::new(32, 7, PolicyKind::BatchedTwoChoice).with_faults(plan);
             let mut placements = Vec::new();
             for t in 0..8u64 {
                 if resume_at == Some(t) {
@@ -281,25 +295,70 @@ mod tests {
         assert!(StreamAllocator::restore(&good[..good.len() - 1]).is_err());
         assert!(StreamAllocator::restore(&[]).is_err());
 
-        // A conservation violation is rejected even with a valid frame:
-        // hand-build a snapshot whose loads do not match its residents.
-        let mut w = WireWriter::framed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
-        w.u32(2); // bins
-        w.u64(0); // seed
+        // Checksum-valid frames whose content is wrong are rejected too.
+        let frame = |bins: u32, body: &dyn Fn(&mut WireWriter)| {
+            let mut w = WireWriter::framed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+            w.u32(bins);
+            w.u64(0); // seed
+            w.str("one-choice");
+            w.u64(1); // batch_seq
+            body(&mut w);
+            w.finish()
+        };
+        let rejected = |bytes: &[u8]| match StreamAllocator::restore(bytes) {
+            Ok(_) => panic!("hostile snapshot restored"),
+            Err(err) => err.to_string(),
+        };
+
+        // Loads that do not match the residents' total.
+        let err = rejected(&frame(2, &|w| {
+            w.u64(5); // bin 0 load
+            w.u64(0); // bin 1 load
+            w.u64(0); // resident count (weight 0 != load 5)
+            w.bytes(&[]);
+        }));
+        assert!(err.contains("conservation"), "unexpected error: {err}");
+
+        // The right total in the wrong bin: ball 7 is filed under bin 0
+        // while bin 1 holds its load, so departing it would strand a unit.
+        let err = rejected(&frame(2, &|w| {
+            w.u64(0); // bin 0 load
+            w.u64(1); // bin 1 load
+            w.u64(1); // resident count
+            w.u64(7); // id
+            w.u32(0); // bin
+            w.u64(1); // weight
+            w.bytes(&[]);
+        }));
+        assert_eq!(
+            err,
+            "malformed frame: conservation violated in bin 0: resident weight 1 != load 0"
+        );
+
+        // A bin count the bytes cannot hold is refused before anything is
+        // reserved for it.
+        let huge = frame(u32::MAX, &|_| {});
+        assert_eq!(huge.len(), 54);
+        assert_eq!(
+            rejected(&huge),
+            "frame truncated: needed 34359738360 bytes, 0 left"
+        );
+
+        // Version 1 carried a shard count after the policy name; this build
+        // refuses the whole format.
+        let mut w = WireWriter::framed(SNAPSHOT_MAGIC, 1);
+        w.u32(2);
+        w.u64(0);
         w.str("one-choice");
         w.u32(1); // shards
-        w.u64(1); // batch_seq
-        w.u64(5); // bin 0 load
-        w.u64(0); // bin 1 load
-        w.u64(0); // resident count (weight 0 != total 5)
+        w.u64(0);
+        w.u64(0);
+        w.u64(0);
+        w.u64(0);
         w.bytes(&[]);
-        let err = match StreamAllocator::restore(&w.finish()) {
-            Ok(_) => panic!("conservation violation must be rejected"),
-            Err(err) => err,
-        };
-        assert!(
-            err.to_string().contains("conservation"),
-            "unexpected error: {err}"
+        assert_eq!(
+            rejected(&w.finish()),
+            "unsupported frame version 1 (this build reads version 2)"
         );
 
         // The good bytes still restore and the original still ingests.

@@ -89,6 +89,20 @@ if [ "$got" != "$want" ]; then
     diff <(echo "$want") <(echo "$got") >&2 || true
     exit 1
 fi
+# Parallel ingestion parity for the stream allocator: 16,384 arrivals a
+# batch is above the 8,192 ingest cutoff, so --parallel decides and
+# applies each batch on the pool. Its table rows and resident line must
+# match the sequential run's.
+echo "==> stream parity: zipf stream sequential and --parallel (seed 5)"
+rows() { "$@" | grep -E '^(\||resident:)'; }
+want=$(rows "$PBA" stream --n 4096 --batch 4n --batches 12 --churn 0.5 --workload zipf --seed 5)
+got=$(rows "$PBA" stream --n 4096 --batch 4n --batches 12 --churn 0.5 --workload zipf --seed 5 \
+    --parallel)
+if [ "$got" != "$want" ]; then
+    echo "stream --parallel diverged from the sequential run:" >&2
+    diff <(echo "$want") <(echo "$got") >&2 || true
+    exit 1
+fi
 # The same parity under faults: round 0 reads ball ids from the implicit
 # range 0..m, and its stragglers, deferred with zero requests, cross it
 # on 4 chunks as zero degree bytes; round 1 reads the survivor list.

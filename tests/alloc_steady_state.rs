@@ -129,9 +129,7 @@ fn stream_batches_allocate_a_bounded_amount() {
     const B: u64 = 16 * 1024; // ≥ the allocator's 8 Ki parallel cutoff
     const BATCHES: u64 = 8;
 
-    let mut alloc = StreamAllocator::new(512, 11, PolicyKind::BatchedTwoChoice)
-        .with_shards(4)
-        .parallel();
+    let mut alloc = StreamAllocator::new(512, 11, PolicyKind::BatchedTwoChoice).parallel();
 
     // Pre-build every batch so test-side construction never counts.
     let batches: Vec<Batch> = (0..BATCHES)

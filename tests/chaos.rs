@@ -10,7 +10,6 @@ use std::sync::{Arc, Mutex};
 use pba::core::metrics::{RoundTiming, RunMeta};
 use pba::core::RoundRecord;
 use pba::prelude::*;
-use pba::stream::Batch;
 
 /// A plan exercising every engine-side fault class at once.
 fn rich_plan() -> FaultPlan {
@@ -210,42 +209,50 @@ fn crashed_bins_stay_empty_and_everything_still_places() {
 }
 
 /// Streaming chaos: per-batch domain failures give identical placements
-/// for shards 1/2/8 and sequential vs parallel ingestion, and every
-/// redirected arrival really avoids the failed domains.
+/// for sequential vs parallel ingestion, the same loads over 2 and 8
+/// cluster shard workers, and every redirected arrival really avoids the
+/// failed domains.
 #[test]
 fn stream_chaos_is_identical_across_shards_and_ingestion_modes() {
     let plan = FaultPlan::new(0x51AB).with_shard_failures(8, 0.3);
     let n = 256u32;
+    let seed = 77u64;
     // 16384 arrivals per batch exceeds the allocator's parallel cutoff,
-    // so the parallel runs genuinely fan out.
-    let run = |shards: usize, parallel: bool| {
-        let mut alloc = StreamAllocator::new(n, 77, PolicyKind::BatchedTwoChoice)
-            .with_shards(shards)
-            .with_faults(plan);
+    // so the parallel run genuinely fans out. The workload draws off the
+    // unsalted run seed, as the cluster's mirror does.
+    let batch = 16_384u64;
+    let run = |parallel: bool| {
+        let mut alloc =
+            StreamAllocator::new(n, seed, PolicyKind::BatchedTwoChoice).with_faults(plan);
         if parallel {
             alloc = alloc.parallel();
         }
+        let mut traffic = Workload::new(WorkloadCfg::uniform(batch), seed);
         let mut placements = Vec::new();
         let mut redirects = 0u64;
-        for t in 0..3u64 {
-            let out = alloc.ingest(&Batch::unit_arrivals(t * 20_000, 16_384));
+        for _ in 0..3 {
+            let out = alloc.ingest(&traffic.next_batch());
             redirects += out.record.fault_redirects;
             placements.extend(out.placements);
         }
-        (placements, redirects)
+        (placements, redirects, alloc.bin_state().load_vector())
     };
-    let (base, base_redirects) = run(1, false);
+    let (base, base_redirects, base_loads) = run(false);
     assert!(
         base_redirects > 0,
         "a 30% plan over 3 batches must redirect"
     );
-    for (shards, parallel) in [(2, false), (8, false), (1, true), (8, true)] {
-        let (got, redirects) = run(shards, parallel);
-        assert_eq!(
-            base, got,
-            "shards={shards} parallel={parallel}: placements diverge"
-        );
-        assert_eq!(base_redirects, redirects, "redirect counts diverge");
+    let (got, redirects, _) = run(true);
+    assert_eq!(base, got, "parallel ingestion: placements diverge");
+    assert_eq!(base_redirects, redirects, "redirect counts diverge");
+    for shards in [2u32, 8] {
+        let out =
+            pba::cluster::ClusterConfig::stream(PolicyKind::BatchedTwoChoice, n, seed, 3, batch)
+                .with_faults(plan)
+                .with_shards(shards)
+                .run_local()
+                .unwrap();
+        assert_eq!(out.loads, base_loads, "shards={shards}: loads diverge");
     }
     // Every placement of a degraded batch avoids the failed domains.
     for t in 0..3u64 {
@@ -253,7 +260,7 @@ fn stream_chaos_is_identical_across_shards_and_ingestion_modes() {
         if mask == 0 {
             continue;
         }
-        let slice = &base[(t as usize) * 16_384..(t as usize + 1) * 16_384];
+        let slice = &base[(t * batch) as usize..((t + 1) * batch) as usize];
         for &bin in slice {
             assert_eq!(
                 (mask >> plan.domain_of(bin, n)) & 1,

@@ -115,7 +115,7 @@ fn stream_reference(
 #[test]
 fn stream_cluster_is_bit_identical_across_shard_counts() {
     let (bins, batches) = (96u32, 5u64);
-    for policy in [PolicyKind::OneChoice, PolicyKind::BatchedTwoChoice] {
+    for policy in PolicyKind::ALL {
         let cfg = WorkloadCfg::uniform(4 * u64::from(bins)).with_churn(0.25);
         let want = stream_reference(policy, bins, cfg, batches, None);
         for shards in [1u32, 2, 4] {

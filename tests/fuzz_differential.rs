@@ -12,6 +12,7 @@
 //! A fixed-seed corpus replays in CI (`scripts/check.sh`); the
 //! exploration test walks fresh derived cases beyond the corpus.
 
+use pba::cluster::ClusterConfig;
 use pba::core::rng::{Rand64, SplitMix64};
 use pba::prelude::*;
 
@@ -379,7 +380,6 @@ fn shrunk_repro_seed_replays() {
 /// round-budget exhaustion looks the same from either side.
 #[test]
 fn cluster_axis_is_bit_identical() {
-    use pba::cluster::ClusterConfig;
     let mut master = SplitMix64::new(0x00C1_0573_ED01);
     let mut compared = 0u32;
     for case_idx in 0..8u64 {
@@ -427,8 +427,9 @@ fn cluster_axis_is_bit_identical() {
 }
 
 /// Shard-count axis for the streaming allocator: placements must be
-/// identical across shard counts and sequential vs parallel ingestion,
-/// including under shard-domain fault redirects.
+/// identical for sequential vs parallel ingestion, and the loads the same
+/// over 2 and 4 cluster shard workers, including under shard-domain fault
+/// redirects.
 #[test]
 fn stream_shard_axis_is_bit_identical() {
     let mut master = SplitMix64::new(0x0057_AEA3_F022);
@@ -443,15 +444,34 @@ fn stream_shard_axis_is_bit_identical() {
         let faults = (master.below(2) == 1)
             .then(|| FaultPlan::new(master.next_u64()).with_shard_failures(4, 0.3));
         let batch = (n as u64) * (1 + master.below(8) as u64);
-        let reference = stream_placements(n, seed, policy, faults, batch, 1, false);
-        for shards in [2usize, 4, 8] {
-            for parallel in [false, true] {
-                let got = stream_placements(n, seed, policy, faults, batch, shards, parallel);
-                assert_eq!(
-                    reference, got,
-                    "case {case}: {policy:?} n={n} shards={shards} parallel={parallel}"
-                );
+        let reference = stream_placements(n, seed, policy, faults, batch, false);
+        let got = stream_placements(n, seed, policy, faults, batch, true);
+        assert_eq!(
+            reference, got,
+            "case {case}: {policy:?} n={n} parallel placements diverge"
+        );
+
+        // The cluster's mirror draws its workload off the unsalted run
+        // seed, so the loads it is held to come from that workload too.
+        let mut alloc = StreamAllocator::new(n, seed, policy);
+        if let Some(plan) = faults {
+            alloc = alloc.with_faults(plan);
+        }
+        let mut traffic = Workload::new(WorkloadCfg::uniform(batch), seed);
+        for _ in 0..4 {
+            alloc.ingest(&traffic.next_batch());
+        }
+        let want = alloc.bin_state().load_vector();
+        for shards in [2u32, 4] {
+            let mut cc = ClusterConfig::stream(policy, n, seed, 4, batch).with_shards(shards);
+            if let Some(plan) = faults {
+                cc = cc.with_faults(plan);
             }
+            assert_eq!(
+                cc.run_local().unwrap().loads,
+                want,
+                "case {case}: {policy:?} n={n} loads diverge at {shards} shards"
+            );
         }
     }
 }
@@ -462,10 +482,9 @@ fn stream_placements(
     policy: PolicyKind,
     faults: Option<FaultPlan>,
     batch: u64,
-    shards: usize,
     parallel: bool,
 ) -> Vec<Vec<u32>> {
-    let mut alloc = StreamAllocator::new(n, seed, policy).with_shards(shards);
+    let mut alloc = StreamAllocator::new(n, seed, policy);
     if parallel {
         alloc = alloc.parallel();
     }
@@ -496,7 +515,9 @@ fn service_axis_is_bit_identical() {
         let faults = (master.below(2) == 1)
             .then(|| FaultPlan::new(master.next_u64()).with_shard_failures(4, 0.3));
         let batch = (n as u64) * (1 + master.below(8) as u64);
-        let shards = [1usize, 4][master.below(2) as usize];
+        // The draw of the retired in-process shard count stays, so the
+        // sampled cases do not move.
+        let _ = master.below(2);
         let parallel = master.below(2) == 1;
         // Queue capacity is the pipeline depth; 1 forces full backpressure
         // on every submit, larger values let batches pile up in flight.
@@ -504,12 +525,12 @@ fn service_axis_is_bit_identical() {
         let checkpoint_every = 1 + master.below(4) as u64;
         let snapshot_at = (master.below(2) == 1).then(|| 1 + master.below(3) as u64);
 
-        let direct = stream_placements(n, seed, policy, faults, batch, shards, parallel);
+        let direct = stream_placements(n, seed, policy, faults, batch, parallel);
 
         let build = |resume: Option<StreamAllocator>| {
             let mut alloc = match resume {
                 Some(a) => a,
-                None => StreamAllocator::new(n, seed, policy).with_shards(shards),
+                None => StreamAllocator::new(n, seed, policy),
             };
             if parallel {
                 alloc = alloc.parallel();

@@ -28,7 +28,6 @@ struct FinalState {
 /// the remainder in a *fresh* service session.
 fn replay_with_interruption(
     policy: PolicyKind,
-    shards: usize,
     parallel: bool,
     total: u64,
     interrupt_at: Option<u64>,
@@ -36,7 +35,7 @@ fn replay_with_interruption(
     let fresh = |restored: Option<StreamAllocator>| {
         let mut alloc = match restored {
             Some(a) => a,
-            None => StreamAllocator::new(BINS, SEED, policy).with_shards(shards),
+            None => StreamAllocator::new(BINS, SEED, policy),
         };
         if parallel {
             alloc = alloc.parallel();
@@ -82,17 +81,16 @@ fn replay_with_interruption(
 #[test]
 fn interrupted_replay_finishes_bit_identically_across_shards_and_lanes() {
     for policy in [PolicyKind::BatchedTwoChoice, PolicyKind::Threshold] {
-        for (shards, parallel) in [(1, false), (4, false), (4, true)] {
-            let uninterrupted = replay_with_interruption(policy, shards, parallel, 8, None);
+        for parallel in [false, true] {
+            let uninterrupted = replay_with_interruption(policy, parallel, 8, None);
             for checkpoint in [1, 4, 7] {
-                let resumed =
-                    replay_with_interruption(policy, shards, parallel, 8, Some(checkpoint));
+                let resumed = replay_with_interruption(policy, parallel, 8, Some(checkpoint));
                 // `snapshot` equality covers loads, the full resident-ball
                 // set (canonical bytes), and policy state in one shot; the
                 // explicit fields make failures readable.
                 assert_eq!(
                     uninterrupted, resumed,
-                    "{policy:?} shards={shards} parallel={parallel} resume@{checkpoint}"
+                    "{policy:?} parallel={parallel} resume@{checkpoint}"
                 );
             }
         }
@@ -109,9 +107,8 @@ fn faulted_interrupted_replay_matches_uninterrupted_run() {
         .with_shard_failures(4, 0.5);
     let run = |interrupt_at: Option<u64>| {
         let mut traffic = workload();
-        let mut alloc = StreamAllocator::new(BINS, SEED, PolicyKind::BatchedTwoChoice)
-            .with_shards(4)
-            .with_faults(plan);
+        let mut alloc =
+            StreamAllocator::new(BINS, SEED, PolicyKind::BatchedTwoChoice).with_faults(plan);
         let mut placements = Vec::new();
         let mut redirects = 0u64;
         let mut degraded = 0u64;
@@ -175,9 +172,7 @@ fn drain_flushes_every_in_flight_batch_under_faults() {
     // worker must flush everything that was submitted — including batches
     // still waiting in the queue — with the fault plan live.
     let plan = FaultPlan::new(0xD1A1).with_shard_failures(4, 0.6);
-    let alloc = StreamAllocator::new(BINS, SEED, PolicyKind::OneChoice)
-        .with_shards(4)
-        .with_faults(plan);
+    let alloc = StreamAllocator::new(BINS, SEED, PolicyKind::OneChoice).with_faults(plan);
     let service = ReplayService::start(
         alloc,
         ServiceConfig::default()

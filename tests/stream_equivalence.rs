@@ -1,7 +1,10 @@
 //! Integration: [`StreamAllocator`] placements are a pure function of
-//! `(seed, policy, workload)` — shard count and sequential-vs-parallel
-//! ingestion change only throughput, never a single placement.
+//! `(seed, policy, workload)` — lane count and sequential-vs-parallel
+//! ingestion change only throughput, never a single placement, and the
+//! cluster's shard worker processes reproduce the in-process loads at
+//! every worker count.
 
+use pba::cluster::ClusterConfig;
 use pba::prelude::*;
 use pba::stream::Batch;
 
@@ -10,18 +13,38 @@ use pba::stream::Batch;
 const BINS: u32 = 256;
 const BATCH: u64 = 16 * 1024;
 const BATCHES: u64 = 3;
+const SEED: u64 = 42;
 
-fn ingest_all(policy: PolicyKind, shards: usize, parallel: bool) -> (Vec<u32>, Vec<u64>) {
-    let mut alloc = StreamAllocator::new(BINS, 42, policy).with_shards(shards);
+fn workload_cfg() -> WorkloadCfg {
+    WorkloadCfg::uniform(BATCH).with_churn(0.25)
+}
+
+/// Placements and final loads of an in-process run. The workload draws
+/// off the unsalted run seed, as the cluster's mirror does, so
+/// [`cluster_loads`] compares against these loads.
+fn ingest_all(policy: PolicyKind, parallel: bool) -> (Vec<u32>, Vec<u64>) {
+    let mut alloc = StreamAllocator::new(BINS, SEED, policy);
     if parallel {
         alloc = alloc.parallel();
     }
-    let mut traffic = Workload::new(WorkloadCfg::uniform(BATCH).with_churn(0.25), 7);
+    let mut traffic = Workload::new(workload_cfg(), SEED);
     let mut placements = Vec::new();
     for _ in 0..BATCHES {
         placements.extend(alloc.ingest(&traffic.next_batch()).placements);
     }
     (placements, alloc.bin_state().load_vector())
+}
+
+/// Final loads of the same run with its bins split over `shards` worker
+/// processes (threads over in-memory pipes; the wire protocol is the
+/// one child processes speak).
+fn cluster_loads(policy: PolicyKind, shards: u32) -> Vec<u64> {
+    ClusterConfig::stream(policy, BINS, SEED, BATCHES, BATCH)
+        .with_workload(workload_cfg())
+        .with_shards(shards)
+        .run_local()
+        .unwrap()
+        .loads
 }
 
 #[test]
@@ -31,31 +54,41 @@ fn snapshot_policies_place_identically_across_shards_and_lanes() {
         PolicyKind::BatchedTwoChoice,
         PolicyKind::Threshold,
     ] {
-        let (baseline, base_loads) = ingest_all(policy, 1, false);
+        let (baseline, base_loads) = ingest_all(policy, false);
         assert_eq!(baseline.len(), (BATCH * BATCHES) as usize);
-        for shards in [2usize, 8] {
-            for parallel in [false, true] {
-                let (got, loads) = ingest_all(policy, shards, parallel);
-                assert_eq!(
-                    got,
-                    baseline,
-                    "{}: placements diverged at shards={shards} parallel={parallel}",
-                    policy.name()
-                );
-                assert_eq!(loads, base_loads, "{}: loads diverged", policy.name());
-            }
+        let (got, loads) = ingest_all(policy, true);
+        assert_eq!(
+            got,
+            baseline,
+            "{}: parallel placements diverged",
+            policy.name()
+        );
+        assert_eq!(loads, base_loads, "{}: loads diverged", policy.name());
+        for shards in [2u32, 8] {
+            assert_eq!(
+                cluster_loads(policy, shards),
+                base_loads,
+                "{}: loads diverged at {shards} shards",
+                policy.name()
+            );
         }
     }
 }
 
 #[test]
 fn live_load_two_choice_is_shard_invariant() {
-    // TwoChoice reads live loads and always ingests sequentially; its
-    // placements must still be independent of the shard layout.
-    let (baseline, _) = ingest_all(PolicyKind::TwoChoice, 1, false);
-    for shards in [2usize, 8] {
-        let (got, _) = ingest_all(PolicyKind::TwoChoice, shards, false);
-        assert_eq!(got, baseline, "two-choice diverged at shards={shards}");
+    // TwoChoice reads live loads and always ingests sequentially, even
+    // with parallel ingestion on; its loads must still be independent of
+    // how many workers hold the bins.
+    let (baseline, base_loads) = ingest_all(PolicyKind::TwoChoice, false);
+    let (got, _) = ingest_all(PolicyKind::TwoChoice, true);
+    assert_eq!(got, baseline, "two-choice diverged with parallel ingestion");
+    for shards in [1u32, 2, 8] {
+        assert_eq!(
+            cluster_loads(PolicyKind::TwoChoice, shards),
+            base_loads,
+            "two-choice diverged at shards={shards}"
+        );
     }
 }
 
@@ -80,7 +113,6 @@ fn process_count_axis_preserves_final_loads() {
     // axis that must not move a single load. The mirror drives its
     // workload off the run seed (unsalted), so the reference is built the
     // same way.
-    use pba::cluster::ClusterConfig;
     let cfg = WorkloadCfg::uniform(2048).with_churn(0.25);
     let mut reference = StreamAllocator::new(BINS, 42, PolicyKind::BatchedTwoChoice);
     let mut traffic = Workload::new(cfg, 42);

@@ -66,10 +66,9 @@ const ROUND_NUM_KEYS: [&str; 19] = [
     "grant_nanos",
 ];
 
-const BATCH_NUM_KEYS: [&str; 13] = [
+const BATCH_NUM_KEYS: [&str; 12] = [
     "seed",
     "n",
-    "shards",
     "batch",
     "arrivals",
     "departures",
@@ -96,10 +95,9 @@ const FAULT_NUM_KEYS: [&str; 11] = [
     "backoff_escalations",
 ];
 
-const SERVICE_NUM_KEYS: [&str; 17] = [
+const SERVICE_NUM_KEYS: [&str; 16] = [
     "seed",
     "n",
-    "shards",
     "queue",
     "rate",
     "checkpoint",
@@ -161,9 +159,8 @@ fn every_trace_line_parses_with_documented_schema() {
     .expect("faulted run succeeds");
 
     // Streaming batch events, departures included.
-    let mut alloc = StreamAllocator::new(64, 9, PolicyKind::BatchedTwoChoice)
-        .with_shards(4)
-        .with_metrics(trace.clone());
+    let mut alloc =
+        StreamAllocator::new(64, 9, PolicyKind::BatchedTwoChoice).with_metrics(trace.clone());
     let mut traffic = Workload::new(WorkloadCfg::uniform(256).with_churn(0.5), 11);
     for _ in 0..3 {
         alloc.ingest(&traffic.next_batch());
@@ -171,9 +168,8 @@ fn every_trace_line_parses_with_documented_schema() {
 
     // Service checkpoint events: replay through the facade with a
     // mid-replay snapshot, so one window reports nonzero snapshot_bytes.
-    let alloc = StreamAllocator::new(64, 9, PolicyKind::BatchedTwoChoice)
-        .with_shards(4)
-        .with_metrics(trace.clone());
+    let alloc =
+        StreamAllocator::new(64, 9, PolicyKind::BatchedTwoChoice).with_metrics(trace.clone());
     let mut traffic = Workload::new(WorkloadCfg::uniform(256).with_churn(0.5), 11);
     let cfg = ServiceConfig::default()
         .with_checkpoint_every(2)
@@ -243,13 +239,6 @@ fn every_trace_line_parses_with_documented_schema() {
                 for key in BATCH_NUM_KEYS {
                     expect_num(m, key);
                 }
-                let touches = expect_num_array(m, "shard_touches");
-                assert_eq!(touches.len(), expect_num(m, "shards") as usize);
-                assert_eq!(
-                    touches.iter().sum::<f64>(),
-                    expect_num(m, "arrivals"),
-                    "shard touches must cover every placement"
-                );
             }
             "service" => {
                 services += 1;

@@ -160,7 +160,7 @@ fn fixed_tuning_runs_match_auto() {
 #[test]
 fn stream_placements_are_tuning_invariant() {
     let run = |batch: u64, parallel: bool| {
-        let mut alloc = StreamAllocator::new(512, 77, PolicyKind::BatchedTwoChoice).with_shards(4);
+        let mut alloc = StreamAllocator::new(512, 77, PolicyKind::BatchedTwoChoice);
         if parallel {
             alloc = alloc.parallel();
         }
