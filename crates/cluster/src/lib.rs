@@ -3,8 +3,8 @@
 //! Distributes a balanced-allocation run over shard workers that own
 //! disjoint, contiguous bin ranges and communicate over **real message
 //! passing**: checksummed binary frames over stdin/stdout pipes (child
-//! processes), TCP/Unix-domain sockets (`shard-worker --listen`), or
-//! in-memory pipes with identical semantics (threads). The papers'
+//! processes), TCP/Unix-domain sockets (pre-started `shard-worker
+//! --listen` workers), or local socket pairs (threads). The papers'
 //! synchronous-rounds model becomes literal: each round is a request
 //! wave, a reply wave, and a commit wave, with a barrier at the
 //! orchestrator between waves — and sends are overlapped: wave `k+1` is
@@ -13,9 +13,9 @@
 //!
 //! * [`wire`] — the frame vocabulary and its binary codec (checksummed
 //!   messages on [`pba_core::wire`], no external dependencies).
-//! * [`transport`] — the `Transport` trait (local threads, child
-//!   processes, sockets) and `ShardLink`: wire accounting, overlapped
-//!   sender threads, and real dead-pipe failure modes.
+//! * [`transport`] — `ShardLink`, one shape for every worker (a reader,
+//!   a writer and a thread, child or remote peer): wire accounting,
+//!   overlapped sender threads, and real dead-link failure modes.
 //! * [`worker`] — the shard side: [`worker::serve`] answers waves using
 //!   the same [`grant_slice`](pba_core::exec::grant_slice) kernel the
 //!   in-process engine runs.

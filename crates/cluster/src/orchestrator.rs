@@ -19,12 +19,13 @@
 //!
 //! ## Chaos
 //!
-//! [`ClusterConfig::with_kill`] schedules a real kill: the shard process
-//! dies before the given batch, the next wave's send/recv to it fails,
-//! and the orchestrator routes around it via the fault layer's
-//! [`dead-domain`](FaultPlan::with_dead_domain) redirect — the same
-//! pure-function redirect an in-process run with the same plan performs,
-//! which is what the equivalence tests pin.
+//! In stream mode a fault plan's [dead domain](FaultPlan::with_dead_domain)
+//! is a real kill: the plan's domains are the shards, so the worker of
+//! the shard with the dead domain's index dies before the domain's first
+//! dead batch, the next wave's send/recv to it fails, and the
+//! orchestrator routes around it via the fault layer's dead-domain
+//! redirect — the same pure-function redirect an in-process run with the
+//! same plan performs, which is what the equivalence tests pin.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -41,6 +42,7 @@ use pba_stream::{PolicyKind, StreamAllocator, Workload, WorkloadCfg};
 
 use crate::transport::ShardLink;
 use crate::wire::{Frame, Hello, PairBuf, PairList};
+use crate::worker;
 
 /// First bin of shard `s` among `n` bins and `shards` shards.
 ///
@@ -77,7 +79,6 @@ pub struct ClusterConfig {
     shards: u32,
     metrics: Option<Arc<dyn MetricsSink>>,
     faults: Option<FaultPlan>,
-    kill: Option<(u32, u64)>,
     worker_exe: Option<PathBuf>,
     validate: bool,
 }
@@ -129,7 +130,6 @@ impl ClusterConfig {
             shards: 1,
             metrics: None,
             faults: None,
-            kill: None,
             worker_exe: None,
             validate: false,
         }
@@ -150,7 +150,6 @@ impl ClusterConfig {
             shards: 1,
             metrics: None,
             faults: None,
-            kill: None,
             worker_exe: None,
             validate: false,
         }
@@ -180,18 +179,12 @@ impl ClusterConfig {
 
     /// Arm deterministic fault injection (see [`RunConfig::with_faults`]
     /// and `StreamAllocator::with_faults`; stragglers additionally delay
-    /// real worker replies).
+    /// real worker replies). In stream mode a
+    /// [dead domain](FaultPlan::with_dead_domain) really kills the worker
+    /// of the shard with its index, so a plan with one must have as many
+    /// domains as the run has shards.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Chaos harness (stream mode): really kill shard `shard`'s worker
-    /// before batch `batch` and route around the dead pipe via the fault
-    /// layer's dead-domain redirect. Requires the fault plan's domain
-    /// count (default: the shard count) to equal the shard count.
-    pub fn with_kill(mut self, shard: u32, batch: u64) -> Self {
-        self.kill = Some((shard, batch));
         self
     }
 
@@ -225,34 +218,18 @@ impl ClusterConfig {
         }
     }
 
-    /// Run with every shard as a thread in this process (in-memory
-    /// pipes, identical wire protocol). The default for tests and the
+    /// Run with every shard as a thread in this process (local socket
+    /// pairs, identical wire protocol). The default for tests and the
     /// baseline the process transport is verified against.
     pub fn run_local(self) -> Result<ClusterOutcome> {
-        let links = (0..self.shards).map(ShardLink::local).collect();
-        self.run(links)
+        self.run(|s| ShardLink::thread(s, worker::serve_socket))
     }
 
     /// Run with every shard as a real child process (`pba-run
     /// shard-worker` over stdin/stdout pipes).
     pub fn run_process(self) -> Result<ClusterOutcome> {
         let exe = self.exe()?;
-        let links = (0..self.shards)
-            .map(|s| ShardLink::process(s, &exe))
-            .collect::<Result<Vec<_>>>()?;
-        self.run(links)
-    }
-
-    /// Run with every shard as a managed child listening on its own
-    /// Unix-domain socket (`pba-run shard-worker --listen PATH`): same
-    /// protocol as [`ClusterConfig::run_process`], real sockets instead
-    /// of stdio pipes.
-    pub fn run_socket(self) -> Result<ClusterOutcome> {
-        let exe = self.exe()?;
-        let links = (0..self.shards)
-            .map(|s| ShardLink::socket(s, &exe))
-            .collect::<Result<Vec<_>>>()?;
-        self.run(links)
+        self.run(|s| ShardLink::process(s, &exe))
     }
 
     /// Run against already-listening workers, one address (TCP
@@ -270,20 +247,18 @@ impl ClusterConfig {
                 ),
             });
         }
-        let links = addrs
-            .iter()
-            .enumerate()
-            .map(|(s, addr)| ShardLink::socket_connect(s as u32, addr))
-            .collect::<Result<Vec<_>>>()?;
-        self.run(links)
+        self.run(|s| ShardLink::connect(s, &addrs[s as usize]))
     }
 
-    fn run(self, links: Vec<ShardLink>) -> Result<ClusterOutcome> {
+    /// Open one link per shard with `open`, then run.
+    fn run(self, open: impl FnMut(u32) -> Result<ShardLink>) -> Result<ClusterOutcome> {
         let n = self.bins();
         assert!(
             self.shards >= 1 && self.shards <= n,
             "shards must be in 1..=bins"
         );
+        let kill = self.scheduled_kill()?;
+        let links = (0..self.shards).map(open).collect::<Result<Vec<_>>>()?;
         match &self.mode {
             ModeCfg::Engine { protocol, spec } => {
                 let (protocol, spec) = (protocol.clone(), *spec);
@@ -296,8 +271,29 @@ impl ClusterConfig {
                 batches,
             } => {
                 let (policy, bins, workload, batches) = (*policy, *bins, *workload, *batches);
-                self.run_stream(policy, bins, workload, batches, links)
+                self.run_stream(policy, bins, workload, batches, kill, links)
             }
+        }
+    }
+
+    /// The worker kill a stream run's fault plan schedules, as `(shard,
+    /// batch)`: its dead domain, which names a shard because the plan's
+    /// domains must be the run's shards. Engine runs have no fault
+    /// domains and kill nothing.
+    fn scheduled_kill(&self) -> Result<Option<(u32, u64)>> {
+        let plan = match (&self.mode, self.faults) {
+            (ModeCfg::Stream { .. }, Some(plan)) => plan,
+            _ => return Ok(None),
+        };
+        match plan.dead_domain_from {
+            Some(_) if plan.domains != self.shards => Err(CoreError::InvalidSpec {
+                reason: format!(
+                    "a dead fault domain kills the shard of that index, so fault \
+                     domains must equal shards ({} != {})",
+                    plan.domains, self.shards
+                ),
+            }),
+            kill => Ok(kill),
         }
     }
 
@@ -486,39 +482,15 @@ impl ClusterConfig {
         bins: u32,
         workload_cfg: WorkloadCfg,
         batches: u64,
+        kill: Option<(u32, u64)>,
         mut links: Vec<ShardLink>,
     ) -> Result<ClusterOutcome> {
         let started = Instant::now();
         self.handshake(&mut links, "stream", policy.name(), bins, 0)?;
-        // A kill maps fault domains onto shards 1:1; default a kill-only
-        // plan when none was armed.
-        let mut plan = self.faults;
-        if let Some((shard, batch)) = self.kill {
-            let base = plan.unwrap_or_else(|| FaultPlan::new(self.seed));
-            let base = if base.domains == 0 {
-                base.with_shard_failures(self.shards, 0.0)
-            } else {
-                base
-            };
-            if base.domains != self.shards {
-                return Err(CoreError::InvalidSpec {
-                    reason: format!(
-                        "--kill needs fault domains == shards ({} != {})",
-                        base.domains, self.shards
-                    ),
-                });
-            }
-            if shard >= self.shards {
-                return Err(CoreError::InvalidSpec {
-                    reason: format!("--kill shard {shard} out of range 0..{}", self.shards),
-                });
-            }
-            plan = Some(base.with_dead_domain(shard, batch));
-        }
         // The authoritative mirror: placements are decided here, by the
         // exact in-process allocator a `--shards 1` run uses.
         let mut mirror = StreamAllocator::new(bins, self.seed, policy);
-        if let Some(p) = plan {
+        if let Some(p) = self.faults {
             mirror = mirror.with_faults(p);
         }
         if let Some(sink) = &self.metrics {
@@ -534,11 +506,11 @@ impl ClusterConfig {
         // batch's acks are collected one batch late.
         let mut pending: Vec<Option<PendingDelta>> = (0..links.len()).map(|_| None).collect();
         for t in 0..batches {
-            if let Some((shard, batch)) = self.kill {
+            if let Some((shard, batch)) = kill {
                 if t == batch {
-                    // A real kill: the pipe dies under the worker, so any
+                    // A real kill: the link dies under the worker, so any
                     // ack still in flight is unrecoverable — drop it
-                    // rather than verify against a severed pipe.
+                    // rather than verify against a severed link.
                     links[shard as usize].kill();
                     pending[shard as usize] = None;
                 }
@@ -569,7 +541,7 @@ impl ClusterConfig {
             // batch t above.
             collect_delta_acks(&mut links, &mut pending)?;
             // Delta wave out. A just-killed shard is discovered here:
-            // the send fails on the dead pipe and the shard is marked
+            // the send fails on the dead link and the shard is marked
             // dead; placements already route around its bins via the
             // dead-domain redirect, so its (empty) delta is dropped.
             for (s, link) in links.iter_mut().enumerate() {
@@ -577,7 +549,7 @@ impl ClusterConfig {
                     continue;
                 }
                 let s32 = s as u32;
-                let expect_dead = self.kill.is_some_and(|(ks, kb)| s32 == ks && t >= kb);
+                let expect_dead = kill.is_some_and(|(ks, kb)| s32 == ks && t >= kb);
                 let frame = Frame::Delta {
                     batch: t,
                     loads: deltas[s].list(),
@@ -593,7 +565,7 @@ impl ClusterConfig {
                         });
                     }
                     Err(_) if expect_dead => {
-                        // The scheduled kill, observed as a dead pipe.
+                        // The scheduled kill, observed as a dead link.
                         pending[s] = None;
                     }
                     Err(e) => return Err(e),
@@ -658,7 +630,7 @@ fn collect_delta_acks(links: &mut [ShardLink], pending: &mut [Option<PendingDelt
                 });
             }
             Err(_) if p.expect_dead => {
-                // The scheduled kill, observed as a dead pipe.
+                // The scheduled kill, observed as a dead link.
             }
             Err(e) => return Err(e),
         }
@@ -879,44 +851,16 @@ impl ProtocolVisitor for ClusterRunVisitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader, Write};
-    use std::thread::JoinHandle;
-
-    use crate::transport::{mem_pipe, PipeReader, PipeWriter, Transport};
-
-    /// The orchestrator's halves of a pair of in-memory pipes to a
-    /// scripted worker thread.
-    struct Scripted {
-        writer: Option<PipeWriter>,
-        reader: Option<PipeReader>,
-    }
-
-    impl Transport for Scripted {
-        fn take_writer(&mut self) -> Box<dyn Write + Send> {
-            Box::new(self.writer.take().expect("writer taken once"))
-        }
-        fn take_reader(&mut self) -> Box<dyn BufRead + Send> {
-            Box::new(BufReader::new(
-                self.reader.take().expect("reader taken once"),
-            ))
-        }
-        fn kill(&mut self) {}
-        fn reap(&mut self, _killed: bool) -> std::result::Result<(), String> {
-            Ok(())
-        }
-    }
+    use std::io::Write;
+    use std::sync::mpsc::{channel, Receiver};
 
     /// A link to a worker thread that answers one `grants` request with
-    /// `reply` as its accept pairs and returns the request's arrival
-    /// pairs.
-    fn scripted_link(
-        shard: u32,
-        reply: Vec<(u32, u64)>,
-    ) -> (ShardLink, JoinHandle<Vec<(u32, u64)>>) {
-        let (orch_w, worker_r) = mem_pipe();
-        let (mut worker_w, orch_r) = mem_pipe();
-        let worker = std::thread::spawn(move || {
-            let mut reader = BufReader::new(worker_r);
+    /// `reply` as its accept pairs, and the request's arrival pairs as
+    /// the worker read them.
+    fn scripted_link(shard: u32, reply: Vec<(u32, u64)>) -> (ShardLink, Receiver<Vec<(u32, u64)>>) {
+        let (seen_tx, seen) = channel();
+        let link = ShardLink::thread(shard, move |stream| {
+            let (mut writer, mut reader) = stream.split().map_err(|e| e.to_string())?;
             let mut buf = Vec::new();
             let Ok(Some((Frame::Grants { round, counts, .. }, _))) =
                 crate::wire::read_frame(&mut reader, &mut buf)
@@ -930,14 +874,12 @@ mod tests {
                 underloaded: 0,
                 unfilled: 0,
             };
-            worker_w.write_all(&reply.encode()).unwrap();
-            counts.iter().collect()
-        });
-        let transport = Scripted {
-            writer: Some(orch_w),
-            reader: Some(orch_r),
-        };
-        (ShardLink::new(shard, Box::new(transport)), worker)
+            writer.write_all(&reply.encode()).unwrap();
+            seen_tx.send(counts.iter().collect()).unwrap();
+            Ok(())
+        })
+        .unwrap();
+        (link, seen)
     }
 
     #[test]
@@ -961,7 +903,7 @@ mod tests {
                 .collect()
         };
         let grants = |replies: [Vec<(u32, u64)>; 2]| {
-            let (links, workers): (Vec<_>, Vec<_>) = replies
+            let (links, seen): (Vec<_>, Vec<_>) = replies
                 .into_iter()
                 .enumerate()
                 .map(|(s, reply)| scripted_link(s as u32, reply))
@@ -977,7 +919,7 @@ mod tests {
             };
             let mut accept = vec![0u32; N as usize];
             let out = delegate.round_grants(&ctx, &counts, &[], &mut accept);
-            let seen: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+            let seen: Vec<_> = seen.iter().map(|s| s.recv().unwrap()).collect();
             (out.map(|_| accept), seen)
         };
 

@@ -1,32 +1,29 @@
-//! Shard transports: one `Transport` trait, three ways to reach a
-//! worker, one overlapped send path.
+//! Shard links: one channel shape for every worker, one overlapped send
+//! path.
 //!
-//! A `ShardLink` is the orchestrator's channel to one shard worker.
-//! It speaks the binary frame format (see [`crate::wire`]) over any
-//! transport:
+//! A `ShardLink` is the orchestrator's channel to one shard worker: a
+//! reader, a writer, and the `Peer` at the far end. It speaks the binary
+//! frame format (see [`crate::wire`]) to any of three peers:
 //!
-//! * `LocalTransport` — run [`crate::worker::serve`] on a thread over
-//!   in-memory byte pipes with pipe semantics (blocking reads, EOF on
-//!   writer drop, `BrokenPipe` after a kill). `std::io::pipe` landed in
-//!   Rust 1.87; the workspace floor is 1.85, so the pipes are
-//!   hand-rolled on `Mutex` + `Condvar`.
-//! * `PipeTransport` — spawn a real OS process (the `pba-run
-//!   shard-worker` child mode) and speak over its stdin/stdout pipes.
-//! * `SocketTransport` — connect to a worker over TCP or a
-//!   Unix-domain socket. The orchestrator can manage the worker itself
-//!   (spawn `pba-run shard-worker --listen <path>` and connect) or
-//!   attach to pre-started workers at given addresses.
+//! * a worker thread running [`crate::worker::serve`] over one end of a
+//!   local socket pair (a Unix-domain pair, or a loopback TCP pair where
+//!   the platform has no Unix-domain sockets) — `--local` runs and tests;
+//! * a `pba-run shard-worker` child on its stdin/stdout pipes — the
+//!   default;
+//! * a pre-started `shard-worker --listen ADDR` worker, reached over TCP
+//!   or a Unix-domain socket — `--connect`.
 //!
 //! [`SocketStream::connect`] and [`Listener`] (bind, then accept one
-//! peer) are the workspace's only socket code: the socket transport, the
-//! worker's `--listen` mode and `pba-run serve --listen/--send` all use
-//! them. A listener binding a Unix-domain path replaces a stale socket
-//! file there but never any other file.
+//! peer) are the workspace's only socket code: the links, the worker's
+//! `--listen` mode and `pba-run serve --listen/--send` all use them. A
+//! listener binding a Unix-domain path replaces a stale socket file there
+//! but never any other file.
 //!
-//! Every transport surfaces the same failure mode: killing the peer
-//! makes subsequent sends/receives fail, which the orchestrator detects
-//! as a dead link — that detection, not any bookkeeping flag, is what
-//! drives the chaos-path redirect.
+//! Killing a peer shuts its socket down, which wakes a worker blocked in
+//! a read, or kills its child process. Either way the link's next send or
+//! receive fails, which the orchestrator detects as a dead link — that
+//! detection, not any bookkeeping flag, is what drives the chaos-path
+//! redirect.
 //!
 //! ## Overlapped send
 //!
@@ -40,250 +37,24 @@
 //! ack collection in `orchestrator.rs`). Write failures park in an
 //! error slot and surface at the next `send`/`recv` on the link.
 
-use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use pba_core::{CoreError, Result};
 
 use crate::wire::{read_frame, Frame};
-use crate::worker;
 
 /// Depth of the per-link send queue: the wave in flight plus one being
 /// serialized. Two is enough to hide serialization behind the kernel
 /// without letting the orchestrator run unboundedly ahead.
 pub(crate) const SEND_QUEUE_DEPTH: usize = 2;
-
-/// Shared state of one in-memory pipe direction.
-#[derive(Default)]
-struct PipeState {
-    buf: VecDeque<u8>,
-    /// Writer dropped: reads drain the buffer, then return EOF.
-    closed: bool,
-    /// Peer killed: reads and writes fail with `BrokenPipe` immediately.
-    broken: bool,
-}
-
-/// One unidirectional in-memory pipe.
-#[derive(Default)]
-struct Pipe {
-    state: Mutex<PipeState>,
-    readable: Condvar,
-}
-
-impl Pipe {
-    fn sever(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.broken = true;
-        self.readable.notify_all();
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
-        self.readable.notify_all();
-    }
-}
-
-/// Write half of an in-memory pipe.
-pub(crate) struct PipeWriter(Arc<Pipe>);
-
-/// Read half of an in-memory pipe.
-pub(crate) struct PipeReader(Arc<Pipe>);
-
-/// A connected in-memory pipe pair.
-pub(crate) fn mem_pipe() -> (PipeWriter, PipeReader) {
-    let p = Arc::new(Pipe::default());
-    (PipeWriter(p.clone()), PipeReader(p))
-}
-
-impl Write for PipeWriter {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        let mut st = self.0.state.lock().unwrap();
-        if st.broken {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe severed"));
-        }
-        st.buf.extend(data);
-        self.0.readable.notify_all();
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Drop for PipeWriter {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-impl Read for PipeReader {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        let mut st = self.0.state.lock().unwrap();
-        loop {
-            if !st.buf.is_empty() {
-                let take = st.buf.len().min(out.len());
-                for slot in out.iter_mut().take(take) {
-                    *slot = st.buf.pop_front().expect("len checked");
-                }
-                return Ok(take);
-            }
-            if st.broken {
-                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe severed"));
-            }
-            if st.closed {
-                return Ok(0);
-            }
-            st = self.0.readable.wait(st).unwrap();
-        }
-    }
-}
-
-/// A live duplex channel to one shard worker. Implementations hand the
-/// two halves to the [`ShardLink`] once; `kill` must make both halves
-/// fail (and wake any blocked peer), because the write half may be
-/// owned by a sender thread at that point.
-pub(crate) trait Transport: Send {
-    /// Take the write half. Called exactly once, before any I/O.
-    fn take_writer(&mut self) -> Box<dyn Write + Send>;
-
-    /// Take the buffered read half. Called exactly once, before any I/O.
-    fn take_reader(&mut self) -> Box<dyn BufRead + Send>;
-
-    /// Forcibly sever the channel: subsequent operations on the taken
-    /// halves fail, a blocked peer wakes up, a managed peer is killed.
-    fn kill(&mut self);
-
-    /// Reap the peer after the conversation ended (or after `kill`).
-    /// Idempotent. `killed` suppresses exit-status complaints — a
-    /// killed worker dying messily is the expected chaos outcome.
-    fn reap(&mut self, killed: bool) -> std::result::Result<(), String>;
-}
-
-/// Worker thread over in-memory pipes.
-pub(crate) struct LocalTransport {
-    handle: Option<JoinHandle<std::result::Result<(), String>>>,
-    to_worker: Arc<Pipe>,
-    from_worker: Arc<Pipe>,
-    writer: Option<PipeWriter>,
-    reader: Option<PipeReader>,
-}
-
-impl LocalTransport {
-    /// Spawn [`worker::serve`] on a thread connected by in-memory pipes.
-    pub(crate) fn spawn(shard: u32) -> Self {
-        let (orch_w, worker_r) = mem_pipe();
-        let (worker_w, orch_r) = mem_pipe();
-        let to_worker = worker_r.0.clone();
-        let from_worker = orch_r.0.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("pba-shard-{shard}"))
-            .spawn(move || worker::serve(BufReader::new(worker_r), worker_w))
-            .expect("spawn shard worker thread");
-        LocalTransport {
-            handle: Some(handle),
-            to_worker,
-            from_worker,
-            writer: Some(orch_w),
-            reader: Some(orch_r),
-        }
-    }
-}
-
-impl Transport for LocalTransport {
-    fn take_writer(&mut self) -> Box<dyn Write + Send> {
-        Box::new(self.writer.take().expect("writer taken once"))
-    }
-
-    fn take_reader(&mut self) -> Box<dyn BufRead + Send> {
-        Box::new(BufReader::new(
-            self.reader.take().expect("reader taken once"),
-        ))
-    }
-
-    fn kill(&mut self) {
-        self.to_worker.sever();
-        self.from_worker.sever();
-    }
-
-    fn reap(&mut self, killed: bool) -> std::result::Result<(), String> {
-        if let Some(h) = self.handle.take() {
-            let outcome = h.join().map_err(|_| "worker thread panicked".to_string())?;
-            if let (Err(detail), false) = (outcome, killed) {
-                return Err(format!("worker exited with error: {detail}"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Real child process over stdin/stdout pipes.
-pub(crate) struct PipeTransport {
-    child: Option<Child>,
-    stdin: Option<Box<dyn Write + Send>>,
-    stdout: Option<Box<dyn BufRead + Send>>,
-}
-
-impl PipeTransport {
-    /// Spawn `exe shard-worker` piped on stdin/stdout (stderr passes
-    /// through for diagnostics).
-    pub(crate) fn spawn(shard: u32, exe: &Path) -> Result<Self> {
-        let mut child = Command::new(exe)
-            .arg("shard-worker")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .map_err(|e| CoreError::ClusterTransport {
-                shard,
-                detail: format!("failed to spawn worker {}: {e}", exe.display()),
-            })?;
-        let stdin = child.stdin.take().expect("stdin piped");
-        let stdout = child.stdout.take().expect("stdout piped");
-        Ok(PipeTransport {
-            child: Some(child),
-            stdin: Some(Box::new(stdin)),
-            stdout: Some(Box::new(BufReader::new(stdout))),
-        })
-    }
-}
-
-impl Transport for PipeTransport {
-    fn take_writer(&mut self) -> Box<dyn Write + Send> {
-        self.stdin.take().expect("writer taken once")
-    }
-
-    fn take_reader(&mut self) -> Box<dyn BufRead + Send> {
-        self.stdout.take().expect("reader taken once")
-    }
-
-    fn kill(&mut self) {
-        if let Some(child) = &mut self.child {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-
-    fn reap(&mut self, killed: bool) -> std::result::Result<(), String> {
-        if let Some(mut child) = self.child.take() {
-            let status = child.wait().map_err(|e| format!("wait failed: {e}"))?;
-            if !status.success() && !killed {
-                return Err(format!("worker exited with {status}"));
-            }
-        }
-        Ok(())
-    }
-}
 
 /// A connected stream socket: TCP, or Unix-domain where the platform has
 /// it.
@@ -306,6 +77,23 @@ impl SocketStream {
             return Err(unix_unsupported());
         }
         Ok(SocketStream::Tcp(TcpStream::connect(addr)?))
+    }
+
+    /// Two connected local sockets: a Unix-domain pair, or a loopback TCP
+    /// pair where the platform has no Unix-domain sockets.
+    fn pair() -> io::Result<(SocketStream, SocketStream)> {
+        #[cfg(unix)]
+        {
+            let (a, b) = UnixStream::pair()?;
+            Ok((SocketStream::Unix(a), SocketStream::Unix(b)))
+        }
+        #[cfg(not(unix))]
+        {
+            let listener = TcpListener::bind(("127.0.0.1", 0))?;
+            let a = TcpStream::connect(listener.local_addr()?)?;
+            let (b, _) = listener.accept()?;
+            Ok((SocketStream::Tcp(a), SocketStream::Tcp(b)))
+        }
     }
 
     /// The stream's write half and buffered read half.
@@ -433,132 +221,63 @@ pub(crate) fn is_unix_addr(addr: &str) -> bool {
     addr.contains('/') || addr.starts_with('.')
 }
 
-/// Worker over a TCP or Unix-domain stream socket — either a child this
-/// transport spawned with `shard-worker --listen`, or a pre-started
-/// worker it merely connected to.
-pub(crate) struct SocketTransport {
-    stream: SocketStream,
-    write_half: Option<Box<dyn Write + Send>>,
-    read_half: Option<Box<dyn BufRead + Send>>,
-    child: Option<Child>,
-    /// Socket file to clean up (managed Unix-domain workers).
-    path: Option<PathBuf>,
+/// The far end of a [`ShardLink`].
+enum Peer {
+    /// A worker thread on the other end of a local socket pair. The
+    /// link's end is kept so a kill or a reap can shut it down.
+    Thread {
+        socket: SocketStream,
+        handle: Option<JoinHandle<std::result::Result<(), String>>>,
+    },
+    /// A `shard-worker` child on its stdin/stdout pipes.
+    Child(Child),
+    /// A pre-started worker the link connected to: nothing to reap.
+    Remote(SocketStream),
 }
 
-impl SocketTransport {
-    /// Spawn `exe shard-worker --listen <socket>` on a fresh Unix-domain
-    /// socket path and connect to it (retrying while the child binds).
-    pub(crate) fn spawn(shard: u32, exe: &Path) -> Result<Self> {
-        let sock =
-            std::env::temp_dir().join(format!("pba-worker-{}-{shard}.sock", std::process::id()));
-        let child = Command::new(exe)
-            .arg("shard-worker")
-            .arg("--listen")
-            .arg(&sock)
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .map_err(|e| CoreError::ClusterTransport {
-                shard,
-                detail: format!("failed to spawn socket worker {}: {e}", exe.display()),
-            })?;
-        let mut child = Some(child);
-        let addr = sock.to_string_lossy().into_owned();
-        // The child needs a moment to bind; a dead child means we stop
-        // retrying immediately instead of timing out.
-        let mut last_err = String::new();
-        for _ in 0..250 {
-            match SocketStream::connect(&addr) {
-                Ok(stream) => {
-                    return Self::from_stream(shard, stream, child, Some(sock));
-                }
-                Err(e) => last_err = e.to_string(),
-            }
-            if let Some(c) = &mut child {
-                if let Ok(Some(status)) = c.try_wait() {
-                    let _ = remove_socket(&sock);
-                    return Err(CoreError::ClusterTransport {
-                        shard,
-                        detail: format!("socket worker exited with {status} before accepting"),
-                    });
-                }
-            }
-            std::thread::sleep(Duration::from_millis(4));
-        }
-        if let Some(mut c) = child.take() {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-        let _ = remove_socket(&sock);
-        Err(CoreError::ClusterTransport {
-            shard,
-            detail: format!("socket worker never accepted on {addr}: {last_err}"),
-        })
-    }
-
-    /// Connect to a pre-started worker listening at `addr` (a `/`-ful
-    /// path means Unix-domain, anything else `host:port` TCP).
-    pub(crate) fn connect(shard: u32, addr: &str) -> Result<Self> {
-        let stream = SocketStream::connect(addr).map_err(|e| CoreError::ClusterTransport {
-            shard,
-            detail: format!("connect to worker at {addr} failed: {e}"),
-        })?;
-        Self::from_stream(shard, stream, None, None)
-    }
-
-    fn from_stream(
-        shard: u32,
-        stream: SocketStream,
-        child: Option<Child>,
-        path: Option<PathBuf>,
-    ) -> Result<Self> {
-        let (write_half, read_half) = stream.split().map_err(|e| CoreError::ClusterTransport {
-            shard,
-            detail: format!("socket clone failed: {e}"),
-        })?;
-        Ok(SocketTransport {
-            stream,
-            write_half: Some(write_half),
-            read_half: Some(read_half),
-            child,
-            path,
-        })
-    }
-}
-
-impl Transport for SocketTransport {
-    fn take_writer(&mut self) -> Box<dyn Write + Send> {
-        self.write_half.take().expect("writer taken once")
-    }
-
-    fn take_reader(&mut self) -> Box<dyn BufRead + Send> {
-        self.read_half.take().expect("reader taken once")
-    }
-
+impl Peer {
+    /// Sever the channel: the link's reads and writes fail from here on,
+    /// and a worker blocked in a read wakes up.
     fn kill(&mut self) {
-        self.stream.shutdown();
-        if let Some(child) = &mut self.child {
-            let _ = child.kill();
-            let _ = child.wait();
+        match self {
+            Peer::Thread { socket, .. } | Peer::Remote(socket) => socket.shutdown(),
+            Peer::Child(child) => {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
         }
     }
 
+    /// Reap the peer after the conversation ended (or after `kill`).
+    /// Idempotent. `killed` suppresses exit-status complaints — a killed
+    /// worker dying messily is the expected chaos outcome.
     fn reap(&mut self, killed: bool) -> std::result::Result<(), String> {
-        let outcome = if let Some(mut child) = self.child.take() {
-            let status = child.wait().map_err(|e| format!("wait failed: {e}"))?;
-            if !status.success() && !killed {
-                Err(format!("worker exited with {status}"))
-            } else {
-                Ok(())
+        let failure = match self {
+            Peer::Thread { socket, handle } => {
+                // Unlike a pipe's, a socket's dropped write half is no EOF
+                // while other handles to it live: shut it down, or a worker
+                // still waiting for a frame would never return to be joined.
+                socket.shutdown();
+                let Some(handle) = handle.take() else {
+                    return Ok(());
+                };
+                let outcome = handle
+                    .join()
+                    .map_err(|_| "worker thread panicked".to_string())?;
+                outcome
+                    .err()
+                    .map(|detail| format!("worker exited with error: {detail}"))
             }
-        } else {
-            Ok(())
+            Peer::Child(child) => {
+                let status = child.wait().map_err(|e| format!("wait failed: {e}"))?;
+                (!status.success()).then(|| format!("worker exited with {status}"))
+            }
+            Peer::Remote(_) => None,
         };
-        if let Some(path) = self.path.take() {
-            let _ = remove_socket(&path);
+        match failure {
+            Some(detail) if !killed => Err(detail),
+            _ => Ok(()),
         }
-        outcome
     }
 }
 
@@ -575,7 +294,7 @@ pub(crate) struct ShardLink {
     /// The last frame read, reused from frame to frame: a received
     /// frame's lists borrow it.
     rbuf: Vec<u8>,
-    transport: Box<dyn Transport>,
+    peer: Peer,
     alive: bool,
     /// Frames the orchestrator sent over this link.
     pub frames_sent: u64,
@@ -590,10 +309,14 @@ pub(crate) struct ShardLink {
 }
 
 impl ShardLink {
-    /// Wrap a connected transport and start its two-slot sender thread.
-    pub(crate) fn new(shard: u32, mut transport: Box<dyn Transport>) -> ShardLink {
-        let mut writer = transport.take_writer();
-        let reader = transport.take_reader();
+    /// Wrap a connected channel to `peer` and start its two-slot sender
+    /// thread.
+    fn new(
+        shard: u32,
+        mut writer: Box<dyn Write + Send>,
+        reader: Box<dyn BufRead + Send>,
+        peer: Peer,
+    ) -> ShardLink {
         let send_err = Arc::new(Mutex::new(None::<String>));
         let err_slot = send_err.clone();
         let (tx, rx) = sync_channel::<Vec<u8>>(SEND_QUEUE_DEPTH);
@@ -612,8 +335,8 @@ impl ShardLink {
                         failed = true;
                     }
                 }
-                // Dropping the writer here closes the worker's stdin
-                // (EOF) once everything queued has been written.
+                // Dropping the writer here closes a child's stdin (EOF)
+                // once everything queued has been written.
             })
             .expect("spawn link sender thread");
         ShardLink {
@@ -623,7 +346,7 @@ impl ShardLink {
             sender: Some(sender),
             reader,
             rbuf: Vec::new(),
-            transport,
+            peer,
             alive: true,
             frames_sent: 0,
             frames_recv: 0,
@@ -633,35 +356,58 @@ impl ShardLink {
         }
     }
 
-    /// Worker thread over in-memory pipes (tests, `--local` runs).
-    pub(crate) fn local(shard: u32) -> ShardLink {
-        ShardLink::new(shard, Box::new(LocalTransport::spawn(shard)))
+    /// A worker thread running `body` over the far end of a local socket
+    /// pair: [`crate::worker::serve_socket`] for `--local` runs, a script
+    /// in tests.
+    pub(crate) fn thread(
+        shard: u32,
+        body: impl FnOnce(SocketStream) -> std::result::Result<(), String> + Send + 'static,
+    ) -> Result<ShardLink> {
+        let failed = |e: io::Error| CoreError::ClusterTransport {
+            shard,
+            detail: format!("local socket pair failed: {e}"),
+        };
+        let (socket, far) = SocketStream::pair().map_err(failed)?;
+        let (writer, reader) = socket.split().map_err(failed)?;
+        let handle = std::thread::Builder::new()
+            .name(format!("pba-shard-{shard}"))
+            .spawn(move || body(far))
+            .expect("spawn shard worker thread");
+        let peer = Peer::Thread {
+            socket,
+            handle: Some(handle),
+        };
+        Ok(ShardLink::new(shard, writer, reader, peer))
     }
 
-    /// Worker child process over stdin/stdout pipes.
+    /// Spawn `exe shard-worker` piped on stdin/stdout (stderr passes
+    /// through for diagnostics).
     pub(crate) fn process(shard: u32, exe: &Path) -> Result<ShardLink> {
-        Ok(ShardLink::new(
-            shard,
-            Box::new(PipeTransport::spawn(shard, exe)?),
-        ))
+        let mut child = Command::new(exe)
+            .arg("shard-worker")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .map_err(|e| CoreError::ClusterTransport {
+                shard,
+                detail: format!("failed to spawn worker {}: {e}", exe.display()),
+            })?;
+        let writer = Box::new(child.stdin.take().expect("stdin piped"));
+        let reader = Box::new(BufReader::new(child.stdout.take().expect("stdout piped")));
+        Ok(ShardLink::new(shard, writer, reader, Peer::Child(child)))
     }
 
-    /// Managed socket worker: spawn `exe shard-worker --listen` on a
-    /// fresh Unix-domain socket and connect.
-    pub(crate) fn socket(shard: u32, exe: &Path) -> Result<ShardLink> {
-        Ok(ShardLink::new(
-            shard,
-            Box::new(SocketTransport::spawn(shard, exe)?),
-        ))
-    }
-
-    /// Pre-started socket worker at `addr` (TCP `host:port`, or a
-    /// Unix-domain socket path).
-    pub(crate) fn socket_connect(shard: u32, addr: &str) -> Result<ShardLink> {
-        Ok(ShardLink::new(
-            shard,
-            Box::new(SocketTransport::connect(shard, addr)?),
-        ))
+    /// Connect to a pre-started worker listening at `addr` (TCP
+    /// `host:port`, or a Unix-domain socket path).
+    pub(crate) fn connect(shard: u32, addr: &str) -> Result<ShardLink> {
+        let failed = |detail: String| CoreError::ClusterTransport { shard, detail };
+        let stream = SocketStream::connect(addr)
+            .map_err(|e| failed(format!("connect to worker at {addr} failed: {e}")))?;
+        let (writer, reader) = stream
+            .split()
+            .map_err(|e| failed(format!("socket clone failed: {e}")))?;
+        Ok(ShardLink::new(shard, writer, reader, Peer::Remote(stream)))
     }
 
     /// This link's shard index.
@@ -740,17 +486,17 @@ impl ShardLink {
         Ok(frame)
     }
 
-    /// Kill the shard: sever the transport (and any managed peer). The
-    /// next send/recv observes a dead link; a blocked sender thread
-    /// fails out and parks its error.
+    /// Kill the shard: sever the channel to its peer. The next send/recv
+    /// observes a dead link; a blocked sender thread fails out and parks
+    /// its error.
     pub(crate) fn kill(&mut self) {
-        self.transport.kill();
+        self.peer.kill();
         self.killed = true;
         self.alive = false;
     }
 
     /// Drop the send half: joins the sender thread (flushing anything
-    /// queued) and closes the peer's input so it sees EOF.
+    /// queued) and closes a child's input so it sees EOF.
     fn close_sender(&mut self) {
         self.tx.take();
         if let Some(h) = self.sender.take() {
@@ -771,7 +517,7 @@ impl ShardLink {
             self.alive = false;
         }
         self.close_sender();
-        self.transport
+        self.peer
             .reap(self.killed)
             .map_err(|detail| CoreError::ClusterTransport {
                 shard: self.shard,
@@ -802,55 +548,16 @@ impl Drop for ShardLink {
             self.kill();
         }
         self.close_sender();
-        let _ = self.transport.reap(true);
+        let _ = self.peer.reap(true);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mem_pipe_delivers_lines_in_order() {
-        let (mut w, r) = mem_pipe();
-        let t = std::thread::spawn(move || {
-            let mut lines = Vec::new();
-            for line in BufReader::new(r).lines() {
-                lines.push(line.unwrap());
-            }
-            lines
-        });
-        w.write_all(b"one\ntwo\n").unwrap();
-        drop(w); // EOF
-        assert_eq!(t.join().unwrap(), vec!["one", "two"]);
-    }
-
-    #[test]
-    fn severed_pipe_breaks_both_ends() {
-        let (mut w, mut r) = mem_pipe();
-        w.0.sever();
-        assert_eq!(w.write(b"x").unwrap_err().kind(), io::ErrorKind::BrokenPipe);
-        let mut buf = [0u8; 4];
-        assert_eq!(
-            r.read(&mut buf).unwrap_err().kind(),
-            io::ErrorKind::BrokenPipe
-        );
-    }
-
-    #[test]
-    fn blocked_reader_wakes_on_sever() {
-        let (w, mut r) = mem_pipe();
-        let t = std::thread::spawn(move || {
-            let mut buf = [0u8; 4];
-            r.read(&mut buf)
-        });
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        w.0.sever();
-        assert_eq!(
-            t.join().unwrap().unwrap_err().kind(),
-            io::ErrorKind::BrokenPipe
-        );
-    }
+    use std::io::Read;
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
 
     #[test]
     fn unix_addr_detection() {
@@ -861,11 +568,63 @@ mod tests {
     }
 
     #[test]
+    fn thread_links_wake_workers_blocked_in_a_read() {
+        // A worker blocked in its first read: the kill must end that read,
+        // so the reap can join the thread, and the link is dead after.
+        let (started, ready) = channel();
+        let (read_tx, read_rx) = channel();
+        let mut link = ShardLink::thread(0, move |stream| {
+            let (_writer, mut reader) = stream.split().map_err(|e| e.to_string())?;
+            started.send(()).unwrap();
+            let mut byte = [0u8; 1];
+            read_tx
+                .send(reader.read(&mut byte).map_err(|e| e.kind()))
+                .unwrap();
+            Ok(())
+        })
+        .unwrap();
+        ready.recv().unwrap();
+        // The kill must end the read whether or not it has begun; the
+        // pause only makes it likely that the worker is already blocked.
+        std::thread::sleep(Duration::from_millis(10));
+        link.kill();
+        assert_eq!(
+            read_rx.recv_timeout(Duration::from_secs(10)),
+            Ok(Ok(0)),
+            "the blocked read must end at EOF"
+        );
+        assert!(link.finish().is_ok(), "a killed link reaps cleanly");
+        assert!(link.send(&Frame::Drain).is_err());
+        assert!(link.recv().is_err());
+
+        // A link a bad frame marked dead, and no kill: its reap must still
+        // end the read of a worker waiting for the next frame.
+        let mut link = ShardLink::thread(1, |stream| {
+            let (mut writer, mut reader) = stream.split().map_err(|e| e.to_string())?;
+            writer
+                .write_all(b"not a frame")
+                .map_err(|e| e.to_string())?;
+            let mut byte = [0u8; 1];
+            reader.read(&mut byte).map(drop).map_err(|e| e.to_string())
+        })
+        .unwrap();
+        assert!(link.recv().is_err());
+        assert!(!link.is_alive() && !link.killed);
+        let (done_tx, done) = channel();
+        std::thread::spawn(move || done_tx.send(link.finish().is_ok()).unwrap());
+        assert_eq!(
+            done.recv_timeout(Duration::from_secs(10)),
+            Ok(true),
+            "the reap must end the worker's read and join it"
+        );
+    }
+
+    #[test]
     fn overlapped_sender_parks_write_errors() {
-        // A local link whose pipes are severed under the sender thread:
-        // the enqueue succeeds, the error surfaces on the next call.
-        let mut link = ShardLink::local(0);
-        link.transport.kill();
+        // A local link whose peer is killed under the sender thread: the
+        // enqueue succeeds, the error surfaces on the next call.
+        let mut link = ShardLink::thread(0, crate::worker::serve_socket).unwrap();
+        link.peer.kill();
         link.send(&Frame::Drain).ok(); // may or may not observe it yet
         let mut saw_error = false;
         for _ in 0..100 {
@@ -873,7 +632,7 @@ mod tests {
                 saw_error = true;
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(2));
         }
         assert!(saw_error, "severed link never surfaced the write error");
         link.killed = true; // suppress exit-status complaints in Drop

@@ -28,7 +28,7 @@ use pba_core::rng::{Rand64, SplitMix64};
 use pba_core::{ProblemSpec, RoundProtocol};
 use pba_protocols::{visit_protocol, ProtocolVisitor};
 
-use crate::transport::Listener;
+use crate::transport::{Listener, SocketStream};
 use crate::wire::{self, Frame, Hello, LoadList, PairList};
 
 /// Serve one orchestrator connection until `shutdown` (or an error).
@@ -94,6 +94,12 @@ pub fn serve_listen(addr: &str) -> Result<(), String> {
     let (stream, _) = listener
         .accept_one()
         .map_err(|e| format!("accept on {addr} failed: {e}"))?;
+    serve_socket(stream)
+}
+
+/// Serve one orchestrator connection on a connected socket — the body of
+/// a `--listen` worker, and of a `--local` run's worker threads.
+pub(crate) fn serve_socket(stream: SocketStream) -> Result<(), String> {
     let (writer, reader) = stream
         .split()
         .map_err(|e| format!("socket clone failed: {e}"))?;

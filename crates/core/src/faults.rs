@@ -103,11 +103,12 @@ pub struct FaultPlan {
     /// Per-batch, per-domain failure probability.
     pub domain_fail_prob: f64,
     /// A scheduled *permanent* domain failure: `(domain, from_batch)`
-    /// marks `domain` dead for every batch ≥ `from_batch`. This is the
-    /// chaos-harness hook behind `pba-run cluster --kill D@B`: the
-    /// orchestrator really kills shard `D`'s process before batch `B`,
-    /// and the in-process reference run with the same plan reproduces
-    /// the identical redirect decisions through this field.
+    /// marks `domain` dead for every batch ≥ `from_batch`. It is also
+    /// the only way to kill a cluster worker: `pba-run cluster stream
+    /// --faults domains=SxP,kill=DxB` (the plan's domains must be the
+    /// `S` shards) really kills shard `D`'s worker before batch `B`, and
+    /// the in-process run with the same plan reproduces the identical
+    /// redirect decisions through this field.
     pub dead_domain_from: Option<(u32, u64)>,
 }
 

@@ -10,7 +10,7 @@
 //! pba-run stream [--policy P] [--n N] [--batch 8n] …   # streaming allocator
 //! pba-run serve --replay [--rate R] [--snapshot F] …   # replay service facade
 //! pba-run cluster protocol <name> --shards S …   # multi-process shards
-//! pba-run cluster stream --shards S [--kill S@B] …
+//! pba-run cluster stream --shards S [--faults SPEC] …
 //! pba-run verify [CLAIM…] [--scale ci|full] [--json]  # statistical claim oracles
 //! ```
 
@@ -90,18 +90,22 @@ const USAGE: &str = "usage:
   pba-run serve --send ADDR [--policy P] [--n N] [--batch B | Kn] [--batches K]
                  [--workload W] [--churn F] [--seed S]
   pba-run cluster protocol <name> --m M --n N [--shards S] [--seed S]
-                 [--local | --socket | --connect A1,A2,…] [--faults SPEC]
+                 [--local | --connect A1,A2,…] [--faults SPEC]
                  [--trace FILE.jsonl]
   pba-run cluster stream [--policy P] [--n N] [--batch B | Kn] [--batches K]
-                 [--workload W] [--churn F] [--shards S] [--seed S] [--kill S@B]
-                 [--local | --socket | --connect A1,A2,…] [--faults SPEC]
+                 [--workload W] [--churn F] [--shards S] [--seed S]
+                 [--local | --connect A1,A2,…] [--faults SPEC]
                  [--trace FILE.jsonl]
   pba-run shard-worker [--listen ADDR]   (internal: spawned per shard by
                  `cluster`; --listen serves one orchestrator over TCP/UDS)
   pba-run verify [CLAIM…] [--scale ci|full] [--json] [--faults SPEC]
 
 fault spec: comma-separated key=value clauses, e.g.
-  --faults drop=0.1,crash=0.02,straggle=8x0.2,domains=8x0.3,kill=2x5,seed=7";
+  --faults drop=0.1,crash=0.02,straggle=8x0.2,domains=8x0.3,kill=2x5,seed=7
+  `protocol` and `cluster protocol` take drop, crash and straggle; `stream`
+  and `serve --replay` take domains and kill; `cluster stream` takes
+  straggle, domains and kill, where kill=DxB kills shard D's worker before
+  batch B (domains must equal --shards); `verify` takes every clause.";
 
 fn run(args: &[String]) -> Result<ExitCode, Failure> {
     let Some(cmd) = args.first() else {
@@ -325,20 +329,8 @@ impl FlagValue for TersePolicy {
     }
 }
 
-/// `--kill SHARD@BATCH`, e.g. `2@5`.
-impl FlagValue for (u32, u64) {
-    fn parse_flag(_flag: &str, value: &str) -> Result<Self, String> {
-        let (s, b) = value
-            .split_once('@')
-            .ok_or_else(|| format!("bad --kill '{value}' (expected SHARD@BATCH, e.g. 2@5)"))?;
-        let shard = s.parse().map_err(|_| format!("bad --kill shard '{s}'"))?;
-        let batch = b.parse().map_err(|_| format!("bad --kill batch '{b}'"))?;
-        Ok((shard, batch))
-    }
-}
-
 /// A flag table: each row names a flag and the slot its argument lands
-/// in. A name may list aliases sharing one slot (`--local|--socket`);
+/// in. A name may list aliases sharing one slot (`--local|--connect`);
 /// the name `""` takes bare words, which are otherwise unknown flags.
 /// Every slot type owns its data, hence `'static`.
 type FlagTable<'a> = [(&'a str, &'a mut (dyn Slot + 'static))];
@@ -379,6 +371,31 @@ fn parse_flags(
         slot.set(key, value)?;
     }
     Ok(())
+}
+
+/// Refuse a `--faults` plan that arms a clause `cmd` would ignore, so a
+/// chaos run never passes for a clean one: the first armed clause among
+/// the `ignored` keys is a usage error.
+fn refuse_ignored_faults(
+    cmd: &str,
+    faults: &Option<FaultPlan>,
+    ignored: &[&str],
+) -> Result<(), String> {
+    let Some(plan) = faults else {
+        return Ok(());
+    };
+    let armed = [
+        ("drop", plan.drop_prob > 0.0),
+        ("crash", plan.crash_frac > 0.0),
+        ("straggle", plan.stragglers.is_some()),
+        ("domains", plan.domains > 0),
+    ];
+    match armed.iter().find(|(key, on)| *on && ignored.contains(key)) {
+        Some((key, _)) => Err(format!(
+            "{cmd} does not take the --faults clause {key}= (see the fault spec below)"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// The stream-workload flags of `stream`, `serve --replay` and `cluster
@@ -577,6 +594,7 @@ fn run_protocol(args: &[String]) -> Result<(), Failure> {
         ],
         "",
     )?;
+    refuse_ignored_faults("protocol", &faults, &["domains"])?;
     let spec = ProblemSpec::new(m, n).map_err(|e| e.to_string())?;
     let mut cfg = RunConfig::seeded(seed);
     if parallel {
@@ -721,6 +739,7 @@ fn run_stream_cmd(args: &[String]) -> Result<(), Failure> {
             ("--trace", &mut trace_path),
         ],
     )?;
+    refuse_ignored_faults("stream", &faults, &["drop", "crash", "straggle"])?;
     let StreamFlags {
         policy,
         n,
@@ -865,6 +884,7 @@ fn run_serve(args: &[String]) -> Result<(), Failure> {
             ("--trace", &mut trace_path),
         ],
     )?;
+    refuse_ignored_faults("serve --replay", &faults, &["drop", "crash", "straggle"])?;
     let batches = flags.batches;
     if !rate.is_finite() || rate < 0.0 {
         return Err(Failure::Usage(
@@ -1135,12 +1155,12 @@ fn run_serve_send(args: &[String]) -> Result<(), Failure> {
 
 /// `pba-run cluster` — run an engine protocol or a streaming policy over
 /// real shard processes: one `pba-run shard-worker` child per bin range
-/// (stdin/stdout pipes by default; `--socket` swaps in Unix-domain
-/// sockets, `--connect` targets already-listening workers, `--local`
-/// worker threads over in-memory pipes). All transports speak the same
-/// checksummed binary frames. Runs are bit-identical to the
-/// single-process equivalent for the same seed regardless of transport;
-/// the orchestrator verifies per-wave checksums and a final drain.
+/// (stdin/stdout pipes by default; `--connect` targets already-listening
+/// workers, `--local` worker threads over local socket pairs). Every
+/// link speaks the same checksummed binary frames. Runs are
+/// bit-identical to the single-process equivalent for the same seed
+/// whatever the link; the orchestrator verifies per-wave checksums and a
+/// final drain.
 fn run_cluster(args: &[String]) -> Result<(), Failure> {
     let Some(mode) = args.first() else {
         return Err(Failure::Usage(
@@ -1160,16 +1180,14 @@ fn run_cluster(args: &[String]) -> Result<(), Failure> {
 enum ClusterTransport {
     /// Child processes over stdin/stdout pipes (the default).
     Process,
-    /// Worker threads over in-memory pipes.
+    /// Worker threads over local socket pairs.
     Local,
-    /// Managed child processes over Unix-domain sockets.
-    Socket,
     /// Unmanaged, already-listening workers (one address per shard).
     Connect(Vec<String>),
 }
 
-/// `--local`, `--socket` and `--connect A1,A2,…` share one slot; the
-/// last one given wins.
+/// `--local` and `--connect A1,A2,…` share one slot; the last one given
+/// wins.
 impl Slot for ClusterTransport {
     fn takes_value(&self, flag: &str) -> bool {
         flag == "--connect"
@@ -1178,7 +1196,6 @@ impl Slot for ClusterTransport {
     fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
         *self = match flag {
             "--local" => ClusterTransport::Local,
-            "--socket" => ClusterTransport::Socket,
             _ => ClusterTransport::Connect(value.split(',').map(str::to_owned).collect()),
         };
         Ok(())
@@ -1190,7 +1207,6 @@ impl ClusterTransport {
         match self {
             ClusterTransport::Process => "processes",
             ClusterTransport::Local => "local threads",
-            ClusterTransport::Socket => "socket workers",
             ClusterTransport::Connect(_) => "remote workers",
         }
     }
@@ -1199,7 +1215,6 @@ impl ClusterTransport {
         match self {
             ClusterTransport::Process => cfg.run_process(),
             ClusterTransport::Local => cfg.run_local(),
-            ClusterTransport::Socket => cfg.run_socket(),
             ClusterTransport::Connect(addrs) => cfg.run_connect(addrs),
         }
         .map_err(|e| e.to_string())
@@ -1250,11 +1265,12 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), Failure> {
             ("--n", &mut n),
             ("--seed", &mut seed),
             ("--shards", &mut shards),
-            ("--local|--socket|--connect", &mut transport),
+            ("--local|--connect", &mut transport),
             ("--trace", &mut trace_path),
         ],
         "",
     )?;
+    refuse_ignored_faults("cluster protocol", &faults, &["domains"])?;
     if !protocol_names().contains(&name.as_str()) {
         return Err(Failure::Usage(format!(
             "unknown protocol '{name}' (try `pba-run protocols`)"
@@ -1313,7 +1329,6 @@ fn run_cluster_protocol(args: &[String]) -> Result<(), Failure> {
 fn run_cluster_stream(args: &[String]) -> Result<(), Failure> {
     let mut flags = StreamFlags::default();
     let mut shards = 2u32;
-    let mut kill: Option<(u32, u64)> = None;
     let mut transport = ClusterTransport::Process;
     let mut trace_path: Option<String> = None;
     let mut faults: Option<FaultPlan> = None;
@@ -1322,11 +1337,11 @@ fn run_cluster_stream(args: &[String]) -> Result<(), Failure> {
         &mut [
             ("--faults", &mut faults),
             ("--shards", &mut shards),
-            ("--kill", &mut kill),
-            ("--local|--socket|--connect", &mut transport),
+            ("--local|--connect", &mut transport),
             ("--trace", &mut trace_path),
         ],
     )?;
+    refuse_ignored_faults("cluster stream", &faults, &["drop", "crash"])?;
     let n = flags.n;
     if shards == 0 || shards > n {
         return Err(Failure::Usage(format!(
@@ -1341,9 +1356,6 @@ fn run_cluster_stream(args: &[String]) -> Result<(), Failure> {
         .with_metrics(trace.sink());
     if let Some(plan) = faults {
         cluster = cluster.with_faults(plan);
-    }
-    if let Some((s, t)) = kill {
-        cluster = cluster.with_kill(s, t);
     }
     let started = std::time::Instant::now();
     let out = transport.run(cluster).map_err(Failure::Run)?;
@@ -1360,7 +1372,7 @@ fn run_cluster_stream(args: &[String]) -> Result<(), Failure> {
         "workload:   {}, b = {b}, churn {}, seed {}",
         flags.workload, flags.churn, flags.seed
     );
-    if let Some((s, t)) = kill {
+    if let Some((s, t)) = faults.and_then(|p| p.dead_domain_from) {
         println!(
             "chaos:      shard {s} killed before batch {t}; placements redirected to live domains"
         );

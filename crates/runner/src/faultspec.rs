@@ -15,8 +15,9 @@
 //!   for a batch with probability `P`;
 //! * `kill=DxB` — domain `D` is permanently dead from batch `B` on
 //!   (requires `domains=…` in the same spec; probability 0.0 gives a
-//!   kill-only plan). In cluster mode the orchestrator maps domains onto
-//!   shards, so this schedules a real worker kill;
+//!   kill-only plan). In `cluster stream` the domains are the shards
+//!   (their counts must match), so this really kills shard `D`'s worker
+//!   before batch `B`;
 //! * `seed=S` — the fault stream seed (defaults to 0; independent of the
 //!   run seed so the same chaos can be replayed over different runs);
 //! * `backoff=W` — retry-backoff cap in rounds (≥ 1);
@@ -24,7 +25,10 @@
 //!
 //! Keys may appear in any order; unknown keys and malformed numbers are
 //! errors, not silently ignored, so chaos configurations in scripts fail
-//! loudly.
+//! loudly. For the same reason `pba-run` refuses a clause the command
+//! would ignore: `protocol` and `cluster protocol` take no `domains`
+//! (nor `kill`), `stream` and `serve --replay` no `drop`, `crash` or
+//! `straggle`, and `cluster stream` no `drop` or `crash`.
 
 use pba_core::FaultPlan;
 

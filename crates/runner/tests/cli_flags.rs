@@ -32,6 +32,7 @@ const CASES: &[(&str, &str)] = &[
     ("protocol collision --seed -1", "error: bad --seed"),
     ("protocol collision --faults drop=x", "error: --faults drop=x: bad probability"),
     ("protocol collision --faults bogus=1", "error: --faults: unknown key 'bogus' (valid: drop, crash, straggle, domains, kill, seed, backoff, redraw)"),
+    ("protocol collision --faults domains=4x0.5,kill=1x0", "error: protocol does not take the --faults clause domains= (see the fault spec below)"),
     ("protocol collision --m 0", "error: invalid problem spec: m must be positive"),
     ("protocol collision --n 0", "error: invalid problem spec: n must be positive"),
     ("protocol nope --m 16 --n 4", "error: unknown protocol 'nope' (try `pba-run protocols`)"),
@@ -67,6 +68,7 @@ const CASES: &[(&str, &str)] = &[
     ("stream --batch 0n", "error: --batch must be at least 1"),
     ("stream --n 0 --batches 0", "error: --n must be at least 1"),
     ("stream --faults drop=2", "error: --faults drop=2: must be in [0, 1)"),
+    ("stream --faults drop=0.5,crash=0.3,straggle=8x0.5", "error: stream does not take the --faults clause drop= (see the fault spec below)"),
     // `serve --replay` (the default serve mode).
     ("serve --bogus", "error: unknown flag '--bogus'"),
     ("serve stray", "error: unknown flag 'stray'"),
@@ -97,6 +99,7 @@ const CASES: &[(&str, &str)] = &[
     ("serve --replay --batches 4 --snapshot-at 5", "error: --snapshot-at must be in 1..=4 (--batches)"),
     ("serve --replay --batch 0", "error: --batch must be at least 1"),
     ("serve --replay --workload nope", "error: unknown workload 'nope' (choose from: uniform, zipf, burst)"),
+    ("serve --replay --faults straggle=8x0.5,domains=4x0.2", "error: serve --replay does not take the --faults clause straggle= (see the fault spec below)"),
     // `serve --listen`: a narrower table with its own unknown-flag text.
     ("serve --listen", "error: --listen needs an address"),
     ("serve --listen /nonexistent/pba.sock --bogus", "error: unknown flag '--bogus' for serve --listen"),
@@ -139,17 +142,16 @@ const CASES: &[(&str, &str)] = &[
     ("cluster protocol collision --n 4 --shards 5", "error: --shards must be in 1..=4 (the bin count)"),
     ("cluster protocol collision --m 0", "error: invalid problem spec: m must be positive"),
     ("cluster protocol colision --shards 2", "error: unknown protocol 'colision' (try `pba-run protocols`)"),
+    ("cluster protocol collision --socket", "error: unknown flag '--socket'"),
+    ("cluster protocol collision --faults drop=0.1,domains=4x0.0", "error: cluster protocol does not take the --faults clause domains= (see the fault spec below)"),
     // `cluster stream`.
     ("cluster stream --bogus", "error: unknown flag '--bogus'"),
     ("cluster stream --policy", "error: --policy needs a value"),
-    ("cluster stream --kill", "error: --kill needs a value"),
+    ("cluster stream --kill 1@2", "error: unknown flag '--kill'"),
     ("cluster stream --connect", "error: --connect needs addresses"),
     ("cluster stream --policy bogus", "error: unknown policy 'bogus' (choose from: one-choice, two-choice, batched-two-choice, threshold)"),
     ("cluster stream --shards x", "error: bad --shards"),
     ("cluster stream --shards 5000000000", "error: bad --shards"),
-    ("cluster stream --kill 3-4", "error: bad --kill '3-4' (expected SHARD@BATCH, e.g. 2@5)"),
-    ("cluster stream --kill a@1", "error: bad --kill shard 'a'"),
-    ("cluster stream --kill 1@b", "error: bad --kill batch 'b'"),
     ("cluster stream --n 0", "error: --n must be at least 1"),
     ("cluster stream --batches 0", "error: --batches must be at least 1"),
     ("cluster stream --churn 2", "error: --churn must be in [0, 1]"),
@@ -157,6 +159,7 @@ const CASES: &[(&str, &str)] = &[
     ("cluster stream --n 8 --shards 9", "error: --shards must be in 1..=8 (the bin count)"),
     ("cluster stream --batch 0", "error: --batch must be at least 1"),
     ("cluster stream --workload nope", "error: unknown workload 'nope' (choose from: uniform, zipf, burst)"),
+    ("cluster stream --faults straggle=8x0.5,crash=0.1", "error: cluster stream does not take the --faults clause crash= (see the fault spec below)"),
     // One codec, one send path: the options that chose others are gone.
     ("cluster protocol collision --wire json", "error: unknown flag '--wire'"),
     ("cluster stream --no-overlap", "error: unknown flag '--no-overlap'"),

@@ -91,10 +91,21 @@ fn cluster_processes_match_single_process_run_at_every_shard_count() {
     }
 }
 
+/// Wait for the socket file a listener binds at `path`.
+fn wait_for_socket(path: &str) {
+    for _ in 0..250 {
+        if std::path::Path::new(path).exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(4));
+    }
+}
+
 #[test]
 fn transport_and_codec_matrix_is_bit_identical() {
-    // {pipe, unix socket, local threads}: every cell must print the same
-    // outcome lines. The pipe cell is the baseline (the default).
+    // {pipe, pre-started unix-socket workers, local threads}: every cell
+    // must print the same outcome lines. The pipe cell is the baseline
+    // (the default).
     let base = [
         "cluster",
         "protocol",
@@ -117,21 +128,64 @@ fn transport_and_codec_matrix_is_bit_identical() {
     let want = outcome_lines(&String::from_utf8_lossy(&baseline.stdout));
     assert_eq!(want.len(), 5, "baseline must print all five outcome lines");
 
-    let cells: [&[&str]; 2] = [&["--socket"], &["--local"]];
-    for cell in cells {
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.extend_from_slice(cell);
-        let out = pba_run(&argv);
+    let check = |cell: &str, out: &std::process::Output| {
         assert!(
             out.status.success(),
-            "cluster {cell:?} failed:\n{}",
+            "cluster {cell} failed:\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(
             outcome_lines(&stdout),
             want,
-            "{cell:?} diverged from the pipe baseline:\n{stdout}"
+            "{cell} diverged from the pipe baseline:\n{stdout}"
+        );
+    };
+
+    let mut local = base.to_vec();
+    local.push("--local");
+    check("--local", &pba_run(&local));
+
+    // One pre-started `shard-worker --listen` per shard, each serving the
+    // one `--connect` run and exiting 0.
+    let socks: Vec<String> = (0..2)
+        .map(|s| {
+            let sock = format!("pba-connect-cli-{}-{s}.sock", std::process::id());
+            let sock = std::env::temp_dir().join(sock);
+            sock.to_str().expect("utf-8 temp path").to_owned()
+        })
+        .collect();
+    let workers: Vec<_> = socks
+        .iter()
+        .map(|sock| {
+            Command::new(env!("CARGO_BIN_EXE_pba-run"))
+                .args(["shard-worker", "--listen", sock])
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn listening shard-worker")
+        })
+        .collect();
+    socks.iter().for_each(|sock| wait_for_socket(sock));
+    let addrs = socks.join(",");
+    let mut connect = base.to_vec();
+    connect.extend_from_slice(&["--connect", &addrs]);
+    let out = pba_run(&connect);
+    // A run that never reached its workers leaves them listening.
+    let workers: Vec<_> = workers
+        .into_iter()
+        .map(|mut worker| {
+            if !out.status.success() {
+                let _ = worker.kill();
+            }
+            worker.wait_with_output().expect("reap shard-worker")
+        })
+        .collect();
+    check("--connect", &out);
+    for (s, worker) in workers.iter().enumerate() {
+        assert!(
+            worker.status.success(),
+            "listening worker {s} failed:\n{}",
+            String::from_utf8_lossy(&worker.stderr)
         );
     }
 }
@@ -192,12 +246,7 @@ fn serve_listen_and_send_reproduce_the_local_replay() {
         .spawn()
         .expect("spawn listener");
     // Wait for the socket file to exist before dialing.
-    for _ in 0..250 {
-        if std::path::Path::new(&sock).exists() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(4));
-    }
+    wait_for_socket(&sock);
     let client = pba_run(&[
         "serve",
         "--send",
@@ -275,8 +324,8 @@ fn cluster_stream_kill_chaos_reports_the_dead_shard() {
         "6",
         "--shards",
         "4",
-        "--kill",
-        "1@2",
+        "--faults",
+        "domains=4x0.0,kill=1x2",
         "--seed",
         "5",
     ]);
@@ -346,10 +395,22 @@ fn cluster_rejects_unknown_protocol_and_bad_kill_spec() {
         "unknown protocol must fail before any worker spawns"
     );
 
-    let out = pba_run(&["cluster", "stream", "--kill", "3-4"]);
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("SHARD@BATCH"),
-        "bad --kill must name the expected shape"
+    // A dead domain kills the shard of its index, so the plan's domains
+    // must be the shards: a mismatch fails before any batch.
+    let out = pba_run(&[
+        "cluster",
+        "stream",
+        "--shards",
+        "2",
+        "--faults",
+        "domains=4x0.0,kill=1x2",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a mismatched kill is a run error"
     );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("4 != 2"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no batch ran");
 }

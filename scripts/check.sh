@@ -39,8 +39,9 @@ run cargo run --release -q -p pba-runner --bin pba-run -- verify --scale ci
 # above; their negative controls live in verify_cli.rs).
 run cargo run --release -q -p pba-runner --bin pba-run -- \
     verify e24-kd-load e25-retries --scale ci
-# Cluster smoke gate: 2- and 4-shard runs over real worker processes
-# must be bit-identical to the single-process engine on a pinned seed,
+# Cluster smoke gate: 2- and 4-shard runs over worker processes on
+# pipes, worker threads on local socket pairs and pre-started listening
+# workers must be bit-identical to the single-process engine on a pinned seed,
 # and a kill-a-shard chaos run must survive with the dead shard
 # reported. The test suite asserts the same thing from inside cargo;
 # this exercises the shipping binary spawning itself as `shard-worker`.
@@ -51,18 +52,46 @@ PBA=target/release/pba-run
 outcome() { "$@" | grep -E '^(rounds|placed|max load|messages|max bin rx):'; }
 echo "==> cluster smoke: transport bit-identity matrix (seed 11)"
 want=$(outcome "$PBA" protocol collision --m 65536 --n 4096 --seed 11)
+# The --connect cell drives one pre-started `shard-worker --listen` per
+# shard over a unix socket; each must serve the run and exit 0.
+workers=$(mktemp -d /tmp/pba_workers.XXXXXX)
 for shards in 2 4; do
-    for cell in "" "--socket"; do
-        # shellcheck disable=SC2086  # $cell is a flag list, splitting wanted
+    for cell in "" "--local" "--connect"; do
+        flags=$cell
+        pids=()
+        if [ "$cell" = "--connect" ]; then
+            socks=()
+            for s in $(seq 0 $((shards - 1))); do
+                socks+=("$workers/$s.sock")
+                "$PBA" shard-worker --listen "${socks[s]}" &
+                pids+=($!)
+            done
+            for sock in "${socks[@]}"; do
+                for _ in $(seq 1 250); do
+                    [ -S "$sock" ] && break
+                    sleep 0.02
+                done
+            done
+            flags="--connect $(IFS=,; echo "${socks[*]}")"
+        fi
+        # shellcheck disable=SC2086  # $flags is a flag list, splitting wanted
         got=$(outcome "$PBA" cluster protocol collision \
-            --m 65536 --n 4096 --seed 11 --shards "$shards" $cell)
+            --m 65536 --n 4096 --seed 11 --shards "$shards" $flags) || true
         if [ "$got" != "$want" ]; then
+            kill "${pids[@]}" 2>/dev/null || true
             echo "cluster --shards $shards ${cell:-(pipe)} diverged from the single-process run:" >&2
             diff <(echo "$want") <(echo "$got") >&2 || true
             exit 1
         fi
+        for pid in "${pids[@]}"; do
+            wait "$pid" || {
+                echo "a listening shard-worker of cluster --shards $shards exited nonzero" >&2
+                exit 1
+            }
+        done
     done
 done
+rmdir "$workers"
 # Split-scan parity: at m = n = 2^18 the --parallel run's dense round 0
 # scans and grants over several owner ranges of bitmap words and its
 # sparse round 1 must clear what round 0 left; the cluster run sends
@@ -141,8 +170,9 @@ echo "==> cluster smoke: kill-a-shard chaos"
 # 101) made this gate fail at random under pipefail.
 kill_smoke=$(mktemp /tmp/pba_kill_smoke.XXXXXX)
 "$PBA" cluster stream --n 256 --batch n --batches 6 --shards 4 \
-    --kill 1@2 --seed 11 >"$kill_smoke"
+    --faults domains=4x0.0,kill=1x2 --seed 11 >"$kill_smoke"
 grep -q 'shard 1 killed before batch 2' "$kill_smoke"
+grep -q '8 barriers, killed' "$kill_smoke"
 rm -f "$kill_smoke"
 # Service smoke gate: a replay interrupted by a snapshot and finished
 # from the restored state must land on exactly the final allocator

@@ -3,7 +3,7 @@
 //! and fault decisions for every shard count — and its chaos harness
 //! (really killing a shard worker) lands on exactly the loads of the
 //! in-process dead-domain run. Shards here are worker threads over
-//! in-memory pipes speaking the same wire protocol as child processes;
+//! local socket pairs speaking the same wire protocol as child processes;
 //! `crates/runner/tests/cluster_cli.rs` covers the real-process
 //! transport end to end.
 
@@ -132,10 +132,10 @@ fn stream_cluster_is_bit_identical_across_shard_counts() {
 
 #[test]
 fn killed_shard_matches_in_process_dead_domain_run() {
-    // The chaos harness really kills shard 1's worker before batch 2; the
-    // surviving placements must equal an in-process run whose fault plan
-    // declares domain 1 dead from batch 2 — the redirect is the same
-    // pure function either way.
+    // Domain 1 dead from batch 2: the in-process run redirects around
+    // it, and the cluster, given the same plan, really kills shard 1's
+    // worker before batch 2. The surviving placements must be equal —
+    // the redirect is the same pure function either way.
     let (bins, shards, batches) = (64u32, 4u32, 6u64);
     let (kill_shard, kill_batch) = (1u32, 2u64);
     let plan = FaultPlan::new(SEED)
@@ -147,7 +147,7 @@ fn killed_shard_matches_in_process_dead_domain_run() {
     let out = ClusterConfig::stream(PolicyKind::BatchedTwoChoice, bins, SEED, batches, 1)
         .with_workload(cfg)
         .with_shards(shards)
-        .with_kill(kill_shard, kill_batch)
+        .with_faults(plan)
         .run_local()
         .unwrap();
     assert_eq!(

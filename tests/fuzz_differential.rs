@@ -374,7 +374,7 @@ fn shrunk_repro_seed_replays() {
 }
 
 /// Cluster axis: the multi-process orchestration (worker threads over
-/// in-memory pipes here — the wire protocol is identical for child
+/// local socket pairs here — the wire protocol is identical for child
 /// processes) must reproduce the sequential engine bit for bit on
 /// sampled cases, fault plans included. Errors must agree too: a
 /// round-budget exhaustion looks the same from either side.

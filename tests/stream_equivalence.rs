@@ -36,7 +36,7 @@ fn ingest_all(policy: PolicyKind, parallel: bool) -> (Vec<u32>, Vec<u64>) {
 }
 
 /// Final loads of the same run with its bins split over `shards` worker
-/// processes (threads over in-memory pipes; the wire protocol is the
+/// processes (threads over local socket pairs; the wire protocol is the
 /// one child processes speak).
 fn cluster_loads(policy: PolicyKind, shards: u32) -> Vec<u64> {
     ClusterConfig::stream(policy, BINS, SEED, BATCHES, BATCH)
